@@ -15,13 +15,13 @@ exception Machine_trap of State.trap_reason
 
 type snap = { s_pc : int; s_cycles : int; s_refs : int }
 
-let snap (st : State.t) =
+let[@inline] snap (st : State.t) =
   match st.State.tracer with
   | None -> None
   | Some _ ->
     Some { s_pc = st.pc_abs; s_cycles = Cost.cycles st.cost; s_refs = Cost.mem_refs st.cost }
 
-let emit_xfer (st : State.t) s kind ~target =
+let[@inline] emit_xfer (st : State.t) s kind ~target =
   match (st.State.tracer, s) with
   | Some sink, Some s ->
     let cycles = Cost.cycles st.cost and refs = Cost.mem_refs st.cost in
@@ -56,13 +56,13 @@ let simple (st : State.t) =
    path.  The result is packed [(lf lsl 8) lor granted_fsi] — returning a
    pair would be a per-call allocation. *)
 
-let alloc_via_av (st : State.t) fsi =
+let[@inline] alloc_via_av (st : State.t) fsi =
   match Alloc_vector.alloc_fsi st.allocator ~cost:st.cost ~fsi with
   | lf -> (lf lsl 8) lor fsi
   | exception Alloc_vector.Out_of_frame_heap ->
     raise (Machine_trap State.Frame_heap_exhausted)
 
-let alloc_frame (st : State.t) ~fsi =
+let[@inline] alloc_frame (st : State.t) ~fsi =
   let m = st.metrics in
   m.frame_allocs <- m.frame_allocs + 1;
   if st.ff_fsi >= 0 && fsi <= st.ff_fsi then
@@ -88,14 +88,14 @@ let alloc_frame (st : State.t) ~fsi =
     end
   else alloc_via_av st fsi
 
-let free_frame (st : State.t) ~lf =
+let[@inline] free_frame (st : State.t) ~lf =
   st.metrics.frame_frees <- st.metrics.frame_frees + 1;
   (match st.banks with
   | Some b -> Fpc_regbank.Bank_file.release_frame b ~lf
   | None -> ());
   (* The processor knows the class of frames it hands out, so returning a
      common-size frame to its free-frame stack costs nothing. *)
-  let fsi = Frame.peek_fsi st.mem ~lf in
+  let fsi = Memory.peek st.mem (lf + Frame.off_fsi) in
   if st.ff_fsi >= 0 && fsi = st.ff_fsi && st.ff_top < Array.length st.free_frames
   then begin
     st.free_frames.(st.ff_top) <- lf;
@@ -135,7 +135,8 @@ let flush_rstack (st : State.t) =
         Frame.write_global_frame st.mem ~lf:e.r_lf e.r_gf;
         above := e.r_lf)
 
-let deferred (st : State.t) = st.rstack <> None
+let[@inline] deferred (st : State.t) =
+  match st.rstack with Some _ -> true | None -> false
 
 (* Overflow: spill only the oldest entry — the recent window stays hot, so
    LIFO-local oscillation (the common case) keeps riding the fast path.
@@ -156,11 +157,15 @@ let spill_oldest (st : State.t) rs =
 
 (* Leaving the current context by a slow transfer: save the PC (always)
    and, in deferred mode, the globalFrame word that eager entry would have
-   written at creation. *)
-let suspend_current (st : State.t) =
-  let cb = State.ensure_cb st in
-  Frame.write_pc st.mem ~lf:st.lf (st.pc_abs - (2 * cb));
-  if deferred st then Frame.write_global_frame st.mem ~lf:st.lf st.gf
+   written at creation.  [reads] storage reads the caller still owes (a
+   prefilled call's elided resolution) join the stores' batch: nothing
+   between them can trap or emit. *)
+let[@inline] suspend_current (st : State.t) ~reads =
+  let cb = if st.cb >= 0 then st.cb else State.ensure_cb st in
+  let defer = deferred st in
+  Cost.refs_n st.cost ~reads ~writes:(if defer then 2 else 1);
+  Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
+  if defer then Memory.poke st.mem (st.lf + Frame.off_global_frame) st.gf
 
 (* ------------------------------------------------------------------ *)
 (* Destination resolution.
@@ -173,7 +178,9 @@ let suspend_current (st : State.t) =
      [tag_local]      a = entry-vector index
      [tag_desc]       a = gfi, b = five-bit ev
      [tag_import]     a = link-vector index (Simple engine only)
-     [tag_prefilled]  scratch already written (DIRECTCALL header)        *)
+     [tag_prefilled]  scratch already written by the caller ({!call_resolved}:
+                      a DIRECTCALL header, or a compiled call site's
+                      translate-time resolution)                          *)
 
 let tag_local = 0
 let tag_desc = 1
@@ -235,8 +242,9 @@ let enter_proc (st : State.t) ~ret_word ~fast =
   let packed = alloc_frame st ~fsi:st.xr_fsi in
   let lf_new = packed lsr 8 and granted_fsi = packed land 0xFF in
   if not fast then begin
-    Frame.write_return_link st.mem ~lf:lf_new ret_word;
-    Frame.write_global_frame st.mem ~lf:lf_new st.xr_gf
+    Cost.refs_n st.cost ~reads:0 ~writes:2;
+    Memory.poke st.mem (lf_new + Frame.off_return_link) ret_word;
+    Memory.poke st.mem (lf_new + Frame.off_global_frame) st.xr_gf
   end;
   (match st.banks with
   | Some banks ->
@@ -261,10 +269,11 @@ let enter_proc (st : State.t) ~ret_word ~fast =
   st.pc_abs <- st.xr_pc;
   Cost.jump st.cost
 
-let resume_frame (st : State.t) ~dest_lf =
-  let pc = Frame.read_pc st.mem ~lf:dest_lf in
-  let gf = Frame.read_global_frame st.mem ~lf:dest_lf in
-  let cb = Memory.read st.mem gf in
+let[@inline] resume_frame (st : State.t) ~dest_lf =
+  Cost.refs_n st.cost ~reads:3 ~writes:0;
+  let pc = Memory.peek st.mem (dest_lf + Frame.off_pc) in
+  let gf = Memory.peek st.mem (dest_lf + Frame.off_global_frame) in
+  let cb = Memory.peek st.mem gf in
   st.lf <- dest_lf;
   st.gf <- gf;
   st.cb <- cb;
@@ -281,7 +290,7 @@ let transfer_to_frame (st : State.t) ~dest_lf =
   (match st.banks with
   | Some b -> Fpc_regbank.Bank_file.on_leave b ~lf:st.lf
   | None -> ());
-  suspend_current st;
+  suspend_current st ~reads:0;
   let me = st.lf in
   resume_frame st ~dest_lf;
   st.return_ctx <- me
@@ -294,7 +303,10 @@ let classify (st : State.t) before =
     st.metrics.fast_transfers <- st.metrics.fast_transfers + 1
   else st.metrics.slow_transfers <- st.metrics.slow_transfers + 1
 
-let do_call (st : State.t) ~before ~s ~tag ~a ~b =
+(* One call path for every caller.  [skipped] counts resolution reads a
+   prefilled caller elided; they are charged where the resolution would
+   have made them — before the frame allocation, the only trap point. *)
+let do_call (st : State.t) ~before ~s ~tag ~a ~b ~skipped =
   st.metrics.calls <- st.metrics.calls + 1;
   State.note_transfer_direction st 1;
   try
@@ -315,15 +327,18 @@ let do_call (st : State.t) ~before ~s ~tag ~a ~b =
         | Some bk -> Fpc_regbank.Bank_file.bank_index bk ~lf:st.lf
         | None -> Fpc_ifu.Return_stack.no_bank
       in
-      resolve_into st ~tag ~a ~b;
+      if tag <> tag_prefilled then resolve_into st ~tag ~a ~b
+      else if skipped > 0 then Cost.refs_n st.cost ~reads:skipped ~writes:0;
       Fpc_ifu.Return_stack.push rs ~lf:e_lf ~gf:e_gf ~cb:e_cb ~pc_abs:e_pc
         ~bank:e_bank;
-      enter_proc st ~ret_word ~fast:true
+      enter_proc st ~ret_word ~fast:true;
+      classify st before
     | None ->
-      resolve_into st ~tag ~a ~b;
-      suspend_current st;
-      enter_proc st ~ret_word ~fast:false);
-    classify st before;
+      if tag <> tag_prefilled then resolve_into st ~tag ~a ~b;
+      suspend_current st ~reads:skipped;
+      enter_proc st ~ret_word ~fast:false;
+      (* storing the caller's PC makes it slow by construction *)
+      st.metrics.slow_transfers <- st.metrics.slow_transfers + 1);
     emit_xfer st s Fpc_trace.Event.Call ~target:st.pc_abs
   with e ->
     emit_xfer st s Fpc_trace.Event.Call ~target:(-1);
@@ -333,7 +348,7 @@ let call_external (st : State.t) ~lv_index =
   let before = Cost.mem_refs st.cost in
   let s = snap st in
   match st.engine.Engine.kind with
-  | Engine.Simple -> do_call st ~before ~s ~tag:tag_import ~a:lv_index ~b:0
+  | Engine.Simple -> do_call st ~before ~s ~tag:tag_import ~a:lv_index ~b:0 ~skipped:0
   | Engine.Mesa ->
     (* The link vector lives just below the global frame: entry i is the
        word at gf - 1 - i, so one reference reaches the context. *)
@@ -341,7 +356,7 @@ let call_external (st : State.t) ~lv_index =
     let k = Descriptor.word_kind lv_word in
     if k = Descriptor.word_proc then
       do_call st ~before ~s ~tag:tag_desc ~a:(Descriptor.word_gfi lv_word)
-        ~b:(Descriptor.word_ev lv_word)
+        ~b:(Descriptor.word_ev lv_word) ~skipped:0
     else if k = Descriptor.word_frame then begin
       (* A rebound link naming an existing context: the destination makes
          this a coroutine resume, not a call — F3. *)
@@ -355,32 +370,29 @@ let call_external (st : State.t) ~lv_index =
 let call_local (st : State.t) ~ev_index =
   let before = Cost.mem_refs st.cost in
   let s = snap st in
-  do_call st ~before ~s ~tag:tag_local ~a:ev_index ~b:0
+  do_call st ~before ~s ~tag:tag_local ~a:ev_index ~b:0 ~skipped:0
 
+(* [before] matters only to the return-stack shape, the one that can be
+   fast. *)
+let[@inline] call_resolved (st : State.t) ~skipped =
+  let before = if deferred st then Cost.mem_refs st.cost else 0 in
+  do_call st ~before ~s:(snap st) ~tag:tag_prefilled ~a:0 ~b:0 ~skipped
+
+(* The header (SETGLOBALFRAME gf; ALLOCATEFRAME fsi) is part of the
+   instruction stream: its three bytes always span the two code words
+   from [target_abs / 2].  With an IFU return stack the prefetcher has
+   already consumed it; without one, the machine pays the three fetches,
+   charged as the call's resolution reads. *)
 let call_direct (st : State.t) ~target_abs =
-  let before = Cost.mem_refs st.cost in
-  let s = snap st in
-  (* The header (SETGLOBALFRAME gf; ALLOCATEFRAME fsi) is part of the
-     instruction stream.  With an IFU return stack the prefetcher has
-     already consumed it; without one, the machine pays the fetches. *)
-  let defer = deferred st in
-  let b0 =
-    if defer then Memory.peek_code_byte st.mem ~code_base:0 ~pc:target_abs
-    else Memory.read_code_byte st.mem ~code_base:0 ~pc:target_abs
-  in
-  let b1 =
-    if defer then Memory.peek_code_byte st.mem ~code_base:0 ~pc:(target_abs + 1)
-    else Memory.read_code_byte st.mem ~code_base:0 ~pc:(target_abs + 1)
-  in
-  let b2 =
-    if defer then Memory.peek_code_byte st.mem ~code_base:0 ~pc:(target_abs + 2)
-    else Memory.read_code_byte st.mem ~code_base:0 ~pc:(target_abs + 2)
-  in
-  st.xr_gf <- (b0 lsl 8) lor b1;
+  let a = target_abs lsr 1 in
+  let w0 = Memory.peek st.mem a in
+  let w1 = Memory.peek st.mem (a + 1) in
+  let window = (w0 lsl 16) lor w1 and shift = 8 * (target_abs land 1) in
+  st.xr_gf <- (window lsr (16 - shift)) land 0xFFFF;
   st.xr_cb <- State.no_cb;
   st.xr_pc <- target_abs + 3;
-  st.xr_fsi <- b2;
-  do_call st ~before ~s ~tag:tag_prefilled ~a:0 ~b:0
+  st.xr_fsi <- (window lsr (8 - shift)) land 0xFF;
+  call_resolved st ~skipped:(if deferred st then 0 else 3)
 
 (* ------------------------------------------------------------------ *)
 (* Processes. *)
@@ -411,25 +423,13 @@ let end_process (st : State.t) =
 
 (* The general scheme, taken when the IFU return stack is absent or empty.
    The process-ending return emits before [end_process] so the event
-   stream reads Return-then-Switch, matching what happened. *)
-let return_slow (st : State.t) ~s ~before ~returning =
-  let rl =
-    try Frame.read_return_link st.mem ~lf:returning
-    with e ->
-      emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
-      raise e
-  in
-  if rl = 0 then begin
-    (try free_frame st ~lf:returning
-     with e ->
-       emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
-       raise e);
-    emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
-    end_process st;
-    classify st before
-  end
-  else
-    try
+   stream reads Return-then-Switch, matching what happened.  Fetching the
+   returnLink makes every such return slow. *)
+let return_slow (st : State.t) ~s ~returning =
+  match
+    let rl = Memory.read st.mem (returning + Frame.off_return_link) in
+    if rl = 0 then free_frame st ~lf:returning
+    else begin
       let k = Descriptor.word_kind rl in
       if k = Descriptor.word_frame then begin
         free_frame st ~lf:returning;
@@ -445,21 +445,29 @@ let return_slow (st : State.t) ~s ~before ~returning =
           ~b:(Descriptor.word_ev rl);
         enter_proc st ~ret_word:0 ~fast:false
       end
-      else raise (Machine_trap State.Nil_context);
-      classify st before;
-      emit_xfer st s Fpc_trace.Event.Return ~target:st.pc_abs
-    with e ->
-      emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
-      raise e
+      else raise (Machine_trap State.Nil_context)
+    end;
+    rl
+  with
+  | exception e ->
+    emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
+    raise e
+  | 0 ->
+    emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
+    end_process st;
+    st.metrics.slow_transfers <- st.metrics.slow_transfers + 1
+  | _ ->
+    st.metrics.slow_transfers <- st.metrics.slow_transfers + 1;
+    emit_xfer st s Fpc_trace.Event.Return ~target:st.pc_abs
 
 let return_ (st : State.t) =
   let s = snap st in
   st.metrics.returns <- st.metrics.returns + 1;
   State.note_transfer_direction st (-1);
-  let before = Cost.mem_refs st.cost in
   let returning = st.lf in
   match st.rstack with
   | Some rs when Fpc_ifu.Return_stack.try_pop rs -> (
+    let before = Cost.mem_refs st.cost in
     try
       free_frame st ~lf:returning;
       let e = Fpc_ifu.Return_stack.popped rs in
@@ -477,7 +485,7 @@ let return_ (st : State.t) =
     with e ->
       emit_xfer st s Fpc_trace.Event.Return ~target:(-1);
       raise e)
-  | _ -> return_slow st ~s ~before ~returning
+  | _ -> return_slow st ~s ~returning
 
 (* ------------------------------------------------------------------ *)
 (* Raw XFER. *)
@@ -493,7 +501,7 @@ let xfer (st : State.t) ~dest_word =
         (match st.banks with
         | Some b -> Fpc_regbank.Bank_file.on_leave b ~lf:st.lf
         | None -> ());
-        suspend_current st;
+        suspend_current st ~reads:0;
         let ret_word = st.lf in
         resolve_into st ~tag:tag_desc ~a:(Descriptor.word_gfi dest_word)
           ~b:(Descriptor.word_ev dest_word);
@@ -567,7 +575,7 @@ let yield (st : State.t) =
         (match st.banks with
         | Some b -> Fpc_regbank.Bank_file.flush_all b
         | None -> ());
-        suspend_current st;
+        suspend_current st ~reads:0;
         let stack = Eval_stack.contents st.stack in
         Array.iter (fun _ -> Cost.mem_write st.cost) stack;
         Queue.add
@@ -617,7 +625,7 @@ let trap (st : State.t) reason =
         (match st.banks with
         | Some b -> Fpc_regbank.Bank_file.flush_all b
         | None -> ());
-        suspend_current st;
+        suspend_current st ~reads:0;
         Eval_stack.clear st.stack;
         Eval_stack.push st.stack (State.trap_code reason);
         let ret_word = st.lf in

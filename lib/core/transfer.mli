@@ -75,34 +75,24 @@ val trap : State.t -> State.trap_reason -> unit
     (returnContext = the faulting frame, argument = the trap code); without
     a handler, or for fatal reasons, the machine stops. *)
 
-(** {1 Building blocks}
+(** {1 The compiled tier's entry}
 
-    The pieces a call or return is made of, exported for the compiled
-    tier: its specialised transfer nodes re-sequence exactly these (with
-    destination resolution folded to translate-time constants), so every
-    metered reference, counter and sub-event stays bit-identical to the
-    interpreter's transfer path.  Nothing here is useful to ordinary
-    clients. *)
+    There is one call path and one return path.  A compiled call node
+    differs from {!call_local} / {!call_external} only in where the
+    destination comes from: the node resolved it at translate time,
+    re-checks the baked words against live storage, writes the callee into
+    the scratch destination registers ([xr_gf], [xr_cb], [xr_pc],
+    [xr_fsi]) and calls {!call_resolved}, which runs the same frame-link
+    or return-stack entry as every other call.  DIRECTCALL nodes call
+    {!call_direct}, and RETURN nodes and spliced leaf callees call
+    {!return_}.  A transfer charges its storage references in batches
+    and then touches the store unmetered; no batch crosses a trap point
+    or a sub-event, so the meters, counters and (under a tracer) the event
+    stream of a compiled run are the interpreter's by construction. *)
 
-val alloc_frame : State.t -> fsi:int -> int
-(** Allocate an activation frame of size class [fsi], preferring the
-    processor free-frame stack.  Returns [(lf lsl 8) lor granted_fsi];
-    raises {!Machine_trap}[ Frame_heap_exhausted] like a call would. *)
-
-val free_frame : State.t -> lf:int -> unit
-(** Return a frame to the free-frame stack or the AV free list. *)
-
-val suspend_current : State.t -> unit
-(** Store the PC (and, in deferred mode, the globalFrame word) into the
-    current frame, as leaving by a slow transfer requires. *)
-
-val resume_frame : State.t -> dest_lf:int -> unit
-(** Restore the register file from frame [dest_lf] and aim the PC at its
-    saved resume point. *)
-
-val classify : State.t -> int -> unit
-(** Count the just-finished transfer as fast or slow by comparing the
-    storage-reference meter against the given baseline. *)
-
-val payload_of_fsi : State.t -> int -> int
-(** Locals payload (block words minus overhead) of size class [fsi]. *)
+val call_resolved : State.t -> skipped:int -> unit
+(** A call whose destination is already in the scratch destination
+    registers.  [skipped] is the number of storage reads the caller's
+    resolution elided; they are charged where the interpreter's
+    resolution would have made them, before the frame allocation.  Raises
+    {!Machine_trap}[ Frame_heap_exhausted] as any call would. *)

@@ -67,7 +67,7 @@ let set_on_event t f = t.on_event <- f
 
 (* An lf is a plausible frame pointer iff it is quad-offset from heap_base
    and inside the heap; anything else maps to no live slot. *)
-let live_index t ~lf =
+let[@inline] live_index t ~lf =
   if lf < t.heap_base || lf > t.heap_limit || (lf - t.heap_base) land 3 <> 0 then -1
   else (lf - t.heap_base) lsr 2
 
@@ -114,8 +114,7 @@ let replenish t ~cost ~fsi =
     t.free_pool_words <- t.free_pool_words + words
   done
 
-let record_alloc t ~lf ~fsi ~requested =
-  let words = Size_class.block_words t.ladder fsi in
+let[@inline] record_alloc t ~lf ~fsi ~words ~requested =
   let idx = live_index t ~lf in
   if t.live.(idx) < 0 then t.live_blocks <- t.live_blocks + 1;
   t.live.(idx) <- (requested lsl 8) lor fsi;
@@ -130,7 +129,7 @@ let record_alloc t ~lf ~fsi ~requested =
    accesses), so the charge is identical either way; only the heap's
    capacity behaviour differs (a long-running workload no longer exhausts
    the wilderness while most of it sits freed). *)
-let alloc_software t ~cost ~fsi ~requested =
+let alloc_software t ~cost ~fsi ~words ~requested =
   Cost.software_alloc cost;
   t.software_traps <- t.software_traps + 1;
   let block =
@@ -138,88 +137,57 @@ let alloc_software t ~cost ~fsi ~requested =
     if head = 0 then carve t ~fsi
     else begin
       Memory.poke t.mem (t.av_base + fsi) (Memory.peek t.mem (head + 1));
-      t.free_pool_words <- t.free_pool_words - Size_class.block_words t.ladder fsi;
+      t.free_pool_words <- t.free_pool_words - words;
       head
     end
   in
   let lf = Frame.lf_of_block block in
-  record_alloc t ~lf ~fsi ~requested;
+  record_alloc t ~lf ~fsi ~words ~requested;
   (match t.on_event with
   | Some f ->
-    f
-      (Fpc_trace.Event.Frame_alloc
-         { words = Size_class.block_words t.ladder fsi; via_ff = false; software = true })
+    f (Fpc_trace.Event.Frame_alloc { words; via_ff = false; software = true })
   | None -> ());
   lf
 
 (* [trapped] records whether this allocation had to replenish its free
-   list — that is, whether the fast path degraded to the software one. *)
-let rec alloc_fast ?(trapped = false) t ~cost ~fsi ~requested =
-  let head = Memory.read t.mem (t.av_base + fsi) in
-  if head = 0 then begin
-    replenish t ~cost ~fsi;
-    alloc_fast ~trapped:true t ~cost ~fsi ~requested
-  end
+   list — that is, whether the fast path degraded to the software one.
+   The three references of the fast path are charged as one batch before
+   the free-list words are touched; an empty list charges only its head
+   fetch before trapping to the software allocator. *)
+let[@inline] pop_free t ~cost ~fsi ~words ~requested ~trapped ~head =
+  Cost.refs_n cost ~reads:2 ~writes:1;
+  let next = Memory.peek t.mem (head + 1) in
+  Memory.poke t.mem (t.av_base + fsi) next;
+  t.fast_allocs <- t.fast_allocs + 1;
+  t.free_pool_words <- t.free_pool_words - words;
+  let lf = Frame.lf_of_block head in
+  record_alloc t ~lf ~fsi ~words ~requested;
+  (match t.on_event with
+  | Some f ->
+    f (Fpc_trace.Event.Frame_alloc { words; via_ff = false; software = trapped })
+  | None -> ());
+  lf
+
+let[@inline] alloc_fast t ~cost ~fsi ~words ~requested =
+  let head = Memory.peek t.mem (t.av_base + fsi) in
+  if head <> 0 then pop_free t ~cost ~fsi ~words ~requested ~trapped:false ~head
   else begin
-    let next = Memory.read t.mem (head + 1) in
-    Memory.write t.mem (t.av_base + fsi) next;
-    t.fast_allocs <- t.fast_allocs + 1;
-    t.free_pool_words <- t.free_pool_words - Size_class.block_words t.ladder fsi;
-    let lf = Frame.lf_of_block head in
-    record_alloc t ~lf ~fsi ~requested;
-    (match t.on_event with
-    | Some f ->
-      f
-        (Fpc_trace.Event.Frame_alloc
-           {
-             words = Size_class.block_words t.ladder fsi;
-             via_ff = false;
-             software = trapped;
-           })
-    | None -> ());
-    lf
+    Cost.refs_n cost ~reads:1 ~writes:0;
+    replenish t ~cost ~fsi;
+    let head = Memory.peek t.mem (t.av_base + fsi) in
+    pop_free t ~cost ~fsi ~words ~requested ~trapped:true ~head
   end
 
-let alloc_fsi_requested t ~cost ~fsi ~requested =
-  if fsi < 0 || fsi >= Size_class.class_count t.ladder then
-    invalid_arg (Printf.sprintf "Alloc_vector.alloc_fsi: bad class %d" fsi);
+let[@inline] alloc_class t ~cost ~fsi ~words ~requested =
   match t.mode with
-  | Fast -> alloc_fast t ~cost ~fsi ~requested
-  | Software_only -> alloc_software t ~cost ~fsi ~requested
+  | Fast -> alloc_fast t ~cost ~fsi ~words ~requested
+  | Software_only -> alloc_software t ~cost ~fsi ~words ~requested
 
 let alloc_fsi t ~cost ~fsi =
-  alloc_fsi_requested t ~cost ~fsi ~requested:(Size_class.block_words t.ladder fsi)
-
-(* Prepaid variants of the fast paths, for the compiled tier's
-   specialised transfer nodes: the caller runs untraced and the storage
-   bill is charged as one batch ({!Cost.refs_n}), so the free-list words
-   are touched without per-access metering.  Counter totals equal the
-   metered paths exactly.  Anything off the fast shape — software mode,
-   an empty free list, a bad class or a dead block — falls back to the
-   metered path unchanged (which also keeps the trap and abort behaviour
-   literally the same code path). *)
-
-let alloc_fsi_prepaid t ~cost ~fsi =
   if fsi < 0 || fsi >= Size_class.class_count t.ladder then
     invalid_arg (Printf.sprintf "Alloc_vector.alloc_fsi: bad class %d" fsi);
-  match t.mode with
-  | Software_only ->
-    alloc_software t ~cost ~fsi ~requested:(Size_class.block_words t.ladder fsi)
-  | Fast ->
-    let head = Memory.peek t.mem (t.av_base + fsi) in
-    if head = 0 then
-      alloc_fast t ~cost ~fsi ~requested:(Size_class.block_words t.ladder fsi)
-    else begin
-      Cost.refs_n cost ~reads:2 ~writes:1;
-      let next = Memory.peek t.mem (head + 1) in
-      Memory.poke t.mem (t.av_base + fsi) next;
-      t.fast_allocs <- t.fast_allocs + 1;
-      let words = Size_class.block_words t.ladder fsi in
-      t.free_pool_words <- t.free_pool_words - words;
-      let lf = Frame.lf_of_block head in
-      record_alloc t ~lf ~fsi ~requested:words;
-      lf
-    end
+  let words = Size_class.block_words t.ladder fsi in
+  alloc_class t ~cost ~fsi ~words ~requested:words
 
 let fsi_for_locals t n =
   match Size_class.index_for_block t.ladder (Frame.block_words_for_locals n) with
@@ -232,7 +200,9 @@ let alloc_words t ~cost ~body_words =
   let request = Frame.block_words_for_locals body_words in
   match Size_class.index_for_block t.ladder request with
   | None -> invalid_arg "Alloc_vector.alloc_words: request exceeds the ladder"
-  | Some fsi -> alloc_fsi_requested t ~cost ~fsi ~requested:request
+  | Some fsi ->
+    alloc_class t ~cost ~fsi ~words:(Size_class.block_words t.ladder fsi)
+      ~requested:request
 
 let free t ~cost ~lf =
   let idx = live_index t ~lf in
@@ -258,36 +228,17 @@ let free t ~cost ~lf =
       Memory.poke t.mem (block + 1) head;
       Memory.poke t.mem (t.av_base + fsi_known) block
     | Fast ->
-      let fsi = Frame.read_fsi t.mem ~lf in
-      let head = Memory.read t.mem (t.av_base + fsi) in
-      Memory.write t.mem (block + 1) head;
-      Memory.write t.mem (t.av_base + fsi) block);
+      (* the fsi word and list head fetched, the link and head stored:
+         four references, charged as one batch *)
+      Cost.refs_n cost ~reads:2 ~writes:2;
+      let fsi = Memory.peek t.mem (lf + Frame.off_fsi) in
+      let head = Memory.peek t.mem (t.av_base + fsi) in
+      Memory.poke t.mem (block + 1) head;
+      Memory.poke t.mem (t.av_base + fsi) block);
     t.free_pool_words <- t.free_pool_words + words;
     match t.on_event with
     | Some f -> f (Fpc_trace.Event.Frame_free { words; to_ff = false })
     | None -> ()
-  end
-
-let free_prepaid t ~cost ~lf =
-  let idx = live_index t ~lf in
-  let slot = if idx < 0 then -1 else t.live.(idx) in
-  if slot < 0 || t.mode <> Fast then free t ~cost ~lf
-  else begin
-    let fsi_known = slot land 0xFF in
-    let requested = slot lsr 8 in
-    t.live.(idx) <- -1;
-    t.live_blocks <- t.live_blocks - 1;
-    let block = Frame.block_of_lf lf in
-    let words = Size_class.block_words t.ladder fsi_known in
-    t.live_words <- t.live_words - words;
-    t.requested_words <- t.requested_words - requested;
-    t.frees <- t.frees + 1;
-    Cost.refs_n cost ~reads:2 ~writes:2;
-    let fsi = Frame.peek_fsi t.mem ~lf in
-    let head = Memory.peek t.mem (t.av_base + fsi) in
-    Memory.poke t.mem (block + 1) head;
-    Memory.poke t.mem (t.av_base + fsi) block;
-    t.free_pool_words <- t.free_pool_words + words
   end
 
 let is_live t ~lf =

@@ -53,7 +53,8 @@ val set_on_event : t -> (Fpc_trace.Event.kind -> unit) option -> unit
 val alloc_fsi : t -> cost:Fpc_machine.Cost.t -> fsi:int -> int
 (** Allocate a block of class [fsi]; returns the frame pointer LF
     (block + 4, quad-aligned).  Raises [Out_of_frame_heap] when the
-    wilderness is exhausted. *)
+    wilderness is exhausted.  The fast path's references are charged to
+    [cost] as one batch, before its tracing hook fires. *)
 
 val alloc_words : t -> cost:Fpc_machine.Cost.t -> body_words:int -> int
 (** Allocate the smallest class able to hold [body_words] words of payload
@@ -61,19 +62,9 @@ val alloc_words : t -> cost:Fpc_machine.Cost.t -> body_words:int -> int
     [Invalid_argument] if no class is large enough. *)
 
 val free : t -> cost:Fpc_machine.Cost.t -> lf:int -> unit
-(** Return the block at LF to its free list.  Raises [Invalid_argument] if
-    [lf] is not currently allocated (double free, wild pointer). *)
-
-val alloc_fsi_prepaid : t -> cost:Fpc_machine.Cost.t -> fsi:int -> int
-(** [alloc_fsi] with the fast path's three storage references charged as
-    one batch and performed raw.  For the compiled tier's specialised
-    call nodes, which only run untraced; counter totals are identical to
-    {!alloc_fsi}, and any non-fast shape (software mode, empty free
-    list) falls back to the metered path. *)
-
-val free_prepaid : t -> cost:Fpc_machine.Cost.t -> lf:int -> unit
-(** [free] with the fast path's four storage references batch-charged;
-    same contract as {!alloc_fsi_prepaid}. *)
+(** Return the block at LF to its free list, charging the fast path's
+    four references as one batch.  Raises [Invalid_argument] if [lf] is
+    not currently allocated (double free, wild pointer). *)
 
 val fsi_for_locals : t -> int -> int
 (** The fsi the compiler should store for a procedure with [n] words of

@@ -33,18 +33,22 @@ let set_cost t c = t.cost <- Some c
 let clear_cost t = t.cost <- None
 let cost t = t.cost
 
-let check t addr what =
-  if addr < 0 || addr >= Array.length t.store then
-    invalid_arg (Printf.sprintf "Memory.%s: address %d out of range" what addr)
+let out_of_range what addr =
+  invalid_arg (Printf.sprintf "Memory.%s: address %d out of range" what addr)
+
+(* Inlined into every access, so a word access is one call, not two: the
+   transfer machinery reaches the store through [peek]/[poke]. *)
+let[@inline] check t addr what =
+  if addr < 0 || addr >= Array.length t.store then out_of_range what addr
 
 let peek t addr =
   check t addr "peek";
-  t.store.(addr)
+  Array.unsafe_get t.store addr
 
 let poke t addr v =
   check t addr "poke";
   Bytes.unsafe_set t.dirty (addr lsr page_words_log2) '\001';
-  t.store.(addr) <- Fpc_util.Bits.to_word v
+  Array.unsafe_set t.store addr (v land Fpc_util.Bits.word_mask)
 
 let dirty_pages t =
   let n = ref 0 in
@@ -80,7 +84,7 @@ let prepaid_read t addr = Array.unsafe_get t.store addr
 
 let prepaid_write t addr v =
   Bytes.unsafe_set t.dirty (addr lsr page_words_log2) '\001';
-  Array.unsafe_set t.store addr (Fpc_util.Bits.to_word v)
+  Array.unsafe_set t.store addr (v land Fpc_util.Bits.word_mask)
 
 let read t addr =
   charge_read t;

@@ -5,9 +5,6 @@ module Predecode = Fpc_isa.Predecode
 module Image = Fpc_mesa.Image
 module Descriptor = Fpc_mesa.Descriptor
 module Gft = Fpc_mesa.Gft
-module Frame = Fpc_frames.Frame
-module Alloc_vector = Fpc_frames.Alloc_vector
-module Return_stack = Fpc_ifu.Return_stack
 module Bank_file = Fpc_regbank.Bank_file
 module Interp = Fpc_interp.Interp
 
@@ -41,21 +38,6 @@ type node = { n_count : int; n_exec : State.t -> unit }
 
 let no_node = { n_count = 0; n_exec = stop }
 
-(* A memoised leaf callee, kept in pieces rather than as one finished
-   continuation: the RETURN shape depends on the {e call site} (a
-   store-free leaf's return can bake the link words the call itself just
-   wrote — see [spec_ret_baked]), so each site assembles its own
-   continuation from the shared pieces. *)
-type leaf = {
-  lf_batch : int;  (** body + RETURN instruction count *)
-  lf_need : int;  (** stack words required on entry *)
-  lf_maxd : int;  (** peak extra depth of the body *)
-  lf_run : State.t -> unit;  (** the charged body batch *)
-  lf_ret_pc : int;  (** byte PC of the RETURN *)
-  lf_p_end : int;  (** byte PC just past the RETURN *)
-  lf_store_free : bool;  (** body contains no store of any kind *)
-}
-
 type t = {
   base : int;  (** first byte PC covered *)
   slots : node array;  (** per byte boundary; [no_node] = untranslated *)
@@ -71,9 +53,10 @@ type t = {
           baked resolution depends on; fused external calls check it *)
   deps_tbl : (int, int) Hashtbl.t;  (** addr -> baked word (under lock) *)
   seen_sites : (int, unit) Hashtbl.t;  (** call-site PCs already counted *)
-  leaf_memo : (int, leaf option) Hashtbl.t;
-      (** callee entry PC -> compiled leaf pieces (under lock): every
-          suffix block containing a call site resolves the same leaf *)
+  leaf_memo : (int, ((State.t -> unit) * int) option) Hashtbl.t;
+      (** callee entry PC -> spliced leaf continuation and its instruction
+          count (under lock): every suffix block containing a call site
+          resolves the same leaf *)
   mutable deps : (int * int) array;
       (** published snapshot of [deps_tbl] for the relink observer *)
   mutable n_boundaries : int;
@@ -806,26 +789,30 @@ let rec exact_chain (ops : (int * Opcode.t * int) list) : State.t -> unit =
       k st
 
 (* ------------------------------------------------------------------ *)
-(* Specialised transfer nodes.
+(* Transfer nodes.
 
-   The interpreter's call path resolves its destination at run time: an
-   entry-vector read, a code-byte fetch for the frame-size index, a
-   DIRECTCALL header fetch, a link-vector descriptor chased through the
-   GFT.  The inputs in the code region are immutable once linked — the
-   same assumption the predecode table already rests on — so a
-   translate-time node can bake in the resolved destination and charge
-   the elided fetches as a batch.  Inputs {e outside} the code region
-   (the LV descriptor word, the GFT entry, the environment's code-base
-   word, I1's link-table pairs) are writable at run time: the fused path
-   re-peeks them and compares against the baked resolution — a host
-   observation, with the metered reads still charged in the batch — and
-   the relink observer invalidates the whole translation's fused
-   external calls when a host-side rebind overwrites a depended-on word.
-   Every counter, metered reference and sub-event of the interpreter's
-   path is reproduced; anything off the specialised shape falls back to
-   the generic [Interp.exec] {e before} mutating anything.  The
-   specialised bodies run only under the fast path's tracer-absent
-   branch, where transfer event emission is a no-op by construction. *)
+   A node carries no call or return code of its own: control transfer is
+   {!Transfer}'s, the code the interpreter runs.  A RETURN node, and the
+   return of a spliced leaf, is {!Transfer.return_}; a DIRECTCALL node is
+   {!Transfer.call_direct}, which reads the header live.  A LOCALCALL or
+   EXTERNALCALL node is a guard, a translate-time resolution and one call
+   to {!Transfer.call_resolved}.  The interpreter resolves those
+   destinations at run time — an entry-vector word, the callee's
+   frame-size byte, a link-vector descriptor chased through the GFT —
+   while the node bakes the resolved registers, prefills the scratch
+   destination registers with them and hands Transfer the count of
+   resolution reads it elided, which Transfer charges where the
+   interpreter makes them.
+
+   Every baked word is re-peeked against live storage on each execution
+   — a host observation; the metered reads are still charged.  That holds
+   for words in the code region (entry-vector words, fsi bytes), which a
+   program can overwrite with an out-of-range store, as much as for words
+   outside it (the LV descriptor word, the GFT entry, the environment's
+   code-base word, I1's link-table pairs).  The relink observer also
+   invalidates the translation's fused external calls when a host-side
+   rebind overwrites a depended-on word.  A node whose check fails runs
+   the generic [Interp.exec] before mutating anything. *)
 
 (* Code bases of all linked modules, sorted: the module owning a byte PC
    is the one with the greatest [2 * code_base <= pc]. *)
@@ -840,49 +827,6 @@ let cb_of_pc cbs pc =
   let best = ref (-1) in
   Array.iter (fun cb -> if 2 * cb <= pc then best := max !best cb) cbs;
   if !best >= 0 then Some !best else None
-
-(* Prepaid frame traffic: [Transfer.alloc_frame]/[free_frame] with the
-   AV fast path's storage references batch-charged inside the allocator
-   ({!Alloc_vector.alloc_fsi_prepaid}/{!free_prepaid}).  These run only
-   under the tracer-absent branch, where the sub-events the metered
-   paths would emit are no-ops by construction; every counter total is
-   identical. *)
-let av_alloc_prepaid (st : State.t) fsi =
-  match Alloc_vector.alloc_fsi_prepaid st.allocator ~cost:st.cost ~fsi with
-  | lf -> (lf lsl 8) lor fsi
-  | exception Alloc_vector.Out_of_frame_heap ->
-    raise (Transfer.Machine_trap State.Frame_heap_exhausted)
-
-let alloc_frame_prepaid (st : State.t) ~fsi =
-  let m = st.metrics in
-  m.frame_allocs <- m.frame_allocs + 1;
-  if st.ff_fsi >= 0 && fsi <= st.ff_fsi then
-    if st.ff_top > 0 then begin
-      st.ff_top <- st.ff_top - 1;
-      let lf = st.free_frames.(st.ff_top) in
-      m.ff_hits <- m.ff_hits + 1;
-      (lf lsl 8) lor st.ff_fsi
-    end
-    else begin
-      m.ff_misses <- m.ff_misses + 1;
-      av_alloc_prepaid st st.ff_fsi
-    end
-  else av_alloc_prepaid st fsi
-
-let free_frame_prepaid (st : State.t) ~lf =
-  st.metrics.frame_frees <- st.metrics.frame_frees + 1;
-  (match st.banks with
-  | Some b -> Bank_file.release_frame b ~lf
-  | None -> ());
-  if
-    st.ff_fsi >= 0
-    && Frame.peek_fsi st.mem ~lf = st.ff_fsi
-    && st.ff_top < Array.length st.free_frames
-  then begin
-    st.free_frames.(st.ff_top) <- lf;
-    st.ff_top <- st.ff_top + 1
-  end
-  else Alloc_vector.free_prepaid st.allocator ~cost:st.cost ~lf
 
 let has_banks (st : State.t) = match st.banks with Some _ -> true | None -> false
 let has_data_trace (st : State.t) =
@@ -959,113 +903,18 @@ let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
 let compile_bank ~(a : acct) ops ~fallback =
   if a.a_bankable && a.a_lrefs > 0 then compile ~plane:Bank ops else fallback
 
-(* RETURN via the IFU return stack, or the plain frame-link return of the
-   stackless engines.  The empty-rstack and non-frame-link shapes go
-   generic: they carry their own bookkeeping (empty-pop counts, process
-   end, fresh-activation links). *)
-let spec_ret ~tpc =
-  fun (st : State.t) ->
-    let m = st.metrics in
-    match st.rstack with
-    | Some rs when Return_stack.length rs > 0 ->
-      m.returns <- m.returns + 1;
-      State.note_transfer_direction st (-1);
-      let before = Cost.mem_refs st.cost in
-      let returning = st.lf in
-      ignore (Return_stack.try_pop rs : bool);
-      free_frame_prepaid st ~lf:returning;
-      let e = Return_stack.popped rs in
-      st.lf <- e.Return_stack.r_lf;
-      st.gf <- e.Return_stack.r_gf;
-      st.cb <- e.Return_stack.r_cb;
-      st.pc_abs <- e.Return_stack.r_pc_abs;
-      st.return_ctx <- 0;
-      (match st.banks with
-      | Some b -> Bank_file.ensure_bank b ~lf:st.lf
-      | None -> ());
-      Cost.jump st.cost;
-      Transfer.classify st before
-    | Some _ -> Interp.exec st ~instr_pc:tpc Ret
-    | None ->
-      let returning = st.lf in
-      let rl = Frame.peek_return_link st.mem ~lf:returning in
-      if rl <> 0 && Descriptor.word_kind rl = Descriptor.word_frame then begin
-        m.returns <- m.returns + 1;
-        State.note_transfer_direction st (-1);
-        (* the returnLink fetch plus resume's pc/gf/cb fetches, one batch;
-           references are charged, so this is statically a slow transfer *)
-        Memory.charge st.mem ~reads:4 ~writes:0;
-        free_frame_prepaid st ~lf:returning;
-        st.return_ctx <- 0;
-        let pc = Frame.peek_pc st.mem ~lf:rl in
-        let gf = Frame.peek_global_frame st.mem ~lf:rl in
-        let cb = Memory.peek st.mem gf in
-        st.lf <- rl;
-        st.gf <- gf;
-        st.cb <- cb;
-        st.pc_abs <- (2 * cb) + pc;
-        (match st.banks with
-        | Some b -> Bank_file.ensure_bank b ~lf:rl
-        | None -> ());
-        Cost.jump st.cost;
-        m.slow_transfers <- m.slow_transfers + 1
-      end
-      else Interp.exec st ~instr_pc:tpc Ret
-
-(* The stackless return of a fused {e store-free} leaf, with two of the
-   four link-word fetches resolved at translate time: the returnLink is
-   whatever the fused call just stored (mirrored in [st.return_ctx]) and
-   the saved PC is the word the call's own PC save wrote — a
-   translate-time constant of the call site ([next instruction - 2 x the
-   site's code base]).  A store-free body cannot overwrite either frame
-   word between call and return, and leaves are straight-line (no
-   intervening transfer touches [return_ctx]), so the baked values equal
-   what [spec_ret] would re-fetch.  The caller's globalFrame word and
-   code base are still peeked — they were written when the {e caller}
-   was activated, unknown at translate time.  All four reads stay
-   charged: the meters are interpreter-exact, only host-side peeks are
-   saved.  Anything but the plain stackless frame-link shape delegates
-   to the generic [spec_ret]. *)
-let spec_ret_baked ~tpc ~pc_word =
-  let generic = spec_ret ~tpc in
-  fun (st : State.t) ->
-    match st.rstack with
-    | None ->
-      let rl = st.return_ctx in
-      if rl <> 0 && Descriptor.word_kind rl = Descriptor.word_frame then begin
-        let m = st.metrics in
-        m.returns <- m.returns + 1;
-        State.note_transfer_direction st (-1);
-        Memory.charge st.mem ~reads:4 ~writes:0;
-        free_frame_prepaid st ~lf:st.lf;
-        st.return_ctx <- 0;
-        let gf = Frame.peek_global_frame st.mem ~lf:rl in
-        let cb = Memory.peek st.mem gf in
-        st.lf <- rl;
-        st.gf <- gf;
-        st.cb <- cb;
-        st.pc_abs <- (2 * cb) + pc_word;
-        (match st.banks with
-        | Some b -> Bank_file.ensure_bank b ~lf:rl
-        | None -> ());
-        Cost.jump st.cost;
-        m.slow_transfers <- m.slow_transfers + 1
-      end
-      else generic st
-    | Some _ -> generic st
-
 (* ------------------------------------------------------------------ *)
 (* Cross-call fusion: splicing a known-leaf callee into the call site.
 
    A leaf procedure is a straight-line run of pure instructions ending
    in RETURN — no outgoing transfer, no trap-capable op, at most
    [leaf_cap] body instructions.  Its body can ride the caller's node:
-   after the specialised call completes (machine exactly at the callee's
-   entry boundary), one combined stack-depth guard admits the whole
-   body-plus-RETURN batch, the meters are billed in one
+   after the call node's transfer completes (machine exactly at the
+   callee's entry boundary), one combined stack-depth guard admits the
+   whole body-plus-RETURN batch, the meters are billed in one
    {!Cost.block_bill} — batched, but {e not} reordered across the call's
-   allocation trap point, which already fired — and the RETURN runs the
-   same specialised shape a lone RET node would.  If the depth guard
+   allocation trap point, which already fired — and the RETURN is
+   {!Transfer.return_}, as in a lone RET node.  If the depth guard
    fails the continuation simply returns: the call has completed at an
    exact boundary, and the dispatch loop carries on at the callee's
    entry with nothing to undo. *)
@@ -1083,285 +932,166 @@ let leaf_body t ~entry_pc =
       Some (List.rev rev_body, rpc, rlen)
     | _ -> None)
 
-let is_store (op : Opcode.t) =
-  match op with
-  | Sl _ | Sg _ | Slx _ | Sgx _ | Stfld _ | Rstore -> true
-  | _ -> false
-
+(* The spliced continuation for a leaf entered at [entry_pc], with the
+   instruction count it can retire: depth guard, the charged body batch
+   (the RETURN joins it), then the RETURN's transfer. *)
 let compile_callee t ~entry_pc =
   match leaf_body t ~entry_pc with
   | None -> None
   | Some (body, ret_pc, ret_len) ->
-    let n_body = List.length body in
     let need, maxd = guard_params body in
     let a = acct_of body in
     let body_mid = compile ~plane:Mid body in
-    let body_raw = compile ~plane:Raw body in
-    let body_bank = compile_bank ~a body ~fallback:body_mid in
-    let batch = n_body + 1 (* the RETURN joins the batch *) in
-    let super = if batch >= 2 then batch else 0 in
+    let batch = List.length body + 1 in
     let run =
-      charge_and_run ~batch ~super ~a ~fused_mid:body_mid ~fused_raw:body_raw
-        ~fused_bank:body_bank
+      charge_and_run ~batch
+        ~super:(if batch >= 2 then batch else 0)
+        ~a ~fused_mid:body_mid ~fused_raw:(compile ~plane:Raw body)
+        ~fused_bank:(compile_bank ~a body ~fallback:body_mid)
     in
-    Some
-      {
-        lf_batch = batch;
-        lf_need = need;
-        lf_maxd = maxd;
-        lf_run = run;
-        lf_ret_pc = ret_pc;
-        lf_p_end = ret_pc + ret_len;
-        lf_store_free = not (List.exists (fun (_, op, _) -> is_store op) body);
-      }
+    let p_end = ret_pc + ret_len in
+    let cont (st : State.t) =
+      let d = Eval_stack.depth st.stack in
+      if d >= need && d + maxd <= Eval_stack.capacity st.stack then begin
+        st.metrics.tier_fused_calls <- st.metrics.tier_fused_calls + 1;
+        st.pc_abs <- p_end;
+        run st;
+        Transfer.return_ st
+      end
+      (* depth guard failed: stay at the callee's entry boundary *)
+    in
+    Some (cont, batch)
 
-(* LOCALCALL with the destination resolved at translate time: same
-   environment, same code base, entry offset and callee size class read
-   from the (immutable) entry vector once.  Two stackless flavours share
-   the site — the external-linkage image is cached by convention, so I1
-   and I2 jobs can run the same translation:
+(* The fused continuation for the callee entered at [entry_pc], when it
+   is a known leaf; [tpc] identifies the call site so overlapping suffix
+   blocks count it once. *)
+let callee_for t ~tpc ~entry_pc =
+  let leaf =
+    match Hashtbl.find_opt t.leaf_memo entry_pc with
+    | Some l -> l
+    | None ->
+      let l = compile_callee t ~entry_pc in
+      Hashtbl.replace t.leaf_memo entry_pc l;
+      l
+  in
+  match leaf with
+  | Some (cont, batch) ->
+    if not (Hashtbl.mem t.seen_sites tpc) then begin
+      Hashtbl.replace t.seen_sites tpc ();
+      t.n_fused_calls <- t.n_fused_calls + 1
+    end;
+    (cont, batch)
+  | None -> (stop, 0)
 
-   - Mesa: EV word and fsi byte elided (code region); the reference
-     batch interleaves with the allocation trap point exactly as the
-     interpreter does — resolution reads and the PC save precede the
-     allocation, the callee's returnLink/globalFrame stores follow it.
-   - Simple (I1): resolution reads the own-entry pair (two words) then
-     the environment's code-base word; both live outside the code region
-     and are re-peeked against the baked resolution. *)
-let spec_lfc ~tpc ~ev_index ~cb ~fsi ~target_pc ~spair ~callee =
+(* A baked callee: its registers, and the code word holding its
+   frame-size byte as it read at translate time. *)
+type dest = {
+  d_gf : int;  (** callee global frame; unused by LOCALCALL (the caller's) *)
+  d_cb : int;
+  d_pc : int;  (** byte PC of the callee's first instruction *)
+  d_fsi : int;
+  d_fsi_addr : int;
+  d_fsi_word : int;
+}
+
+let dest_of mem ~gf ~cb ~entry_off =
+  let fsi_addr = cb + (entry_off lsr 1) in
+  {
+    d_gf = gf;
+    d_cb = cb;
+    d_pc = (2 * cb) + entry_off + 1;
+    d_fsi = Memory.peek_code_byte mem ~code_base:cb ~pc:entry_off;
+    d_fsi_addr = fsi_addr;
+    d_fsi_word = Memory.peek mem fsi_addr;
+  }
+
+let[@inline] fsi_live (st : State.t) d =
+  Memory.peek st.mem d.d_fsi_addr = d.d_fsi_word
+
+(* A baked call whose checks passed: prefill, the shared call with its
+   [skipped] resolution reads, then the spliced callee (or [stop]). *)
+let[@inline] enter (st : State.t) d ~gf ~skipped ~callee =
+  st.xr_gf <- gf;
+  st.xr_cb <- d.d_cb;
+  st.xr_pc <- d.d_pc;
+  st.xr_fsi <- d.d_fsi;
+  Transfer.call_resolved st ~skipped;
+  callee st
+
+(* LOCALCALL: same environment and code base, so the site's code base
+   must be the live CB register.  The external-linkage image is cached by
+   convention, so I1 and I2 jobs can run the same translation.  Mesa
+   resolves through the entry-vector word (one read) and the fsi byte
+   (one); I1 through its own-entry pair (two words), the environment's
+   code-base word and the fsi byte. *)
+let lfc_node ~tpc ~ev_index ~ev_word ~(d : dest) ~spair ~callee =
+  let cb = d.d_cb in
+  let ev_addr = cb + ev_index in
   fun (st : State.t) ->
-    match (st.engine.Engine.kind, st.rstack, st.banks) with
-    | Engine.Mesa, None, None when st.cb = cb ->
-      let m = st.metrics in
-      m.calls <- m.calls + 1;
-      State.note_transfer_direction st 1;
-      let ret_word = st.lf in
-      (* EV word + entry's fsi byte reads, and the PC save *)
-      Memory.charge st.mem ~reads:2 ~writes:1;
-      Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
-      let packed = alloc_frame_prepaid st ~fsi in
-      let lf_new = packed lsr 8 in
-      Memory.charge st.mem ~reads:0 ~writes:2;
-      Memory.poke st.mem (lf_new + Frame.off_return_link) ret_word;
-      Memory.poke st.mem (lf_new + Frame.off_global_frame) st.gf;
-      m.arg_words_stored <- m.arg_words_stored + Eval_stack.depth st.stack;
-      st.return_ctx <- ret_word;
-      st.lf <- lf_new;
-      st.pc_abs <- target_pc;
-      Cost.jump st.cost;
-      m.slow_transfers <- m.slow_transfers + 1;
-      callee st
-    | Engine.Simple, None, None -> (
-      match st.simple with
-      | Some sl
-        when st.cb = cb && spair >= 0
-             && Simple_links.peek_resolve_own_by_gf sl st.image ~gf:st.gf
-                  ~ev_index
-                = spair
-             && Memory.peek st.mem st.gf = cb ->
-        let m = st.metrics in
-        m.calls <- m.calls + 1;
-        State.note_transfer_direction st 1;
-        let ret_word = st.lf in
-        (* pair (2) + environment's code-base word + fsi byte reads, and
-           the PC save *)
-        Memory.charge st.mem ~reads:4 ~writes:1;
-        Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
-        let packed = alloc_frame_prepaid st ~fsi in
-        let lf_new = packed lsr 8 in
-        Memory.charge st.mem ~reads:0 ~writes:2;
-        Memory.poke st.mem (lf_new + Frame.off_return_link) ret_word;
-        Memory.poke st.mem (lf_new + Frame.off_global_frame) st.gf;
-        m.arg_words_stored <- m.arg_words_stored + Eval_stack.depth st.stack;
-        st.return_ctx <- ret_word;
-        st.lf <- lf_new;
-        st.pc_abs <- target_pc;
-        Cost.jump st.cost;
-        m.slow_transfers <- m.slow_transfers + 1;
-        callee st
-      | _ -> Interp.exec st ~instr_pc:tpc (Lfc ev_index))
-    | _ -> Interp.exec st ~instr_pc:tpc (Lfc ev_index)
+    let skipped =
+      if st.cb <> cb || not (fsi_live st d) then -1
+      else
+        match st.engine.Engine.kind with
+        | Engine.Mesa -> if Memory.peek st.mem ev_addr = ev_word then 2 else -1
+        | Engine.Simple -> (
+          match st.simple with
+          | Some sl
+            when spair >= 0
+                 && Simple_links.peek_resolve_own_by_gf sl st.image ~gf:st.gf
+                      ~ev_index
+                    = spair
+                 && Memory.peek st.mem st.gf = cb ->
+            4
+          | _ -> -1)
+    in
+    if skipped >= 0 then enter st d ~gf:st.gf ~skipped ~callee
+    else Interp.exec st ~instr_pc:tpc (Lfc ev_index)
 
 (* EXTERNALCALL baked through the whole Figure-1 chain (Mesa) or the I1
-   pair tables.  Every input outside the code region — the LV descriptor
-   word, the GFT entry, the target environment's code-base word, the I1
-   pair — is re-peeked and compared against the baked resolution, so a
-   program that overwrites any of them (RSTORE into link space) or a
-   host-side rebind gets the generic path and exact interpreter
-   semantics.  The Mesa flavour additionally honours [valid]: the relink
+   pair tables.  The Mesa flavour also honours [valid]: the relink
    observer clears it when a rebind overwrites a depended-on word. *)
 type efc_mesa = {
   em_lv_word : int;  (** the import's descriptor word, as linked *)
   em_gft_addr : int;
   em_gft_word : int;
-  em_gf : int;  (** target global frame *)
-  em_cb : int;  (** target code base *)
-  em_fsi : int;
-  em_target : int;  (** byte PC of the callee's first instruction *)
+  em_ev_addr : int;  (** the target's entry-vector word *)
+  em_ev_word : int;
+  em_dest : dest;
 }
 
 type efc_simple = {
   es_pair : int;  (** expected packed (entry, gf) pair *)
-  es_gf : int;
-  es_cb : int;
-  es_fsi : int;
-  es_target : int;
+  es_dest : dest;
 }
 
-let spec_efc ~tpc ~lv_index ~cb ~valid ~(mesa : efc_mesa option)
+let efc_node ~tpc ~lv_index ~valid ~(mesa : efc_mesa option)
     ~(simple : efc_simple option) ~callee =
   fun (st : State.t) ->
-    match (st.engine.Engine.kind, st.rstack, st.banks) with
-    | Engine.Mesa, None, None -> (
+    match st.engine.Engine.kind with
+    | Engine.Mesa -> (
       match mesa with
       | Some em
-        when st.cb = cb && !valid
+        when !valid
              && st.gf - 1 - lv_index >= 0
              && Memory.peek st.mem (st.gf - 1 - lv_index) = em.em_lv_word
              && Memory.peek st.mem em.em_gft_addr = em.em_gft_word
-             && Memory.peek st.mem em.em_gf = em.em_cb ->
-        let m = st.metrics in
-        m.calls <- m.calls + 1;
-        State.note_transfer_direction st 1;
-        let ret_word = st.lf in
-        (* LV word + GFT entry + environment's code base + EV word + fsi
-           byte reads, and the PC save; the returnLink/globalFrame
-           stores follow the allocation, as the interpreter interleaves
-           them — the batch is never reordered across the trap point *)
-        Memory.charge st.mem ~reads:5 ~writes:1;
-        Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
-        let packed = alloc_frame_prepaid st ~fsi:em.em_fsi in
-        let lf_new = packed lsr 8 in
-        Memory.charge st.mem ~reads:0 ~writes:2;
-        Memory.poke st.mem (lf_new + Frame.off_return_link) ret_word;
-        Memory.poke st.mem (lf_new + Frame.off_global_frame) em.em_gf;
-        m.arg_words_stored <- m.arg_words_stored + Eval_stack.depth st.stack;
-        st.return_ctx <- ret_word;
-        st.lf <- lf_new;
-        st.gf <- em.em_gf;
-        st.cb <- em.em_cb;
-        st.pc_abs <- em.em_target;
-        Cost.jump st.cost;
-        m.slow_transfers <- m.slow_transfers + 1;
-        callee st
+             && Memory.peek st.mem em.em_dest.d_gf = em.em_dest.d_cb
+             && Memory.peek st.mem em.em_ev_addr = em.em_ev_word
+             && fsi_live st em.em_dest ->
+        (* LV word, GFT entry, environment's code base, EV word, fsi byte *)
+        enter st em.em_dest ~gf:em.em_dest.d_gf ~skipped:5 ~callee
       | _ -> Interp.exec st ~instr_pc:tpc (Efc lv_index))
-    | Engine.Simple, None, None -> (
+    | Engine.Simple -> (
       match (simple, st.simple) with
       | Some es, Some sl
-        when st.cb = cb
-             && Simple_links.peek_resolve_import_by_gf sl st.image ~gf:st.gf
-                  ~lv_index
-                = es.es_pair
-             && Memory.peek st.mem es.es_gf = es.es_cb ->
-        let m = st.metrics in
-        m.calls <- m.calls + 1;
-        State.note_transfer_direction st 1;
-        let ret_word = st.lf in
-        (* pair (2) + target environment's code base + fsi byte reads,
-           and the PC save *)
-        Memory.charge st.mem ~reads:4 ~writes:1;
-        Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
-        let packed = alloc_frame_prepaid st ~fsi:es.es_fsi in
-        let lf_new = packed lsr 8 in
-        Memory.charge st.mem ~reads:0 ~writes:2;
-        Memory.poke st.mem (lf_new + Frame.off_return_link) ret_word;
-        Memory.poke st.mem (lf_new + Frame.off_global_frame) es.es_gf;
-        m.arg_words_stored <- m.arg_words_stored + Eval_stack.depth st.stack;
-        st.return_ctx <- ret_word;
-        st.lf <- lf_new;
-        st.gf <- es.es_gf;
-        st.cb <- es.es_cb;
-        st.pc_abs <- es.es_target;
-        Cost.jump st.cost;
-        m.slow_transfers <- m.slow_transfers + 1;
-        callee st
+        when Simple_links.peek_resolve_import_by_gf sl st.image ~gf:st.gf
+               ~lv_index
+             = es.es_pair
+             && Memory.peek st.mem es.es_dest.d_gf = es.es_dest.d_cb
+             && fsi_live st es.es_dest ->
+        (* pair (two words), environment's code base, fsi byte *)
+        enter st es.es_dest ~gf:es.es_dest.d_gf ~skipped:4 ~callee
       | _ -> Interp.exec st ~instr_pc:tpc (Efc lv_index))
-    | _ -> Interp.exec st ~instr_pc:tpc (Efc lv_index)
-
-(* DIRECTCALL with the header (gf, fsi) folded in: under a return stack
-   the header rides the IFU prefetch (peeked, uncharged), which is
-   exactly what baking it in reproduces.  Direct linkage froze the
-   addresses at link time (D3), so no dependency guard is needed; on a
-   devirtualized external-linkage image the CFA pass only rewrote sites
-   no program store (and no serving-layer relink) can invalidate.  The
-   stackless flavour pays the three metered header fetches — plus the
-   deferred code-base fetch when the caller's CB register is
-   unmaterialised — and otherwise follows the same frame-link call shape
-   as the fused EXTERNALCALL; [cb] pins the site's code base so the PC
-   save is the translate-time constant a baked leaf return relies on. *)
-let spec_dfc ~tpc ~(op : Opcode.t) ~cb ~gf_t ~fsi ~target_pc ~callee =
-  fun (st : State.t) ->
-    match st.rstack with
-    | Some rs when not (Return_stack.is_full rs) ->
-      let m = st.metrics in
-      m.calls <- m.calls + 1;
-      State.note_transfer_direction st 1;
-      let before = Cost.mem_refs st.cost in
-      (match st.banks with
-      | Some bk -> Bank_file.on_leave bk ~lf:st.lf
-      | None -> ());
-      let ret_word = st.lf in
-      let e_bank =
-        match st.banks with
-        | Some bk -> Bank_file.bank_index bk ~lf:st.lf
-        | None -> Return_stack.no_bank
-      in
-      Return_stack.push rs ~lf:st.lf ~gf:st.gf ~cb:st.cb ~pc_abs:st.pc_abs
-        ~bank:e_bank;
-      let packed = alloc_frame_prepaid st ~fsi in
-      let lf_new = packed lsr 8 and granted_fsi = packed land 0xFF in
-      (match st.banks with
-      | Some banks ->
-        let depth = Eval_stack.depth st.stack in
-        m.arg_words_renamed <- m.arg_words_renamed + depth;
-        Bank_file.on_call_n banks ~nargs:depth ~callee_lf:lf_new
-          ~payload_words:(Transfer.payload_of_fsi st granted_fsi)
-          ~args:(Eval_stack.buffer st.stack);
-        Eval_stack.clear st.stack
-      | None ->
-        m.arg_words_stored <- m.arg_words_stored + Eval_stack.depth st.stack);
-      st.return_ctx <- ret_word;
-      st.lf <- lf_new;
-      st.gf <- gf_t;
-      st.cb <- State.no_cb;
-      st.pc_abs <- target_pc;
-      Cost.jump st.cost;
-      Transfer.classify st before;
-      callee st
-    | None -> (
-      match (st.banks, cb) with
-      | None, Some cb
-        when st.cb = cb
-             || (st.cb = State.no_cb && Memory.peek st.mem st.gf = cb) ->
-        let m = st.metrics in
-        m.calls <- m.calls + 1;
-        State.note_transfer_direction st 1;
-        let ret_word = st.lf in
-        (* the header's gf word and fsi byte (three code reads), the
-           deferred code-base fetch if the CB register was
-           unmaterialised, and the PC save; returnLink/globalFrame
-           stores follow the allocation, as the interpreter interleaves
-           them *)
-        let deferred = if st.cb = State.no_cb then 1 else 0 in
-        st.cb <- cb;
-        Memory.charge st.mem ~reads:(3 + deferred) ~writes:1;
-        Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
-        let packed = alloc_frame_prepaid st ~fsi in
-        let lf_new = packed lsr 8 in
-        Memory.charge st.mem ~reads:0 ~writes:2;
-        Memory.poke st.mem (lf_new + Frame.off_return_link) ret_word;
-        Memory.poke st.mem (lf_new + Frame.off_global_frame) gf_t;
-        m.arg_words_stored <- m.arg_words_stored + Eval_stack.depth st.stack;
-        st.return_ctx <- ret_word;
-        st.lf <- lf_new;
-        st.gf <- gf_t;
-        st.cb <- State.no_cb;
-        st.pc_abs <- target_pc;
-        Cost.jump st.cost;
-        m.slow_transfers <- m.slow_transfers + 1;
-        callee st
-      | _ -> Interp.exec st ~instr_pc:tpc op)
-    | _ -> Interp.exec st ~instr_pc:tpc op
 
 (* ------------------------------------------------------------------ *)
 (* Translate-time resolution through the host directory. *)
@@ -1426,8 +1156,9 @@ let efc_mesa_bake t ~cb ~lv_index =
           let gft_word = Memory.peek mem gft_addr in
           let gf = gft_word land 0xFFFC and bias = gft_word land 3 in
           let cb_t = Memory.peek mem gf in
-          let entry_off = Memory.peek mem (cb_t + (bias * 32) + ev) in
-          let fsi = Memory.peek_code_byte mem ~code_base:cb_t ~pc:entry_off in
+          let ev_addr = cb_t + (bias * 32) + ev in
+          let entry_off = Memory.peek mem ev_addr in
+          let dest = dest_of mem ~gf ~cb:cb_t ~entry_off in
           add_dep t lv_addr lv_word;
           add_dep t gft_addr gft_word;
           add_dep t gf cb_t;
@@ -1436,10 +1167,9 @@ let efc_mesa_bake t ~cb ~lv_index =
               em_lv_word = lv_word;
               em_gft_addr = gft_addr;
               em_gft_word = gft_word;
-              em_gf = gf;
-              em_cb = cb_t;
-              em_fsi = fsi;
-              em_target = (2 * cb_t) + entry_off + 1;
+              em_ev_addr = ev_addr;
+              em_ev_word = entry_off;
+              em_dest = dest;
             }
         with Invalid_argument _ -> None)
     | _ -> None)
@@ -1454,91 +1184,43 @@ let efc_simple_bake t ~cb ~lv_index =
       match
         ( Simple_links.expected_pair t.image ~target_instance:tm
             ~target_proc:tp,
-          Image.find_instance t.image tm,
-          Image.find_proc t.image ~instance:tm ~proc:tp )
+          Image.find_instance t.image tm )
       with
-      | pair, tii, pi ->
+      | pair, tii ->
+        let mem = t.image.Image.mem in
         let gf = Simple_links.pair_gf pair in
-        let cb_t = Memory.peek t.image.Image.mem gf in
+        let cb_t = Memory.peek mem gf in
         if cb_t = tii.Image.ii_code_base then
           Some
             {
               es_pair = pair;
-              es_gf = gf;
-              es_cb = cb_t;
-              es_fsi = pi.Image.pi_fsi;
-              es_target = Simple_links.pair_abs pair + 1;
+              es_dest =
+                dest_of mem ~gf ~cb:cb_t
+                  ~entry_off:(Simple_links.pair_abs pair - (2 * cb_t));
             }
         else None
       | exception (Not_found | Invalid_argument _) -> None
     end
   | _ -> None
 
-(* The fused continuation for the callee entered at [entry_pc], when it
-   is a known leaf; [tpc] identifies the call site so overlapping suffix
-   blocks count it once.  [ret_pc_word] is the PC word the site's fused
-   call stores into the caller frame (next instruction relative to the
-   site's code base) — when the leaf is store-free its return bakes that
-   word instead of re-fetching it ([spec_ret_baked]). *)
-let callee_for t ~tpc ?ret_pc_word ~entry_pc () =
-  let compiled =
-    match Hashtbl.find_opt t.leaf_memo entry_pc with
-    | Some c -> c
-    | None ->
-      let c = compile_callee t ~entry_pc in
-      Hashtbl.replace t.leaf_memo entry_pc c;
-      c
-  in
-  match compiled with
-  | Some l ->
-    if not (Hashtbl.mem t.seen_sites tpc) then begin
-      Hashtbl.replace t.seen_sites tpc ();
-      t.n_fused_calls <- t.n_fused_calls + 1
-    end;
-    let ret =
-      match ret_pc_word with
-      | Some w when l.lf_store_free -> spec_ret_baked ~tpc:l.lf_ret_pc ~pc_word:w
-      | _ -> spec_ret ~tpc:l.lf_ret_pc
-    in
-    let cont (st : State.t) =
-      let d = Eval_stack.depth st.stack in
-      if d >= l.lf_need && d + l.lf_maxd <= Eval_stack.capacity st.stack
-      then begin
-        st.metrics.tier_fused_calls <- st.metrics.tier_fused_calls + 1;
-        st.pc_abs <- l.lf_p_end;
-        l.lf_run st;
-        ret st
-      end
-      (* depth guard failed: stay at the callee's entry boundary *)
-    in
-    (cont, l.lf_batch)
-  | None -> (stop, 0)
-
-(* Build the specialised node for a block-ending transfer, or [None] when
-   the shape (or its translate-time resolution) is not specialisable.
-   Returns the extra instruction headroom a spliced callee can retire on
-   top of the block's own count.  [tlen] is the transfer's decoded byte
-   length: the fused call arms save [tpc + tlen - 2 x cb] as the return
-   PC word, which a spliced store-free leaf's return bakes back in. *)
-let specialize t ~tpc ~tlen (op : Opcode.t) : (int * (State.t -> unit)) option
-    =
+(* Build the node for a block-ending transfer, or [None] when the shape
+   (or its translate-time resolution) has no node of its own.  Returns the
+   extra instruction headroom a spliced callee can retire on top of the
+   block's own count. *)
+let transfer_node t ~tpc (op : Opcode.t) : (int * (State.t -> unit)) option =
   let mem = t.image.Image.mem in
-  let ret_word ~cb = tpc + tlen - (2 * cb) in
   match op with
-  | Ret -> Some (0, spec_ret ~tpc)
+  | Ret -> Some (0, Transfer.return_)
   | Lfc n -> (
     match cb_of_pc t.cbs tpc with
     | None -> None
     | Some cb -> (
       try
-        let entry_off = Memory.peek mem (cb + n) in
-        let fsi = Memory.peek_code_byte mem ~code_base:cb ~pc:entry_off in
-        let target_pc = (2 * cb) + entry_off + 1 in
-        let spair = simple_own_pair t ~cb ~ev_index:n ~target_pc in
-        let callee, extra =
-          callee_for t ~tpc ~ret_pc_word:(ret_word ~cb) ~entry_pc:target_pc ()
-        in
-        Some (extra, spec_lfc ~tpc ~ev_index:n ~cb ~fsi ~target_pc ~spair ~callee)
+        let ev_word = Memory.peek mem (cb + n) in
+        let d = dest_of mem ~gf:(-1) ~cb ~entry_off:ev_word in
+        let spair = simple_own_pair t ~cb ~ev_index:n ~target_pc:d.d_pc in
+        let callee, extra = callee_for t ~tpc ~entry_pc:d.d_pc in
+        Some (extra, lfc_node ~tpc ~ev_index:n ~ev_word ~d ~spair ~callee)
       with Invalid_argument _ -> None))
   | Efc n -> (
     match cb_of_pc t.cbs tpc with
@@ -1546,44 +1228,35 @@ let specialize t ~tpc ~tlen (op : Opcode.t) : (int * (State.t -> unit)) option
     | Some cb -> (
       let mesa = efc_mesa_bake t ~cb ~lv_index:n in
       let simple = efc_simple_bake t ~cb ~lv_index:n in
+      let entry =
+        match (mesa, simple) with
+        | Some em, Some es when em.em_dest.d_pc <> es.es_dest.d_pc -> None
+        | Some em, _ -> Some em.em_dest.d_pc
+        | None, Some es -> Some es.es_dest.d_pc
+        | None, None -> None
+      in
       match (mesa, simple) with
       | None, None -> None
       | _ ->
         let callee, extra =
-          match (mesa, simple) with
-          | Some em, Some es when em.em_target <> es.es_target -> (stop, 0)
-          | Some em, _ ->
-            callee_for t ~tpc ~ret_pc_word:(ret_word ~cb)
-              ~entry_pc:em.em_target ()
-          | None, Some es ->
-            callee_for t ~tpc ~ret_pc_word:(ret_word ~cb)
-              ~entry_pc:es.es_target ()
-          | None, None -> (stop, 0)
+          match entry with
+          | Some entry_pc -> callee_for t ~tpc ~entry_pc
+          | None -> (stop, 0)
         in
         Some
           ( extra,
-            spec_efc ~tpc ~lv_index:n ~cb ~valid:t.fuse_valid ~mesa ~simple
+            efc_node ~tpc ~lv_index:n ~valid:t.fuse_valid ~mesa ~simple
               ~callee )))
-  | Dfc _ | Sdfc _ -> (
+  | Dfc _ | Sdfc _ ->
     let target_abs =
       match op with Dfc tgt -> tgt | Sdfc d -> tpc + d | _ -> assert false
     in
-    try
-      let b0 = Memory.peek_code_byte mem ~code_base:0 ~pc:target_abs in
-      let b1 = Memory.peek_code_byte mem ~code_base:0 ~pc:(target_abs + 1) in
-      let b2 = Memory.peek_code_byte mem ~code_base:0 ~pc:(target_abs + 2) in
-      let target_pc = target_abs + 3 in
-      let cb = cb_of_pc t.cbs tpc in
-      let callee, extra =
-        callee_for t ~tpc
-          ?ret_pc_word:(Option.map (fun cb -> ret_word ~cb) cb)
-          ~entry_pc:target_pc ()
-      in
-      Some
-        ( extra,
-          spec_dfc ~tpc ~op ~cb ~gf_t:((b0 lsl 8) lor b1) ~fsi:b2 ~target_pc
-            ~callee )
-    with Invalid_argument _ -> None)
+    let callee, extra = callee_for t ~tpc ~entry_pc:(target_abs + 3) in
+    Some
+      ( extra,
+        fun (st : State.t) ->
+          Transfer.call_direct st ~target_abs;
+          callee st )
   | _ -> None
 
 (* A followed unconditional jump (one with more instructions collected
@@ -1634,10 +1307,10 @@ let collect_block pd pc0 =
    kinds:
 
    - a {e terminator} (RETURN, XFER, FORK, ...): joins the step's batch
-     for counting, then runs its specialised or generic transfer,
-     ending the node;
-   - a {e call}: joins the batch, runs its specialised shape (which may
-     splice a known-leaf callee and return), and — when control
+     for counting, then runs its transfer node or the generic
+     [Interp.exec], ending the node;
+   - a {e call}: joins the batch, runs its call node (which may splice
+     a known-leaf callee and return), and — when control
      provably came straight back to the next instruction with the
      machine still running — chains into the following step, so a
      call-dense loop body is one node, not one dispatch per call site;
@@ -1707,7 +1380,7 @@ let build_node t ops : int * bool * (State.t -> unit) =
         | F_term (tpc, top, tlen) ->
           let t_next = tpc + tlen in
           let term =
-            match specialize t ~tpc ~tlen:tlen top with
+            match transfer_node t ~tpc top with
             | Some (e, sp) ->
               extra := !extra + e;
               sp
@@ -1719,7 +1392,7 @@ let build_node t ops : int * bool * (State.t -> unit) =
         | F_call (tpc, top, tlen) ->
           let t_next = tpc + tlen in
           let call =
-            match specialize t ~tpc ~tlen:tlen top with
+            match transfer_node t ~tpc top with
             | Some (e, sp) ->
               extra := !extra + e;
               sp

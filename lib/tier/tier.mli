@@ -12,26 +12,32 @@
     that keeps intermediate values in OCaml locals instead of bouncing
     them through the evaluation stack.
 
-    {2 Cross-call fusion}
+    {2 Calls, returns and cross-call fusion}
 
-    Call sites whose destination is resolvable at translate time —
-    DIRECTCALL / SHORTDIRECTCALL headers, LOCALCALL entry-vector slots,
-    EXTERNALCALL descriptors chased through the link vector and GFT —
-    are compiled into specialised transfer nodes with the resolution
-    baked in.  When the callee is a {e known leaf} (a straight run of
-    pure instructions ending in RETURN, with a bounded frame and no
-    trap-capable op), its body is spliced into the caller's node: one
-    combined stack-depth guard admits body-plus-RETURN, and the meters
-    are charged in one batch — batched, but never {e reordered} across
-    the call's frame-allocation trap point, which the specialised call
-    has already passed.  Baked resolutions that read link words outside
-    the immutable code region (LV descriptors, GFT entries, environment
-    code-base words, I1 pair tables) are re-checked against the live
-    store on every execution, and a host-side rebind
-    ({!Fpc_mesa.Linker.rebind_lv}, {!Fpc_core.Simple_links.rebind})
-    that overwrites a depended-on word invalidates the translation's
-    fused external calls via the image's relink observer — subsequent
-    executions deopt to the interpreter's live resolution.
+    The tier has no call or return code of its own: every transfer runs
+    {!Fpc_core.Transfer}'s, which is the interpreter's.  A LOCALCALL or
+    EXTERNALCALL node resolves its destination at translate time — the
+    entry-vector slot, or the descriptor chased through the link vector
+    and GFT.  On each execution it re-checks every word that resolution
+    read against the live store (code-region words included: a program
+    can overwrite them with an out-of-range store), writes the callee into
+    the scratch destination registers and calls
+    {!Fpc_core.Transfer.call_resolved} with the count of resolution reads
+    it elided.  DIRECTCALL / SHORTDIRECTCALL nodes call
+    {!Fpc_core.Transfer.call_direct}, which reads the header live, and
+    RETURN nodes call {!Fpc_core.Transfer.return_}.  When the callee is a
+    {e known leaf} (a straight run of pure instructions ending in RETURN,
+    with a bounded frame and no trap-capable op), its body is spliced into
+    the caller's node: one combined stack-depth guard admits
+    body-plus-RETURN, the meters are charged in one batch — batched, but
+    never {e reordered} across the call's frame-allocation trap point,
+    which the call has already passed — and the RETURN is
+    {!Fpc_core.Transfer.return_}.  A host-side rebind
+    ({!Fpc_mesa.Linker.rebind_lv}, {!Fpc_core.Simple_links.rebind}) that
+    overwrites a word an external call's resolution depends on
+    invalidates the translation's fused external calls via the image's
+    relink observer — subsequent executions deopt to the interpreter's
+    live resolution.
 
     {2 Lazy per-procedure translation}
 

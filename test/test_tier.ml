@@ -12,8 +12,8 @@ let engines () =
     ("i4", Fpc_core.Engine.i4 ());
   ]
 
-let image_for ~engine source =
-  match Fpc_compiler.Compile.image_for_engine ~engine source with
+let image_for ?devirt ~engine source =
+  match Fpc_compiler.Compile.image_for_engine ?devirt ~engine source with
   | Ok image -> image
   | Error m -> Alcotest.fail ("compile: " ^ m)
 
@@ -36,8 +36,11 @@ let observe (st : Fpc_core.State.t) =
       m.arg_words_renamed,
       m.call_depth ) )
 
-let interp_observe ?handler ~engine ~max_steps source =
-  let image = image_for ~engine source in
+(* [prepare] edits the freshly linked image before the run. *)
+let interp_observe ?handler ?devirt ?(prepare = ignore) ~engine ~max_steps
+    source =
+  let image = image_for ?devirt ~engine source in
+  prepare image;
   (match handler with
   | Some proc ->
     Fpc_mesa.Image.set_trap_handler image
@@ -47,8 +50,10 @@ let interp_observe ?handler ~engine ~max_steps source =
   Fpc_interp.Interp.run ~max_steps st;
   observe st
 
-let tier_observe ?handler ~engine ~max_steps source =
-  let image = image_for ~engine source in
+let tier_observe ?handler ?devirt ?(prepare = ignore) ~engine ~max_steps
+    source =
+  let image = image_for ?devirt ~engine source in
+  prepare image;
   (match handler with
   | Some proc ->
     Fpc_mesa.Image.set_trap_handler image
@@ -63,11 +68,16 @@ let tier_observe ?handler ~engine ~max_steps source =
   Fpc_tier.Tier.run ~max_steps tier st;
   (observe st, st.metrics)
 
-let check_equiv ?handler ?(max_steps = 2_000_000) ~name source =
+let check_equiv ?handler ?devirt ?prepare ?(max_steps = 2_000_000) ~name
+    source =
   List.iter
     (fun (en, engine) ->
-      let reference = interp_observe ?handler ~engine ~max_steps source in
-      let got, _m = tier_observe ?handler ~engine ~max_steps source in
+      let reference =
+        interp_observe ?handler ?devirt ?prepare ~engine ~max_steps source
+      in
+      let got, _m =
+        tier_observe ?handler ?devirt ?prepare ~engine ~max_steps source
+      in
       Alcotest.(check bool)
         (Printf.sprintf "%s/%s: tier == interp" name en)
         true
@@ -111,6 +121,161 @@ let test_trap_equivalence () =
   (* Caught: the trap XFERs into the handler — a deopt at an exact
      boundary with the handler observing exact meters. *)
   check_equiv ~handler:"handler" ~name:"div-zero-handled" handled_trap_src
+
+(* ---- frame-heap exhaustion at a call's allocation point ---- *)
+
+(* Runaway recursion ends in [Frame_heap_exhausted], raised by the frame
+   allocation inside a call.  The batched resolution reads of a compiled
+   call must be charged before that point, exactly as the interpreter
+   makes them, so the trapped machine's meters agree.  [A.r] and [B.s]
+   recurse through EXTERNALCALL (I1/I2, devirt off) or DIRECTCALL (I3/I4
+   direct linkage; I1/I2 devirtualized); [loop] through LOCALCALL
+   (DIRECTCALL under direct linkage). *)
+let runaway_local_src =
+  {|
+MODULE Main;
+PROC loop(n: INT): INT =
+  RETURN loop(n + 1);
+END;
+PROC main() =
+  OUTPUT loop(0);
+END;
+END;
+|}
+
+let runaway_external_src =
+  {|
+MODULE A;
+IMPORT B;
+PROC r(n: INT): INT =
+  RETURN B.s(n + 1);
+END;
+END;
+
+MODULE B;
+IMPORT A;
+PROC s(n: INT): INT =
+  RETURN A.r(n + 1);
+END;
+END;
+
+MODULE Main;
+IMPORT A;
+PROC main() =
+  OUTPUT A.r(0);
+END;
+END;
+|}
+
+let test_frame_heap_exhaustion () =
+  List.iter
+    (fun (name, devirt, source) ->
+      check_equiv ~devirt ~name source;
+      List.iter
+        (fun (en, engine) ->
+          let (o, _), _ =
+            tier_observe ~devirt ~engine ~max_steps:2_000_000 source
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: trapped at allocation" name en)
+            true
+            (o.Fpc_interp.Interp.o_status
+            = Fpc_core.State.Trapped Fpc_core.State.Frame_heap_exhausted))
+        (engines ()))
+    [
+      ("runaway-local", false, runaway_local_src);
+      ("runaway-external", false, runaway_external_src);
+      ("runaway-direct", true, runaway_external_src);
+    ]
+
+(* ---- programs that write into their own code region ---- *)
+
+(* An out-of-range global array store reaches any word above the global
+   frame, the code region included.  [g[k] := v] with [k] and [v] filled
+   in by the host overwrites a word the interpreter's call path reads
+   live: a callee's frame-size byte (read by LOCALCALL, EXTERNALCALL and
+   as the third DIRECTCALL header byte) or an entry-vector word.  The
+   compiled tier resolved those words at translate time and must notice
+   the write.  [f(1)] runs before the store and [f(2)] after it, from
+   sites translated before it. *)
+let code_write_src =
+  {|
+MODULE Lib;
+PROC f(n: INT): INT =
+  RETURN n + 2;
+END;
+END;
+
+MODULE Main;
+IMPORT Lib;
+VAR g: ARRAY 1 OF INT;
+VAR k: INT := 1111;
+VAR v: INT := 2222;
+PROC f(n: INT): INT =
+  RETURN n + 1;
+END;
+PROC h(n: INT): INT =
+  RETURN n * 10;
+END;
+PROC main() =
+  OUTPUT f(1) + Lib.f(1);
+  g[k] := v;
+  OUTPUT f(2) + Lib.f(2);
+  OUTPUT h(3);
+END;
+END;
+|}
+
+(* Aim Main's [g[k] := v] at word [addr] with value [value]: [k] and [v]
+   are found by their sentinel initial values, and [g] is the global
+   declared just before [k]. *)
+let aim_store image ~addr ~value =
+  let module Image = Fpc_mesa.Image in
+  let ii = Image.find_instance image "Main" in
+  let globals =
+    (Image.find_module image "Main").Fpc_mesa.Compiled.m_global_init
+  in
+  let index_of sentinel =
+    fst (List.find (fun (_, v) -> v = sentinel) globals)
+  in
+  let k_index = index_of 1111 and v_index = index_of 2222 in
+  let global i = ii.Image.ii_gf_addr + Image.global_base + i in
+  let mem = image.Image.mem in
+  Fpc_machine.Memory.poke mem (global k_index) (addr - global (k_index - 1));
+  Fpc_machine.Memory.poke mem (global v_index) value
+
+(* Add 3 to the frame-size byte of [instance.proc]. *)
+let bump_fsi ~instance image =
+  let byte = Fpc_mesa.Image.entry_byte_address image ~instance ~proc:"f" in
+  let addr = byte lsr 1 in
+  let word = Fpc_machine.Memory.peek image.Fpc_mesa.Image.mem addr in
+  aim_store image ~addr ~value:(word + if byte land 1 = 0 then 3 lsl 8 else 3)
+
+(* Point Main.f's entry-vector word at Main.h. *)
+let retarget_ev image =
+  let module Image = Fpc_mesa.Image in
+  let cb = Image.gf_code_base image ~instance:"Main" in
+  let f = Image.find_proc image ~instance:"Main" ~proc:"f" in
+  let h = Image.find_proc image ~instance:"Main" ~proc:"h" in
+  aim_store image ~addr:(cb + f.Image.pi_ev) ~value:h.Image.pi_entry_offset
+
+let test_code_region_writes () =
+  check_equiv ~devirt:false ~name:"fsi-local"
+    ~prepare:(bump_fsi ~instance:"Main") code_write_src;
+  check_equiv ~devirt:false ~name:"fsi-external"
+    ~prepare:(bump_fsi ~instance:"Lib") code_write_src;
+  check_equiv ~devirt:false ~name:"ev-retarget" ~prepare:retarget_ev
+    code_write_src;
+  (* the store really lands: the retargeted LOCALCALL changes I2's answer *)
+  let output_with prepare =
+    let (o, _), _ =
+      tier_observe ~devirt:false ~prepare ~engine:Fpc_core.Engine.i2
+        ~max_steps:2_000_000 code_write_src
+    in
+    o.Fpc_interp.Interp.o_output
+  in
+  Alcotest.(check bool) "retargeted call changed the output" true
+    (output_with retarget_ev <> output_with ignore)
 
 (* ---- fuel expiry and slicing ---- *)
 
@@ -469,6 +634,10 @@ let () =
           Alcotest.test_case "fusion engages on fib" `Quick test_fusion_engages;
           Alcotest.test_case "traps, caught and fatal" `Quick
             test_trap_equivalence;
+          Alcotest.test_case "frame-heap exhaustion at a call" `Quick
+            test_frame_heap_exhaustion;
+          Alcotest.test_case "programs writing their code region" `Quick
+            test_code_region_writes;
           Alcotest.test_case "fuel exhaustion at exact budgets" `Quick
             test_fuel_exhaustion_equivalence;
           Alcotest.test_case "sliced resume (deadline path)" `Quick
