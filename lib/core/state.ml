@@ -198,7 +198,7 @@ let create ?tracer ~image ~engine () =
   let cost = image.Image.cost in
   Cost.reset cost;
   let layout = image.Image.layout in
-  let ladder = Fpc_frames.Alloc_vector.ladder image.Image.allocator in
+  let ladder = image.Image.ladder in
   let mode =
     match engine.Engine.kind with
     | Engine.Simple -> Fpc_frames.Alloc_vector.Software_only
@@ -227,7 +227,7 @@ let create ?tracer ~image ~engine () =
   in
   let ff_fsi =
     if engine.Engine.free_frame_stack_depth > 0 then
-      Fpc_frames.Alloc_vector.fsi_for_locals allocator engine.Engine.free_frame_payload_words
+      Fpc_frames.Alloc_vector.fsi_for_locals ladder engine.Engine.free_frame_payload_words
     else -1
   in
   let t = {

@@ -189,8 +189,8 @@ let alloc_fsi t ~cost ~fsi =
   let words = Size_class.block_words t.ladder fsi in
   alloc_class t ~cost ~fsi ~words ~requested:words
 
-let fsi_for_locals t n =
-  match Size_class.index_for_block t.ladder (Frame.block_words_for_locals n) with
+let fsi_for_locals ladder n =
+  match Size_class.index_for_block ladder (Frame.block_words_for_locals n) with
   | Some fsi -> fsi
   | None ->
     invalid_arg

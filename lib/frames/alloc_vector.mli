@@ -66,9 +66,10 @@ val free : t -> cost:Fpc_machine.Cost.t -> lf:int -> unit
     four references as one batch.  Raises [Invalid_argument] if [lf] is
     not currently allocated (double free, wild pointer). *)
 
-val fsi_for_locals : t -> int -> int
+val fsi_for_locals : Size_class.t -> int -> int
 (** The fsi the compiler should store for a procedure with [n] words of
-    arguments + locals.  Raises [Invalid_argument] if too large. *)
+    arguments + locals under [ladder].  Raises [Invalid_argument] if too
+    large. *)
 
 val is_live : t -> lf:int -> bool
 

@@ -1,20 +1,37 @@
 type address = int
 
-(* Dirty tracking granularity: one byte of [dirty] per 256-word page.
-   Every mutation funnels through [poke] (metered writes and code-byte
-   stores included), so the bitmap is a sound over-approximation of the
-   words that differ from any content-identical pristine store. *)
+(* The store is a byte buffer holding one 16-bit word per two bytes (host
+   byte order; nothing outside this module sees the bytes).  A buffer
+   carries no pointers, so the GC never scans it, and [clone] (an arena
+   miss) and [reset_from] (a hit) copy it with memcpy/memmove, with no
+   per-word GC barrier.  A 16-bit store truncates by itself, so no write
+   needs a mask.
+
+   Dirty tracking granularity: one byte of [dirty] per 256-word page.
+   Every mutation funnels through [poke] or [prepaid_write] (metered writes
+   and code-byte stores included), so the bitmap is a sound
+   over-approximation of the words that differ from any content-identical
+   pristine store. *)
 let page_words_log2 = 8
 let page_words = 1 lsl page_words_log2
 
-type t = { store : int array; dirty : Bytes.t; mutable cost : Cost.t option }
+type t = {
+  store : Bytes.t;
+  words : int;  (* [Bytes.length store / 2], kept for the bounds check *)
+  dirty : Bytes.t;
+  mutable cost : Cost.t option;
+}
+
+external get16u : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 
 let pages_for size_words = (size_words + page_words - 1) lsr page_words_log2
 
 let create ?cost ~size_words () =
   if size_words <= 0 then invalid_arg "Memory.create: size must be positive";
   {
-    store = Array.make size_words 0;
+    store = Bytes.make (2 * size_words) '\000';
+    words = size_words;
     dirty = Bytes.make (pages_for size_words) '\000';
     cost;
   }
@@ -23,12 +40,13 @@ let clone t =
   (* The copy starts content-identical to [t], so its dirty map is clean:
      dirtiness is always relative to the store a reset would blit from. *)
   {
-    store = Array.copy t.store;
+    store = Bytes.copy t.store;
+    words = t.words;
     dirty = Bytes.make (Bytes.length t.dirty) '\000';
     cost = t.cost;
   }
 
-let size t = Array.length t.store
+let size t = t.words
 let set_cost t c = t.cost <- Some c
 let clear_cost t = t.cost <- None
 let cost t = t.cost
@@ -39,16 +57,16 @@ let out_of_range what addr =
 (* Inlined into every access, so a word access is one call, not two: the
    transfer machinery reaches the store through [peek]/[poke]. *)
 let[@inline] check t addr what =
-  if addr < 0 || addr >= Array.length t.store then out_of_range what addr
+  if addr < 0 || addr >= t.words then out_of_range what addr
 
 let peek t addr =
   check t addr "peek";
-  Array.unsafe_get t.store addr
+  get16u t.store (addr lsl 1)
 
 let poke t addr v =
   check t addr "poke";
   Bytes.unsafe_set t.dirty (addr lsr page_words_log2) '\001';
-  Array.unsafe_set t.store addr (v land Fpc_util.Bits.word_mask)
+  set16u t.store (addr lsl 1) v
 
 let dirty_pages t =
   let n = ref 0 in
@@ -58,14 +76,12 @@ let dirty_pages t =
   !n
 
 let reset_from t ~pristine =
-  if Array.length t.store <> Array.length pristine.store then
-    invalid_arg "Memory.reset_from: size mismatch";
-  let size = Array.length t.store in
+  if t.words <> pristine.words then invalid_arg "Memory.reset_from: size mismatch";
   for page = 0 to Bytes.length t.dirty - 1 do
     if Bytes.unsafe_get t.dirty page <> '\000' then begin
       let base = page lsl page_words_log2 in
-      let len = min page_words (size - base) in
-      Array.blit pristine.store base t.store base len;
+      let len = min page_words (t.words - base) in
+      Bytes.blit pristine.store (2 * base) t.store (2 * base) (2 * len);
       Bytes.unsafe_set t.dirty page '\000'
     end
   done
@@ -78,13 +94,13 @@ let charge t ~reads ~writes =
 
 (* Prepaid access: the caller has already charged the reference (via
    [charge]) and proven the address in range, so both the meter and the
-   bounds check are skipped.  Writes still truncate and mark the page
-   dirty — the reset invariant does not bend for speed. *)
-let prepaid_read t addr = Array.unsafe_get t.store addr
+   bounds check are skipped.  Writes still mark the page dirty — the
+   reset invariant does not bend for speed. *)
+let prepaid_read t addr = get16u t.store (addr lsl 1)
 
 let prepaid_write t addr v =
   Bytes.unsafe_set t.dirty (addr lsr page_words_log2) '\001';
-  Array.unsafe_set t.store addr (v land Fpc_util.Bits.word_mask)
+  set16u t.store (addr lsl 1) v
 
 let read t addr =
   charge_read t;

@@ -14,7 +14,12 @@
 
     Code is byte-granular (instructions are 1–3 bytes): bytes are packed two
     per word, high byte first, addressed by a word-aligned [code_base] plus
-    a byte offset — exactly the [code base + PC] addressing of §5. *)
+    a byte offset — exactly the [code base + PC] addressing of §5.
+
+    The store itself is a byte buffer of two bytes per 16-bit word.  It
+    holds no OCaml values, so the GC never scans it, and {!clone} and
+    {!reset_from} copy it with [memcpy]/[memmove] rather than word by word
+    through the write barrier. *)
 
 type address = int
 (** A word address. *)
@@ -26,11 +31,11 @@ val create : ?cost:Cost.t -> size_words:int -> unit -> t
     it can be replaced later with {!set_cost}. *)
 
 val clone : t -> t
-(** An independent copy of the store: same contents, its own word array,
-    charging the original's meter (override with {!set_cost} /
-    {!clear_cost}).  This is what lets a linked image be cached and
-    re-run — each execution works on a clone, leaving the pristine store
-    untouched.  The copy's dirty map starts clean: it is content-identical
+(** An independent copy of the store: same contents, its own byte buffer
+    (one [memcpy]), charging the original's meter (override with
+    {!set_cost} / {!clear_cost}).  This is what lets a linked image be
+    cached and re-run — each execution works on a clone, leaving the
+    pristine store untouched.  The copy's dirty map starts clean: it is content-identical
     to [t], so a later {!reset_from} against [t]'s store (or any
     content-equal pristine) has nothing to undo yet. *)
 
@@ -41,11 +46,11 @@ val cost : t -> Cost.t option
 
 (** {1 Dirty tracking and reset}
 
-    Every mutation ([write], [poke], [poke_code_byte], [blit_bytes]) marks
-    the containing 256-word page dirty.  [reset_from] blits only dirty
-    pages back from a pristine store and clears the map, so restoring a
-    store to pristine costs time proportional to memory {e touched}, not
-    to image size — the arena analogue of the paper's AV frame heap, where
+    Every mutation ([write], [poke], [prepaid_write], [poke_code_byte],
+    [blit_bytes]) marks the containing 256-word page dirty.  [reset_from]
+    copies only dirty pages back from a pristine store (one [memmove] of
+    512 bytes each) and clears the map, so restoring a store to pristine
+    costs time proportional to memory {e touched}, not to image size — the arena analogue of the paper's AV frame heap, where
     recycling beats general-purpose (re)allocation. *)
 
 val reset_from : t -> pristine:t -> unit

@@ -54,7 +54,7 @@ type directory = {
 type t = {
   mem : Memory.t;
   cost : Cost.t;
-  allocator : Fpc_frames.Alloc_vector.t;
+  ladder : Fpc_frames.Size_class.t;
   gft : Gft.t;
   layout : Layout.t;
   linkage : linkage;
@@ -84,19 +84,12 @@ let clone t =
   let cost = Cost.create ~params:(Cost.params t.cost) () in
   let mem = Memory.clone t.mem in
   Memory.set_cost mem cost;
-  let layout = t.layout in
-  let allocator =
-    Fpc_frames.Alloc_vector.create ~mem
-      ~ladder:(Fpc_frames.Alloc_vector.ladder t.allocator)
-      ~av_base:layout.Layout.av_base ~heap_base:layout.Layout.heap_base
-      ~heap_limit:layout.Layout.heap_limit ()
-  in
   {
     mem;
     cost;
-    allocator;
+    ladder = t.ladder;
     gft = Gft.create ~mem ~base:(Gft.base t.gft);
-    layout;
+    layout = t.layout;
     linkage = t.linkage;
     dir = t.dir;
     static_cursor = t.static_cursor;
@@ -106,15 +99,10 @@ let clone_into ~arena pristine =
   (* Reset-in-place: undo exactly what the last run wrote.  [arena] must
      be a clone of an image content-identical to [pristine] (same cache
      key ⇒ same deterministic compilation), so blitting back the dirty
-     pages restores pristine storage; allocator and meter are recycled
-     rather than reallocated. *)
+     pages restores pristine storage; the meter is recycled rather than
+     reallocated. *)
   if Memory.size arena.mem <> Memory.size pristine.mem then
     invalid_arg "Image.clone_into: image size mismatch";
-  (* The allocator reset pokes the class-head slots, so it must precede
-     the store reset: the blit then restores those words from [pristine]
-     (they are identical — empty free lists) and the image ends with a
-     completely clean dirty bitmap. *)
-  Fpc_frames.Alloc_vector.reset arena.allocator;
   Memory.reset_from arena.mem ~pristine:pristine.mem;
   Cost.reset arena.cost;
   arena.static_cursor <- pristine.static_cursor

@@ -88,7 +88,9 @@ type directory = {
 type t = {
   mem : Fpc_machine.Memory.t;
   cost : Fpc_machine.Cost.t;
-  allocator : Fpc_frames.Alloc_vector.t;
+  ladder : Fpc_frames.Size_class.t;
+      (** the frame-size ladder the linker chose fsis from; each machine
+          state builds its own allocator over it ([Fpc_core.State]) *)
   gft : Gft.t;
   layout : Layout.t;
   linkage : linkage;
@@ -103,22 +105,22 @@ val predecode : t -> Fpc_isa.Predecode.t
     simulated meters are unaffected. *)
 
 val clone : t -> t
-(** An independent copy of the image: the simulated store is duplicated and
-    the copy gets a fresh cost meter (same parameters) and a fresh frame
-    allocator over the duplicated store; the directory is shared.  Running
-    a program {e mutates} its image (frames are carved from the heap,
-    globals are written, I1 installs its link tables in the static region),
-    so a cached pristine image must be cloned once per execution; the
-    original is never touched. *)
+(** An independent copy of the image: the simulated store is duplicated (a
+    memcpy of its byte buffer, see {!Fpc_machine.Memory.clone}) and the
+    copy gets a fresh cost meter (same parameters); the ladder and the
+    directory are shared.  Running a program {e mutates} its image (frames
+    are carved from the heap, globals are written, I1 installs its link
+    tables in the static region), so a cached pristine image must be
+    cloned once per execution; the original is never touched. *)
 
 val clone_into : arena:t -> t -> unit
 (** [clone_into ~arena pristine] resets [arena] — a previously used clone
     of an image content-identical to [pristine] — back to pristine state
     {e in place}: dirty pages of the store are blitted back
-    ({!Fpc_machine.Memory.reset_from}), the cost meter and frame allocator
-    are recycled ([Cost.reset] / [Alloc_vector.reset]) and the static
-    cursor rewound.  No allocation proportional to image size; cost is
-    proportional to memory the last run touched.  This is the per-job
+    ({!Fpc_machine.Memory.reset_from}), the cost meter is recycled
+    ([Cost.reset]) and the static cursor rewound.  No allocation
+    proportional to image size; cost is proportional to memory the last
+    run touched.  This is the per-job
     reset of the execution arena — the serving-layer analogue of the
     paper's AV frame heap, which recycles frames instead of paying the
     general allocator per call. *)

@@ -21,6 +21,7 @@ let make ?(memory_words = 65536) ~ladder () =
   let heap_limit = memory_words / 2 in
   let code_region_base = heap_limit in
   if static_base >= heap_base then invalid_arg "Layout.make: static region too small";
+  if heap_base land 3 <> 0 then invalid_arg "Layout.make: heap_base not quad-aligned";
   {
     memory_words;
     trap_handler_addr = 2;

@@ -84,7 +84,7 @@ let layout_module (image : Image.t) ~linkage ~devirt ~instances (m : Compiled.t)
            incr off;
            let body_off = !off in
            off := !off + Bytes.length p.p_body;
-           let fsi = Alloc_vector.fsi_for_locals image.Image.allocator p.p_locals_words in
+           let fsi = Alloc_vector.fsi_for_locals image.Image.ladder p.p_locals_words in
            { l_proc = p; l_header_off = header_off; l_fsi_off = fsi_off; l_body_off = body_off; l_fsi = fsi })
     |> Array.of_list
   in
@@ -237,10 +237,6 @@ let link ?(linkage = Image.External) ?(devirt = false) ?(memory_words = 65536) ?
       let cost = Cost.create ?params:cost_params () in
       let layout = Layout.make ~memory_words ~ladder () in
       let mem = Memory.create ~cost ~size_words:memory_words () in
-      let allocator =
-        Alloc_vector.create ~mem ~ladder ~av_base:layout.av_base
-          ~heap_base:layout.heap_base ~heap_limit:layout.heap_limit ()
-      in
       let gft = Gft.create ~mem ~base:layout.gft_base in
       let dir =
         {
@@ -259,7 +255,7 @@ let link ?(linkage = Image.External) ?(devirt = false) ?(memory_words = 65536) ?
         {
           Image.mem;
           cost;
-          allocator;
+          ladder;
           gft;
           layout;
           linkage;

@@ -2,11 +2,15 @@
     clone-per-job.
 
     The pool's original discipline gave every job a private
-    {!Fpc_mesa.Image.clone} and a fresh {!Fpc_core.State.create} — a full
-    64 K-word store copy plus a constellation of fresh arrays, stacks and
-    hash tables, all minor-heap garbage the moment the job ended.  Under
-    OCaml 5 every minor collection stops {e all} domains, so that garbage
-    was not a private cost: it is what kept the pool from scaling.
+    {!Fpc_mesa.Image.clone} and a fresh {!Fpc_core.State.create} — a copy
+    of the whole 128 KB store plus a constellation of fresh arrays, stacks
+    and hash tables, all garbage the moment the job ended.  Under OCaml 5
+    every minor collection stops {e all} domains, so that garbage was not
+    a private cost: it is what kept the pool from scaling.
+
+    A miss still pays that clone.  The store is a pointer-free byte buffer
+    ({!Fpc_machine.Memory}), so the clone is one [memcpy] that the GC
+    never scans; a hit's reset copies back only the dirty 512-byte pages.
 
     An arena keeps, per (cached image × engine) pair, one long-lived
     clone and one long-lived machine state.  A repeat job {e resets}

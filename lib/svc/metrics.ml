@@ -33,9 +33,23 @@ type t = {
   mutable mem_refs : int;
   mutable traced_jobs : int;
   mutable trace_events : int;
+  mutable arena : Arena.stats;
+      (** the owning worker's arena counters, as of its last completion *)
   proc_costs : (string, proc_agg) Hashtbl.t;
       (** per-procedure exclusive cost, summed over traced jobs *)
 }
+
+let no_arena =
+  { Arena.hits = 0; misses = 0; evictions = 0; entries = 0; pages_blitted = 0 }
+
+let add_arena (a : Arena.stats) (b : Arena.stats) =
+  {
+    Arena.hits = a.hits + b.hits;
+    misses = a.misses + b.misses;
+    evictions = a.evictions + b.evictions;
+    entries = a.entries + b.entries;
+    pages_blitted = a.pages_blitted + b.pages_blitted;
+  }
 
 let create ~domains =
   {
@@ -67,6 +81,7 @@ let create ~domains =
     mem_refs = 0;
     traced_jobs = 0;
     trace_events = 0;
+    arena = no_arena;
     proc_costs = Hashtbl.create 64;
   }
 
@@ -123,6 +138,10 @@ let record t (r : Job.result) =
         agg.a_excl_refs <- agg.a_excl_refs + p.ps_excl_refs)
       s.Fpc_trace.Profile.s_procs
 
+(* An arena's counters are cumulative over its life, so the latest
+   reading replaces the previous one rather than adding to it. *)
+let set_arena t s = t.arena <- s
+
 let note_shed t = t.shed <- t.shed + 1
 
 (* The job itself is still counted by the worker that eventually runs
@@ -161,6 +180,7 @@ let merge_into ~src ~into =
   into.mem_refs <- into.mem_refs + src.mem_refs;
   into.traced_jobs <- into.traced_jobs + src.traced_jobs;
   into.trace_events <- into.trace_events + src.trace_events;
+  into.arena <- add_arena into.arena src.arena;
   Hashtbl.iter
     (fun name (a : proc_agg) ->
       let agg =
@@ -194,6 +214,7 @@ type snapshot = {
   shed : int;
   max_pending_observed : int;
   cache : Image_cache.stats;
+  arena : Arena.stats;
   compile_s : float;
   run_s : float;
   translate_s : float;
@@ -247,6 +268,7 @@ let snapshot (t : t) ~wall_s ~cache =
     shed = t.shed;
     max_pending_observed = t.max_pending_observed;
     cache;
+    arena = t.arena;
     compile_s = t.compile_s;
     run_s = t.run_s;
     translate_s = t.translate_s;
@@ -275,6 +297,10 @@ let snapshot (t : t) ~wall_s ~cache =
     proc_costs;
   }
 
+let arena_hit_rate (a : Arena.stats) =
+  let n = a.hits + a.misses in
+  if n = 0 then 0.0 else float_of_int a.hits /. float_of_int n
+
 let render (s : snapshot) =
   let open Fpc_util.Tablefmt in
   let tb = create ~title:"pool metrics" ~columns:[ ("", Left); ("value", Right) ] in
@@ -295,6 +321,16 @@ let render (s : snapshot) =
   row "cache entries (evictions)"
     (Printf.sprintf "%d (%d)" s.cache.Image_cache.entries
        s.cache.Image_cache.evictions);
+  (* shown only when some worker ran with an arena (arena reuse off
+     leaves every counter at zero) *)
+  if s.arena.Arena.hits + s.arena.Arena.misses > 0 then begin
+    row "arena hits / misses"
+      (Printf.sprintf "%d / %d" s.arena.Arena.hits s.arena.Arena.misses);
+    row "arena hit rate" (cell_pct (arena_hit_rate s.arena));
+    row "arena slots (evictions)"
+      (Printf.sprintf "%d (%d)" s.arena.Arena.entries s.arena.Arena.evictions);
+    row "arena pages blitted" (cell_int s.arena.Arena.pages_blitted)
+  end;
   row "compile time (summed)" (Printf.sprintf "%.3fs" s.compile_s);
   if s.translation_hits + s.translation_misses > 0 then begin
     row "translation hits / misses"
@@ -357,6 +393,16 @@ let to_json (s : snapshot) =
             ("evictions", Int s.cache.Image_cache.evictions);
             ("entries", Int s.cache.Image_cache.entries);
             ("hit_rate", Float (Image_cache.hit_rate s.cache));
+          ] );
+      ( "arena",
+        Obj
+          [
+            ("hits", Int s.arena.Arena.hits);
+            ("misses", Int s.arena.Arena.misses);
+            ("evictions", Int s.arena.Arena.evictions);
+            ("entries", Int s.arena.Arena.entries);
+            ("pages_blitted", Int s.arena.Arena.pages_blitted);
+            ("hit_rate", Float (arena_hit_rate s.arena));
           ] );
       ("compile_s", Float s.compile_s);
       ( "translation",

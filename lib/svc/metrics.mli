@@ -1,6 +1,6 @@
 (** Aggregate accounting for a pool: job counts by outcome, host time
-    split compile/run/wall, cache behaviour, and the total simulated work
-    done (instructions, cycles, storage references).
+    split compile/run/wall, image-cache and arena behaviour, and the total
+    simulated work done (instructions, cycles, storage references).
 
     A {!t} is a mutable accumulator ({!record} itself is not
     synchronized): the pool keeps one per worker domain, feeds each from
@@ -15,6 +15,13 @@ val create : domains:int -> t
 
 val record : t -> Job.result -> unit
 (** Fold one completed job in.  Not thread-safe; callers serialize. *)
+
+val set_arena : t -> Arena.stats -> unit
+(** Record the owning worker's arena counters ({!Arena.stats}).  They are
+    cumulative over the arena's life, so each call replaces the previous
+    reading; {!merge_into} sums the readings across workers.  The pool
+    calls this on every completion, under the shard lock it already
+    holds for {!record}. *)
 
 val note_shed : t -> unit
 (** Count one request refused by admission control.  Shed requests never
@@ -32,7 +39,8 @@ val note_timer_deadline : t -> unit
 
 val merge_into : src:t -> into:t -> unit
 (** Fold every count of [src] into [into] ([src] is left untouched).
-    Counters add; the pending high-water mark merges with [max].  The
+    Counters add (arena readings included); the pending high-water mark
+    merges with [max].  The
     pool keeps one single-writer accumulator per worker domain and
     merges the shards only when a snapshot is wanted, so recording a
     completion never touches shared state.  Not thread-safe; callers
@@ -61,6 +69,10 @@ type snapshot = {
   shed : int;  (** requests refused by admission control (never ran) *)
   max_pending_observed : int;  (** pending-jobs high-water mark *)
   cache : Image_cache.stats;
+  arena : Arena.stats;
+      (** every worker's arena counters, summed: hits reset a slot in
+          place, misses paid a full image clone ([entries] counts live
+          slots across workers); all zero with arena reuse off *)
   compile_s : float;  (** summed across jobs (overlaps across domains) *)
   run_s : float;  (** summed across jobs (overlaps across domains) *)
   translate_s : float;

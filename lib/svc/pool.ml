@@ -325,6 +325,9 @@ let rec worker_loop t shard arena =
     | None -> shard.s_completed_rev <- result :: shard.s_completed_rev
     | Some _ -> ());
     Metrics.record shard.s_metrics result;
+    (match arena with
+    | Some a -> Metrics.set_arena shard.s_metrics (Arena.stats a)
+    | None -> ());
     Mutex.unlock shard.s_mutex;
     (match t.deliver with
     | None -> ()

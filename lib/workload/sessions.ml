@@ -116,9 +116,7 @@ END;
    so hand-counted payloads would understate some engines. *)
 let worst_extent_words c ~image =
   validate c;
-  let ladder =
-    Fpc_frames.Alloc_vector.ladder image.Fpc_mesa.Image.allocator
-  in
+  let ladder = image.Fpc_mesa.Image.ladder in
   let block proc =
     let info = Fpc_mesa.Image.find_proc image ~instance:"Main" ~proc in
     Fpc_frames.Size_class.block_words ladder info.Fpc_mesa.Image.pi_fsi

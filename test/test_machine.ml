@@ -101,6 +101,207 @@ let test_words_for_bytes () =
   Alcotest.(check int) "2" 1 (Memory.words_for_bytes 2);
   Alcotest.(check int) "3" 2 (Memory.words_for_bytes 3)
 
+(* ---- Memory against a reference model ----
+
+   Random operation sequences run against a [Memory.t] pair (a working
+   store [cur] and a [pristine] it can be reset from) and against a plain
+   model: an [int array] of words and a [bool array] of dirty pages per
+   store, plus read/write counters for the one meter both stores share.
+   After every step the two must agree on every word of both stores, on
+   [dirty_pages], on the meter, and on the result — a value or the exact
+   [Invalid_argument] message. *)
+
+let model_words = 600 (* two full 256-word pages and a partial third *)
+let model_pages = (model_words + 255) / 256
+
+type model = { words : int array; dirty : bool array }
+
+let model_create () =
+  { words = Array.make model_words 0; dirty = Array.make model_pages false }
+
+let model_copy m = { words = Array.copy m.words; dirty = Array.make model_pages false }
+
+type mem_op =
+  | Peek of int
+  | Poke of int * int
+  | Read of int
+  | Write of int * int
+  | Prepaid_read of int
+  | Prepaid_write of int * int
+  | Peek_code_byte of int * int
+  | Read_code_byte of int * int
+  | Poke_code_byte of int * int * int
+  | Blit_bytes of int * string
+  | Clone_to_pristine
+  | Clone_from_pristine
+  | Reset
+
+let show_mem_op = function
+  | Peek a -> Printf.sprintf "peek %d" a
+  | Poke (a, v) -> Printf.sprintf "poke %d %d" a v
+  | Read a -> Printf.sprintf "read %d" a
+  | Write (a, v) -> Printf.sprintf "write %d %d" a v
+  | Prepaid_read a -> Printf.sprintf "prepaid_read %d" a
+  | Prepaid_write (a, v) -> Printf.sprintf "prepaid_write %d %d" a v
+  | Peek_code_byte (cb, pc) -> Printf.sprintf "peek_code_byte %d %d" cb pc
+  | Read_code_byte (cb, pc) -> Printf.sprintf "read_code_byte %d %d" cb pc
+  | Poke_code_byte (cb, pc, b) -> Printf.sprintf "poke_code_byte %d %d %d" cb pc b
+  | Blit_bytes (cb, s) -> Printf.sprintf "blit_bytes %d %S" cb s
+  | Clone_to_pristine -> "clone cur -> pristine"
+  | Clone_from_pristine -> "clone pristine -> cur"
+  | Reset -> "reset_from cur ~pristine"
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let in_range = int_range 0 (model_words - 1) in
+  let addr =
+    frequency
+      [
+        (8, in_range);
+        ( 2,
+          oneofl
+            [ -1; 0; model_words - 1; model_words; model_words + 1000; max_int; min_int ]
+        );
+      ]
+  in
+  let value =
+    frequency
+      [
+        (4, int_range 0 0xFFFF);
+        (1, int_range (-70000) (-1));
+        (1, int_range 0x10000 0x3FFFF);
+        (1, oneofl [ max_int; min_int; -1; 0xFFFF; 0x10000 ]);
+      ]
+  in
+  let code_base = int_range (-3) (model_words + 3) in
+  let pc = int_range 0 (2 * model_words) in
+  frequency
+    [
+      (3, map (fun a -> Peek a) addr);
+      (4, map2 (fun a v -> Poke (a, v)) addr value);
+      (3, map (fun a -> Read a) addr);
+      (4, map2 (fun a v -> Write (a, v)) addr value);
+      (2, map (fun a -> Prepaid_read a) in_range);
+      (3, map2 (fun a v -> Prepaid_write (a, v)) in_range value);
+      (2, map2 (fun cb pc -> Peek_code_byte (cb, pc)) code_base pc);
+      (2, map2 (fun cb pc -> Read_code_byte (cb, pc)) code_base pc);
+      (3, map3 (fun cb pc b -> Poke_code_byte (cb, pc, b)) code_base pc (int_range 0 255));
+      (2, map2 (fun cb s -> Blit_bytes (cb, s)) code_base (string_size (int_range 0 12)));
+      (1, return Clone_to_pristine);
+      (1, return Clone_from_pristine);
+      (2, return Reset);
+    ]
+
+let prop_memory_matches_model =
+  QCheck.Test.make ~count:300 ~name:"memory: matches an int-array model"
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+       QCheck.Gen.(list_size (int_range 1 80) gen_mem_op))
+    (fun ops ->
+      let cost = Cost.create () in
+      let cur = ref (Memory.create ~cost ~size_words:model_words ()) in
+      let pristine = ref (Memory.create ~cost ~size_words:model_words ()) in
+      let mcur = ref (model_create ()) and mpristine = ref (model_create ()) in
+      let reads = ref 0 and writes = ref 0 in
+      let out_of_range what a =
+        invalid_arg (Printf.sprintf "Memory.%s: address %d out of range" what a)
+      in
+      let m_peek a =
+        if a < 0 || a >= model_words then out_of_range "peek" a;
+        !mcur.words.(a)
+      in
+      let m_poke a v =
+        if a < 0 || a >= model_words then out_of_range "poke" a;
+        !mcur.dirty.(a / 256) <- true;
+        !mcur.words.(a) <- v land 0xFFFF
+      in
+      let m_byte ~pc w = if pc land 1 = 0 then w lsr 8 else w land 0xFF in
+      let m_peek_code_byte cb pc = m_byte ~pc (m_peek (cb + (pc lsr 1))) in
+      let m_poke_code_byte cb pc b =
+        let a = cb + (pc lsr 1) in
+        let w = m_peek a in
+        m_poke a
+          (if pc land 1 = 0 then ((b land 0xFF) lsl 8) lor (w land 0xFF)
+           else (w land 0xFF00) lor (b land 0xFF))
+      in
+      (* Each op returns [Ok v] (0 for unit ops) or [Error msg]. *)
+      let attempt f = match f () with v -> Ok v | exception Invalid_argument m -> Error m in
+      let step op =
+        Memory.(match op with
+          | Peek a -> (attempt (fun () -> peek !cur a), attempt (fun () -> m_peek a))
+          | Poke (a, v) ->
+            ( attempt (fun () -> poke !cur a v; 0),
+              attempt (fun () -> m_poke a v; 0) )
+          | Read a ->
+            ( attempt (fun () -> read !cur a),
+              attempt (fun () -> incr reads; m_peek a) )
+          | Write (a, v) ->
+            ( attempt (fun () -> write !cur a v; 0),
+              attempt (fun () -> incr writes; m_poke a v; 0) )
+          | Prepaid_read a -> (Ok (prepaid_read !cur a), Ok (m_peek a))
+          | Prepaid_write (a, v) ->
+            prepaid_write !cur a v;
+            m_poke a v;
+            (Ok 0, Ok 0)
+          | Peek_code_byte (cb, pc) ->
+            ( attempt (fun () -> peek_code_byte !cur ~code_base:cb ~pc),
+              attempt (fun () -> m_peek_code_byte cb pc) )
+          | Read_code_byte (cb, pc) ->
+            ( attempt (fun () -> read_code_byte !cur ~code_base:cb ~pc),
+              attempt (fun () -> incr reads; m_peek_code_byte cb pc) )
+          | Poke_code_byte (cb, pc, b) ->
+            ( attempt (fun () -> poke_code_byte !cur ~code_base:cb ~pc b; 0),
+              attempt (fun () -> m_poke_code_byte cb pc b; 0) )
+          | Blit_bytes (cb, s) ->
+            ( attempt (fun () -> blit_bytes !cur ~code_base:cb (Bytes.of_string s); 0),
+              attempt (fun () ->
+                  String.iteri (fun i c -> m_poke_code_byte cb i (Char.code c)) s;
+                  0) )
+          | Clone_to_pristine ->
+            pristine := clone !cur;
+            mpristine := model_copy !mcur;
+            (Ok 0, Ok 0)
+          | Clone_from_pristine ->
+            cur := clone !pristine;
+            mcur := model_copy !mpristine;
+            (Ok 0, Ok 0)
+          | Reset ->
+            reset_from !cur ~pristine:!pristine;
+            Array.iteri
+              (fun page d ->
+                if d then begin
+                  let base = page * 256 in
+                  let len = min 256 (model_words - base) in
+                  Array.blit !mpristine.words base !mcur.words base len;
+                  !mcur.dirty.(page) <- false
+                end)
+              !mcur.dirty;
+            (Ok 0, Ok 0))
+      in
+      let same_store mem model =
+        let ok = ref true in
+        for a = 0 to model_words - 1 do
+          if Memory.peek mem a <> model.words.(a) then ok := false
+        done;
+        !ok
+        && Memory.dirty_pages mem
+           = Array.fold_left (fun n d -> if d then n + 1 else n) 0 model.dirty
+      in
+      List.for_all
+        (fun op ->
+          let got, want = step op in
+          got = want
+          && same_store !cur !mcur
+          && same_store !pristine !mpristine
+          && Cost.mem_reads cost = !reads
+          && Cost.mem_writes cost = !writes)
+        ops)
+
+let test_memory_reset_size_mismatch () =
+  let a = Memory.create ~size_words:512 () and b = Memory.create ~size_words:600 () in
+  Alcotest.check_raises "size mismatch" (Invalid_argument "Memory.reset_from: size mismatch")
+    (fun () -> Memory.reset_from a ~pristine:b)
+
 (* ---- Cache ---- *)
 
 let test_cache_hit_after_miss () =
@@ -156,6 +357,8 @@ let () =
           Alcotest.test_case "poke code byte" `Quick test_poke_code_byte;
           Alcotest.test_case "words_for_bytes" `Quick test_words_for_bytes;
           qtest prop_code_byte_roundtrip;
+          qtest prop_memory_matches_model;
+          Alcotest.test_case "reset size mismatch" `Quick test_memory_reset_size_mismatch;
         ] );
       ( "cache",
         [

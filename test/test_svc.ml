@@ -631,6 +631,174 @@ let test_arena_mid_slice_reuse () =
   Alcotest.(check int) "the rerun reset the abandoned slot (hit)" 1
     s.Arena.hits
 
+(* A program that writes into its own code region: an out-of-range global
+   array store [g[k] := v], with [k] and [v] aimed by the host (found by
+   their sentinel initial values) at Main.f's entry-vector word
+   ([ev_word]), which it points at Main.h.  A slot reused after it must
+   not keep the patched word. *)
+let code_write_src =
+  {|
+MODULE Main;
+VAR g: ARRAY 1 OF INT;
+VAR k: INT := 1111;
+VAR v: INT := 2222;
+PROC f(n: INT): INT =
+  RETURN n + 1;
+END;
+PROC h(n: INT): INT =
+  RETURN n * 10;
+END;
+PROC main() =
+  OUTPUT f(1);
+  g[k] := v;
+  OUTPUT f(2);
+END;
+END;
+|}
+
+let ev_word image =
+  let module Image = Fpc_mesa.Image in
+  Image.gf_code_base image ~instance:"Main"
+  + (Image.find_proc image ~instance:"Main" ~proc:"f").Image.pi_ev
+
+let aim_code_write image =
+  let module Image = Fpc_mesa.Image in
+  let ii = Image.find_instance image "Main" in
+  let globals = (Image.find_module image "Main").Fpc_mesa.Compiled.m_global_init in
+  let index_of sentinel = fst (List.find (fun (_, v) -> v = sentinel) globals) in
+  let k_index = index_of 1111 and v_index = index_of 2222 in
+  let global i = ii.Image.ii_gf_addr + Image.global_base + i in
+  let h = Image.find_proc image ~instance:"Main" ~proc:"h" in
+  let mem = image.Image.mem in
+  Fpc_machine.Memory.poke mem (global k_index) (ev_word image - global (k_index - 1));
+  Fpc_machine.Memory.poke mem (global v_index) h.Image.pi_entry_offset
+
+(* Eviction is exact: a two-slot arena cycles three programs over every
+   engine and both tiers, so slots are reset on hits and dropped on
+   misses — including victims whose last job trapped on [Step_limit] and
+   one whose last job patched its code region.  Every job must equal a
+   fresh-clone run on outcome and every meter, and the arena's counters
+   must match an LRU model of the same access sequence. *)
+let test_arena_eviction_exact () =
+  let capacity = 2 in
+  let arena = Arena.create ~capacity () in
+  let programs =
+    [
+      ("fib", Fpc_workload.Programs.find "fib", ignore);
+      ("loop", infinite_loop_src, ignore);
+      ("code-write", code_write_src, aim_code_write);
+    ]
+  in
+  (* Per (engine, tier): a hit after the trap, the trapped slot evicted,
+     a hit after the code write, the code-writing slot evicted. *)
+  let sequence =
+    [ "fib"; "loop"; "loop"; "fib"; "code-write"; "code-write"; "loop"; "fib"; "fib" ]
+  in
+  let lru = ref [] and hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+  let model_access key =
+    if List.mem key !lru then incr hits
+    else begin
+      incr misses;
+      if List.length !lru >= capacity then begin
+        incr evictions;
+        lru := List.filteri (fun i _ -> i < capacity - 1) !lru
+      end
+    end;
+    lru := key :: List.filter (( <> ) key) !lru
+  in
+  let run ~tier image st =
+    if tier = "compiled" then
+      Fpc_tier.Tier.run ~max_steps:200_000 (fst (Fpc_tier.Tier.of_image image)) st
+    else Fpc_interp.Interp.run ~max_steps:200_000 st;
+    Fpc_interp.Interp.outcome st
+  in
+  List.iter
+    (fun engine_name ->
+      let engine = engine_named engine_name in
+      List.iter
+        (fun tier ->
+          let pristines =
+            List.map
+              (fun (name, source, prepare) ->
+                match Fpc_compiler.Compile.image_for_engine ~engine source with
+                | Ok image ->
+                  prepare image;
+                  (name, image)
+                | Error m -> failwith m)
+              programs
+          in
+          List.iter
+            (fun name ->
+              let pristine = List.assoc name pristines in
+              let fresh_image = Fpc_mesa.Image.clone pristine in
+              let fresh =
+                run ~tier fresh_image
+                  (Fpc_interp.Interp.boot ~image:fresh_image ~engine ~instance:"Main"
+                     ~proc:"main" ~args:[] ())
+              in
+              let reused =
+                let slot =
+                  Arena.acquire arena ~key:name ~engine ~engine_name ~tier_name:tier
+                    ~pristine ()
+                in
+                let st = Arena.checkout slot in
+                Fpc_core.Transfer.start st ~instance:"Main" ~proc:"main" ~args:[];
+                run ~tier (Arena.image slot) st
+              in
+              model_access (String.concat "|" [ name; engine_name; tier ]);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s on %s/%s equals a fresh clone" name engine_name tier)
+                true (reused = fresh);
+              if name = "code-write" then
+                Alcotest.(check bool) "the store lands in the code region" true
+                  (Fpc_machine.Memory.peek fresh_image.Fpc_mesa.Image.mem (ev_word pristine)
+                  <> Fpc_machine.Memory.peek pristine.Fpc_mesa.Image.mem (ev_word pristine));
+              if name = "loop" then
+                Alcotest.(check bool) "the loop traps on the step limit" true
+                  (fresh.Fpc_interp.Interp.o_status
+                  = Fpc_core.State.Trapped Fpc_core.State.Step_limit))
+            sequence)
+        [ ""; "compiled" ])
+    [ "i1"; "i2"; "i3"; "i4" ];
+  let s = Arena.stats arena in
+  Alcotest.(check int) "hits" !hits s.Arena.hits;
+  Alcotest.(check int) "misses" !misses s.Arena.misses;
+  Alcotest.(check int) "evictions" !evictions s.Arena.evictions;
+  Alcotest.(check int) "entries" capacity s.Arena.entries;
+  Alcotest.(check bool) "the sequence both hits and evicts" true
+    (!hits > 0 && !evictions > 0)
+
+(* The pool folds each worker arena's counters into its metrics shard,
+   so a snapshot (and [/stats]) reports them; with reuse off they stay
+   zero. *)
+let test_pool_metrics_count_arena () =
+  let specs =
+    [
+      Job.spec ~engine:"i2" (Job.Suite "fib");
+      Job.spec ~engine:"i2" (Job.Suite "fib");
+      Job.spec ~engine:"i3" (Job.Suite "hanoi");
+      Job.spec ~engine:"i2" (Job.Suite "fib");
+    ]
+  in
+  let _, m = Pool.run_jobs ~domains:1 specs in
+  let a = m.Metrics.arena in
+  Alcotest.(check (list int)) "hits, misses, evictions, entries"
+    [ 2; 2; 0; 2 ]
+    [ a.Arena.hits; a.Arena.misses; a.Arena.evictions; a.Arena.entries ];
+  let json = Fpc_util.Jsonout.to_string (Metrics.to_json m) in
+  let open Fpc_util.Jsonout in
+  (match Fpc_util.Jsonin.parse json with
+  | Ok (Obj fields) -> (
+    match List.assoc_opt "arena" fields with
+    | Some (Obj arena) ->
+      Alcotest.(check bool) "arena hits in the metrics JSON" true
+        (List.assoc_opt "hits" arena = Some (Int 2))
+    | _ -> Alcotest.fail "no arena object in the metrics JSON")
+  | _ -> Alcotest.fail "metrics JSON is not an object");
+  let _, off = Pool.run_jobs ~domains:1 ~arena_reuse:false specs in
+  Alcotest.(check int) "reuse off: no arena acquisitions" 0
+    (off.Metrics.arena.Arena.hits + off.Metrics.arena.Arena.misses)
+
 (* End-to-end through the pool: arena reuse on (the default) and off must
    produce identical results, job for job. *)
 let test_pool_arena_matches_clone_path () =
@@ -733,6 +901,9 @@ let () =
             test_arena_reset_restores_store;
           Alcotest.test_case "fuel-exhausted sched job leaves slot reusable"
             `Quick test_arena_mid_slice_reuse;
+          Alcotest.test_case "eviction is exact" `Quick test_arena_eviction_exact;
+          Alcotest.test_case "pool metrics count arena reuse" `Quick
+            test_pool_metrics_count_arena;
           Alcotest.test_case "pool results identical with arena off" `Slow
             test_pool_arena_matches_clone_path;
         ] );
