@@ -152,11 +152,11 @@ let median_run_s ?(samples = 7) ?(runs = 5) f =
   (* warm up caches and the minor heap *)
   let samples =
     List.init samples (fun _ ->
-        let t0 = Unix.gettimeofday () in
+        let t0 = Fpc_util.Clock.now () in
         for _ = 1 to runs do
           f ()
         done;
-        (Unix.gettimeofday () -. t0) /. float_of_int runs)
+        (Fpc_util.Clock.now () -. t0) /. float_of_int runs)
   in
   let sorted = List.sort compare samples in
   List.nth sorted (List.length sorted / 2)
@@ -501,10 +501,10 @@ let run_svc ?(smoke = false) () =
       List.iter
         (fun domains ->
           let pool = Fpc_svc.Pool.create ~domains ~cache () in
-          let t0 = Unix.gettimeofday () in
+          let t0 = Fpc_util.Clock.now () in
           List.iter (fun spec -> ignore (Fpc_svc.Pool.submit pool spec)) specs;
           let results = Fpc_svc.Pool.await pool in
-          let wall = Unix.gettimeofday () -. t0 in
+          let wall = Fpc_util.Clock.now () -. t0 in
           let metrics = Fpc_svc.Pool.metrics pool in
           Fpc_svc.Pool.shutdown pool;
           check_all_ok results;

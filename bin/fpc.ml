@@ -733,9 +733,9 @@ let sched_cmd =
             let tr, _hit = Fpc_tier.Tier.of_image image in
             fun n st -> Fpc_tier.Tier.run ~max_steps:n tr st
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Fpc_util.Clock.now () in
         let stats = Fpc_sched.Sched.run ~policy ~step ~fuel st in
-        let run_s = Unix.gettimeofday () -. t0 in
+        let run_s = Fpc_util.Clock.now () -. t0 in
         let o = Fpc_interp.Interp.outcome st in
         (match o.o_status with
         | Fpc_core.State.Halted -> ()

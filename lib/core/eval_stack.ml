@@ -10,17 +10,17 @@ let create ?(capacity = 16) () =
 let capacity t = Array.length t.data
 let depth t = t.depth
 
-let push t v =
+let[@inline] push t v =
   if t.depth >= Array.length t.data then raise Overflow;
   t.data.(t.depth) <- Fpc_util.Bits.to_word v;
   t.depth <- t.depth + 1
 
-let pop t =
+let[@inline] pop t =
   if t.depth = 0 then raise Underflow;
   t.depth <- t.depth - 1;
   t.data.(t.depth)
 
-let peek t =
+let[@inline] peek t =
   if t.depth = 0 then raise Underflow;
   t.data.(t.depth - 1)
 
@@ -28,7 +28,7 @@ let peek t =
    proves [depth] bounds for a whole run of instructions before executing
    any of them; word truncation still applies so a value read back later
    is bit-identical to one that went through [push]. *)
-let unsafe_push t v =
+let[@inline] unsafe_push t v =
   Array.unsafe_set t.data t.depth (Fpc_util.Bits.to_word v);
   t.depth <- t.depth + 1
 

@@ -310,7 +310,7 @@ let reset ?tracer t =
 let output t = List.rev t.output_rev
 let emit t v = t.output_rev <- Fpc_util.Bits.to_word v :: t.output_rev
 
-let ensure_cb t =
+let[@inline] ensure_cb t =
   if t.cb >= 0 then t.cb
   else begin
     let cb = Memory.read t.mem t.gf in
@@ -324,31 +324,31 @@ let set_pc_rel t ~cb rel =
   t.cb <- cb;
   t.pc_abs <- (2 * cb) + rel
 
-let trace t addr ~write =
+let[@inline] trace t addr ~write =
   match t.data_trace with
   | Some q -> Queue.add (addr, write) q
   | None -> ()
 
-let read_local t n =
+let[@inline] read_local t n =
   t.metrics.local_refs <- t.metrics.local_refs + 1;
   trace t (t.lf + n) ~write:false;
   match t.banks with
   | Some banks -> Fpc_regbank.Bank_file.read_local banks ~lf:t.lf ~index:n
   | None -> Memory.read t.mem (t.lf + n)
 
-let write_local t n v =
+let[@inline] write_local t n v =
   t.metrics.local_refs <- t.metrics.local_refs + 1;
   trace t (t.lf + n) ~write:true;
   match t.banks with
   | Some banks -> Fpc_regbank.Bank_file.write_local banks ~lf:t.lf ~index:n v
   | None -> Memory.write t.mem (t.lf + n) v
 
-let read_global t n =
+let[@inline] read_global t n =
   t.metrics.global_refs <- t.metrics.global_refs + 1;
   trace t (t.gf + Image.global_base + n) ~write:false;
   Memory.read t.mem (t.gf + Image.global_base + n)
 
-let write_global t n v =
+let[@inline] write_global t n v =
   t.metrics.global_refs <- t.metrics.global_refs + 1;
   trace t (t.gf + Image.global_base + n) ~write:true;
   Memory.write t.mem (t.gf + Image.global_base + n) v
@@ -361,14 +361,14 @@ let local_addr t n =
 
 let global_addr t n = t.gf + Image.global_base + n
 
-let data_read t ~addr =
+let[@inline] data_read t ~addr =
   t.metrics.indirect_refs <- t.metrics.indirect_refs + 1;
   trace t addr ~write:false;
   match t.banks with
   | Some banks -> Fpc_regbank.Bank_file.data_read banks ~addr
   | None -> Memory.read t.mem addr
 
-let data_write t ~addr v =
+let[@inline] data_write t ~addr v =
   t.metrics.indirect_refs <- t.metrics.indirect_refs + 1;
   trace t addr ~write:true;
   match t.banks with

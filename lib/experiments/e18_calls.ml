@@ -39,9 +39,9 @@ let time_runs ~image ~engine f =
   let samples =
     List.init timing_reps (fun _ ->
         let st = boot ~image ~engine in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Fpc_util.Clock.now () in
         f st;
-        Unix.gettimeofday () -. t0)
+        Fpc_util.Clock.now () -. t0)
   in
   match List.sort compare samples with
   | [] -> 0.0

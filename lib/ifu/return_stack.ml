@@ -42,7 +42,7 @@ let create ~depth =
   }
 
 let set_on_event t f = t.on_event <- f
-let fire t k = match t.on_event with Some f -> f k | None -> ()
+let[@inline] fire t k = match t.on_event with Some f -> f k | None -> ()
 
 let depth t = Array.length t.entries
 let length t = t.top
@@ -58,7 +58,7 @@ let reset t =
   t.flushed_entries <- 0;
   t.spills <- 0
 
-let push t ~lf ~gf ~cb ~pc_abs ~bank =
+let[@inline] push t ~lf ~gf ~cb ~pc_abs ~bank =
   if is_full t then invalid_arg "Return_stack.push: full (flush first)";
   let e = t.entries.(t.top) in
   e.r_lf <- lf;
@@ -72,7 +72,7 @@ let push t ~lf ~gf ~cb ~pc_abs ~bank =
 
 let push_entry t e = push t ~lf:e.r_lf ~gf:e.r_gf ~cb:e.r_cb ~pc_abs:e.r_pc_abs ~bank:e.r_bank
 
-let try_pop t =
+let[@inline] try_pop t =
   if t.top = 0 then begin
     t.empty_pops <- t.empty_pops + 1;
     false

@@ -57,12 +57,12 @@ let dispatch_n t n =
   t.dispatches <- t.dispatches + n;
   t.cycles <- t.cycles + (n * t.p.dispatch_cycles)
 
-let refs_n t ~reads ~writes =
+let[@inline] refs_n t ~reads ~writes =
   t.mem_reads <- t.mem_reads + reads;
   t.mem_writes <- t.mem_writes + writes;
   t.cycles <- t.cycles + ((reads + writes) * t.p.mem_ref_cycles)
 
-let block_bill t ~instrs ~reads ~writes =
+let[@inline] block_bill t ~instrs ~reads ~writes =
   t.dispatches <- t.dispatches + instrs;
   t.mem_reads <- t.mem_reads + reads;
   t.mem_writes <- t.mem_writes + writes;

@@ -54,16 +54,21 @@ let cost t = t.cost
 let out_of_range what addr =
   invalid_arg (Printf.sprintf "Memory.%s: address %d out of range" what addr)
 
-(* Inlined into every access, so a word access is one call, not two: the
-   transfer machinery reaches the store through [peek]/[poke]. *)
+(* The word accessors below inline into their callers (by [@inline], or
+   by size for the smallest), and the default build compiles without
+   -opaque, so a word access from another module is this check and one
+   16-bit load or store in the caller's code: no call at all unless the
+   address is out of range, and then [out_of_range] raises the same
+   message as ever.  (Under [--profile dev] every cross-module call is a
+   real call again; the semantics do not change.) *)
 let[@inline] check t addr what =
   if addr < 0 || addr >= t.words then out_of_range what addr
 
-let peek t addr =
+let[@inline] peek t addr =
   check t addr "peek";
   get16u t.store (addr lsl 1)
 
-let poke t addr v =
+let[@inline] poke t addr v =
   check t addr "poke";
   Bytes.unsafe_set t.dirty (addr lsr page_words_log2) '\001';
   set16u t.store (addr lsl 1) v
@@ -86,8 +91,8 @@ let reset_from t ~pristine =
     end
   done
 
-let charge_read t = match t.cost with Some c -> Cost.mem_read c | None -> ()
-let charge_write t = match t.cost with Some c -> Cost.mem_write c | None -> ()
+let[@inline] charge_read t = match t.cost with Some c -> Cost.mem_read c | None -> ()
+let[@inline] charge_write t = match t.cost with Some c -> Cost.mem_write c | None -> ()
 
 let charge t ~reads ~writes =
   match t.cost with Some c -> Cost.refs_n c ~reads ~writes | None -> ()
@@ -102,21 +107,21 @@ let prepaid_write t addr v =
   Bytes.unsafe_set t.dirty (addr lsr page_words_log2) '\001';
   set16u t.store (addr lsl 1) v
 
-let read t addr =
+let[@inline] read t addr =
   charge_read t;
   peek t addr
 
-let write t addr v =
+let[@inline] write t addr v =
   charge_write t;
   poke t addr v
 
-let byte_of_word ~pc w =
+let[@inline] byte_of_word ~pc w =
   if pc land 1 = 0 then Fpc_util.Bits.byte_high w else Fpc_util.Bits.byte_low w
 
-let peek_code_byte t ~code_base ~pc =
+let[@inline] peek_code_byte t ~code_base ~pc =
   byte_of_word ~pc (peek t (code_base + (pc lsr 1)))
 
-let read_code_byte t ~code_base ~pc =
+let[@inline] read_code_byte t ~code_base ~pc =
   charge_read t;
   peek_code_byte t ~code_base ~pc
 

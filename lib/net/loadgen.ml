@@ -47,7 +47,7 @@ let worker ~host ~port ~requests ~pipeline ~request_line tally =
        while !sent < requests || !in_flight > 0 do
          while !in_flight < pipeline && !sent < requests do
            Client.send_line client request_line;
-           Queue.push (Unix.gettimeofday ()) stamps;
+           Queue.push (Fpc_util.Clock.now ()) stamps;
            incr sent;
            incr in_flight;
            tally.t_sent <- tally.t_sent + 1;
@@ -57,7 +57,7 @@ let worker ~host ~port ~requests ~pipeline ~request_line tally =
          | Some line ->
            let t0 = Queue.pop stamps in
            let us =
-             int_of_float (Float.round ((Unix.gettimeofday () -. t0) *. 1e6))
+             int_of_float (Float.round ((Fpc_util.Clock.now () -. t0) *. 1e6))
            in
            Fpc_util.Histogram.add tally.t_latency (max 0 us);
            classify tally line;
@@ -84,7 +84,7 @@ let run ~host ~port ~connections ~requests ?(pipeline = 1) ~request_line () =
           t_latency = Fpc_util.Histogram.create ();
         })
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Fpc_util.Clock.now () in
   let threads =
     Array.map
       (fun tally ->
@@ -94,7 +94,7 @@ let run ~host ~port ~connections ~requests ?(pipeline = 1) ~request_line () =
       tallies
   in
   Array.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let wall_s = Fpc_util.Clock.now () -. t0 in
   let latency_us = Fpc_util.Histogram.create () in
   let sent = ref 0 and ok = ref 0 and failed = ref 0 and shed = ref 0 in
   let hwm = ref 0 in

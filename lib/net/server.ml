@@ -87,7 +87,7 @@ let merged_tally t =
 let snapshot_now t =
   let tally = merged_tally t in
   Metrics.snapshot tally
-    ~wall_s:(Unix.gettimeofday () -. Pool.started_at t.pool)
+    ~wall_s:(Fpc_util.Clock.now () -. Pool.started_at t.pool)
     ~cache:(Image_cache.stats (Pool.cache t.pool))
 
 let stats_json t =

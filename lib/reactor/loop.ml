@@ -23,7 +23,7 @@ type t = {
   wake_buf : Bytes.t;
 }
 
-let now = Unix.gettimeofday
+let now = Fpc_util.Clock.now
 
 let create ?backend () =
   let backend =

@@ -24,7 +24,8 @@ let create ?(granularity_ms = 2) ?(slots = 512) ~now () =
   }
 
 let slot_of t at =
-  (* floats stay positive (gettimeofday), so truncation is a floor *)
+  (* floats stay positive (Fpc_util.Clock counts from boot), so truncation
+     is a floor *)
   int_of_float (at /. t.granularity_s) mod Array.length t.slots
 
 let live t = t.live

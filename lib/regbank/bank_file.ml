@@ -149,7 +149,7 @@ let rec scan_owner banks n target i =
 (* Index of the bank shadowing [lf], or -1.  Allocation-free; the
    one-entry cache makes the common straight-line case a single
    compare. *)
-let bank_index t ~lf =
+let[@inline] bank_index t ~lf =
   let bi = t.last_bi in
   if bi >= 0 && t.banks.(bi).owner = lf then bi
   else begin
@@ -325,7 +325,7 @@ let flush_all t =
       else if b.owner = owner_stack then detach t b)
     t.banks
 
-let read_local t ~lf ~index =
+let[@inline] read_local t ~lf ~index =
   let bi = bank_index t ~lf in
   if bi >= 0 && index < t.banks.(bi).shadow_len then begin
     Cost.bank_ref t.cost;
@@ -333,7 +333,7 @@ let read_local t ~lf ~index =
   end
   else Memory.read t.mem (lf + index)
 
-let write_local t ~lf ~index v =
+let[@inline] write_local t ~lf ~index v =
   let v = Fpc_util.Bits.to_word v in
   let bi = bank_index t ~lf in
   if bi >= 0 && index < t.banks.(bi).shadow_len then begin
@@ -396,16 +396,16 @@ let data_write t ~addr v =
    references as a batch, and counted the metric — so these touch the
    shadow directly.  Identical data movement to {!read_local}/
    [write_local] on their bank-hit path, with the accounting hoisted. *)
-let raw_read t ~lf ~index = t.banks.(bank_index t ~lf).data.(index)
+let[@inline] raw_read t ~lf ~index = t.banks.(bank_index t ~lf).data.(index)
 
-let raw_write t ~lf ~index v =
+let[@inline] raw_write t ~lf ~index v =
   let b = t.banks.(bank_index t ~lf) in
   b.data.(index) <- Fpc_util.Bits.to_word v;
   b.dirty.(index) <- true
 
 (* Words of [lf]'s resident shadow window, or -1 when no bank owns it:
    the residency guard for the raw accessors above. *)
-let resident_len t ~lf =
+let[@inline] resident_len t ~lf =
   let bi = bank_index t ~lf in
   if bi < 0 then -1 else t.banks.(bi).shadow_len
 

@@ -28,7 +28,7 @@ let policy_of_string ?(quantum = 1000) s =
 
 type stats = { deadline_hit : bool; slices : int; preemptions : int }
 
-let now = Unix.gettimeofday
+let now = Fpc_util.Clock.now
 
 (* Same contract as the pool's deadline slicer: [Step_limit] can only come
    from the step budget, so with fuel remaining it marks a resumable slice

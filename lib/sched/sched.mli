@@ -57,8 +57,8 @@ val run :
     compiled equivalent.  Mid-run [Step_limit] traps are slice boundaries
     and are resumed; a terminal [Step_limit] (fuel exhausted) is left on
     the machine, and handing the same machine back with fresh fuel picks
-    up where it stopped.  With [deadline_at] (absolute seconds), the wall
-    clock is checked at every slice boundary. *)
+    up where it stopped.  With [deadline_at] (absolute seconds on
+    {!Fpc_util.Clock}), the clock is checked at every slice boundary. *)
 
 type report = {
   forked : int;  (** sessions queued by FORK *)

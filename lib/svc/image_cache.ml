@@ -121,11 +121,11 @@ let find_pristine ?(tier = "") ?(devirt = false) t ~convention ~source =
   match lookup t key with
   | Some image -> Ok (image, key, true, 0.0)
   | None -> (
-    let t0 = Unix.gettimeofday () in
+    let t0 = Fpc_util.Clock.now () in
     match Fpc_compiler.Compile.image ~convention ~devirt source with
     | Error m -> Error m
     | Ok image ->
-      let dt = Unix.gettimeofday () -. t0 in
+      let dt = Fpc_util.Clock.now () -. t0 in
       let image = insert t key image in
       Ok (image, key, false, dt))
 

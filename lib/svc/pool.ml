@@ -31,7 +31,7 @@ let recommended_domains () = max 1 (Domain.recommended_domain_count ())
 
 (* ---- executing one job (never raises) ---- *)
 
-let now = Unix.gettimeofday
+let now = Fpc_util.Clock.now
 
 let failed ?(stats = Job.no_stats) id spec kind msg =
   {

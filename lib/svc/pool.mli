@@ -60,7 +60,7 @@ val domains : t -> int
 val cache : t -> Image_cache.t
 
 val started_at : t -> float
-(** [Unix.gettimeofday] at pool creation (for wall-clock reporting). *)
+(** {!Fpc_util.Clock.now} at pool creation (for wall-time reporting). *)
 
 val submit : t -> Job.spec -> int
 (** Enqueue a job; returns its id (dense, starting at 0).  Raises

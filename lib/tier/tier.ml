@@ -158,7 +158,9 @@ let guard_params ops =
    counter tick — with only the address unknown; they join the batch too,
    going through the unmetered {!Memory.peek}/{!poke}, whose bounds check
    aborts exactly like the metered access (which charges before
-   checking, so the prepaid batch matches even on the abort path). *)
+   checking).  An abort leaves the rest of the batch billed but not run,
+   so each dynamic access takes that share back before re-raising
+   ({!unbill}). *)
 
 type acct = {
   a_reads : int;
@@ -619,11 +621,49 @@ let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
   | Halt -> fun (st : State.t) -> st.status <- State.Halted
   | _ -> invalid_arg "Tier.compile_one: not fusable"
 
+let is_dynamic (op : Opcode.t) =
+  match op with
+  | Llx _ | Slx _ | Lgx _ | Sgx _ | Rload | Rstore | Ldfld _ | Stfld _ -> true
+  | _ -> false
+
+(* A dynamic address past the store aborts the job with Memory's
+   [Invalid_argument] in the middle of a batch that was counted and (on
+   the prepaid planes) billed in full before it ran.  The interpreter
+   stops having counted and charged up to and including the aborting
+   access, with the PC past it.  [unbill ~plane ~tail ~next rest] takes
+   back what the batch charged for the instructions after the access:
+   [rest], plus [tail] joined instructions that follow the run (the
+   step's follower, a spliced leaf's RETURN). *)
+let unbill ~plane ~tail ~next rest =
+  let n = List.length rest + tail in
+  let a = acct_of rest in
+  fun (st : State.t) ->
+    let m = st.metrics in
+    m.instructions <- m.instructions - n;
+    m.tier_fast_instrs <- m.tier_fast_instrs - n;
+    st.pc_abs <- next;
+    match plane with
+    | Mid -> Cost.dispatch_n st.cost (-n)
+    | Raw ->
+      Cost.block_bill st.cost ~instrs:(-n) ~reads:(-a.a_reads)
+        ~writes:(-a.a_writes);
+      m.local_refs <- m.local_refs - a.a_lrefs;
+      m.global_refs <- m.global_refs - a.a_grefs;
+      m.indirect_refs <- m.indirect_refs - a.a_irefs
+    | Bank ->
+      Cost.block_bill st.cost ~instrs:(-n) ~reads:(-a.a_g_reads)
+        ~writes:(-a.a_g_writes);
+      Cost.bank_ref_n st.cost (-a.a_lrefs);
+      m.local_refs <- m.local_refs - a.a_lrefs;
+      m.global_refs <- m.global_refs - a.a_grefs
+
 (* The fused fast path for a run of fusable instructions: a closure
    chain with peephole-collapsed idioms.  Side-effect order (variable
    reads, output, data refs) is exactly the interpreter's; elided stack
-   crossings apply [word] wherever a push would have truncated. *)
-let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
+   crossings apply [word] wherever a push would have truncated.  [tail]
+   is the number of instructions the batch counts after [ops]. *)
+let rec compile ~plane ~tail (ops : (int * Opcode.t * int) list) :
+    State.t -> unit =
   match ops with
   | [] -> stop
   (* LOAD a; LOAD b; CMP; Jcond — the compare-and-branch idiom *)
@@ -659,7 +699,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: (_, Sl n, _) :: rest
     when is_src o1 && is_src o2 && is_arith o3 ->
     let a = sval o1 and b = sval o2 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     (match plane with
     | Mid ->
       fun (st : State.t) ->
@@ -679,7 +719,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: (_, Sg n, _) :: rest
     when is_src o1 && is_src o2 && is_arith o3 ->
     let a = sval o1 and b = sval o2 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     (match plane with
     | Mid ->
       fun (st : State.t) ->
@@ -696,7 +736,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: rest
     when is_src o1 && is_src o2 && is_arith o3 ->
     let a = sval o1 and b = sval o2 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       let av = load ~plane st a in
       let bv = load ~plane st b in
@@ -705,7 +745,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   (* LOAD b; ARITH — left operand from the stack *)
   | (_, o1, _) :: (_, o2, _) :: rest when is_src o1 && is_arith o2 ->
     let b = sval o1 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       let bv = load ~plane st b in
       let av = Eval_stack.unsafe_pop st.stack in
@@ -714,7 +754,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   (* LOAD; store — straight-through variable copy *)
   | (_, o1, _) :: (_, Sl n, _) :: rest when is_src o1 ->
     let a = sval o1 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     (match plane with
     | Mid ->
       fun (st : State.t) ->
@@ -731,7 +771,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
         k st)
   | (_, o1, _) :: (_, Sg n, _) :: rest when is_src o1 ->
     let a = sval o1 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     (match plane with
     | Mid ->
       fun (st : State.t) ->
@@ -753,7 +793,7 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   (* LOAD a; LOAD b — paired pushes (argument staging before a call) *)
   | (_, o1, _) :: (_, o2, _) :: rest when is_src o1 && is_src o2 ->
     let a = sval o1 and b = sval o2 in
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       Eval_stack.unsafe_push st.stack (load ~plane st a);
       Eval_stack.unsafe_push st.stack (load ~plane st b);
@@ -761,12 +801,23 @@ let rec compile ~plane (ops : (int * Opcode.t * int) list) : State.t -> unit =
   (* A followed jump mid-chain: the jump's accounting without the PC
      move — the successor closure is the target's code. *)
   | (_, J _, _) :: (_ :: _ as rest) ->
-    let k = compile ~plane rest in
+    let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       st.metrics.jumps_taken <- st.metrics.jumps_taken + 1;
       Cost.jump st.cost;
       k st
-  | o :: rest -> compile_one ~plane o (compile ~plane rest)
+  | ((pc, op, len) as o) :: rest when is_dynamic op ->
+    let access = compile_one ~plane o stop in
+    let undo = unbill ~plane ~tail ~next:(pc + len) rest in
+    let k = compile ~plane ~tail rest in
+    fun (st : State.t) ->
+      (match access st with
+      | () -> ()
+      | exception Invalid_argument msg ->
+        undo st;
+        invalid_arg msg);
+      k st
+  | o :: rest -> compile_one ~plane o (compile ~plane ~tail rest)
 
 (* ------------------------------------------------------------------ *)
 (* Exact chains: per-instruction accounting identical to [Interp.step]
@@ -900,8 +951,9 @@ let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
 
 (* The bank-plane variant of a batch, or its metered fallback when the
    shape can never qualify (no static-Ll/Sl local traffic to hoist). *)
-let compile_bank ~(a : acct) ops ~fallback =
-  if a.a_bankable && a.a_lrefs > 0 then compile ~plane:Bank ops else fallback
+let compile_bank ~(a : acct) ~tail ops ~fallback =
+  if a.a_bankable && a.a_lrefs > 0 then compile ~plane:Bank ~tail ops
+  else fallback
 
 (* ------------------------------------------------------------------ *)
 (* Cross-call fusion: splicing a known-leaf callee into the call site.
@@ -941,13 +993,13 @@ let compile_callee t ~entry_pc =
   | Some (body, ret_pc, ret_len) ->
     let need, maxd = guard_params body in
     let a = acct_of body in
-    let body_mid = compile ~plane:Mid body in
+    let body_mid = compile ~plane:Mid ~tail:1 body in
     let batch = List.length body + 1 in
     let run =
       charge_and_run ~batch
         ~super:(if batch >= 2 then batch else 0)
-        ~a ~fused_mid:body_mid ~fused_raw:(compile ~plane:Raw body)
-        ~fused_bank:(compile_bank ~a body ~fallback:body_mid)
+        ~a ~fused_mid:body_mid ~fused_raw:(compile ~plane:Raw ~tail:1 body)
+        ~fused_bank:(compile_bank ~a ~tail:1 body ~fallback:body_mid)
     in
     let p_end = ret_pc + ret_len in
     let cont (st : State.t) =
@@ -1434,16 +1486,16 @@ let build_node t ops : int * bool * (State.t -> unit) =
         let fail = if first then exact_head else stop in
         let need, maxd = guard_params fusable in
         let a = acct_of fusable in
-        let fused_mid = compile ~plane:Mid fusable in
-        let fused_raw = compile ~plane:Raw fusable in
-        let fused_bank = compile_bank ~a fusable ~fallback:fused_mid in
         (* The follower joins the batch: the interpreter counts an
            instruction before executing it, so pre-counting leaves every
            meter exactly right even if the follower traps — but its PC
            must be exact, so it runs after the fused prefix, never
            inside it. *)
-        let joined = match follower with F_end -> false | _ -> true in
-        let batch = if joined then f + 1 else f in
+        let tail = match follower with F_end -> 0 | _ -> 1 in
+        let fused_mid = compile ~plane:Mid ~tail fusable in
+        let fused_raw = compile ~plane:Raw ~tail fusable in
+        let fused_bank = compile_bank ~a ~tail fusable ~fallback:fused_mid in
+        let batch = f + tail in
         let super = if batch >= 2 then batch else 0 in
         if super > 0 then any_super := true;
         let run =

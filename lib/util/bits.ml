@@ -1,4 +1,4 @@
-let mask width =
+let[@inline] mask width =
   if width < 0 || width > 62 then invalid_arg "Bits.mask";
   (1 lsl width) - 1
 
@@ -12,7 +12,7 @@ let set ~word ~pos ~width v =
       (Printf.sprintf "Bits.set: value %d does not fit in %d bits" v width);
   word land lnot (mask width lsl pos) lor (v lsl pos)
 
-let signed_of_unsigned ~width v =
+let[@inline] signed_of_unsigned ~width v =
   let v = v land mask width in
   if v land (1 lsl (width - 1)) <> 0 then v - (1 lsl width) else v
 

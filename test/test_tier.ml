@@ -277,6 +277,84 @@ let test_code_region_writes () =
   Alcotest.(check bool) "retargeted call changed the output" true
     (output_with retarget_ev <> output_with ignore)
 
+(* ---- storage accesses past the end of the store ---- *)
+
+(* A computed index can carry a global or frame-array access past the
+   64K-word store: [k] is 65535, built by a call and word arithmetic, so
+   neither tier can see it at translate time.  Memory's bounds check then
+   raises [Invalid_argument], which aborts the job.  Both tiers must
+   abort at the same access with the same message and the same meters
+   (the reference is charged before the check, the references after it
+   are not, though the tier billed them with the batch), on every
+   engine, with devirt on and off.  This pins what the inlined accessors
+   keep. *)
+let out_of_range_src access =
+  Printf.sprintf
+    {|
+MODULE Main;
+VAR g: ARRAY 4 OF INT;
+VAR k: INT;
+PROC f(n: INT): INT =
+  RETURN n + 1;
+END;
+PROC main() =
+  VAR a: ARRAY 4 OF INT;
+  a[0] := f(g[0]);
+  k := f(30000) + 29999 + 5535;
+  OUTPUT f(k) + a[0];
+  %s
+  OUTPUT f(2);
+END;
+END;
+|}
+    access
+
+let run_to_abort ~tier ~devirt ~engine source =
+  let image = image_for ~devirt ~engine source in
+  let st = boot ~engine image in
+  let result =
+    match
+      if tier then
+        Fpc_tier.Tier.run ~max_steps:2_000_000
+          (fst (Fpc_tier.Tier.of_image image))
+          st
+      else Fpc_interp.Interp.run ~max_steps:2_000_000 st
+    with
+    | () -> Ok ()
+    | exception Invalid_argument m -> Error m
+  in
+  (result, observe st)
+
+let test_out_of_range_storage () =
+  List.iter
+    (fun (name, access, prefix) ->
+      List.iter
+        (fun devirt ->
+          List.iter
+            (fun (en, engine) ->
+              let source = out_of_range_src access in
+              let label = Printf.sprintf "%s/%s/devirt=%b" name en devirt in
+              let ((result, _) as reference) =
+                run_to_abort ~tier:false ~devirt ~engine source
+              in
+              (match result with
+              | Error m when String.starts_with ~prefix m -> ()
+              | Error m -> Alcotest.failf "%s: unexpected error %S" label m
+              | Ok () -> Alcotest.failf "%s: ran past the store" label);
+              let got = run_to_abort ~tier:true ~devirt ~engine source in
+              Alcotest.(check (result unit string))
+                (label ^ ": same error") result (fst got);
+              Alcotest.(check bool) (label ^ ": tier == interp") true
+                (got = reference))
+            (engines ()))
+        [ false; true ])
+    [
+      ("global-read", "OUTPUT g[k] + k;", "Memory.peek: address ");
+      ("global-write", "g[k] := 7; k := k + 1;", "Memory.poke: address ");
+      ("frame-read", "OUTPUT a[k] + a[0];", "Memory.peek: address ");
+      ("frame-write", "a[k] := k; a[1] := k;", "Memory.poke: address ");
+    ]
+
 (* ---- fuel expiry and slicing ---- *)
 
 let infinite_loop_src =
@@ -638,6 +716,8 @@ let () =
             test_frame_heap_exhaustion;
           Alcotest.test_case "programs writing their code region" `Quick
             test_code_region_writes;
+          Alcotest.test_case "storage access past the store" `Quick
+            test_out_of_range_storage;
           Alcotest.test_case "fuel exhaustion at exact budgets" `Quick
             test_fuel_exhaustion_equivalence;
           Alcotest.test_case "sliced resume (deadline path)" `Quick

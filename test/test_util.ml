@@ -179,6 +179,20 @@ let test_cells () =
   Alcotest.(check string) "ratio" "1.33x" (Tablefmt.cell_ratio 1.3333);
   Alcotest.(check string) "float" "2.50" (Tablefmt.cell_float 2.5)
 
+(* The host clock is monotonic: no read is earlier than the one before
+   it, and a sleep shows up in full. *)
+let test_clock_monotonic () =
+  let prev = ref (Clock.now ()) in
+  for _ = 1 to 100_000 do
+    let t = Clock.now () in
+    if t < !prev then Alcotest.failf "clock went back: %.9f after %.9f" t !prev;
+    prev := t
+  done;
+  let t0 = Clock.now () in
+  Unix.sleepf 0.010;
+  let dt = Clock.now () -. t0 in
+  if dt < 0.010 then Alcotest.failf "a 10 ms sleep advanced the clock by %.6f s" dt
+
 let () =
   Alcotest.run "util"
     [
@@ -215,4 +229,5 @@ let () =
           Alcotest.test_case "row mismatch" `Quick test_table_mismatch;
           Alcotest.test_case "cell formatting" `Quick test_cells;
         ] );
+      ("clock", [ Alcotest.test_case "monotonic" `Quick test_clock_monotonic ]);
     ]
