@@ -240,7 +240,7 @@ let create ?tracer ~image ~engine () =
     simple;
     rstack;
     banks;
-    free_frames = Array.make (max 0 engine.Engine.free_frame_stack_depth) 0;
+    free_frames = Array.make (Int.max 0 engine.Engine.free_frame_stack_depth) 0;
     ff_top = 0;
     ff_fsi;
     lf = 0;
@@ -376,10 +376,11 @@ let[@inline] data_write t ~addr v =
   | None -> Memory.write t.mem addr v
 
 (* Depth and run-length bookkeeping for calls (+1) and returns (-1): the
-   section 7.1 locality measurements. *)
-let note_transfer_direction t dir =
+   section 7.1 locality measurements.  Runs on every call and return, so
+   it is inlined and compares ints only. *)
+let[@inline] note_transfer_direction t dir =
   let m = t.metrics in
-  m.call_depth <- max 0 (m.call_depth + dir);
+  m.call_depth <- Int.max 0 (m.call_depth + dir);
   Fpc_util.Histogram.add t.depth_hist m.call_depth;
   if m.run_dir = dir then m.run_length <- m.run_length + 1
   else begin

@@ -77,7 +77,7 @@ let reset t =
   for i = 0 to Size_class.class_count t.ladder - 1 do
     Memory.poke t.mem (t.av_base + i) 0
   done;
-  Array.fill t.live 0 (min (Array.length t.live) (((t.wilderness - t.heap_base) lsr 2) + 1)) (-1);
+  Array.fill t.live 0 (Int.min (Array.length t.live) (((t.wilderness - t.heap_base) lsr 2) + 1)) (-1);
   t.live_blocks <- 0;
   t.wilderness <- t.heap_base;
   t.fast_allocs <- 0;
@@ -105,7 +105,7 @@ let replenish t ~cost ~fsi =
   let words = Size_class.block_words t.ladder fsi in
   (* Batch small classes generously, rare big ones sparingly: the software
      allocator balances pool space against trap frequency. *)
-  let batch = max 1 (min t.replenish_count (2048 / words)) in
+  let batch = Int.max 1 (Int.min t.replenish_count (2048 / words)) in
   for _ = 1 to batch do
     let block = carve t ~fsi in
     let head = Memory.peek t.mem (t.av_base + fsi) in

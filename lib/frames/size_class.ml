@@ -7,7 +7,7 @@ let make ?(min_words = 8) ?(growth = 1.2) ?(max_words = 2048) () =
   if growth <= 1.0 then invalid_arg "Size_class.make: growth must exceed 1";
   let rec build acc exact =
     let size = round_up_quad (int_of_float (ceil exact)) in
-    let size = max size (match acc with [] -> 0 | s :: _ -> s + 4) in
+    let size = Int.max size (match acc with [] -> 0 | s :: _ -> s + 4) in
     if size >= max_words then List.rev (round_up_quad max_words :: acc)
     else build (size :: acc) (exact *. growth)
   in
@@ -16,7 +16,8 @@ let make ?(min_words = 8) ?(growth = 1.2) ?(max_words = 2048) () =
 let default = make ()
 let class_count t = Array.length t.sizes
 
-let block_words t fsi =
+(* On every frame allocation and free: inlined, range check included. *)
+let[@inline] block_words t fsi =
   if fsi < 0 || fsi >= Array.length t.sizes then
     invalid_arg (Printf.sprintf "Size_class.block_words: index %d out of range" fsi);
   t.sizes.(fsi)

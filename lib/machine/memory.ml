@@ -85,7 +85,7 @@ let reset_from t ~pristine =
   for page = 0 to Bytes.length t.dirty - 1 do
     if Bytes.unsafe_get t.dirty page <> '\000' then begin
       let base = page lsl page_words_log2 in
-      let len = min page_words (t.words - base) in
+      let len = Int.min page_words (t.words - base) in
       Bytes.blit pristine.store (2 * base) t.store (2 * base) (2 * len);
       Bytes.unsafe_set t.dirty page '\000'
     end

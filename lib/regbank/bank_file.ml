@@ -110,6 +110,14 @@ let create ?(config = default_config) ~mem ~cost ~ladder () =
     on_event = None;
   }
 
+(* A loop rather than [Array.fill]: several banks are cleared per I4 call
+   and return, and [Array.fill] leaves OCaml for a C call each time. *)
+let[@inline] clear_dirty bank =
+  let d = bank.dirty in
+  for i = 0 to Array.length d - 1 do
+    d.(i) <- false
+  done
+
 let config t = t.cfg
 let set_on_event t f = t.on_event <- f
 
@@ -119,7 +127,7 @@ let reset t =
       b.owner <- owner_free;
       b.shadow_len <- 0;
       b.age <- 0;
-      Array.fill b.dirty 0 (Array.length b.dirty) false)
+      clear_dirty b)
     t.banks;
   Hashtbl.reset t.flagged;
   t.stack_bank <- -1;
@@ -181,7 +189,7 @@ let detach t bank =
   if bank.owner = owner_stack && t.stack_bank = bank.id then t.stack_bank <- -1;
   bank.owner <- owner_free;
   bank.shadow_len <- 0;
-  Array.fill bank.dirty 0 (Array.length bank.dirty) false
+  clear_dirty bank
 
 (* Find a bank to use: a free one, else evict the oldest local bank.  The
    current stack bank is never a victim.  Raises if every bank is the
@@ -218,12 +226,12 @@ let acquire t =
     end
   end
 
-let shadow_len_for t ~payload_words = min t.cfg.bank_words payload_words
+let shadow_len_for t ~payload_words = Int.min t.cfg.bank_words payload_words
 
 let assign t bank ~lf ~payload_words =
   bank.owner <- lf;
   bank.shadow_len <- shadow_len_for t ~payload_words;
-  Array.fill bank.dirty 0 (Array.length bank.dirty) false;
+  clear_dirty bank;
   bank.age <- tick t
 
 (* [on_call_n] is the transfer engine's entry point: a plain [nargs]

@@ -62,6 +62,14 @@ val cache : t -> Image_cache.t
 val started_at : t -> float
 (** {!Fpc_util.Clock.now} at pool creation (for wall-time reporting). *)
 
+val execute : ?arena:Arena.t -> Image_cache.t -> int -> Job.spec -> Job.result
+(** [execute ?arena cache id spec] runs one job on the calling thread and
+    returns its result with id [id]: exactly what a worker does with each
+    spec it dequeues, through [cache] and, when given, the worker-private
+    [arena].  Never raises; every failure is a [Job.Failed] result.  A
+    pool is not needed: this is how a profiler or a benchmark runs the
+    worker's code on one thread. *)
+
 val submit : t -> Job.spec -> int
 (** Enqueue a job; returns its id (dense, starting at 0).  Raises
     [Invalid_argument] after {!shutdown}. *)

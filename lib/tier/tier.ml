@@ -8,8 +8,8 @@ module Gft = Fpc_mesa.Gft
 module Bank_file = Fpc_regbank.Bank_file
 module Interp = Fpc_interp.Interp
 
-let word = Fpc_util.Bits.to_word
-let signed v = Fpc_util.Bits.signed_of_unsigned ~width:16 v
+let[@inline] word v = Fpc_util.Bits.to_word v
+let[@inline] signed v = Fpc_util.Bits.signed_of_unsigned ~width:16 v
 
 (* A node covers the straight-line block starting at its boundary: at
    most [block_cap] instructions, ending early at a terminator (anything
@@ -308,7 +308,7 @@ let sval_of (op : Opcode.t) =
 let is_src op = sval_of op <> None
 let sval op = match sval_of op with Some s -> s | None -> assert false
 
-let load ~plane (st : State.t) = function
+let[@inline] load ~plane (st : State.t) = function
   | Sconst n -> n
   | Slocal n -> (
     match plane with
@@ -324,8 +324,9 @@ let load ~plane (st : State.t) = function
    translation-time constant, so each call is a direct entry into a
    short jump table — where calling a stored [int -> int -> int]
    closure would go through the runtime's unknown-arity apply path on
-   every fused ALU op (measurably hot on the call-dense kernels). *)
-let exec_arith (op : Opcode.t) a b =
+   every fused ALU op (measurably hot on the call-dense kernels).  Both
+   are inlined into each fused closure. *)
+let[@inline] exec_arith (op : Opcode.t) a b =
   match op with
   | Add -> word (signed a + signed b)
   | Sub -> word (signed a - signed b)
@@ -338,7 +339,7 @@ let exec_arith (op : Opcode.t) a b =
 let is_arith (op : Opcode.t) =
   match op with Add | Sub | Mul | Band | Bor | Bxor -> true | _ -> false
 
-let exec_cmp (op : Opcode.t) a b =
+let[@inline] exec_cmp (op : Opcode.t) a b =
   match op with
   | Lt -> signed a < signed b
   | Le -> signed a <= signed b
@@ -661,11 +662,13 @@ let unbill ~plane ~tail ~next rest =
    chain with peephole-collapsed idioms.  Side-effect order (variable
    reads, output, data refs) is exactly the interpreter's; elided stack
    crossings apply [word] wherever a push would have truncated.  [tail]
-   is the number of instructions the batch counts after [ops]. *)
-let rec compile ~plane ~tail (ops : (int * Opcode.t * int) list) :
-    State.t -> unit =
+   is the number of instructions the batch counts after [ops], and
+   [last] runs them: the chain's final closure calls it. *)
+let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
+    : State.t -> unit =
+  let compile ~plane ~tail ops = compile ~plane ~tail ~last ops in
   match ops with
-  | [] -> stop
+  | [] -> last
   (* LOAD a; LOAD b; CMP; Jcond — the compare-and-branch idiom *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: [ (jp, jop, _) ]
     when is_src o1 && is_src o2 && is_cmp o3 && is_cond jop ->
@@ -897,14 +900,27 @@ let has_data_trace (st : State.t) =
      covering the highest offset — every local access would have hit
      the bank and every global access the store, so the bill is the
      globals' storage references plus one batch of bank references;
-   - metered ([Mid]): everything else — each reference charges itself.
+   - metered ([Mid]): everything else — each reference charges itself —
+     as long as every static address is in range.
+
+   A static address past the store (only hand-made code holds one)
+   would abort the batch after it was counted, with the rest of it
+   billed.  Such a batch is not counted at all: [bail] runs instead,
+   and takes the machine through the exact per-instruction path, which
+   aborts where the interpreter does.  The bounds are the ones the
+   prepaid storage plane checks anyway.
 
    Within a batch nothing changes bank ownership or window sizes (the
    ops are pure), so residency checked at the head holds for every
    access, and the batched bill equals the interpreter's per-access sum
    exactly. *)
+let[@inline] count_batch (m : State.metrics) ~batch ~super =
+  m.instructions <- m.instructions + batch;
+  m.tier_fast_instrs <- m.tier_fast_instrs + batch;
+  m.tier_super_instrs <- m.tier_super_instrs + super
+
 let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
-    =
+    ~bail =
   let reads = a.a_reads and writes = a.a_writes in
   let g_reads = a.a_g_reads and g_writes = a.a_g_writes in
   let lrefs = a.a_lrefs and grefs = a.a_grefs and irefs = a.a_irefs in
@@ -913,18 +929,16 @@ let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
   let bankable = a.a_bankable && lrefs > 0 in
   fun (st : State.t) ->
     let m = st.metrics in
-    m.instructions <- m.instructions + batch;
-    m.tier_fast_instrs <- m.tier_fast_instrs + batch;
-    m.tier_super_instrs <- m.tier_super_instrs + super;
     let sz = Memory.size st.mem in
     let trace_free = not (has_data_trace st) in
+    let locals_ok = max_l < 0 || st.lf + max_l < sz in
     let globals_ok = max_g < 0 || st.gf + Image.global_base + max_g < sz in
     if
       trace_free
       && ((not no_banks) || not (has_banks st))
-      && (max_l < 0 || st.lf + max_l < sz)
-      && globals_ok
+      && locals_ok && globals_ok
     then begin
+      count_batch m ~batch ~super;
       Cost.block_bill st.cost ~instrs:batch ~reads ~writes;
       m.local_refs <- m.local_refs + lrefs;
       m.global_refs <- m.global_refs + grefs;
@@ -938,21 +952,24 @@ let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
       | Some bf -> max_l < Bank_file.resident_len bf ~lf:st.lf
       | None -> false
     then begin
+      count_batch m ~batch ~super;
       Cost.block_bill st.cost ~instrs:batch ~reads:g_reads ~writes:g_writes;
       Cost.bank_ref_n st.cost lrefs;
       m.local_refs <- m.local_refs + lrefs;
       m.global_refs <- m.global_refs + grefs;
       fused_bank st
     end
-    else begin
+    else if locals_ok && globals_ok then begin
+      count_batch m ~batch ~super;
       Cost.dispatch_n st.cost batch;
       fused_mid st
     end
+    else bail st
 
 (* The bank-plane variant of a batch, or its metered fallback when the
    shape can never qualify (no static-Ll/Sl local traffic to hoist). *)
-let compile_bank ~(a : acct) ~tail ops ~fallback =
-  if a.a_bankable && a.a_lrefs > 0 then compile ~plane:Bank ~tail ops
+let compile_bank ~(a : acct) ~tail ?last ops ~fallback =
+  if a.a_bankable && a.a_lrefs > 0 then compile ~plane:Bank ~tail ?last ops
   else fallback
 
 (* ------------------------------------------------------------------ *)
@@ -986,31 +1003,36 @@ let leaf_body t ~entry_pc =
 
 (* The spliced continuation for a leaf entered at [entry_pc], with the
    instruction count it can retire: depth guard, the charged body batch
-   (the RETURN joins it), then the RETURN's transfer. *)
+   (the RETURN joins it), then the RETURN's transfer.  A failed guard, or
+   a batch that declines to run, leaves the machine at the callee's
+   entry boundary. *)
 let compile_callee t ~entry_pc =
   match leaf_body t ~entry_pc with
   | None -> None
   | Some (body, ret_pc, ret_len) ->
     let need, maxd = guard_params body in
     let a = acct_of body in
-    let body_mid = compile ~plane:Mid ~tail:1 body in
+    let ret (st : State.t) =
+      st.metrics.tier_fused_calls <- st.metrics.tier_fused_calls + 1;
+      Transfer.return_ st
+    in
+    let body_mid = compile ~plane:Mid ~tail:1 ~last:ret body in
     let batch = List.length body + 1 in
     let run =
       charge_and_run ~batch
         ~super:(if batch >= 2 then batch else 0)
-        ~a ~fused_mid:body_mid ~fused_raw:(compile ~plane:Raw ~tail:1 body)
-        ~fused_bank:(compile_bank ~a ~tail:1 body ~fallback:body_mid)
+        ~a ~fused_mid:body_mid
+        ~fused_raw:(compile ~plane:Raw ~tail:1 ~last:ret body)
+        ~fused_bank:(compile_bank ~a ~tail:1 ~last:ret body ~fallback:body_mid)
+        ~bail:(fun (st : State.t) -> st.pc_abs <- entry_pc)
     in
     let p_end = ret_pc + ret_len in
     let cont (st : State.t) =
       let d = Eval_stack.depth st.stack in
       if d >= need && d + maxd <= Eval_stack.capacity st.stack then begin
-        st.metrics.tier_fused_calls <- st.metrics.tier_fused_calls + 1;
         st.pc_abs <- p_end;
-        run st;
-        Transfer.return_ st
+        run st
       end
-      (* depth guard failed: stay at the callee's entry boundary *)
     in
     Some (cont, batch)
 
@@ -1491,15 +1513,27 @@ let build_node t ops : int * bool * (State.t -> unit) =
            meter exactly right even if the follower traps — but its PC
            must be exact, so it runs after the fused prefix, never
            inside it. *)
-        let tail = match follower with F_end -> 0 | _ -> 1 in
-        let fused_mid = compile ~plane:Mid ~tail fusable in
-        let fused_raw = compile ~plane:Raw ~tail fusable in
-        let fused_bank = compile_bank ~a ~tail fusable ~fallback:fused_mid in
+        let tail, last =
+          match follower with F_end -> (0, stop) | _ -> (1, tail_fn)
+        in
+        let fused_mid = compile ~plane:Mid ~tail ~last fusable in
+        let fused_raw = compile ~plane:Raw ~tail ~last fusable in
+        let fused_bank =
+          compile_bank ~a ~tail ~last fusable ~fallback:fused_mid
+        in
         let batch = f + tail in
         let super = if batch >= 2 then batch else 0 in
         if super > 0 then any_super := true;
+        (* A batch that declines to run leaves the machine on its first
+           instruction, where the depth guard's failure would. *)
+        let pc_first =
+          match fusable with (pc, _, _) :: _ -> pc | [] -> assert false
+        in
         let run =
           charge_and_run ~batch ~super ~a ~fused_mid ~fused_raw ~fused_bank
+            ~bail:(fun (st : State.t) ->
+              st.pc_abs <- pc_first;
+              fail st)
         in
         match follower with
         | F_end ->
@@ -1521,10 +1555,8 @@ let build_node t ops : int * bool * (State.t -> unit) =
         | _ ->
           fun (st : State.t) ->
             let d = Eval_stack.depth st.stack in
-            if d >= need && d + maxd <= Eval_stack.capacity st.stack then begin
-              run st;
-              tail_fn st
-            end
+            if d >= need && d + maxd <= Eval_stack.capacity st.stack then
+              run st
             else fail st
       end
   in

@@ -24,7 +24,7 @@ let unsigned_of_signed ~width v =
   v land mask width
 
 let word_mask = 0xFFFF
-let to_word v = v land word_mask
+let[@inline] to_word v = v land word_mask
 let byte_high w = (w lsr 8) land 0xFF
 let byte_low w = w land 0xFF
 let word_of_bytes ~high ~low = ((high land 0xFF) lsl 8) lor (low land 0xFF)

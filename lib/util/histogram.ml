@@ -17,16 +17,22 @@ let create () =
 
 let add_many t v ~count =
   if count < 0 then invalid_arg "Histogram.add_many: negative count";
-  if v >= 0 && v < dense_limit then t.dense.(v) <- t.dense.(v) + count
-  else begin
-    match Hashtbl.find_opt t.sparse v with
-    | Some r -> r := !r + count
-    | None -> Hashtbl.add t.sparse v (ref count)
-  end;
-  t.count <- t.count + count;
-  t.total <- t.total + (v * count)
+  (* Zero observations leave no trace: a sparse entry of count 0 would
+     show in [to_sorted_list] and [min_value]/[max_value]. *)
+  if count > 0 then begin
+    if v >= 0 && v < dense_limit then t.dense.(v) <- t.dense.(v) + count
+    else begin
+      match Hashtbl.find_opt t.sparse v with
+      | Some r -> r := !r + count
+      | None -> Hashtbl.add t.sparse v (ref count)
+    end;
+    t.count <- t.count + count;
+    t.total <- t.total + (v * count)
+  end
 
-let add t v =
+(* Inlined into the per-transfer bookkeeping; the sparse fallback stays
+   one out-of-line call. *)
+let[@inline] add t v =
   if v >= 0 && v < dense_limit then begin
     t.dense.(v) <- t.dense.(v) + 1;
     t.count <- t.count + 1;
@@ -78,7 +84,7 @@ let fraction_le t v =
   if t.count = 0 then 0.0
   else begin
     let seen = ref 0 in
-    for value = 0 to min (dense_limit - 1) v do
+    for value = 0 to Int.min (dense_limit - 1) v do
       seen := !seen + t.dense.(value)
     done;
     Hashtbl.iter (fun value r -> if value <= v then seen := !seen + !r) t.sparse;

@@ -23,12 +23,17 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
+(* The C primitive that [Printf]'s [%g] conversions end in, called
+   directly: every reply renders its host times through here, and
+   [Printf.sprintf] interprets its format on each call first. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let float_repr f =
   if not (Float.is_finite f) then "null"
   else
     (* shortest representation that round-trips *)
-    let s = Printf.sprintf "%.12g" f in
-    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+    let s = format_float "%.12g" f in
+    if float_of_string s = f then s else format_float "%.17g" f
 
 let rec to_buffer buf v =
   match v with

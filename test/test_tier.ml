@@ -309,8 +309,7 @@ END;
 |}
     access
 
-let run_to_abort ~tier ~devirt ~engine source =
-  let image = image_for ~devirt ~engine source in
+let run_image_to_abort ~tier ~engine image =
   let st = boot ~engine image in
   let result =
     match
@@ -324,6 +323,9 @@ let run_to_abort ~tier ~devirt ~engine source =
     | exception Invalid_argument m -> Error m
   in
   (result, observe st)
+
+let run_to_abort ~tier ~devirt ~engine source =
+  run_image_to_abort ~tier ~engine (image_for ~devirt ~engine source)
 
 let test_out_of_range_storage () =
   List.iter
@@ -354,6 +356,126 @@ let test_out_of_range_storage () =
       ("frame-read", "OUTPUT a[k] + a[0];", "Memory.peek: address ");
       ("frame-write", "a[k] := k; a[1] := k;", "Memory.poke: address ");
     ]
+
+(* A static LL/SL/LG/SG offset is at most 255 words, and the compiler
+   only emits offsets inside the frame or global frame, so a static
+   access past the store needs hand-made code and a context near the top
+   of storage.  Here [main] XFERs to a frame context planted at
+   [top_lf], whose saved PC is [target]'s first instruction and whose
+   saved global frame is the real one or a copy at [top_gf].  [target]
+   is one straight-line batch: work before the access, the access, work
+   after it.  Or a call to [leaf], a known leaf the tier splices into
+   the call site, comes first; with the planted global frame, the
+   leaf's own global read is the one past the store.  The interpreter
+   stops having counted and charged up to and including the aborting
+   access; the tier must not have counted the rest of its batch. *)
+let top_lf = 65536 - 64
+let top_gf = 65536 - 40
+
+let static_past_store_image ~engine ~devirt ~fake_gf access =
+  let open Fpc_isa in
+  let proc name ~locals ops =
+    let b = Builder.create () in
+    List.iter (Builder.emit b) ops;
+    {
+      Fpc_mesa.Compiled.p_name = name;
+      p_body = Builder.to_bytes b;
+      p_locals_words = locals;
+      p_nargs = 0;
+      p_dfc_fixups = [];
+      p_lpd_fixups = [];
+      p_efc_sites = [];
+    }
+  in
+  let target =
+    Opcode.([ Li 7; Sl 1; Ll 1; Out; Li 3; Sg 1 ] @ access @ [ Li 9; Out; Halt ])
+  in
+  let m =
+    {
+      Fpc_mesa.Compiled.m_name = "Main";
+      m_globals_words = 4;
+      m_global_init = [];
+      m_imports = [||];
+      m_procs =
+        [
+          proc "main" ~locals:0 Opcode.[ Li top_lf; Xf; Halt ];
+          proc "target" ~locals:4 target;
+          proc "leaf" ~locals:0 Opcode.[ Lg 1; Lg 60; Add; Ret ];
+        ];
+    }
+  in
+  let linkage = (Fpc_compiler.Convention.for_engine engine).linkage in
+  let image =
+    match Fpc_mesa.Linker.link ~linkage ~devirt [ m ] with
+    | Ok image -> image
+    | Error e -> Alcotest.fail ("link: " ^ e)
+  in
+  if devirt then ignore (Fpc_cfa.Cfa.devirtualize image);
+  let module Image = Fpc_mesa.Image in
+  let mem = image.Image.mem in
+  let ii = Image.find_instance image "Main" in
+  let pi = Image.find_proc image ~instance:"Main" ~proc:"target" in
+  let gf = if fake_gf then top_gf else ii.Image.ii_gf_addr in
+  if fake_gf then begin
+    Fpc_machine.Memory.poke mem top_gf ii.Image.ii_code_base;
+    Fpc_machine.Memory.poke mem (top_gf + 1) ii.Image.ii_lv_base
+  end;
+  let module Frame = Fpc_frames.Frame in
+  Fpc_machine.Memory.poke mem (top_lf + Frame.off_fsi) pi.Image.pi_fsi;
+  Fpc_machine.Memory.poke mem (top_lf + Frame.off_pc)
+    (pi.Image.pi_entry_offset + 1);
+  Fpc_machine.Memory.poke mem (top_lf + Frame.off_return_link) 0;
+  Fpc_machine.Memory.poke mem (top_lf + Frame.off_global_frame) gf;
+  image
+
+(* I1 resolves a LOCALCALL through a table keyed by the global frame,
+   and the planted copy names no instance: the lookup's [Not_found]
+   escapes the interpreter (a robustness gap on ROADMAP), so the leaf
+   case skips I1. *)
+let test_static_past_store () =
+  List.iter
+    (fun (name, fake_gf, access) ->
+      List.iter
+        (fun devirt ->
+          List.iter
+            (fun (en, engine) ->
+              if not (name = "LG-leaf" && en = "i1") then begin
+                let label = Printf.sprintf "%s/%s/devirt=%b" name en devirt in
+                let image () =
+                  static_past_store_image ~engine ~devirt ~fake_gf access
+                in
+                let ((result, (o, _)) as reference) =
+                  run_image_to_abort ~tier:false ~engine (image ())
+                in
+                (match result with
+                | Error m when String.starts_with ~prefix:"Memory." m -> ()
+                | Error m -> Alcotest.failf "%s: unexpected error %S" label m
+                | Ok () -> Alcotest.failf "%s: ran past the store" label);
+                Alcotest.(check (list int))
+                  (label ^ ": output before the access") [ 7 ]
+                  o.Fpc_interp.Interp.o_output;
+                let got = run_image_to_abort ~tier:true ~engine (image ()) in
+                Alcotest.(check (result unit string))
+                  (label ^ ": same error") result (fst got);
+                Alcotest.(check bool) (label ^ ": tier == interp") true
+                  (got = reference)
+              end)
+            (engines ()))
+        [ false; true ])
+    Fpc_isa.Opcode.
+      [
+        ("LL", false, [ Ll 100; Sl 2 ]);
+        ("LL-arith", false, [ Ll 1; Ll 100; Add; Sl 2 ]);
+        ("LL-out", false, [ Ll 100; Out ]);
+        ("LL-after-call", false, [ Lfc 2; Drop; Ll 100; Out ]);
+        ("SL", false, [ Li 5; Sl 100 ]);
+        ("SL-arith", false, [ Ll 1; Li 2; Add; Sl 100 ]);
+        ("LG", true, [ Lg 60; Sl 2 ]);
+        ("LG-out", true, [ Lg 1; Lg 60; Add; Out ]);
+        ("SG", true, [ Li 5; Sg 60 ]);
+        ("SG-arith", true, [ Lg 1; Li 2; Add; Sg 60 ]);
+        ("LG-leaf", true, [ Lfc 2; Out ]);
+      ]
 
 (* ---- fuel expiry and slicing ---- *)
 
@@ -717,7 +839,9 @@ let () =
           Alcotest.test_case "programs writing their code region" `Quick
             test_code_region_writes;
           Alcotest.test_case "storage access past the store" `Quick
-            test_out_of_range_storage;
+            (fun () ->
+              test_out_of_range_storage ();
+              test_static_past_store ());
           Alcotest.test_case "fuel exhaustion at exact budgets" `Quick
             test_fuel_exhaustion_equivalence;
           Alcotest.test_case "sliced resume (deadline path)" `Quick

@@ -193,6 +193,103 @@ let test_clock_monotonic () =
   let dt = Clock.now () -. t0 in
   if dt < 0.010 then Alcotest.failf "a 10 ms sleep advanced the clock by %.6f s" dt
 
+(* A model of every query over a plain list of observations. *)
+let prop_histogram_model =
+  QCheck.Test.make ~name:"histogram: matches a list model" ~count:300
+    QCheck.(
+      pair
+        (list_of_size (Gen.int_range 0 80) (int_range (-5) 600))
+        (list_of_size (Gen.int_range 0 6) (pair (int_range (-5) 600) (int_range 0 4))))
+    (fun (values, many) ->
+      let h = Histogram.create () in
+      (* a reset histogram must behave as a fresh one *)
+      List.iter (Histogram.add h) [ 3; -2; 512 ];
+      Histogram.reset h;
+      List.iter (Histogram.add h) values;
+      List.iter (fun (v, count) -> Histogram.add_many h v ~count) many;
+      let model =
+        List.sort compare
+          (values @ List.concat_map (fun (v, c) -> List.init c (fun _ -> v)) many)
+      in
+      let n = List.length model in
+      let total = List.fold_left ( + ) 0 model in
+      let grouped =
+        List.fold_left
+          (fun acc v ->
+            match acc with
+            | (w, c) :: rest when w = v -> (w, c + 1) :: rest
+            | _ -> (v, 1) :: acc)
+          [] model
+        |> List.rev
+      in
+      (* smallest v with at least p% of observations <= v *)
+      let model_percentile p =
+        let threshold = p /. 100.0 *. float_of_int n in
+        let rec scan seen = function
+          | [] -> List.nth model (n - 1)
+          | (v, c) :: rest ->
+            if float_of_int (seen + c) >= threshold then v else scan (seen + c) rest
+        in
+        scan 0 grouped
+      in
+      let fraction_le v =
+        if n = 0 then 0.0
+        else float_of_int (List.length (List.filter (fun x -> x <= v) model)) /. float_of_int n
+      in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      Histogram.count h = n
+      && Histogram.total h = total
+      && Histogram.mean h
+         = (if n = 0 then 0.0 else float_of_int total /. float_of_int n)
+      && Histogram.to_sorted_list h = grouped
+      && List.for_all (fun v -> Histogram.fraction_le h v = fraction_le v) [ -6; -5; 0; 7; 255; 256; 600 ]
+      && (if n = 0 then
+            raises (fun () -> Histogram.min_value h)
+            && raises (fun () -> Histogram.max_value h)
+            && raises (fun () -> Histogram.percentile h 50.0)
+          else
+            Histogram.min_value h = List.hd model
+            && Histogram.max_value h = List.nth model (n - 1)
+            && List.for_all
+                 (fun p -> Histogram.percentile h p = model_percentile p)
+                 [ 0.0; 1.0; 25.0; 50.0; 90.0; 99.0; 100.0 ])
+      &&
+      (Histogram.reset h;
+       Histogram.count h = 0 && Histogram.total h = 0 && Histogram.to_sorted_list h = []))
+
+(* ---- Jsonout ---- *)
+
+(* The [Printf] rendering [Jsonout] used before it called the C
+   primitive directly: the output must not change by a byte. *)
+let printf_float_repr f =
+  if not (Float.is_finite f) then "null"
+  else
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string s = f then s else Printf.sprintf "%.17g" f
+
+let gen_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        map Int64.float_of_bits ui64;
+        (* subnormals *)
+        map (fun i -> Int64.float_of_bits (Int64.of_int i)) (int_bound 0xFFFFFFF);
+        map float_of_int int;
+        map (fun (m, e) -> Float.ldexp m e) (pair float (int_range (-1100) 1100));
+        oneofl
+          [
+            0.0; -0.0; 1.0; -1.0; 0.1; 1.0 /. 3.0; 1e21; 1e22; 123456789012.0;
+            Float.max_float; -.Float.max_float; Float.min_float; 5e-324;
+            Float.infinity; Float.neg_infinity; Float.nan;
+          ];
+      ])
+
+let prop_float_repr =
+  QCheck.Test.make ~name:"jsonout: floats render as Printf did" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_float)
+    (fun f -> Jsonout.to_string (Jsonout.Float f) = printf_float_repr f)
+
 let () =
   Alcotest.run "util"
     [
@@ -222,7 +319,9 @@ let () =
           Alcotest.test_case "percentiles" `Quick test_histogram_percentiles;
           Alcotest.test_case "add_many" `Quick test_histogram_add_many;
           qtest prop_histogram_percentile_monotone;
+          qtest prop_histogram_model;
         ] );
+      ("jsonout", [ qtest prop_float_repr ]);
       ( "tablefmt",
         [
           Alcotest.test_case "render" `Quick test_table_render;
