@@ -2,18 +2,19 @@
 
    It runs the request shapes of bench/serve's serve-hot or
    serve-sessions workload on the main thread, through the worker's own
-   code: [Job.parse_request], [Pool.execute] with a 32-slot arena, and
-   the reply render.  No domains and no sockets are involved.  After an
-   untimed warm-up, a POSIX timer samples the instruction pointer every
-   100 us (prof_stubs.c), and the samples are mapped to functions with
-   [nm -n] and to source files with [addr2line].
+   code: [Job.parse_request], [Pool.execute] with the arena a worker
+   creates ([Pool.worker_arena]), and the reply render.  No domains and
+   no sockets are involved.  After an untimed warm-up, a POSIX timer
+   samples the instruction pointer every 100 us (prof_stubs.c), and the
+   samples are mapped to functions with [nm -n] and to source files
+   with [addr2line].
 
      dune build bench/prof/prof.exe
      ./_build/default/bench/prof/prof.exe --workload serve-hot --seed 1
 
-   It prints CPU us/job, then the top functions and source files as
-   percentages of samples.  With [--no-sample] it only times the jobs.
-   Linux x86-64 only. *)
+   It prints CPU us/job and the timed phase's arena hits and misses,
+   then the top functions and source files as percentages of samples.
+   With [--no-sample] it only times the jobs.  Linux x86-64 only. *)
 
 open Fpc_svc
 
@@ -266,20 +267,27 @@ let () =
   let jobs =
     if !jobs > 0 then !jobs else if !workload = "serve-sessions" then 1000 else 4000
   in
-  let cache = Image_cache.create () and arena = Arena.create ~capacity:32 () in
+  let cache = Image_cache.create () in
+  let arena = Pool.worker_arena cache in
   for _ = 1 to warmup_passes do
     Array.iteri (fun i line -> run_job cache arena i line) shapes
   done;
   let lines = Array.init jobs (pick shapes ~seed:!seed) in
   Gc.full_major ();
   if !sampling then start (interval_us * 1000);
+  let a0 = Arena.stats arena in
   let t0 = Sys.time () in
   Array.iteri (fun i line -> run_job cache arena i line) lines;
   let cpu = Sys.time () -. t0 in
   if !sampling then stop ();
+  let a1 = Arena.stats arena in
   Printf.printf "%s seed %d: %d jobs over %d shapes after %d warm-up pass(es)\n" !workload
     !seed jobs (Array.length shapes) warmup_passes;
   Printf.printf "cpu_s %.3f  us_per_job %.1f\n" cpu (1e6 *. cpu /. float_of_int jobs);
+  Printf.printf "arena hits %d misses %d images %d states %d\n"
+    (a1.Arena.hits - a0.Arena.hits)
+    (a1.Arena.misses - a0.Arena.misses)
+    a1.Arena.images a1.Arena.states;
   if !sampling then begin
     Printf.printf "samples %d every %d us (%d dropped)\n" (count ()) interval_us (dropped ());
     report ~top:!top

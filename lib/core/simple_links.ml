@@ -2,12 +2,10 @@ open Fpc_machine
 open Fpc_mesa
 
 type t = {
-  slv : (string, int) Hashtbl.t;
-  sev : (string, int) Hashtbl.t;
-  by_gf : (int, string) Hashtbl.t;
+  slv : (string, int) Hashtbl.t;  (** instance -> import-table base *)
   slv_by_gf : (int, int) Hashtbl.t;
-      (** gf -> import-table base: the int-keyed index the per-call guard
-          peeks through (one int hash instead of two string hashes) *)
+      (** gf -> import-table base: the int-keyed index every per-call
+          resolution goes through (one int hash, no string) *)
   sev_by_gf : (int, int) Hashtbl.t;  (** gf -> own-entry-table base *)
   mutable words : int;
   mutable replay : int array;
@@ -54,8 +52,6 @@ let install_into t image =
           poke (sev_base + (2 * i) + 1) w1)
         m.Compiled.m_procs;
       Hashtbl.replace t.slv ii.ii_name slv_base;
-      Hashtbl.replace t.sev ii.ii_name sev_base;
-      Hashtbl.replace t.by_gf ii.ii_gf_addr ii.ii_name;
       Hashtbl.replace t.slv_by_gf ii.ii_gf_addr slv_base;
       Hashtbl.replace t.sev_by_gf ii.ii_gf_addr sev_base)
     image.dir.instances;
@@ -75,8 +71,6 @@ let install image =
   install_into
     {
       slv = Hashtbl.create 8;
-      sev = Hashtbl.create 8;
-      by_gf = Hashtbl.create 8;
       slv_by_gf = Hashtbl.create 8;
       sev_by_gf = Hashtbl.create 8;
       words = 0;
@@ -125,19 +119,21 @@ let expected_pair image ~target_instance ~target_proc =
   let abs = ((w1 land 1) lsl 16) lor w0 in
   (abs lsl 16) lor gf
 
-let resolve_import t image ~instance ~lv_index =
-  read_pair image (Hashtbl.find t.slv instance) lv_index
-
-let resolve_own t image ~instance ~ev_index =
-  read_pair image (Hashtbl.find t.sev instance) ev_index
-
-let instance_of_gf t ~gf = Hashtbl.find t.by_gf gf
-
+(* A global frame that names no installed instance resolves to [-1]
+   (never a valid packed pair — bit 16 of the entry address caps abs
+   below 2^17, and a pair is non-negative), with no storage reference;
+   the caller turns it into a machine trap.  [Hashtbl.find] under a
+   handler rather than [find_opt]: this is the per-call path, and an
+   option would be a per-call allocation. *)
 let resolve_import_by_gf t image ~gf ~lv_index =
-  resolve_import t image ~instance:(instance_of_gf t ~gf) ~lv_index
+  match Hashtbl.find t.slv_by_gf gf with
+  | base -> read_pair image base lv_index
+  | exception Not_found -> -1
 
 let resolve_own_by_gf t image ~gf ~ev_index =
-  resolve_own t image ~instance:(instance_of_gf t ~gf) ~ev_index
+  match Hashtbl.find t.sev_by_gf gf with
+  | base -> read_pair image base ev_index
+  | exception Not_found -> -1
 
 (* Peek variants keyed by the GF register, returning [-1] (never a valid
    packed pair — bit 16 of the entry address caps abs below 2^17, and a
@@ -168,17 +164,19 @@ let rebind t image ~instance ~lv_index ~target:(tm, tp) =
   Image.notify_relink image ~addr:(base + (2 * lv_index)) ~word:w0;
   Image.notify_relink image ~addr:(base + (2 * lv_index) + 1) ~word:w1
 
+(* Identify the instance owning [gfi] (directory lookup models the
+   one-reference-to-a-record structure of §4; the two metered reads of
+   {!resolve_own_by_gf} are the record fetch itself).  [-1] when no
+   instance owns it. *)
+let rec resolve_descriptor_in t image ~gfi ~ev = function
+  | [] -> -1
+  | (ii : Image.instance_info) :: rest ->
+    if gfi >= ii.ii_gfi && gfi < ii.ii_gfi + ii.ii_gfi_count then
+      resolve_own_by_gf t image ~gf:ii.ii_gf_addr
+        ~ev_index:(((gfi - ii.ii_gfi) * 32) + ev)
+    else resolve_descriptor_in t image ~gfi ~ev rest
+
 let resolve_descriptor t image ~gfi ~ev =
-  (* Identify the instance owning this gfi (directory lookup models the
-     one-reference-to-a-record structure of §4; the two metered reads below
-     are the record fetch itself). *)
-  let ii =
-    List.find
-      (fun (ii : Image.instance_info) ->
-        gfi >= ii.ii_gfi && gfi < ii.ii_gfi + ii.ii_gfi_count)
-      image.Image.dir.instances
-  in
-  let bias = gfi - ii.ii_gfi in
-  resolve_own t image ~instance:ii.ii_name ~ev_index:((bias * 32) + ev)
+  resolve_descriptor_in t image ~gfi ~ev image.Image.dir.instances
 
 let table_words t = t.words

@@ -38,17 +38,14 @@ val reinstall : t -> Fpc_mesa.Image.t -> unit
 val pair_abs : int -> int
 val pair_gf : int -> int
 
-val resolve_import : t -> Fpc_mesa.Image.t -> instance:string -> lv_index:int -> int
-(** Packed [(entry_abs_byte, gf_addr)], charging two metered reads. *)
-
-val resolve_own : t -> Fpc_mesa.Image.t -> instance:string -> ev_index:int -> int
-(** Same, for the instance's own procedure [ev_index]. *)
-
 val resolve_import_by_gf : t -> Fpc_mesa.Image.t -> gf:int -> lv_index:int -> int
-(** As {!resolve_import}, identifying the instance by its global-frame
-    address (the machine's GF register). *)
+(** Packed [(entry_abs_byte, gf_addr)] of import [lv_index] of the
+    instance whose global frame is [gf] (the machine's GF register),
+    charging two metered reads; [-1], with no reference, when [gf] names
+    no installed instance. *)
 
 val resolve_own_by_gf : t -> Fpc_mesa.Image.t -> gf:int -> ev_index:int -> int
+(** Same, for the instance's own procedure [ev_index]. *)
 
 val peek_resolve_import_by_gf :
   t -> Fpc_mesa.Image.t -> gf:int -> lv_index:int -> int
@@ -80,7 +77,8 @@ val rebind :
 val resolve_descriptor : t -> Fpc_mesa.Image.t -> gfi:int -> ev:int -> int
 (** Resolve a packed descriptor context under I1 semantics (an XFER with a
     first-class procedure value): the descriptor record is read at
-    full width — two metered reads. *)
+    full width — two metered reads.  [-1], with no reference, when no
+    instance owns [gfi]. *)
 
 val table_words : t -> int
 (** Total words the simple tables occupy (space accounting for E2). *)

@@ -187,7 +187,11 @@ let tag_desc = 1
 let tag_import = 2
 let tag_prefilled = 3
 
+(* An I1 resolution of [-1] found no instance behind the global frame or
+   descriptor: the destination names no context, the trap a NIL or
+   garbled descriptor takes on the Mesa engines too. *)
 let resolve_simple_pair (st : State.t) p =
+  if p < 0 then raise (Machine_trap State.Nil_context);
   let abs = Simple_links.pair_abs p and gf = Simple_links.pair_gf p in
   let cb = Memory.read st.mem gf in
   let fsi = Memory.read_code_byte st.mem ~code_base:cb ~pc:(abs - (2 * cb)) in

@@ -10,7 +10,9 @@ type t = {
   mutable evictions : int;
 }
 
-let create ?(capacity = 64) () =
+let default_capacity = 64
+
+let create ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Image_cache.create: capacity must be positive";
   {
     mutex = Mutex.create ();

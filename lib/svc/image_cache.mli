@@ -17,9 +17,13 @@
 
 type t
 
+val default_capacity : int
+(** 64. *)
+
 val create : ?capacity:int -> unit -> t
-(** [capacity] (default 64) is the maximum number of cached images; each
-    holds a full simulated store (64 K words by default). *)
+(** [capacity] (default {!default_capacity}) is the maximum number of
+    cached images; each holds a full simulated store (64 K words by
+    default). *)
 
 val capacity : t -> int
 

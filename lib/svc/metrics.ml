@@ -40,14 +40,24 @@ type t = {
 }
 
 let no_arena =
-  { Arena.hits = 0; misses = 0; evictions = 0; entries = 0; pages_blitted = 0 }
+  {
+    Arena.hits = 0;
+    misses = 0;
+    evictions = 0;
+    images = 0;
+    states = 0;
+    store_bytes = 0;
+    pages_blitted = 0;
+  }
 
 let add_arena (a : Arena.stats) (b : Arena.stats) =
   {
     Arena.hits = a.hits + b.hits;
     misses = a.misses + b.misses;
     evictions = a.evictions + b.evictions;
-    entries = a.entries + b.entries;
+    images = a.images + b.images;
+    states = a.states + b.states;
+    store_bytes = a.store_bytes + b.store_bytes;
     pages_blitted = a.pages_blitted + b.pages_blitted;
   }
 
@@ -327,8 +337,10 @@ let render (s : snapshot) =
     row "arena hits / misses"
       (Printf.sprintf "%d / %d" s.arena.Arena.hits s.arena.Arena.misses);
     row "arena hit rate" (cell_pct (arena_hit_rate s.arena));
-    row "arena slots (evictions)"
-      (Printf.sprintf "%d (%d)" s.arena.Arena.entries s.arena.Arena.evictions);
+    row "arena images / states"
+      (Printf.sprintf "%d / %d" s.arena.Arena.images s.arena.Arena.states);
+    row "arena evictions" (cell_int s.arena.Arena.evictions);
+    row "arena store bytes" (cell_int s.arena.Arena.store_bytes);
     row "arena pages blitted" (cell_int s.arena.Arena.pages_blitted)
   end;
   row "compile time (summed)" (Printf.sprintf "%.3fs" s.compile_s);
@@ -400,7 +412,9 @@ let to_json (s : snapshot) =
             ("hits", Int s.arena.Arena.hits);
             ("misses", Int s.arena.Arena.misses);
             ("evictions", Int s.arena.Arena.evictions);
-            ("entries", Int s.arena.Arena.entries);
+            ("images", Int s.arena.Arena.images);
+            ("states", Int s.arena.Arena.states);
+            ("store_bytes", Int s.arena.Arena.store_bytes);
             ("pages_blitted", Int s.arena.Arena.pages_blitted);
             ("hit_rate", Float (arena_hit_rate s.arena));
           ] );

@@ -71,8 +71,9 @@ type snapshot = {
   cache : Image_cache.stats;
   arena : Arena.stats;
       (** every worker's arena counters, summed: hits reset a slot in
-          place, misses paid a full image clone ([entries] counts live
-          slots across workers); all zero with arena reuse off *)
+          place, misses cloned an image or created a state ([images],
+          [states] and [store_bytes] count what is live across workers);
+          all zero with arena reuse off *)
   compile_s : float;  (** summed across jobs (overlaps across domains) *)
   run_s : float;  (** summed across jobs (overlaps across domains) *)
   translate_s : float;

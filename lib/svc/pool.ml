@@ -148,12 +148,13 @@ let execute ?arena cache id (spec : Job.spec) =
             };
         fun fuel st -> Fpc_tier.Tier.run ~max_steps:fuel tr st
       in
-      (* With an arena (the worker's private one), reuse its slot for
-         this (image, engine, tier) triple: dirty-page image reset +
-         in-place state reset.  Without one, fall back to clone-per-job.
-         The steady-state branch is written flat — no [go]/[boot]
-         closures, no shared [image] binding — because every capture here
-         is a per-job minor allocation the arena exists to eliminate. *)
+      (* With an arena (the worker's private one), reuse its image for
+         this pristine and its state for this engine: dirty-page image
+         reset + in-place state reset.  Without one, fall back to
+         clone-per-job.  The steady-state branch is written flat — no
+         [go]/[boot] closures, no shared [image] binding — because every
+         capture here is a per-job minor allocation the arena exists to
+         eliminate. *)
       match
         if spec.trace then begin
           let slot =
@@ -303,6 +304,10 @@ let execute ?arena cache id (spec : Job.spec) =
 
 (* ---- the worker loop ---- *)
 
+(* Bounded by the cache it serves: a working set the cache holds without
+   evicting, the arena holds without cloning. *)
+let worker_arena cache = Arena.create ~capacity:(Image_cache.capacity cache) ()
+
 let rec worker_loop t shard arena =
   Mutex.lock t.mutex;
   while Queue.is_empty t.queue && not t.stopping do
@@ -373,7 +378,9 @@ let create ?domains ?cache ?deliver ?(arena_reuse = true) () =
            Domain.spawn (fun () ->
                (* The arena lives on the worker's own domain: created
                   here, seen by nobody else, no lock ever taken. *)
-               let arena = if arena_reuse then Some (Arena.create ()) else None in
+               let arena =
+                 if arena_reuse then Some (worker_arena cache) else None
+               in
                worker_loop t shard arena))
          t.shards);
   t

@@ -37,10 +37,10 @@ val create :
     [cache] (default: a fresh one).  Raises [Invalid_argument] for
     [domains < 1].
 
-    [arena_reuse] (default [true]) gives every worker a private {!Arena}:
-    repeat jobs against a cached image reset a long-lived image clone and
-    machine state in place (dirty pages only) instead of cloning the full
-    store and rebuilding the state per job — the steady state allocates
+    [arena_reuse] (default [true]) gives every worker a private {!Arena}
+    ({!worker_arena}): repeat jobs against a cached image reset a
+    long-lived image clone and machine state in place (dirty pages only)
+    instead of cloning the full store and rebuilding the state per job — the steady state allocates
     almost nothing, so workers stop triggering the stop-the-world minor
     collections that made the pool scale negatively.  [false] restores
     clone-per-job (the arena-vs-clone baseline the benchmarks compare).
@@ -55,6 +55,12 @@ val create :
     id sort and no second traversal.  [deliver] must be thread-safe, is
     called concurrently from every worker, and should be quick — it runs
     on the execution path.  Exceptions it raises are swallowed. *)
+
+val worker_arena : Image_cache.t -> Arena.t
+(** The arena a worker creates for itself: one image slot per pristine
+    that [cache] can hold ([~capacity:(Image_cache.capacity cache)]), so
+    a working set the cache holds without evicting runs without cloning.
+    Use it to run {!execute} the way a worker does. *)
 
 val domains : t -> int
 val cache : t -> Image_cache.t
