@@ -349,7 +349,10 @@ let procmap_of_image (image : Fpc_mesa.Image.t) =
         let hi = lo + 1 + pi.Fpc_mesa.Image.pi_body_bytes in
         (ii.Fpc_mesa.Image.ii_module ^ "." ^ proc, lo, hi) :: acc)
       image.Fpc_mesa.Image.dir.Fpc_mesa.Image.procs []
-    |> List.sort_uniq compare
+    |> List.sort_uniq (fun (n, lo, hi) (n', lo', hi') ->
+           match String.compare n n' with
+           | 0 -> if lo <> lo' then Int.compare lo lo' else Int.compare hi hi'
+           | c -> c)
   in
   Fpc_trace.Procmap.create ranges
 

@@ -53,10 +53,6 @@ let dispatch t =
   t.dispatches <- t.dispatches + 1;
   t.cycles <- t.cycles + t.p.dispatch_cycles
 
-let dispatch_n t n =
-  t.dispatches <- t.dispatches + n;
-  t.cycles <- t.cycles + (n * t.p.dispatch_cycles)
-
 let[@inline] refs_n t ~reads ~writes =
   t.mem_reads <- t.mem_reads + reads;
   t.mem_writes <- t.mem_writes + writes;

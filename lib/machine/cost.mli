@@ -43,11 +43,6 @@ val bank_ref_n : t -> int -> unit
     {!bank_ref} exactly.  Pairs with {!Bank_file.raw_read}/[raw_write]
     the way {!refs_n} pairs with the prepaid storage accessors. *)
 
-val dispatch_n : t -> int -> unit
-(** [n] dispatches charged at once — what a fused superinstruction pays
-    up front for the run of instructions it retires.  Totals equal [n]
-    calls of {!dispatch} exactly. *)
-
 val refs_n : t -> reads:int -> writes:int -> unit
 (** Batched storage references: totals equal [reads] calls of {!mem_read}
     plus [writes] calls of {!mem_write} exactly.  Pairs with
@@ -56,8 +51,9 @@ val refs_n : t -> reads:int -> writes:int -> unit
     here and then touches the store raw. *)
 
 val block_bill : t -> instrs:int -> reads:int -> writes:int -> unit
-(** [dispatch_n] and [refs_n] in one call — a compiled block's whole
-    static bill. *)
+(** A compiled block's whole static bill in one call: [instrs]
+    dispatches plus {!refs_n}.  Totals equal [instrs] calls of
+    {!dispatch} and the references' single calls exactly. *)
 
 val jump : t -> unit
 val trap : t -> unit

@@ -271,8 +271,6 @@ let acct_of ops =
    compiled closures touch variables through — chosen per batch at run
    time, after the bill for that plane has been charged:
 
-   - [Mid]: the metered accessors, each reference charging itself (the
-     fallback when no static bill applies);
    - [Raw]: the prepaid storage plane — bill already charged, addresses
      already guarded, banks absent;
    - [Bank]: the prepaid {e bank} plane for banked engines: every static
@@ -284,10 +282,13 @@ let acct_of ops =
      outside the window mid-batch, indirect refs consult the window
      comparator, and LLA flags the frame — all excluded statically.
 
+   A batch that fits neither plane does not run fused at all (see
+   [charge_and_run]).  Neither plane has an observable side effect on a
+   variable read, so a peephole may read its operands in either order.
    The branch on the plane is resolved at closure-build time, and stored
    words are already truncated. *)
 
-type plane = Mid | Raw | Bank
+type plane = Raw | Bank
 
 (* The bank file, on a plane the guard proved banked.  [assert false] is
    unreachable: the [Bank] variants run only after the residency check
@@ -312,13 +313,9 @@ let[@inline] load ~plane (st : State.t) = function
   | Sconst n -> n
   | Slocal n -> (
     match plane with
-    | Mid -> word (State.read_local st n)
     | Raw -> Memory.prepaid_read st.mem (st.lf + n)
     | Bank -> Bank_file.raw_read (bank_of st) ~lf:st.lf ~index:n)
-  | Sglobal n -> (
-    match plane with
-    | Mid -> word (State.read_global st n)
-    | Raw | Bank -> Memory.prepaid_read st.mem (st.gf + Image.global_base + n))
+  | Sglobal n -> Memory.prepaid_read st.mem (st.gf + Image.global_base + n)
 
 (* Operator dispatch through a known function: the operator is a
    translation-time constant, so each call is a direct entry into a
@@ -367,10 +364,11 @@ let take_jump (st : State.t) target =
 
 (* One fusable instruction as a direct closure over unchecked stack
    access — semantics identical to {!Interp.exec} under the block guard
-   ([unsafe_push] still truncates to a word).  Static-address variable
-   ops come in three planes (see [plane] above); dynamic-address and
-   indirect ops never qualify for [Bank] and compile its arm to the raw
-   shape, which that plane's static eligibility keeps unreachable. *)
+   ([unsafe_push] still truncates to a word).  Static local ops come in
+   both planes (see [plane] above); every other variable op touches the
+   store the same way on either, because dynamic-address and indirect
+   ops never qualify for [Bank], LLA disqualifies it, and globals are
+   never shadowed. *)
 let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
     (k : State.t -> unit) : State.t -> unit =
   match op with
@@ -386,10 +384,6 @@ let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
       k st
   | Ll n -> (
     match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        Eval_stack.unsafe_push st.stack (State.read_local st n);
-        k st
     | Raw ->
       fun (st : State.t) ->
         Eval_stack.unsafe_push st.stack (Memory.prepaid_read st.mem (st.lf + n));
@@ -401,10 +395,6 @@ let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
         k st)
   | Sl n -> (
     match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        State.write_local st n (Eval_stack.unsafe_pop st.stack);
-        k st
     | Raw ->
       fun (st : State.t) ->
         Memory.prepaid_write st.mem (st.lf + n) (Eval_stack.unsafe_pop st.stack);
@@ -414,149 +404,71 @@ let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
         Bank_file.raw_write (bank_of st) ~lf:st.lf ~index:n
           (Eval_stack.unsafe_pop st.stack);
         k st)
-  | Lg n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        Eval_stack.unsafe_push st.stack (State.read_global st n);
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        Eval_stack.unsafe_push st.stack
-          (Memory.prepaid_read st.mem (st.gf + Image.global_base + n));
-        k st)
-  | Sg n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        State.write_global st n (Eval_stack.unsafe_pop st.stack);
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        Memory.prepaid_write st.mem
-          (st.gf + Image.global_base + n)
-          (Eval_stack.unsafe_pop st.stack);
-        k st)
-  | Lla n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        Eval_stack.unsafe_push st.stack (State.local_addr st n);
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        (* banks are absent under the prepaid guard, so no frame to flag *)
-        Eval_stack.unsafe_push st.stack (st.lf + n);
-        k st)
+  | Lg n ->
+    fun (st : State.t) ->
+      Eval_stack.unsafe_push st.stack
+        (Memory.prepaid_read st.mem (st.gf + Image.global_base + n));
+      k st
+  | Sg n ->
+    fun (st : State.t) ->
+      Memory.prepaid_write st.mem
+        (st.gf + Image.global_base + n)
+        (Eval_stack.unsafe_pop st.stack);
+      k st
+  | Lla n ->
+    fun (st : State.t) ->
+      (* banks are absent under the prepaid guard, so no frame to flag *)
+      Eval_stack.unsafe_push st.stack (st.lf + n);
+      k st
   | Lga n ->
     fun (st : State.t) ->
       Eval_stack.unsafe_push st.stack (State.global_addr st n);
       k st
-  | Llx n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let i = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (State.read_local st (n + i));
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let i = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (Memory.peek st.mem (st.lf + n + i));
-        k st)
-  | Slx n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let i = Eval_stack.unsafe_pop st.stack in
-        State.write_local st (n + i) v;
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let i = Eval_stack.unsafe_pop st.stack in
-        Memory.poke st.mem (st.lf + n + i) v;
-        k st)
-  | Lgx n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let i = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (State.read_global st (n + i));
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let i = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack
-          (Memory.peek st.mem (st.gf + Image.global_base + n + i));
-        k st)
-  | Sgx n -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let i = Eval_stack.unsafe_pop st.stack in
-        State.write_global st (n + i) v;
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let i = Eval_stack.unsafe_pop st.stack in
-        Memory.poke st.mem (st.gf + Image.global_base + n + i) v;
-        k st)
-  | Rload -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let a = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (State.data_read st ~addr:a);
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let a = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (Memory.peek st.mem a);
-        k st)
-  | Rstore -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let a = Eval_stack.unsafe_pop st.stack in
-        State.data_write st ~addr:a v;
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let a = Eval_stack.unsafe_pop st.stack in
-        Memory.poke st.mem a v;
-        k st)
-  | Ldfld i -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let a = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (State.data_read st ~addr:(a + i));
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let a = Eval_stack.unsafe_pop st.stack in
-        Eval_stack.unsafe_push st.stack (Memory.peek st.mem (a + i));
-        k st)
-  | Stfld i -> (
-    match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let a = Eval_stack.unsafe_peek st.stack in
-        State.data_write st ~addr:(a + i) v;
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        let v = Eval_stack.unsafe_pop st.stack in
-        let a = Eval_stack.unsafe_peek st.stack in
-        Memory.poke st.mem (a + i) v;
-        k st)
+  | Llx n ->
+    fun (st : State.t) ->
+      let i = Eval_stack.unsafe_pop st.stack in
+      Eval_stack.unsafe_push st.stack (Memory.peek st.mem (st.lf + n + i));
+      k st
+  | Slx n ->
+    fun (st : State.t) ->
+      let v = Eval_stack.unsafe_pop st.stack in
+      let i = Eval_stack.unsafe_pop st.stack in
+      Memory.poke st.mem (st.lf + n + i) v;
+      k st
+  | Lgx n ->
+    fun (st : State.t) ->
+      let i = Eval_stack.unsafe_pop st.stack in
+      Eval_stack.unsafe_push st.stack
+        (Memory.peek st.mem (st.gf + Image.global_base + n + i));
+      k st
+  | Sgx n ->
+    fun (st : State.t) ->
+      let v = Eval_stack.unsafe_pop st.stack in
+      let i = Eval_stack.unsafe_pop st.stack in
+      Memory.poke st.mem (st.gf + Image.global_base + n + i) v;
+      k st
+  | Rload ->
+    fun (st : State.t) ->
+      let a = Eval_stack.unsafe_pop st.stack in
+      Eval_stack.unsafe_push st.stack (Memory.peek st.mem a);
+      k st
+  | Rstore ->
+    fun (st : State.t) ->
+      let v = Eval_stack.unsafe_pop st.stack in
+      let a = Eval_stack.unsafe_pop st.stack in
+      Memory.poke st.mem a v;
+      k st
+  | Ldfld i ->
+    fun (st : State.t) ->
+      let a = Eval_stack.unsafe_pop st.stack in
+      Eval_stack.unsafe_push st.stack (Memory.peek st.mem (a + i));
+      k st
+  | Stfld i ->
+    fun (st : State.t) ->
+      let v = Eval_stack.unsafe_pop st.stack in
+      let a = Eval_stack.unsafe_peek st.stack in
+      Memory.poke st.mem (a + i) v;
+      k st
   | Dup ->
     fun (st : State.t) ->
       Eval_stack.unsafe_push st.stack (Eval_stack.unsafe_peek st.stack);
@@ -628,13 +540,13 @@ let is_dynamic (op : Opcode.t) =
   | _ -> false
 
 (* A dynamic address past the store aborts the job with Memory's
-   [Invalid_argument] in the middle of a batch that was counted and (on
-   the prepaid planes) billed in full before it ran.  The interpreter
-   stops having counted and charged up to and including the aborting
-   access, with the PC past it.  [unbill ~plane ~tail ~next rest] takes
-   back what the batch charged for the instructions after the access:
-   [rest], plus [tail] joined instructions that follow the run (the
-   step's follower, a spliced leaf's RETURN). *)
+   [Invalid_argument] in the middle of a batch that was counted and
+   billed in full before it ran.  The interpreter stops having counted
+   and charged up to and including the aborting access, with the PC past
+   it.  [unbill ~plane ~tail ~next rest] takes back what the batch
+   charged for the instructions after the access: [rest], plus [tail]
+   joined instructions that follow the run (the step's follower, a
+   spliced leaf's RETURN). *)
 let unbill ~plane ~tail ~next rest =
   let n = List.length rest + tail in
   let a = acct_of rest in
@@ -643,29 +555,26 @@ let unbill ~plane ~tail ~next rest =
     m.instructions <- m.instructions - n;
     m.tier_fast_instrs <- m.tier_fast_instrs - n;
     st.pc_abs <- next;
+    m.local_refs <- m.local_refs - a.a_lrefs;
+    m.global_refs <- m.global_refs - a.a_grefs;
+    m.indirect_refs <- m.indirect_refs - a.a_irefs;
     match plane with
-    | Mid -> Cost.dispatch_n st.cost (-n)
     | Raw ->
       Cost.block_bill st.cost ~instrs:(-n) ~reads:(-a.a_reads)
-        ~writes:(-a.a_writes);
-      m.local_refs <- m.local_refs - a.a_lrefs;
-      m.global_refs <- m.global_refs - a.a_grefs;
-      m.indirect_refs <- m.indirect_refs - a.a_irefs
+        ~writes:(-a.a_writes)
     | Bank ->
       Cost.block_bill st.cost ~instrs:(-n) ~reads:(-a.a_g_reads)
         ~writes:(-a.a_g_writes);
-      Cost.bank_ref_n st.cost (-a.a_lrefs);
-      m.local_refs <- m.local_refs - a.a_lrefs;
-      m.global_refs <- m.global_refs - a.a_grefs
+      Cost.bank_ref_n st.cost (-a.a_lrefs)
 
 (* The fused fast path for a run of fusable instructions: a closure
-   chain with peephole-collapsed idioms.  Side-effect order (variable
-   reads, output, data refs) is exactly the interpreter's; elided stack
+   chain with peephole-collapsed idioms.  Output and dynamic data
+   references happen in exactly the interpreter's order; elided stack
    crossings apply [word] wherever a push would have truncated.  [tail]
    is the number of instructions the batch counts after [ops], and
    [last] runs them: the chain's final closure calls it. *)
-let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
-    : State.t -> unit =
+let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
+    State.t -> unit =
   let compile ~plane ~tail ops = compile ~plane ~tail ~last ops in
   match ops with
   | [] -> last
@@ -689,14 +598,6 @@ let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
       let bv = load ~plane st b in
       let av = Eval_stack.unsafe_pop st.stack in
       if exec_cmp o2 av bv = jnz then take_jump st target
-  (* CMP; Jcond — both operands from the stack *)
-  | (_, o1, _) :: [ (jp, jop, _) ] when is_cmp o1 && is_cond jop ->
-    let jnz, d = cond jop in
-    let target = jp + d in
-    fun (st : State.t) ->
-      let b = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_pop st.stack in
-      if exec_cmp o1 a b = jnz then take_jump st target
   (* LOAD a; LOAD b; ARITH; store — the assignment statement idiom
      (x := a OP b), with no stack traffic at all *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: (_, Sl n, _) :: rest
@@ -704,11 +605,6 @@ let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
     let a = sval o1 and b = sval o2 in
     let k = compile ~plane ~tail rest in
     (match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        State.write_local st n
-          (exec_arith o3 (load ~plane:Mid st a) (load ~plane:Mid st b));
-        k st
     | Raw ->
       fun (st : State.t) ->
         Memory.prepaid_write st.mem (st.lf + n)
@@ -723,18 +619,11 @@ let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
     when is_src o1 && is_src o2 && is_arith o3 ->
     let a = sval o1 and b = sval o2 in
     let k = compile ~plane ~tail rest in
-    (match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        State.write_global st n
-          (exec_arith o3 (load ~plane:Mid st a) (load ~plane:Mid st b));
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        Memory.prepaid_write st.mem
-          (st.gf + Image.global_base + n)
-          (exec_arith o3 (load ~plane st a) (load ~plane st b));
-        k st)
+    fun (st : State.t) ->
+      Memory.prepaid_write st.mem
+        (st.gf + Image.global_base + n)
+        (exec_arith o3 (load ~plane st a) (load ~plane st b));
+      k st
   (* LOAD a; LOAD b; ARITH *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: rest
     when is_src o1 && is_src o2 && is_arith o3 ->
@@ -754,15 +643,11 @@ let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
       let av = Eval_stack.unsafe_pop st.stack in
       Eval_stack.unsafe_push st.stack (exec_arith o2 av bv);
       k st
-  (* LOAD; store — straight-through variable copy *)
+  (* LOAD; SL — straight-through variable copy *)
   | (_, o1, _) :: (_, Sl n, _) :: rest when is_src o1 ->
     let a = sval o1 in
     let k = compile ~plane ~tail rest in
     (match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        State.write_local st n (load ~plane:Mid st a);
-        k st
     | Raw ->
       fun (st : State.t) ->
         Memory.prepaid_write st.mem (st.lf + n) (load ~plane:Raw st a);
@@ -772,27 +657,6 @@ let rec compile ~plane ~tail ?(last = stop) (ops : (int * Opcode.t * int) list)
         Bank_file.raw_write (bank_of st) ~lf:st.lf ~index:n
           (load ~plane:Bank st a);
         k st)
-  | (_, o1, _) :: (_, Sg n, _) :: rest when is_src o1 ->
-    let a = sval o1 in
-    let k = compile ~plane ~tail rest in
-    (match plane with
-    | Mid ->
-      fun (st : State.t) ->
-        State.write_global st n (load ~plane:Mid st a);
-        k st
-    | Raw | Bank ->
-      fun (st : State.t) ->
-        Memory.prepaid_write st.mem
-          (st.gf + Image.global_base + n)
-          (load ~plane st a);
-        k st)
-  (* LOAD; Jcond — loop latches like LL n; JNZ *)
-  | (_, o1, _) :: [ (jp, jop, _) ] when is_src o1 && is_cond jop ->
-    let a = sval o1 in
-    let jnz, d = cond jop in
-    let target = jp + d in
-    fun (st : State.t) ->
-      if (load ~plane st a <> 0) = jnz then take_jump st target
   (* LOAD a; LOAD b — paired pushes (argument staging before a call) *)
   | (_, o1, _) :: (_, o2, _) :: rest when is_src o1 && is_src o2 ->
     let a = sval o1 and b = sval o2 in
@@ -872,14 +736,14 @@ let rec exact_chain (ops : (int * Opcode.t * int) list) : State.t -> unit =
    is the one with the greatest [2 * code_base <= pc]. *)
 let code_bases (image : Image.t) =
   Array.of_list
-    (List.sort_uniq compare
+    (List.sort_uniq Int.compare
        (List.map
           (fun ii -> ii.Image.ii_code_base)
           image.Image.dir.instances))
 
 let cb_of_pc cbs pc =
   let best = ref (-1) in
-  Array.iter (fun cb -> if 2 * cb <= pc then best := max !best cb) cbs;
+  Array.iter (fun cb -> if 2 * cb <= pc then best := Int.max !best cb) cbs;
   if !best >= 0 then Some !best else None
 
 let has_banks (st : State.t) = match st.banks with Some _ -> true | None -> false
@@ -887,8 +751,9 @@ let has_data_trace (st : State.t) =
   match st.data_trace with Some _ -> true | None -> false
 
 (* Count one admitted batch, charge its static bill on the widest plane
-   the runtime guard allows, and run the matching compiled variant.  The
-   caller has already passed the depth guard.
+   the runtime guard allows, and run that plane's compiled variant of
+   [ops] (then [last], which the batch counts as [tail] more
+   instructions).  The caller has already passed the depth guard.
 
    Plane choice, in order:
    - prepaid storage ([Raw]): nothing can observe or alter the batched
@@ -899,16 +764,14 @@ let has_data_trace (st : State.t) =
      is all static Ll/Sl, with the frame's resident shadow window
      covering the highest offset — every local access would have hit
      the bank and every global access the store, so the bill is the
-     globals' storage references plus one batch of bank references;
-   - metered ([Mid]): everything else — each reference charges itself —
-     as long as every static address is in range.
+     globals' storage references plus one batch of bank references.
 
-   A static address past the store (only hand-made code holds one)
-   would abort the batch after it was counted, with the rest of it
-   billed.  Such a batch is not counted at all: [bail] runs instead,
-   and takes the machine through the exact per-instruction path, which
-   aborts where the interpreter does.  The bounds are the ones the
-   prepaid storage plane checks anyway.
+   A batch that fits neither plane — under a data trace, a banked frame
+   the batch cannot prove resident, or a static address past the store
+   (only hand-made code holds one) — is not counted at all: [bail] runs
+   instead and leaves the machine to the exact per-instruction path,
+   which records every reference and aborts where the interpreter does.
+   A batch that can never qualify for [Bank] has no bank variant.
 
    Within a batch nothing changes bank ownership or window sizes (the
    ops are pure), so residency checked at the head holds for every
@@ -919,24 +782,28 @@ let[@inline] count_batch (m : State.metrics) ~batch ~super =
   m.tier_fast_instrs <- m.tier_fast_instrs + batch;
   m.tier_super_instrs <- m.tier_super_instrs + super
 
-let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
-    ~bail =
+let charge_and_run ~batch ~super ~tail ~last ops ~bail =
+  let a = acct_of ops in
   let reads = a.a_reads and writes = a.a_writes in
   let g_reads = a.a_g_reads and g_writes = a.a_g_writes in
   let lrefs = a.a_lrefs and grefs = a.a_grefs and irefs = a.a_irefs in
   let max_l = a.a_max_l and max_g = a.a_max_g in
   let no_banks = a.a_no_banks in
   let bankable = a.a_bankable && lrefs > 0 in
+  let fused_raw = compile ~plane:Raw ~tail ~last ops in
+  let fused_bank =
+    if bankable then compile ~plane:Bank ~tail ~last ops else stop
+  in
   fun (st : State.t) ->
     let m = st.metrics in
     let sz = Memory.size st.mem in
     let trace_free = not (has_data_trace st) in
-    let locals_ok = max_l < 0 || st.lf + max_l < sz in
     let globals_ok = max_g < 0 || st.gf + Image.global_base + max_g < sz in
     if
       trace_free
       && ((not no_banks) || not (has_banks st))
-      && locals_ok && globals_ok
+      && (max_l < 0 || st.lf + max_l < sz)
+      && globals_ok
     then begin
       count_batch m ~batch ~super;
       Cost.block_bill st.cost ~instrs:batch ~reads ~writes;
@@ -959,18 +826,7 @@ let charge_and_run ~batch ~super ~(a : acct) ~fused_mid ~fused_raw ~fused_bank
       m.global_refs <- m.global_refs + grefs;
       fused_bank st
     end
-    else if locals_ok && globals_ok then begin
-      count_batch m ~batch ~super;
-      Cost.dispatch_n st.cost batch;
-      fused_mid st
-    end
     else bail st
-
-(* The bank-plane variant of a batch, or its metered fallback when the
-   shape can never qualify (no static-Ll/Sl local traffic to hoist). *)
-let compile_bank ~(a : acct) ~tail ?last ops ~fallback =
-  if a.a_bankable && a.a_lrefs > 0 then compile ~plane:Bank ~tail ?last ops
-  else fallback
 
 (* ------------------------------------------------------------------ *)
 (* Cross-call fusion: splicing a known-leaf callee into the call site.
@@ -1011,19 +867,15 @@ let compile_callee t ~entry_pc =
   | None -> None
   | Some (body, ret_pc, ret_len) ->
     let need, maxd = guard_params body in
-    let a = acct_of body in
     let ret (st : State.t) =
       st.metrics.tier_fused_calls <- st.metrics.tier_fused_calls + 1;
       Transfer.return_ st
     in
-    let body_mid = compile ~plane:Mid ~tail:1 ~last:ret body in
     let batch = List.length body + 1 in
     let run =
       charge_and_run ~batch
         ~super:(if batch >= 2 then batch else 0)
-        ~a ~fused_mid:body_mid
-        ~fused_raw:(compile ~plane:Raw ~tail:1 ~last:ret body)
-        ~fused_bank:(compile_bank ~a ~tail:1 ~last:ret body ~fallback:body_mid)
+        ~tail:1 ~last:ret body
         ~bail:(fun (st : State.t) -> st.pc_abs <- entry_pc)
     in
     let p_end = ret_pc + ret_len in
@@ -1399,11 +1251,11 @@ let collect_block pd pc0 =
    later step's depth guard fails, the node simply returns: the
    previous follower left the PC on the step's first instruction, and
    the dispatch loop re-enters there (that boundary's own node falls
-   back to an exact chain when its first guard fails, so progress is
-   guaranteed).  The exact fallback itself never runs past the first
-   control-moving instruction: a generic call leaves the PC in the
-   callee, which is where per-instruction execution leaves the node
-   anyway.
+   back to an exact chain when its first guard fails or its first batch
+   declines, so progress is guaranteed).  The exact fallback itself
+   never runs past the first control-moving instruction: a generic call
+   leaves the PC in the callee, which is where per-instruction execution
+   leaves the node anyway.
 
    The returned count is an {e upper bound} on instructions the node
    can retire (block plus any spliced callee batches) — the run loop
@@ -1439,8 +1291,8 @@ let build_node t ops : int * bool * (State.t -> unit) =
   let n_ops = List.length ops in
   let extra = ref 0 in
   let any_super = ref false in
-  (* Tracer / first-guard-failure fallback: exact, up to and including
-     the first control-moving instruction. *)
+  (* Tracer / first-guard-failure / declined-first-batch fallback:
+     exact, up to and including the first control-moving instruction. *)
   let exact_head = exact_chain (exact_prefix ops) in
   let rec comp ~first steps : State.t -> unit =
     match steps with
@@ -1507,7 +1359,6 @@ let build_node t ops : int * bool * (State.t -> unit) =
       else begin
         let fail = if first then exact_head else stop in
         let need, maxd = guard_params fusable in
-        let a = acct_of fusable in
         (* The follower joins the batch: the interpreter counts an
            instruction before executing it, so pre-counting leaves every
            meter exactly right even if the follower traps — but its PC
@@ -1516,21 +1367,18 @@ let build_node t ops : int * bool * (State.t -> unit) =
         let tail, last =
           match follower with F_end -> (0, stop) | _ -> (1, tail_fn)
         in
-        let fused_mid = compile ~plane:Mid ~tail ~last fusable in
-        let fused_raw = compile ~plane:Raw ~tail ~last fusable in
-        let fused_bank =
-          compile_bank ~a ~tail ~last fusable ~fallback:fused_mid
-        in
         let batch = f + tail in
         let super = if batch >= 2 then batch else 0 in
         if super > 0 then any_super := true;
         (* A batch that declines to run leaves the machine on its first
-           instruction, where the depth guard's failure would. *)
+           instruction, where the depth guard's failure would: the first
+           step then runs the exact head, a later one hands that
+           boundary to the dispatch loop. *)
         let pc_first =
           match fusable with (pc, _, _) :: _ -> pc | [] -> assert false
         in
         let run =
-          charge_and_run ~batch ~super ~a ~fused_mid ~fused_raw ~fused_bank
+          charge_and_run ~batch ~super ~tail ~last fusable
             ~bail:(fun (st : State.t) ->
               st.pc_abs <- pc_first;
               fail st)
@@ -1603,7 +1451,7 @@ let build_node t ops : int * bool * (State.t -> unit) =
 
 let proc_tables (image : Image.t) pd =
   let base = Predecode.base pd and limit = Predecode.limit pd in
-  let size = max 0 (limit - base) in
+  let size = Int.max 0 (limit - base) in
   let proc_of = Array.make size (-1) in
   let by_entry = Hashtbl.create 64 in
   Hashtbl.iter
@@ -1618,12 +1466,13 @@ let proc_tables (image : Image.t) pd =
     image.Image.dir.procs;
   let ranges =
     Array.of_list
-      (List.sort compare
+      (List.sort
+         (fun (lo, _) (lo', _) -> Int.compare lo lo')
          (Hashtbl.fold (fun lo hi acc -> (lo, hi) :: acc) by_entry []))
   in
   Array.iteri
     (fun p (lo, hi) ->
-      let lo = max lo base and hi = min hi limit in
+      let lo = Int.max lo base and hi = Int.min hi limit in
       for pc = lo to hi - 1 do
         proc_of.(pc - base) <- p
       done)
@@ -1633,7 +1482,7 @@ let proc_tables (image : Image.t) pd =
 let create (image : Image.t) =
   let pd = Image.predecode image in
   let base = Predecode.base pd and limit = Predecode.limit pd in
-  let size = max 0 (limit - base) in
+  let size = Int.max 0 (limit - base) in
   let proc_of, ranges = proc_tables image pd in
   {
     base;
@@ -1658,7 +1507,8 @@ let create (image : Image.t) =
   }
 
 let fill_range t lo hi =
-  let lo = max lo t.base and hi = min hi (t.base + Array.length t.slots) in
+  let lo = Int.max lo t.base
+  and hi = Int.min hi (t.base + Array.length t.slots) in
   for pc = lo to hi - 1 do
     if Predecode.len_at t.pd pc > 0 then begin
       let count, fused, exec = build_node t (collect_block t.pd pc) in

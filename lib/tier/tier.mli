@@ -55,12 +55,14 @@
 
     Equivalence is the contract: a translated run is {e bit-identical} to
     the interpreter — outcome, output, cycle / storage-reference /
-    transfer meters, trap behaviour, and (under a tracer) the exact event
-    stream.  Anything the fast path cannot prove — a stack-depth guard
-    failure, an installed tracer, a trap-capable instruction, undecodable
-    bytes, an invalidated or mismatched baked resolution, fuel expiry
-    mid-block — deopts to the interpreter's own semantics at an exact
-    instruction boundary.  Host-speed only: simulated meters are
+    transfer meters, trap behaviour, (under a tracer) the exact event
+    stream and (under [Engine.collect_data_trace]) the exact
+    data-reference stream.  Anything the fast path cannot prove — a stack-depth guard
+    failure, an installed tracer or data-reference trace, a banked frame
+    not proven resident, a trap-capable instruction, undecodable bytes,
+    an invalidated or mismatched baked resolution, fuel expiry mid-block
+    — deopts to the interpreter's own semantics at an exact instruction
+    boundary.  Host-speed only: simulated meters are
     unaffected by whether a run used this tier (that is the whole
     point). *)
 

@@ -459,8 +459,10 @@ let test_ordering_under_reordered_completion () =
                 i id))
         got)
 
-(* ~12M simulated steps: long enough (hundreds of ms) to pin the single
-   worker while the timer wheel answers a queued job's deadline. *)
+(* ~75M simulated steps: long enough (about 200 ms on the compiled tier
+   of a 2-core x86-64 host) to pin the single worker well past the
+   queued job's 50 ms + 20 ms, while the timer wheel answers that job's
+   deadline. *)
 let hog_src =
   {|
 MODULE Main;
@@ -469,9 +471,9 @@ PROC main() =
   VAR j: INT := 0;
   VAR n: INT := 0;
   i := 0;
-  WHILE i < 1700 DO
+  WHILE i < 2400 DO
     j := 0;
-    WHILE j < 1700 DO
+    WHILE j < 2400 DO
       j := j + 1;
       n := n + 1;
     END;

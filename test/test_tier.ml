@@ -587,8 +587,62 @@ let test_sliced_resume_equivalence () =
         (engines ()))
     [
       (`Suite "fib", 2_000_000, 777);
+      (`Suite "sieve", 2_000_000, 97);
+      (`Suite "isort", 2_000_000, 97);
       (`Inline infinite_loop_src, 20_000, 133);
     ]
+
+(* ---- the data-reference stream is part of the contract ---- *)
+
+(* E9's engine flag records every storage reference, in order.  A
+   traced batch must reach the queue in exactly the interpreter's order,
+   so no fused plane may run while the queue is open. *)
+let data_trace_run runner ~engine source =
+  let engine = { engine with Fpc_core.Engine.collect_data_trace = true } in
+  let image = image_for ~engine source in
+  let st = boot ~engine image in
+  runner image st;
+  match st.Fpc_core.State.data_trace with
+  | Some q -> (observe st, q)
+  | None -> Alcotest.fail "collect_data_trace opened no queue"
+
+(* Index of the first reference where two streams differ, or -1. *)
+let first_difference q1 q2 =
+  let rec go i s1 s2 =
+    match (s1 (), s2 ()) with
+    | Seq.Nil, Seq.Nil -> -1
+    | Seq.Cons (r1, s1), Seq.Cons (r2, s2) ->
+      if r1 = r2 then go (i + 1) s1 s2 else i
+    | _ -> i
+  in
+  go 0 (Queue.to_seq q1) (Queue.to_seq q2)
+
+let test_data_trace_equivalence () =
+  List.iter
+    (fun prog ->
+      let source = Fpc_workload.Programs.find prog in
+      List.iter
+        (fun (en, engine) ->
+          let ro, rq =
+            data_trace_run
+              (fun _image st -> Fpc_interp.Interp.run ~max_steps:2_000_000 st)
+              ~engine source
+          in
+          let go, gq =
+            data_trace_run
+              (fun image st ->
+                let tier, _ = Fpc_tier.Tier.of_image image in
+                Fpc_tier.Tier.run ~max_steps:2_000_000 tier st)
+              ~engine source
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: tier == interp" prog en)
+            true (go = ro);
+          Alcotest.(check int)
+            (Printf.sprintf "%s/%s: first differing data reference" prog en)
+            (-1) (first_difference rq gq))
+        (engines ()))
+    Fpc_workload.Programs.names
 
 (* ---- traced runs: the profile is part of the contract ---- *)
 
@@ -900,6 +954,8 @@ let () =
             test_sliced_resume_equivalence;
           Alcotest.test_case "traced profiles" `Slow
             test_traced_profile_equivalence;
+          Alcotest.test_case "data-reference traces" `Quick
+            test_data_trace_equivalence;
           QCheck_alcotest.to_alcotest tier_differential_prop;
         ] );
       ( "fusion",

@@ -3,7 +3,10 @@
 # reaches one of OCaml's generic (polymorphic) comparisons, Stdlib's
 # polymorphic min/max, or — in Bank_file — Array.fill's C call.  Every
 # one of these runs per simulated XFER or per fused op when it is there;
-# the int-specialised forms compile to a few instructions.
+# the int-specialised forms compile to a few instructions.  Tier and
+# Interp (the fused closures and Interp.exec) are held to the same rule
+# in their translate-time and tracing code too, so that no generic
+# compare can creep into their hot paths unnoticed.
 #
 # Run from the root of a checkout after `dune build` (default profile):
 #
@@ -39,7 +42,9 @@ for m in \
   ifu/.fpc_ifu.objs/native/fpc_ifu__Return_stack \
   util/.fpc_util.objs/native/fpc_util__Histogram \
   machine/.fpc_machine.objs/native/fpc_machine__Memory \
-  machine/.fpc_machine.objs/native/fpc_machine__Cost; do
+  machine/.fpc_machine.objs/native/fpc_machine__Cost \
+  tier/.fpc_tier.objs/native/fpc_tier__Tier \
+  interp/.fpc_interp.objs/native/fpc_interp__Interp; do
   check "$build/lib/$m.o" "$generic"
 done
 check "$build/lib/regbank/.fpc_regbank.objs/native/fpc_regbank__Bank_file.o" \
