@@ -58,8 +58,8 @@ let boot ?tracer ~image ~engine ~instance ~proc ~args () =
   Transfer.start st ~instance ~proc ~args;
   st
 
-let signed v = Fpc_util.Bits.signed_of_unsigned ~width:16 v
-let word v = Fpc_util.Bits.to_word v
+let[@inline] signed v = Fpc_util.Bits.signed_of_unsigned ~width:16 v
+let[@inline] word v = Fpc_util.Bits.to_word v
 
 (* The dispatch loop is steady-state allocation-free: helpers are
    top-level functions (never per-instruction closures), operand plumbing

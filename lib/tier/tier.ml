@@ -78,10 +78,13 @@ type t = {
    tiers), cannot move the PC and cannot change the status.  Pure
    instructions are the fusable ones: their per-instruction accounting
    can be batched and their stack traffic collapsed.  [Div]/[Mod]/
-   [Newrec]/[Freerec] are excluded because they can trap mid-block, and
+   [Newrec]/[Freerec] are not pure because they can trap mid-block, and
    a catchable trap suspends the current frame with the {e exact} PC of
    the next instruction — so they must run with per-instruction PC
-   updates (an "exact chain"). *)
+   updates (an "exact chain").  The one exception is a [Div]/[Mod] right
+   after a literal with a non-zero divisor, which cannot trap:
+   [split_fusable] admits it into the run, though it stays out of
+   spliced leaves, which take only pure ops. *)
 
 let is_terminator (op : Opcode.t) =
   match op with
@@ -129,7 +132,9 @@ let depth_effect (op : Opcode.t) =
   | Dup -> (1, 1)
   | Swap -> (2, 0)
   | Over -> (2, 1)
-  | Add | Sub | Mul | Band | Bor | Bxor | Lt | Le | Eq | Ne | Ge | Gt -> (2, -1)
+  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Lt | Le | Eq | Ne | Ge
+  | Gt ->
+    (2, -1)
   | Nop | J _ | Halt -> (0, 0)
   | _ -> invalid_arg "Tier.depth_effect: not fusable"
 
@@ -348,6 +353,22 @@ let[@inline] exec_cmp (op : Opcode.t) a b =
 
 let is_cmp (op : Opcode.t) =
   match op with Lt | Le | Eq | Ne | Ge | Gt -> true | _ -> false
+
+(* The divisor a literal pushes, as DIV/MOD reads it; 0 for any other op.
+   A DIV or MOD right after a literal with a non-zero divisor cannot trap,
+   so it is fusable (see [split_fusable]). *)
+let lit_divisor (op : Opcode.t) =
+  match op with Li c | Lpd c -> signed (word c) | _ -> 0
+
+(* DIV/MOD by a non-zero divisor [c]: OCaml's truncating [/] and [mod],
+   exactly {!Interp}'s [div_or_mod] once its zero check has passed. *)
+let[@inline] exec_divmod (op : Opcode.t) a c =
+  match op with
+  | Div -> word (signed a / c)
+  | Mod -> word (signed a mod c)
+  | _ -> assert false
+
+let is_divmod (op : Opcode.t) = match op with Div | Mod -> true | _ -> false
 
 let is_cond (op : Opcode.t) = match op with Jz _ | Jnz _ -> true | _ -> false
 
@@ -643,6 +664,23 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
       let av = Eval_stack.unsafe_pop st.stack in
       Eval_stack.unsafe_push st.stack (exec_arith o2 av bv);
       k st
+  (* LOAD a; LI c; DIV|MOD — a literal divisor, non-zero because
+     [split_fusable] admitted the DIV/MOD (only after such a literal) *)
+  | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: rest
+    when is_src o1 && is_divmod o3 && lit_divisor o2 <> 0 ->
+    let a = sval o1 and c = lit_divisor o2 in
+    let k = compile ~plane ~tail rest in
+    fun (st : State.t) ->
+      Eval_stack.unsafe_push st.stack (exec_divmod o3 (load ~plane st a) c);
+      k st
+  (* LI c; DIV|MOD — dividend from the stack *)
+  | (_, o1, _) :: (_, o2, _) :: rest when is_divmod o2 && lit_divisor o1 <> 0 ->
+    let c = lit_divisor o1 in
+    let k = compile ~plane ~tail rest in
+    fun (st : State.t) ->
+      Eval_stack.unsafe_push st.stack
+        (exec_divmod o2 (Eval_stack.unsafe_pop st.stack) c);
+      k st
   (* LOAD; SL — straight-through variable copy *)
   | (_, o1, _) :: (_, Sl n, _) :: rest when is_src o1 ->
     let a = sval o1 in
@@ -666,8 +704,12 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
       Eval_stack.unsafe_push st.stack (load ~plane st b);
       k st
   (* A followed jump mid-chain: the jump's accounting without the PC
-     move — the successor closure is the target's code. *)
-  | (_, J _, _) :: (_ :: _ as rest) ->
+     move — the successor closure is the target's code.  That holds for
+     a jump that ends the run too, when the step's follower (the [tail]
+     instructions [last] runs) sits at its target: [last] sets the PC
+     itself.  Only a jump with nothing after it moves the PC. *)
+  | (_, J _, _) :: rest when (match rest with _ :: _ -> true | [] -> tail > 0)
+    ->
     let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       st.metrics.jumps_taken <- st.metrics.jumps_taken + 1;
@@ -832,8 +874,10 @@ let charge_and_run ~batch ~super ~tail ~last ops ~bail =
 (* Cross-call fusion: splicing a known-leaf callee into the call site.
 
    A leaf procedure is a straight-line run of pure instructions ending
-   in RETURN — no outgoing transfer, no trap-capable op, at most
-   [leaf_cap] body instructions.  Its body can ride the caller's node:
+   in RETURN — no outgoing transfer, no trap-capable op (nor a DIV or
+   MOD by a non-zero literal, which a step's run admits but a leaf does
+   not), at most [leaf_cap] body instructions.  Its body can ride the
+   caller's node:
    after the call node's transfer completes (machine exactly at the
    callee's entry boundary), one combined stack-depth guard admits the
    whole body-plus-RETURN batch, the meters are billed in one
@@ -1188,12 +1232,21 @@ let transfer_node t ~tpc (op : Opcode.t) : (int * (State.t -> unit)) option =
 (* A followed unconditional jump (one with more instructions collected
    after it) is fusable: inside a chain it costs its dispatch and jump
    accounting but moves no PC — the chain {e is} the jump.  In final
-   position it is the ordinary fused terminator. *)
+   position it is the ordinary fused terminator.  A DIV or MOD whose
+   preceding op in the run is a literal with a non-zero divisor cannot
+   trap, so it is fusable too; any other DIV/MOD (a variable or literal-0
+   divisor, or the first op of a node, as at a jump target) stays an
+   exact follower.  This is the one place a step's run is formed. *)
 let rec split_fusable acc (ops : (int * Opcode.t * int) list) =
   match ops with
   | [] -> (List.rev acc, [])
   | [ ((_, Opcode.J _, _) as o) ] -> (List.rev (o :: acc), [])
   | ((_, Opcode.J _, _) as o) :: rest -> split_fusable (o :: acc) rest
+  | ((_, op, _) as o) :: rest
+    when is_divmod op
+         && match acc with (_, lit, _) :: _ -> lit_divisor lit <> 0 | [] -> false
+    ->
+    split_fusable (o :: acc) rest
   | ((_, op, _) as o) :: rest ->
     if is_pure op then split_fusable (o :: acc) rest
     else if is_fused_terminator op then (List.rev (o :: acc), [])
@@ -1240,8 +1293,9 @@ let collect_block pd pc0 =
      provably came straight back to the next instruction with the
      machine still running — chains into the following step, so a
      call-dense loop body is one node, not one dispatch per call site;
-   - a {e trap-capable} instruction (DIV, MOD, NEWREC, FREEREC): joins
-     the batch, runs under exact PC via [Interp.exec] (a catchable trap
+   - a {e trap-capable} instruction (NEWREC, FREEREC, and a DIV or MOD
+     that [split_fusable] could not prove non-trapping): joins the
+     batch, runs under exact PC via [Interp.exec] (a catchable trap
      signals by raising, unwinding the chain to the node's handler),
      then chains into the following step.
 

@@ -59,7 +59,9 @@
     stream and (under [Engine.collect_data_trace]) the exact
     data-reference stream.  Anything the fast path cannot prove — a stack-depth guard
     failure, an installed tracer or data-reference trace, a banked frame
-    not proven resident, a trap-capable instruction, undecodable bytes,
+    not proven resident, a trap-capable instruction (a DIV or MOD
+    counts as one unless a non-zero literal divisor directly precedes
+    it in the same run), undecodable bytes,
     an invalidated or mismatched baked resolution, fuel expiry mid-block
     — deopts to the interpreter's own semantics at an exact instruction
     boundary.  Host-speed only: simulated meters are

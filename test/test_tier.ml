@@ -592,6 +592,192 @@ let test_sliced_resume_equivalence () =
       (`Inline infinite_loop_src, 20_000, 133);
     ]
 
+(* ---- DIV and MOD by a literal ---- *)
+
+(* A DIV or MOD right after a literal with a non-zero divisor cannot
+   trap, so the tier fuses it into the batch; every other one stays an
+   exact step.  [main] divides each dividend by each divisor form, as
+   DIV and as MOD, with the dividend as a literal, in a local and on the
+   stack (the peepholes [LOAD a; LI c; DIV|MOD] and [LI c; DIV|MOD]).
+   Then it divides by a local, reaches one MOD both by falling through
+   from a literal and by a jump whose target is the MOD itself (the
+   jump ends its run right before an exact follower, which must be
+   counted once), and ends with [LI 0; DIV], which traps [Div_zero].
+   [handler], when installed, prints 9000 and divides once more; it
+   leaves the trap code alone, since I4 passes it in the register bank
+   and the other engines on the stack.  Dividends and divisors include
+   the extremes, where truncating and floor division differ in sign and
+   -32768 / -1 wraps to -32768. *)
+let divmod_dividends = [ -32768; -7; -1; 0; 1; 7; 32767 ]
+
+let divmod_divisors =
+  Fpc_isa.Opcode.[ Li 7; Li 200; Li 8191; Lpd 0xFFFF; Lpd 0x8000 ]
+
+let divmod_image ~engine ~devirt ~handled =
+  let open Fpc_isa in
+  let b = Builder.create () in
+  let emit = List.iter (Builder.emit b) in
+  List.iter
+    (fun x ->
+      let x = Opcode.Lpd (x land 0xFFFF) in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun op ->
+              emit Opcode.[ x; d; op; Out ];
+              emit Opcode.[ x; Sl 0; Ll 0; d; op; Out ];
+              emit Opcode.[ x; Nop; d; op; Out ])
+            Opcode.[ Div; Mod ])
+        divmod_divisors)
+    divmod_dividends;
+  emit Opcode.[ Li 3; Sl 2; Lpd 0xFFF0; Ll 2; Div; Out ];
+  let loop = Builder.new_label b
+  and fall = Builder.new_label b
+  and target = Builder.new_label b in
+  emit Opcode.[ Li 1; Sl 1 ];
+  Builder.place b loop;
+  emit Opcode.[ Ll 1 ];
+  Builder.jump b `Jz fall;
+  emit Opcode.[ Lpd 100; Li 7 ];
+  Builder.jump b `J target;
+  Builder.place b fall;
+  emit Opcode.[ Lpd 200; Li 9 ];
+  Builder.place b target;
+  emit Opcode.[ Mod; Out; Ll 1; Li 1; Sub; Sl 1; Ll 1; Li 0; Lt ];
+  Builder.jump b `Jz loop;
+  emit Opcode.[ Lpd 5; Li 0; Div; Out; Li 77; Out; Halt ];
+  let main = { (proc "main" ~locals:4 []) with p_body = Builder.to_bytes b } in
+  let handler =
+    {
+      (proc "handler" ~locals:2
+         Opcode.[ Lpd 9000; Out; Lpd 0xFFF8; Li 7; Mod; Out; Halt ])
+      with
+      p_nargs = 1;
+    }
+  in
+  let m =
+    {
+      Fpc_mesa.Compiled.m_name = "Main";
+      m_globals_words = 1;
+      m_global_init = [];
+      m_imports = [||];
+      m_procs = [ main; handler ];
+    }
+  in
+  let linkage = (Fpc_compiler.Convention.for_engine engine).linkage in
+  let image =
+    match Fpc_mesa.Linker.link ~linkage ~devirt [ m ] with
+    | Ok image -> image
+    | Error e -> Alcotest.fail ("link: " ^ e)
+  in
+  if devirt then ignore (Fpc_cfa.Cfa.devirtualize image);
+  if handled then
+    Fpc_mesa.Image.set_trap_handler image
+      (Fpc_mesa.Image.descriptor_of image ~instance:"Main" ~proc:"handler");
+  image
+
+(* The expected output, from OCaml's truncating [/] and [mod]. *)
+let divmod_expected ~handled =
+  let word v = v land 0xFFFF in
+  let quotients =
+    List.concat_map
+      (fun x ->
+        List.concat_map
+          (fun (d : Fpc_isa.Opcode.t) ->
+            let c =
+              match d with
+              | Li c | Lpd c -> Fpc_util.Bits.signed_of_unsigned ~width:16 c
+              | _ -> assert false
+            in
+            List.concat_map
+              (fun r -> [ r; r; r ])
+              [ word (x / c); word (x mod c) ])
+          divmod_divisors)
+      divmod_dividends
+  in
+  quotients
+  @ [ word (-16 / 3); 100 mod 7; 200 mod 9 ]
+  @ if handled then [ 9000; word (-8 mod 7) ] else []
+
+let test_divmod_literal () =
+  List.iter
+    (fun handled ->
+      List.iter
+        (fun devirt ->
+          List.iter
+            (fun (en, engine) ->
+              let label =
+                Printf.sprintf "divmod/%s/devirt=%b/handled=%b" en devirt
+                  handled
+              in
+              let image () = divmod_image ~engine ~devirt ~handled in
+              let reference =
+                let st = boot ~engine (image ()) in
+                Fpc_interp.Interp.run ~max_steps:100_000 st;
+                observe st
+              in
+              let o, _ = reference in
+              Alcotest.(check (list int)) (label ^ ": output")
+                (divmod_expected ~handled) o.Fpc_interp.Interp.o_output;
+              Alcotest.(check bool) (label ^ ": status") true
+                (o.Fpc_interp.Interp.o_status
+                = if handled then Fpc_core.State.Halted
+                  else Fpc_core.State.Trapped Fpc_core.State.Div_zero);
+              let img = image () in
+              let st = boot ~engine img in
+              Fpc_tier.Tier.run ~max_steps:100_000
+                (fst (Fpc_tier.Tier.of_image img))
+                st;
+              Alcotest.(check bool) (label ^ ": tier == interp") true
+                (observe st = reference);
+              (* Fuel slices that end between a literal and its DIV/MOD:
+                 the resumed run starts on the DIV/MOD itself, which must
+                 then run as an exact step. *)
+              let on_divmod = ref 0 in
+              List.iter
+                (fun slice ->
+                  let sliced runner =
+                    let img = image () in
+                    let st = boot ~engine img in
+                    let pd = Fpc_mesa.Image.predecode img in
+                    run_sliced
+                      (fun ~max_steps st ->
+                        runner img ~max_steps st;
+                        let pc = st.Fpc_core.State.pc_abs in
+                        if
+                          Fpc_isa.Predecode.len_at pd pc > 0
+                          &&
+                          match Fpc_isa.Predecode.op_at pd pc with
+                          | Div | Mod -> true
+                          | _ -> false
+                        then incr on_divmod)
+                      st ~fuel:100_000 ~slice;
+                    observe st
+                  in
+                  let want =
+                    sliced (fun _ ~max_steps st ->
+                        Fpc_interp.Interp.run ~max_steps st)
+                  in
+                  let got =
+                    sliced (fun img ~max_steps st ->
+                        Fpc_tier.Tier.run ~max_steps
+                          (fst (Fpc_tier.Tier.of_image img))
+                          st)
+                  in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s/slice=%d: tier == interp" label slice)
+                    true (got = want);
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s/slice=%d: same as unsliced" label slice)
+                    true (got = reference))
+                [ 2; 3; 5; 7; 11 ];
+              Alcotest.(check bool)
+                (label ^ ": some slice ends on a DIV/MOD")
+                true (!on_divmod > 0))
+            (engines ()))
+        [ false; true ])
+    [ false; true ]
+
 (* ---- the data-reference stream is part of the contract ---- *)
 
 (* E9's engine flag records every storage reference, in order.  A
@@ -952,6 +1138,8 @@ let () =
             test_fuel_exhaustion_equivalence;
           Alcotest.test_case "sliced resume (deadline path)" `Quick
             test_sliced_resume_equivalence;
+          Alcotest.test_case "DIV and MOD by a literal" `Quick
+            test_divmod_literal;
           Alcotest.test_case "traced profiles" `Slow
             test_traced_profile_equivalence;
           Alcotest.test_case "data-reference traces" `Quick
