@@ -28,9 +28,8 @@ let rebind (image : Image.t) t ~slot ~target:(instance, proc) =
   if slot < 0 || slot >= Array.length t.if_slots then
     invalid_arg "Interface.rebind: slot out of range";
   let d = Image.descriptor_of image ~instance ~proc in
-  let word = Descriptor.pack d in
-  Fpc_machine.Memory.poke image.Image.mem (t.if_addr + slot) word;
-  Image.notify_relink image ~addr:(t.if_addr + slot) ~word;
+  Fpc_machine.Memory.poke image.Image.mem (t.if_addr + slot)
+    (Descriptor.pack d);
   t.if_slots.(slot) <- (instance, proc)
 
 let call_sequence t ~slot =

@@ -89,7 +89,6 @@ let reinstall t image =
   let i = ref 0 in
   while !i < n do
     Memory.poke image.Image.mem tape.(!i) tape.(!i + 1);
-    Image.notify_relink image ~addr:tape.(!i) ~word:tape.(!i + 1);
     i := !i + 2
   done;
   image.Image.static_cursor <- t.cursor_after
@@ -97,24 +96,6 @@ let reinstall t image =
 let read_pair image base index =
   let w0 = Memory.read image.Image.mem (base + (2 * index)) in
   let w1 = Memory.read image.Image.mem (base + (2 * index) + 1) in
-  let gf = w1 land 0xFFFC in
-  let abs = ((w1 land 1) lsl 16) lor w0 in
-  (abs lsl 16) lor gf
-
-(* Unmetered twin of {!read_pair} for the compiled tier's fused-call
-   guards: the tier compares the table's current contents against the
-   resolution it baked at translate time, and that comparison is a host
-   observation, not a simulated reference (the metered reads are charged
-   by the fused bill exactly as the interpreter would have). *)
-let peek_pair image base index =
-  let w0 = Memory.peek image.Image.mem (base + (2 * index)) in
-  let w1 = Memory.peek image.Image.mem (base + (2 * index) + 1) in
-  let gf = w1 land 0xFFFC in
-  let abs = ((w1 land 1) lsl 16) lor w0 in
-  (abs lsl 16) lor gf
-
-let expected_pair image ~target_instance ~target_proc =
-  let w0, w1 = pack_entry image ~target_instance ~target_proc in
   let gf = w1 land 0xFFFC in
   let abs = ((w1 land 1) lsl 16) lor w0 in
   (abs lsl 16) lor gf
@@ -135,24 +116,10 @@ let resolve_own_by_gf t image ~gf ~ev_index =
   | base -> read_pair image base ev_index
   | exception Not_found -> -1
 
-(* Peek variants keyed by the GF register, returning [-1] (never a valid
-   packed pair — bit 16 of the entry address caps abs below 2^17, and a
-   pair is non-negative) when the gf is unknown or the table is absent. *)
-let peek_resolve_import_by_gf t image ~gf ~lv_index =
-  match Hashtbl.find_opt t.slv_by_gf gf with
-  | None -> -1
-  | Some base -> peek_pair image base lv_index
-
-let peek_resolve_own_by_gf t image ~gf ~ev_index =
-  match Hashtbl.find_opt t.sev_by_gf gf with
-  | None -> -1
-  | Some base -> peek_pair image base ev_index
-
 (* Host-side relink for I1, the simple-table analogue of
    {!Fpc_mesa.Linker.rebind_lv}: re-point one import pair at a new
-   target and tell the relink observer.  Not recorded on the replay
-   tape — an arena reset restores the pristine binding, exactly like
-   the Mesa LV words it mirrors. *)
+   target.  Not recorded on the replay tape — an arena reset restores
+   the pristine binding, exactly like the Mesa LV words it mirrors. *)
 let rebind t image ~instance ~lv_index ~target:(tm, tp) =
   let ii = Image.find_instance image instance in
   if lv_index < 0 || lv_index >= Array.length ii.Image.ii_imports then
@@ -160,9 +127,7 @@ let rebind t image ~instance ~lv_index ~target:(tm, tp) =
   let base = Hashtbl.find t.slv instance in
   let w0, w1 = pack_entry image ~target_instance:tm ~target_proc:tp in
   Memory.poke image.Image.mem (base + (2 * lv_index)) w0;
-  Memory.poke image.Image.mem (base + (2 * lv_index) + 1) w1;
-  Image.notify_relink image ~addr:(base + (2 * lv_index)) ~word:w0;
-  Image.notify_relink image ~addr:(base + (2 * lv_index) + 1) ~word:w1
+  Memory.poke image.Image.mem (base + (2 * lv_index) + 1) w1
 
 (* Identify the instance owning [gfi] (directory lookup models the
    one-reference-to-a-record structure of §4; the two metered reads of

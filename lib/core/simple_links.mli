@@ -47,21 +47,6 @@ val resolve_import_by_gf : t -> Fpc_mesa.Image.t -> gf:int -> lv_index:int -> in
 val resolve_own_by_gf : t -> Fpc_mesa.Image.t -> gf:int -> ev_index:int -> int
 (** Same, for the instance's own procedure [ev_index]. *)
 
-val peek_resolve_import_by_gf :
-  t -> Fpc_mesa.Image.t -> gf:int -> lv_index:int -> int
-(** Unmetered {!resolve_import_by_gf} for the compiled tier's fused-call
-    guards; returns [-1] when [gf] names no installed instance. *)
-
-val peek_resolve_own_by_gf :
-  t -> Fpc_mesa.Image.t -> gf:int -> ev_index:int -> int
-(** Unmetered {!resolve_own_by_gf}; [-1] when [gf] is unknown. *)
-
-val expected_pair :
-  Fpc_mesa.Image.t -> target_instance:string -> target_proc:string -> int
-(** The packed pair {!install} writes for this target — what a table read
-    returns while the binding is pristine.  Lets the tier bake a
-    resolution at translate time and compare at run time. *)
-
 val rebind :
   t ->
   Fpc_mesa.Image.t ->
@@ -70,8 +55,9 @@ val rebind :
   target:string * string ->
   unit
 (** Re-point one import pair at a new target (the I1 analogue of
-    {!Fpc_mesa.Linker.rebind_lv}), notifying the image's relink observer.
-    Raises [Invalid_argument] on a bad index, [Not_found] on unknown
+    {!Fpc_mesa.Linker.rebind_lv}).  Every call resolves through the live
+    table, on either tier, so the next call through it sees the new
+    target.  Raises [Invalid_argument] on a bad index, [Not_found] on unknown
     names. *)
 
 val resolve_descriptor : t -> Fpc_mesa.Image.t -> gfi:int -> ev:int -> int

@@ -178,9 +178,8 @@ let[@inline] suspend_current (st : State.t) ~reads =
      [tag_local]      a = entry-vector index
      [tag_desc]       a = gfi, b = five-bit ev
      [tag_import]     a = link-vector index (Simple engine only)
-     [tag_prefilled]  scratch already written by the caller ({!call_resolved}:
-                      a DIRECTCALL header, or a compiled call site's
-                      translate-time resolution)                          *)
+     [tag_prefilled]  scratch already written by the caller: the DIRECTCALL
+                      header, decoded by {!call_direct}                  *)
 
 let tag_local = 0
 let tag_desc = 1
@@ -307,9 +306,9 @@ let classify (st : State.t) before =
     st.metrics.fast_transfers <- st.metrics.fast_transfers + 1
   else st.metrics.slow_transfers <- st.metrics.slow_transfers + 1
 
-(* One call path for every caller.  [skipped] counts resolution reads a
-   prefilled caller elided; they are charged where the resolution would
-   have made them — before the frame allocation, the only trap point. *)
+(* One call path for every caller.  [skipped] counts the resolution reads
+   a prefilled caller made unmetered; they are charged where a resolution
+   makes them — before the frame allocation, the only trap point. *)
 let do_call (st : State.t) ~before ~s ~tag ~a ~b ~skipped =
   st.metrics.calls <- st.metrics.calls + 1;
   State.note_transfer_direction st 1;
@@ -376,17 +375,12 @@ let call_local (st : State.t) ~ev_index =
   let s = snap st in
   do_call st ~before ~s ~tag:tag_local ~a:ev_index ~b:0 ~skipped:0
 
-(* [before] matters only to the return-stack shape, the one that can be
-   fast. *)
-let[@inline] call_resolved (st : State.t) ~skipped =
-  let before = if deferred st then Cost.mem_refs st.cost else 0 in
-  do_call st ~before ~s:(snap st) ~tag:tag_prefilled ~a:0 ~b:0 ~skipped
-
 (* The header (SETGLOBALFRAME gf; ALLOCATEFRAME fsi) is part of the
    instruction stream: its three bytes always span the two code words
    from [target_abs / 2].  With an IFU return stack the prefetcher has
    already consumed it; without one, the machine pays the three fetches,
-   charged as the call's resolution reads. *)
+   charged as the call's resolution reads.  [before] matters only to the
+   return-stack shape, the one that can be fast. *)
 let call_direct (st : State.t) ~target_abs =
   let a = target_abs lsr 1 in
   let w0 = Memory.peek st.mem a in
@@ -396,7 +390,10 @@ let call_direct (st : State.t) ~target_abs =
   st.xr_cb <- State.no_cb;
   st.xr_pc <- target_abs + 3;
   st.xr_fsi <- (window lsr (8 - shift)) land 0xFF;
-  call_resolved st ~skipped:(if deferred st then 0 else 3)
+  let defer = deferred st in
+  let before = if defer then Cost.mem_refs st.cost else 0 in
+  do_call st ~before ~s:(snap st) ~tag:tag_prefilled ~a:0 ~b:0
+    ~skipped:(if defer then 0 else 3)
 
 (* ------------------------------------------------------------------ *)
 (* Processes. *)
@@ -619,22 +616,31 @@ let catchable = function
   | State.Step_limit ->
     false
 
+(* Entering the handler can itself trap — a handler descriptor I1 cannot
+   resolve, or a frame heap the handler's own recursion exhausted: the
+   machine then parks in that trap, as it does for a trap no handler
+   catches.  [Interp] and [Tier] both deliver traps here, so neither
+   lets it escape. *)
 let trap (st : State.t) reason =
   let s = snap st in
   Cost.trap st.cost;
   match Image.trap_handler st.image with
-  | Descriptor.Proc { gfi; ev } when catchable reason ->
-    guarded st s (Fpc_trace.Event.Trap (State.trap_code reason)) (fun () ->
-        flush_rstack st;
-        (match st.banks with
-        | Some b -> Fpc_regbank.Bank_file.flush_all b
-        | None -> ());
-        suspend_current st ~reads:0;
-        Eval_stack.clear st.stack;
-        Eval_stack.push st.stack (State.trap_code reason);
-        let ret_word = st.lf in
-        resolve_into st ~tag:tag_desc ~a:gfi ~b:ev;
-        enter_proc st ~ret_word ~fast:false)
+  | Descriptor.Proc { gfi; ev } when catchable reason -> (
+    match
+      guarded st s (Fpc_trace.Event.Trap (State.trap_code reason)) (fun () ->
+          flush_rstack st;
+          (match st.banks with
+          | Some b -> Fpc_regbank.Bank_file.flush_all b
+          | None -> ());
+          suspend_current st ~reads:0;
+          Eval_stack.clear st.stack;
+          Eval_stack.push st.stack (State.trap_code reason);
+          let ret_word = st.lf in
+          resolve_into st ~tag:tag_desc ~a:gfi ~b:ev;
+          enter_proc st ~ret_word ~fast:false)
+    with
+    | () -> ()
+    | exception Machine_trap r -> st.status <- State.Trapped r)
   | Descriptor.Proc _ | Descriptor.Frame _ | Descriptor.Nil ->
     st.status <- State.Trapped reason;
     emit_xfer st s (Fpc_trace.Event.Trap (State.trap_code reason)) ~target:(-1)

@@ -21,7 +21,16 @@
     to storage exactly as §6 prescribes.  Under register banks (I4) the
     argument record is delivered by renaming the stack bank (§7.2), and a
     processor free-frame stack serves common-size frames without touching
-    the AV (§7.1). *)
+    the AV (§7.1).
+
+    One call path and one return path serve both tiers: the compiled
+    tier's call nodes call {!call_local}, {!call_external} and
+    {!call_direct} — the functions the interpreter's dispatch calls — and
+    its RETURN nodes and spliced leaf callees call {!return_}.  A transfer
+    charges its storage references in batches and then touches the store
+    unmetered; no batch crosses a trap point or a sub-event, so the
+    meters, counters and (under a tracer) the event stream of a compiled
+    run are the interpreter's by construction. *)
 
 exception Machine_trap of State.trap_reason
 (** Raised by transfer machinery on unrecoverable conditions; the
@@ -73,26 +82,6 @@ val stop_process : State.t -> unit
 val trap : State.t -> State.trap_reason -> unit
 (** Deliver a trap: recoverable reasons XFER to the installed handler
     (returnContext = the faulting frame, argument = the trap code); without
-    a handler, or for fatal reasons, the machine stops. *)
-
-(** {1 The compiled tier's entry}
-
-    There is one call path and one return path.  A compiled call node
-    differs from {!call_local} / {!call_external} only in where the
-    destination comes from: the node resolved it at translate time,
-    re-checks the baked words against live storage, writes the callee into
-    the scratch destination registers ([xr_gf], [xr_cb], [xr_pc],
-    [xr_fsi]) and calls {!call_resolved}, which runs the same frame-link
-    or return-stack entry as every other call.  DIRECTCALL nodes call
-    {!call_direct}, and RETURN nodes and spliced leaf callees call
-    {!return_}.  A transfer charges its storage references in batches
-    and then touches the store unmetered; no batch crosses a trap point
-    or a sub-event, so the meters, counters and (under a tracer) the event
-    stream of a compiled run are the interpreter's by construction. *)
-
-val call_resolved : State.t -> skipped:int -> unit
-(** A call whose destination is already in the scratch destination
-    registers.  [skipped] is the number of storage reads the caller's
-    resolution elided; they are charged where the interpreter's
-    resolution would have made them, before the frame allocation.  Raises
-    {!Machine_trap}[ Frame_heap_exhausted] as any call would. *)
+    a handler, or for fatal reasons, the machine stops.  A trap raised
+    while entering the handler (say [Frame_heap_exhausted]) stops the
+    machine in that trap; it never escapes. *)

@@ -7,8 +7,8 @@
     E16's, extended across the call: outputs, instruction counts, cycles,
     storage references and transfer counts stay bit-identical to the
     interpreter — on the suite, on call-dense synthetic programs, and
-    across a forced mid-run relink that invalidates every baked resolution
-    (the deopt protocol).
+    across a forced mid-run relink, which the tier's call nodes see
+    because they resolve every destination live.
 
     The speedup table is deliberately honest about the ceiling.  Fusion
     removes host-level dispatch, not architecture: the frame allocation,
@@ -47,7 +47,7 @@ let time_runs ~image ~engine f =
   | [] -> 0.0
   | sorted -> List.nth sorted (timing_reps / 2)
 
-(* ---- differential: suite + synthetic + forced relink-deopt ---- *)
+(* ---- differential: suite + synthetic + forced mid-run relink ---- *)
 
 let check ~image ~engine =
   let tr = Fpc_tier.Tier.translate image in
@@ -80,12 +80,11 @@ let synthetic_mismatches engine =
       acc + check ~image ~engine)
     0 synthetic_seeds
 
-(* The relink probe: attach a translation (so the relink observer is
-   live and every fused call site carries its baked descriptor
-   resolution), pause mid-loop, re-point Main's import of [Lib.inc] at
-   [Lib.trip], and finish.  The tier must notice the relink, tear down
-   its fused resolutions, and still match the interpreter run relinked at
-   the same instant. *)
+(* The relink probe: attach a translation (so the call site has spliced
+   [Lib.inc], the leaf it was linked to), pause mid-loop, re-point Main's
+   import of [Lib.inc] at [Lib.trip], and finish.  The rebind must land
+   (the output changes) and the tier must still match the interpreter
+   run relinked at the same instant. *)
 let relink_source =
   "MODULE Lib;\n\
    PROC inc(x: INT): INT =\n  RETURN x + 2;\nEND;\n\
@@ -173,17 +172,8 @@ let relink_mismatches engine =
       run_with_relink ~pause
         (fun ~max_steps st -> Fpc_tier.Tier.run ~max_steps tr st)
         image st;
-      (* Mesa engines bake the LV/GFT/code-base words and depend on the
-         relink observer to tear fusion down; I1's fused sites re-check
-         the live link table on every call, so no global invalidation is
-         needed (or expected) there. *)
-      let deopt_ok =
-        if engine.Fpc_core.Engine.kind = Fpc_core.Engine.Mesa then
-          not (Fpc_tier.Tier.fusion_valid tr)
-        else Fpc_tier.Tier.fusion_valid tr
-      in
       let landed = Fpc_core.State.output st <> plain in
-      acc + (if fingerprint st = reference && deopt_ok && landed then 0 else 1))
+      acc + (if fingerprint st = reference && landed then 0 else 1))
     0 relink_pauses
 
 (* ---- the call-dense kernels: coverage, laziness, speedup ---- *)
@@ -228,7 +218,7 @@ let run () =
           ("engine", Tablefmt.Left);
           ("suite", Tablefmt.Right);
           ("synthetic", Tablefmt.Right);
-          ("relink-deopt", Tablefmt.Right);
+          ("relink", Tablefmt.Right);
           ("mismatches", Tablefmt.Right);
         ]
   in
@@ -250,9 +240,9 @@ let run () =
     Harness.engines;
   Tablefmt.add_note diff
     "each relink run pauses mid-loop, re-points Main's Lib.inc import at \
-     Lib.trip, and must finish bit-identical to an interpreter run relinked \
-     at the same step; Mesa engines must also invalidate their baked fused \
-     resolutions (I1's fused sites re-check the live link table per call)";
+     Lib.trip, must change the output, and must finish bit-identical to an \
+     interpreter run relinked at the same step (the tier's call nodes \
+     resolve live and splice Lib.inc only where a call lands on it)";
   let perf =
     Tablefmt.create
       ~title:"Call-dense kernels: fused-call coverage and host speedup"

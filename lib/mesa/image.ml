@@ -47,7 +47,6 @@ type directory = {
   mutable gfi_cursor : int;
   mutable predecode : Fpc_isa.Predecode.t option;
   mutable attachment : attachment option;
-  mutable on_relink : (addr:int -> word:int -> unit) option;
   mutable devirt : devirt_stats option;
 }
 
@@ -151,13 +150,6 @@ let alloc_static t ~words ~quad =
     invalid_arg "Image.alloc_static: static region exhausted";
   t.static_cursor <- base + words;
   base
-
-let set_relink_hook t hook = t.dir.on_relink <- hook
-
-let notify_relink t ~addr ~word =
-  match t.dir.on_relink with
-  | None -> ()
-  | Some f -> f ~addr ~word
 
 let alloc_code t ~words =
   let base = t.dir.code_cursor in

@@ -73,13 +73,6 @@ type directory = {
       (** like [predecode]: derived from immutable code bytes on first
           demand, shared by every clone, benign if racing domains both
           build it (identical contents, either wins) *)
-  mutable on_relink : (addr:int -> word:int -> unit) option;
-      (** called after any host-side relink pokes a link word (LV slot,
-          interface slot, I1 link-table pair) — [addr]/[word] are the
-          poked location and its new contents.  The compiled tier installs
-          this to invalidate fused call sites whose baked resolution
-          depended on the old word.  Shared across clones, like the
-          attachment it guards. *)
   mutable devirt : devirt_stats option;
       (** set by the devirtualization pass when it ran over this image;
           [None] means the pass never ran *)
@@ -159,12 +152,3 @@ val alloc_static : t -> words:int -> quad:bool -> int
 
 val alloc_code : t -> words:int -> int
 (** Carve words from the code region. *)
-
-val set_relink_hook : t -> (addr:int -> word:int -> unit) option -> unit
-(** Install (or clear) the shared directory's relink observer. *)
-
-val notify_relink : t -> addr:int -> word:int -> unit
-(** Tell the observer (if any) that a link word was re-poked.  Every
-    host-side rebind entry point ({!Fpc_mesa.Linker.rebind_lv},
-    [Interface.rebind], [Simple_links] reinstall/rebind) calls this after
-    the poke. *)

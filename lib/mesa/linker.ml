@@ -247,7 +247,6 @@ let link ?(linkage = Image.External) ?(devirt = false) ?(memory_words = 65536) ?
           gfi_cursor = 1;
           predecode = None;
           attachment = None;
-          on_relink = None;
           devirt = None;
         }
       in
@@ -356,19 +355,14 @@ let rebind_lv (image : Image.t) ~instance ~lv_index ~target:(ti, tp) =
   if lv_index < 0 || lv_index >= Array.length ii.ii_imports then
     invalid_arg "rebind_lv: LV index out of range";
   let d = Image.descriptor_of image ~instance:ti ~proc:tp in
-  let addr = ii.ii_gf_addr - 1 - lv_index in
-  let word = Descriptor.pack d in
-  Memory.poke image.mem addr word;
-  Image.notify_relink image ~addr ~word
+  Memory.poke image.mem (ii.ii_gf_addr - 1 - lv_index) (Descriptor.pack d)
 
 let rebind_lv_to_frame (image : Image.t) ~instance ~lv_index ~lf =
   let ii = Image.find_instance image instance in
   if lv_index < 0 || lv_index >= Array.length ii.ii_imports then
     invalid_arg "rebind_lv_to_frame: LV index out of range";
-  let addr = ii.ii_gf_addr - 1 - lv_index in
-  let word = Descriptor.pack (Descriptor.Frame lf) in
-  Memory.poke image.mem addr word;
-  Image.notify_relink image ~addr ~word
+  Memory.poke image.mem (ii.ii_gf_addr - 1 - lv_index)
+    (Descriptor.pack (Descriptor.Frame lf))
 
 let require_external (image : Image.t) what =
   if image.linkage <> Image.External then

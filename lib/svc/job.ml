@@ -70,7 +70,7 @@ type translation =
       fused_calls : int;  (** calls retired through fused call sites *)
       procs : int;  (** procedure bodies the translation covers *)
       procs_translated : int;  (** of those, translated so far (shared) *)
-      invalidations : int;  (** relink invalidations observed (shared) *)
+      invalidations : int;  (** always 0: the tier bakes no link word *)
     }
 
 type stats = {
@@ -441,7 +441,7 @@ let result_to_json ?(times = true) r =
               fused_calls;
               procs;
               procs_translated;
-              invalidations;
+              _;
             } ->
           [
             ("tier", String "compiled");
@@ -451,7 +451,6 @@ let result_to_json ?(times = true) r =
             ("fused_calls", Int fused_calls);
             ("procs", Int procs);
             ("procs_translated", Int procs_translated);
-            ("invalidations", Int invalidations);
           ])
       @
       (* Which image variant the cache served (devirtualized or not) is a

@@ -97,9 +97,11 @@ type outcome =
     is just the lookup.  A host observation like [run_s] — the simulated
     meters are identical across tiers by construction.  The counts
     describe lazy translation and cross-call fusion: [lazy_translated]
-    and [fused_calls] accrued during {e this} run; [procs],
-    [procs_translated] and [invalidations] describe the shared
-    translation as of this job's completion. *)
+    and [fused_calls] accrued during {e this} run; [procs] and
+    [procs_translated] describe the shared translation as of this job's
+    completion.  [invalidations] is always 0 (the tier bakes no link
+    word); it stays for the benchmark's layer probe, which builds this
+    record. *)
 type translation =
   | No_translation  (** the job ran on the interpreter tier *)
   | Translated of {

@@ -21,7 +21,6 @@ type t = {
   mutable translation_misses : int;
   mutable lazy_translated : int;
   mutable fused_calls : int;
-  mutable invalidations : int;
   mutable devirt_jobs : int;
   mutable devirt_sites : int;
   mutable devirt_proven : int;
@@ -79,7 +78,6 @@ let create ~domains =
     translation_misses = 0;
     lazy_translated = 0;
     fused_calls = 0;
-    invalidations = 0;
     devirt_jobs = 0;
     devirt_sites = 0;
     devirt_proven = 0;
@@ -108,14 +106,12 @@ let record t (r : Job.result) =
   t.run_s <- t.run_s +. r.stats.Job.run_s;
   (match r.stats.Job.translation with
   | Job.No_translation -> ()
-  | Job.Translated { hit; translate_s; lazy_translated; fused_calls; invalidations; _ } ->
+  | Job.Translated { hit; translate_s; lazy_translated; fused_calls; _ } ->
     t.translate_s <- t.translate_s +. translate_s;
     if hit then t.translation_hits <- t.translation_hits + 1
     else t.translation_misses <- t.translation_misses + 1;
     t.lazy_translated <- t.lazy_translated + lazy_translated;
-    t.fused_calls <- t.fused_calls + fused_calls;
-    (* shared per-translation counter: keep the high-water mark, not a sum *)
-    if invalidations > t.invalidations then t.invalidations <- invalidations);
+    t.fused_calls <- t.fused_calls + fused_calls);
   (match r.stats.Job.devirt_stats with
   | None -> ()
   | Some d ->
@@ -178,7 +174,6 @@ let merge_into ~src ~into =
   into.translation_misses <- into.translation_misses + src.translation_misses;
   into.lazy_translated <- into.lazy_translated + src.lazy_translated;
   into.fused_calls <- into.fused_calls + src.fused_calls;
-  into.invalidations <- max into.invalidations src.invalidations;
   into.devirt_jobs <- into.devirt_jobs + src.devirt_jobs;
   into.devirt_sites <- into.devirt_sites + src.devirt_sites;
   into.devirt_proven <- into.devirt_proven + src.devirt_proven;
@@ -232,7 +227,6 @@ type snapshot = {
   translation_misses : int;
   lazy_translated : int;
   fused_calls : int;
-  invalidations : int;
   devirt_jobs : int;
   devirt_sites : int;
   devirt_proven : int;
@@ -286,7 +280,6 @@ let snapshot (t : t) ~wall_s ~cache =
     translation_misses = t.translation_misses;
     lazy_translated = t.lazy_translated;
     fused_calls = t.fused_calls;
-    invalidations = t.invalidations;
     devirt_jobs = t.devirt_jobs;
     devirt_sites = t.devirt_sites;
     devirt_proven = t.devirt_proven;
@@ -349,8 +342,7 @@ let render (s : snapshot) =
       (Printf.sprintf "%d / %d" s.translation_hits s.translation_misses);
     row "translate time (summed)" (Printf.sprintf "%.3fs" s.translate_s);
     row "procedures lazily translated" (cell_int s.lazy_translated);
-    row "fused calls retired" (cell_int s.fused_calls);
-    row "fusion invalidations" (cell_int s.invalidations)
+    row "fused calls retired" (cell_int s.fused_calls)
   end;
   (* shown only when some job's image actually had late-bound sites, so
      single-module workloads keep their historical table shape *)
@@ -427,7 +419,6 @@ let to_json (s : snapshot) =
             ("translate_s", Float s.translate_s);
             ("lazy_translated", Int s.lazy_translated);
             ("fused_calls", Int s.fused_calls);
-            ("invalidations", Int s.invalidations);
           ] );
       ( "devirt",
         Obj

@@ -84,7 +84,6 @@ type snapshot = {
   translation_misses : int;  (** compiled-tier jobs that had to translate *)
   lazy_translated : int;  (** procedures translated lazily, summed over jobs *)
   fused_calls : int;  (** calls retired through fused call sites, summed *)
-  invalidations : int;  (** fusion relink invalidations (high-water mark) *)
   devirt_jobs : int;  (** jobs that ran a link-time-devirtualized image *)
   devirt_sites : int;
       (** late-bound call sites eligible for devirtualization, summed per

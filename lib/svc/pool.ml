@@ -144,7 +144,7 @@ let execute ?arena cache id (spec : Job.spec) =
               fused_calls = 0;
               procs = Fpc_tier.Tier.procs tr;
               procs_translated = Fpc_tier.Tier.procs_translated tr;
-              invalidations = Fpc_tier.Tier.invalidations tr;
+              invalidations = 0;
             };
         fun fuel st -> Fpc_tier.Tier.run ~max_steps:fuel tr st
       in
@@ -248,7 +248,6 @@ let execute ?arena cache id (spec : Job.spec) =
                 lazy_translated = m.Fpc_core.State.tier_lazy_translations;
                 fused_calls = m.Fpc_core.State.tier_fused_calls;
                 procs_translated = Fpc_tier.Tier.procs_translated tr;
-                invalidations = Fpc_tier.Tier.invalidations tr;
               }
         | _ -> ());
         let stats =

@@ -41,29 +41,22 @@ let no_node = { n_count = 0; n_exec = stop }
 type t = {
   base : int;  (** first byte PC covered *)
   slots : node array;  (** per byte boundary; [no_node] = untranslated *)
-  image : Image.t;  (** translate-time resolutions peek this store *)
+  image : Image.t;  (** call sites' entry hints peek this store *)
   pd : Predecode.t;
   cbs : int array;
   proc_of : int array;  (** byte PC - base -> procedure id, or -1 *)
   ranges : (int * int) array;  (** proc id -> body [first_pc, limit_pc) *)
   translated : bool array;  (** per procedure, set under [lock] *)
   lock : Mutex.t;
-  fuse_valid : bool ref;
-      (** cleared when a relink overwrites a word some fused call site's
-          baked resolution depends on; fused external calls check it *)
-  deps_tbl : (int, int) Hashtbl.t;  (** addr -> baked word (under lock) *)
   seen_sites : (int, unit) Hashtbl.t;  (** call-site PCs already counted *)
   leaf_memo : (int, ((State.t -> unit) * int) option) Hashtbl.t;
       (** callee entry PC -> spliced leaf continuation and its instruction
           count (under lock): every suffix block containing a call site
           resolves the same leaf *)
-  mutable deps : (int * int) array;
-      (** published snapshot of [deps_tbl] for the relink observer *)
   mutable n_boundaries : int;
   mutable n_fused : int;
   mutable n_fused_calls : int;
   mutable n_translated : int;
-  mutable n_invalidations : int;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -751,28 +744,18 @@ let rec exact_chain (ops : (int * Opcode.t * int) list) : State.t -> unit =
 (* ------------------------------------------------------------------ *)
 (* Transfer nodes.
 
-   A node carries no call or return code of its own: control transfer is
+   A node carries no call or return code of its own: every transfer is
    {!Transfer}'s, the code the interpreter runs.  A RETURN node, and the
-   return of a spliced leaf, is {!Transfer.return_}; a DIRECTCALL node is
-   {!Transfer.call_direct}, which reads the header live.  A LOCALCALL or
-   EXTERNALCALL node is a guard, a translate-time resolution and one call
-   to {!Transfer.call_resolved}.  The interpreter resolves those
-   destinations at run time — an entry-vector word, the callee's
-   frame-size byte, a link-vector descriptor chased through the GFT —
-   while the node bakes the resolved registers, prefills the scratch
-   destination registers with them and hands Transfer the count of
-   resolution reads it elided, which Transfer charges where the
-   interpreter makes them.
-
-   Every baked word is re-peeked against live storage on each execution
-   — a host observation; the metered reads are still charged.  That holds
-   for words in the code region (entry-vector words, fsi bytes), which a
-   program can overwrite with an out-of-range store, as much as for words
-   outside it (the LV descriptor word, the GFT entry, the environment's
-   code-base word, I1's link-table pairs).  The relink observer also
-   invalidates the translation's fused external calls when a host-side
-   rebind overwrites a depended-on word.  A node whose check fails runs
-   the generic [Interp.exec] before mutating anything. *)
+   return of a spliced leaf, is {!Transfer.return_}; a call node is
+   {!Transfer.call_local}, {!Transfer.call_external} or
+   {!Transfer.call_direct}, called directly rather than through
+   [Interp.exec]'s match.  Each resolves its destination live — the
+   entry-vector word and fsi byte, the link-vector descriptor chased
+   through the GFT (Figure 1), I1's link-table pair, the DIRECTCALL
+   header — exactly as the interpreter does, so the tier bakes no link
+   word and a rebind, host-side or by the program's own store, needs no
+   notice.  The one translate-time reading is a call site's entry hint
+   ([entry_hint]), which only picks the leaf the node may splice. *)
 
 (* Code bases of all linked modules, sorted: the module owning a byte PC
    is the one with the greatest [2 * code_base <= pc]. *)
@@ -953,281 +936,83 @@ let callee_for t ~tpc ~entry_pc =
     (cont, batch)
   | None -> (stop, 0)
 
-(* A baked callee: its registers, and the code word holding its
-   frame-size byte as it read at translate time. *)
-type dest = {
-  d_gf : int;  (** callee global frame; unused by LOCALCALL (the caller's) *)
-  d_cb : int;
-  d_pc : int;  (** byte PC of the callee's first instruction *)
-  d_fsi : int;
-  d_fsi_addr : int;
-  d_fsi_word : int;
-}
-
-let dest_of mem ~gf ~cb ~entry_off =
-  let fsi_addr = cb + (entry_off lsr 1) in
-  {
-    d_gf = gf;
-    d_cb = cb;
-    d_pc = (2 * cb) + entry_off + 1;
-    d_fsi = Memory.peek_code_byte mem ~code_base:cb ~pc:entry_off;
-    d_fsi_addr = fsi_addr;
-    d_fsi_word = Memory.peek mem fsi_addr;
-  }
-
-let[@inline] fsi_live (st : State.t) d =
-  Memory.peek st.mem d.d_fsi_addr = d.d_fsi_word
-
-(* A baked call whose checks passed: prefill, the shared call with its
-   [skipped] resolution reads, then the spliced callee (or [stop]). *)
-let[@inline] enter (st : State.t) d ~gf ~skipped ~callee =
-  st.xr_gf <- gf;
-  st.xr_cb <- d.d_cb;
-  st.xr_pc <- d.d_pc;
-  st.xr_fsi <- d.d_fsi;
-  Transfer.call_resolved st ~skipped;
-  callee st
-
-(* LOCALCALL: same environment and code base, so the site's code base
-   must be the live CB register.  The external-linkage image is cached by
-   convention, so I1 and I2 jobs can run the same translation.  Mesa
-   resolves through the entry-vector word (one read) and the fsi byte
-   (one); I1 through its own-entry pair (two words), the environment's
-   code-base word and the fsi byte. *)
-let lfc_node ~tpc ~ev_index ~ev_word ~(d : dest) ~spair ~callee =
-  let cb = d.d_cb in
-  let ev_addr = cb + ev_index in
-  fun (st : State.t) ->
-    let skipped =
-      if st.cb <> cb || not (fsi_live st d) then -1
-      else
-        match st.engine.Engine.kind with
-        | Engine.Mesa -> if Memory.peek st.mem ev_addr = ev_word then 2 else -1
-        | Engine.Simple -> (
-          match st.simple with
-          | Some sl
-            when spair >= 0
-                 && Simple_links.peek_resolve_own_by_gf sl st.image ~gf:st.gf
-                      ~ev_index
-                    = spair
-                 && Memory.peek st.mem st.gf = cb ->
-            4
-          | _ -> -1)
-    in
-    if skipped >= 0 then enter st d ~gf:st.gf ~skipped ~callee
-    else Interp.exec st ~instr_pc:tpc (Lfc ev_index)
-
-(* EXTERNALCALL baked through the whole Figure-1 chain (Mesa) or the I1
-   pair tables.  The Mesa flavour also honours [valid]: the relink
-   observer clears it when a rebind overwrites a depended-on word. *)
-type efc_mesa = {
-  em_lv_word : int;  (** the import's descriptor word, as linked *)
-  em_gft_addr : int;
-  em_gft_word : int;
-  em_ev_addr : int;  (** the target's entry-vector word *)
-  em_ev_word : int;
-  em_dest : dest;
-}
-
-type efc_simple = {
-  es_pair : int;  (** expected packed (entry, gf) pair *)
-  es_dest : dest;
-}
-
-let efc_node ~tpc ~lv_index ~valid ~(mesa : efc_mesa option)
-    ~(simple : efc_simple option) ~callee =
-  fun (st : State.t) ->
-    match st.engine.Engine.kind with
-    | Engine.Mesa -> (
-      match mesa with
-      | Some em
-        when !valid
-             && st.gf - 1 - lv_index >= 0
-             && Memory.peek st.mem (st.gf - 1 - lv_index) = em.em_lv_word
-             && Memory.peek st.mem em.em_gft_addr = em.em_gft_word
-             && Memory.peek st.mem em.em_dest.d_gf = em.em_dest.d_cb
-             && Memory.peek st.mem em.em_ev_addr = em.em_ev_word
-             && fsi_live st em.em_dest ->
-        (* LV word, GFT entry, environment's code base, EV word, fsi byte *)
-        enter st em.em_dest ~gf:em.em_dest.d_gf ~skipped:5 ~callee
-      | _ -> Interp.exec st ~instr_pc:tpc (Efc lv_index))
-    | Engine.Simple -> (
-      match (simple, st.simple) with
-      | Some es, Some sl
-        when Simple_links.peek_resolve_import_by_gf sl st.image ~gf:st.gf
-               ~lv_index
-             = es.es_pair
-             && Memory.peek st.mem es.es_dest.d_gf = es.es_dest.d_cb
-             && fsi_live st es.es_dest ->
-        (* pair (two words), environment's code base, fsi byte *)
-        enter st es.es_dest ~gf:es.es_dest.d_gf ~skipped:4 ~callee
-      | _ -> Interp.exec st ~instr_pc:tpc (Efc lv_index))
-
-(* ------------------------------------------------------------------ *)
-(* Translate-time resolution through the host directory. *)
-
-let instances_of_cb t cb =
-  List.filter
-    (fun ii -> ii.Image.ii_code_base = cb)
-    t.image.Image.dir.instances
-
-let proc_by_ev t ~instance ~ev =
-  Hashtbl.fold
-    (fun (inst, _) (pi : Image.proc_info) acc ->
-      if acc = None && String.equal inst instance && pi.Image.pi_ev = ev then
-        Some pi
-      else acc)
-    t.image.Image.dir.procs None
-
-(* Record that a fused site's baked resolution read [word] at [addr]; the
-   relink observer compares notifications against this table. *)
-let add_dep t addr word =
-  if not (Hashtbl.mem t.deps_tbl addr) then Hashtbl.replace t.deps_tbl addr word
-
-(* The packed pair I1's own-entry table holds for entry [ev_index] of the
-   instance owning code base [cb] — [-1] when the owning instance is not
-   unique (a multi-instantiated module shares its code, and each
-   instance's table resolves to its own environment) or the resolution
-   disagrees with the Mesa bake. *)
-let simple_own_pair t ~cb ~ev_index ~target_pc =
-  match instances_of_cb t cb with
-  | [ ii ] -> (
-    match proc_by_ev t ~instance:ii.Image.ii_name ~ev:ev_index with
-    | None -> -1
-    | Some pi -> (
-      match
-        Simple_links.expected_pair t.image ~target_instance:ii.Image.ii_name
-          ~target_proc:pi.Image.pi_proc
-      with
-      | pair ->
-        if
-          Simple_links.pair_abs pair + 1 = target_pc
-          && Simple_links.pair_gf pair = ii.Image.ii_gf_addr
-          && Memory.peek t.image.Image.mem ii.Image.ii_gf_addr = cb
-        then pair
-        else -1
-      | exception (Not_found | Invalid_argument _) -> -1))
-  | _ -> -1
-
-let efc_mesa_bake t ~cb ~lv_index =
-  match instances_of_cb t cb with
-  | [ ii ] -> (
-    let mem = t.image.Image.mem in
-    let lv_addr = ii.Image.ii_gf_addr - 1 - lv_index in
-    match Memory.peek mem lv_addr with
-    | exception Invalid_argument _ -> None
-    | lv_word when Descriptor.word_kind lv_word = Descriptor.word_proc -> (
-      let gfi = Descriptor.word_gfi lv_word
-      and ev = Descriptor.word_ev lv_word in
-      if gfi < 1 || gfi >= Gft.capacity then None
-      else
-        try
-          let gft_addr = Gft.base t.image.Image.gft + gfi in
-          let gft_word = Memory.peek mem gft_addr in
-          let gf = gft_word land 0xFFFC and bias = gft_word land 3 in
-          let cb_t = Memory.peek mem gf in
-          let ev_addr = cb_t + (bias * 32) + ev in
-          let entry_off = Memory.peek mem ev_addr in
-          let dest = dest_of mem ~gf ~cb:cb_t ~entry_off in
-          add_dep t lv_addr lv_word;
-          add_dep t gft_addr gft_word;
-          add_dep t gf cb_t;
-          Some
-            {
-              em_lv_word = lv_word;
-              em_gft_addr = gft_addr;
-              em_gft_word = gft_word;
-              em_ev_addr = ev_addr;
-              em_ev_word = entry_off;
-              em_dest = dest;
-            }
-        with Invalid_argument _ -> None)
-    | _ -> None)
-  | _ -> None
-
-let efc_simple_bake t ~cb ~lv_index =
-  match instances_of_cb t cb with
-  | [ ii ] ->
-    if lv_index < 0 || lv_index >= Array.length ii.Image.ii_imports then None
-    else begin
-      let tm, tp = ii.Image.ii_imports.(lv_index) in
-      match
-        ( Simple_links.expected_pair t.image ~target_instance:tm
-            ~target_proc:tp,
-          Image.find_instance t.image tm )
-      with
-      | pair, tii ->
-        let mem = t.image.Image.mem in
-        let gf = Simple_links.pair_gf pair in
-        let cb_t = Memory.peek mem gf in
-        if cb_t = tii.Image.ii_code_base then
-          Some
-            {
-              es_pair = pair;
-              es_dest =
-                dest_of mem ~gf ~cb:cb_t
-                  ~entry_off:(Simple_links.pair_abs pair - (2 * cb_t));
-            }
-        else None
-      | exception (Not_found | Invalid_argument _) -> None
-    end
-  | _ -> None
-
-(* Build the node for a block-ending transfer, or [None] when the shape
-   (or its translate-time resolution) has no node of its own.  Returns the
-   extra instruction headroom a spliced callee can retire on top of the
-   block's own count. *)
-let transfer_node t ~tpc (op : Opcode.t) : (int * (State.t -> unit)) option =
+(* The entry PC a call site's link-time binding names: where a leaf
+   spliced into its node begins.  A hint only — the call resolves live,
+   and the node runs the leaf only when the call landed on it.  LOCALCALL
+   reads the entry-vector word of the code segment owning the site;
+   EXTERNALCALL chases the import's descriptor through the GFT from the
+   one instance owning that code (a module instantiated more than once
+   has no single binding); DIRECTCALL's header sits at a fixed target. *)
+let entry_hint t ~tpc (op : Opcode.t) =
   let mem = t.image.Image.mem in
+  let entry cb ev_addr = (2 * cb) + Memory.peek mem ev_addr + 1 in
   match op with
-  | Ret -> Some (0, Transfer.return_)
-  | Lfc n -> (
-    match cb_of_pc t.cbs tpc with
-    | None -> None
-    | Some cb -> (
-      try
-        let ev_word = Memory.peek mem (cb + n) in
-        let d = dest_of mem ~gf:(-1) ~cb ~entry_off:ev_word in
-        let spair = simple_own_pair t ~cb ~ev_index:n ~target_pc:d.d_pc in
-        let callee, extra = callee_for t ~tpc ~entry_pc:d.d_pc in
-        Some (extra, lfc_node ~tpc ~ev_index:n ~ev_word ~d ~spair ~callee)
-      with Invalid_argument _ -> None))
-  | Efc n -> (
-    match cb_of_pc t.cbs tpc with
-    | None -> None
-    | Some cb -> (
-      let mesa = efc_mesa_bake t ~cb ~lv_index:n in
-      let simple = efc_simple_bake t ~cb ~lv_index:n in
-      let entry =
-        match (mesa, simple) with
-        | Some em, Some es when em.em_dest.d_pc <> es.es_dest.d_pc -> None
-        | Some em, _ -> Some em.em_dest.d_pc
-        | None, Some es -> Some es.es_dest.d_pc
-        | None, None -> None
-      in
-      match (mesa, simple) with
-      | None, None -> None
-      | _ ->
-        let callee, extra =
-          match entry with
-          | Some entry_pc -> callee_for t ~tpc ~entry_pc
-          | None -> (stop, 0)
-        in
-        Some
-          ( extra,
-            efc_node ~tpc ~lv_index:n ~valid:t.fuse_valid ~mesa ~simple
-              ~callee )))
-  | Dfc _ | Sdfc _ ->
-    let target_abs =
-      match op with Dfc tgt -> tgt | Sdfc d -> tpc + d | _ -> assert false
-    in
-    let callee, extra = callee_for t ~tpc ~entry_pc:(target_abs + 3) in
-    Some
-      ( extra,
-        fun (st : State.t) ->
-          Transfer.call_direct st ~target_abs;
-          callee st )
-  | _ -> None
+  | Dfc target_abs -> Some (target_abs + 3)
+  | Sdfc d -> Some (tpc + d + 3)
+  | _ -> (
+    try
+      match (op, cb_of_pc t.cbs tpc) with
+      | Lfc n, Some cb -> Some (entry cb (cb + n))
+      | Efc n, Some cb -> (
+        match
+          List.filter
+            (fun ii -> ii.Image.ii_code_base = cb)
+            t.image.Image.dir.instances
+        with
+        | [ ii ] ->
+          let w = Memory.peek mem (ii.Image.ii_gf_addr - 1 - n) in
+          if Descriptor.word_kind w <> Descriptor.word_proc then None
+          else
+            let g =
+              Memory.peek mem
+                (Gft.base t.image.Image.gft + Descriptor.word_gfi w)
+            in
+            let cb_t = Memory.peek mem (g land 0xFFFC) in
+            Some (entry cb_t (cb_t + ((g land 3) * 32) + Descriptor.word_ev w))
+        | _ -> None)
+      | _ -> None
+    with Invalid_argument _ -> None)
+
+(* A call node: the interpreter's own call, then — when the call landed
+   on [entry_pc] with the machine still running — the spliced [leaf]. *)
+let call_node ~tpc (op : Opcode.t) ~entry_pc ~leaf : State.t -> unit =
+  let[@inline] landed (st : State.t) =
+    match st.status with
+    | State.Running when st.pc_abs = entry_pc -> leaf st
+    | _ -> ()
+  in
+  match op with
+  | Lfc n ->
+    fun (st : State.t) ->
+      Transfer.call_local st ~ev_index:n;
+      landed st
+  | Efc n ->
+    fun (st : State.t) ->
+      Transfer.call_external st ~lv_index:n;
+      landed st
+  | Dfc target_abs ->
+    fun (st : State.t) ->
+      Transfer.call_direct st ~target_abs;
+      landed st
+  | Sdfc d ->
+    let target_abs = tpc + d in
+    fun (st : State.t) ->
+      Transfer.call_direct st ~target_abs;
+      landed st
+  | _ -> invalid_arg "Tier.call_node: not a call"
+
+(* The node for a block-ending transfer, with the extra instruction
+   headroom a spliced leaf can retire on top of the block's own count. *)
+let transfer_node t ~tpc (op : Opcode.t) : int * (State.t -> unit) =
+  match op with
+  | Ret -> (0, Transfer.return_)
+  | Lfc _ | Efc _ | Dfc _ | Sdfc _ -> (
+    match entry_hint t ~tpc op with
+    | Some entry_pc ->
+      let leaf, extra = callee_for t ~tpc ~entry_pc in
+      (extra, call_node ~tpc op ~entry_pc ~leaf)
+    | None -> (0, call_node ~tpc op ~entry_pc:(-1) ~leaf:stop))
+  | _ -> (0, fun (st : State.t) -> Interp.exec st ~instr_pc:tpc op)
 
 (* A followed unconditional jump (one with more instructions collected
    after it) is fusable: inside a chain it costs its dispatch and jump
@@ -1359,25 +1144,15 @@ let build_node t ops : int * bool * (State.t -> unit) =
         | F_end -> stop
         | F_term (tpc, top, tlen) ->
           let t_next = tpc + tlen in
-          let term =
-            match transfer_node t ~tpc top with
-            | Some (e, sp) ->
-              extra := !extra + e;
-              sp
-            | None -> fun (st : State.t) -> Interp.exec st ~instr_pc:tpc top
-          in
+          let e, term = transfer_node t ~tpc top in
+          extra := !extra + e;
           fun (st : State.t) ->
             st.pc_abs <- t_next;
             term st
         | F_call (tpc, top, tlen) ->
           let t_next = tpc + tlen in
-          let call =
-            match transfer_node t ~tpc top with
-            | Some (e, sp) ->
-              extra := !extra + e;
-              sp
-            | None -> fun (st : State.t) -> Interp.exec st ~instr_pc:tpc top
-          in
+          let e, call = transfer_node t ~tpc top in
+          extra := !extra + e;
           fun (st : State.t) ->
             st.pc_abs <- t_next;
             call st;
@@ -1548,16 +1323,12 @@ let create (image : Image.t) =
     ranges;
     translated = Array.make (Array.length ranges) false;
     lock = Mutex.create ();
-    fuse_valid = ref true;
-    deps_tbl = Hashtbl.create 16;
     seen_sites = Hashtbl.create 16;
     leaf_memo = Hashtbl.create 16;
-    deps = [||];
     n_boundaries = 0;
     n_fused = 0;
     n_fused_calls = 0;
     n_translated = 0;
-    n_invalidations = 0;
   }
 
 let fill_range t lo hi =
@@ -1584,9 +1355,6 @@ let ensure_proc t p =
       else begin
         let lo, hi = t.ranges.(p) in
         fill_range t lo hi;
-        t.deps <-
-          Array.of_list
-            (Hashtbl.fold (fun a w acc -> (a, w) :: acc) t.deps_tbl []);
         t.n_translated <- t.n_translated + 1;
         t.translated.(p) <- true;
         true
@@ -1599,33 +1367,12 @@ let translate image =
 
 type Image.attachment += Translation of t
 
-(* A host-side rebind overwrote a link word: if some fused site's baked
-   resolution read the old contents of that address, the translation's
-   fused external calls are no longer trustworthy — deopt them all (they
-   fall back to [Interp.exec]'s live resolution).  Replayed identical
-   words (an arena reset reinstalling I1 tables) compare equal and leave
-   fusion alive. *)
-let note_relink t ~addr ~word =
-  let deps = t.deps in
-  let n = Array.length deps in
-  let hit = ref false in
-  for i = 0 to n - 1 do
-    let a, w = deps.(i) in
-    if a = addr && w <> word then hit := true
-  done;
-  if !hit then begin
-    t.fuse_valid := false;
-    t.n_invalidations <- t.n_invalidations + 1
-  end
-
 let of_image (image : Image.t) =
   match image.dir.attachment with
   | Some (Translation t) -> (t, true)
   | _ ->
     let t = create image in
     image.dir.attachment <- Some (Translation t);
-    Image.set_relink_hook image
-      (Some (fun ~addr ~word -> note_relink t ~addr ~word));
     (t, false)
 
 let boundaries t = t.n_boundaries
@@ -1633,8 +1380,7 @@ let fused_boundaries t = t.n_fused
 let fused_call_sites t = t.n_fused_calls
 let procs t = Array.length t.ranges
 let procs_translated t = t.n_translated
-let invalidations t = t.n_invalidations
-let fusion_valid t = !(t.fuse_valid)
+let invalidations (_ : t) = 0
 
 let run ?(max_steps = 20_000_000) t (st : State.t) =
   let m = st.metrics in

@@ -15,29 +15,25 @@
     {2 Calls, returns and cross-call fusion}
 
     The tier has no call or return code of its own: every transfer runs
-    {!Fpc_core.Transfer}'s, which is the interpreter's.  A LOCALCALL or
-    EXTERNALCALL node resolves its destination at translate time — the
-    entry-vector slot, or the descriptor chased through the link vector
-    and GFT.  On each execution it re-checks every word that resolution
-    read against the live store (code-region words included: a program
-    can overwrite them with an out-of-range store), writes the callee into
-    the scratch destination registers and calls
-    {!Fpc_core.Transfer.call_resolved} with the count of resolution reads
-    it elided.  DIRECTCALL / SHORTDIRECTCALL nodes call
-    {!Fpc_core.Transfer.call_direct}, which reads the header live, and
-    RETURN nodes call {!Fpc_core.Transfer.return_}.  When the callee is a
+    {!Fpc_core.Transfer}'s, which is the interpreter's.  A call node is
+    {!Fpc_core.Transfer.call_local}, {!Fpc_core.Transfer.call_external}
+    or {!Fpc_core.Transfer.call_direct}, which resolve the destination
+    live from the entry vector, the link vector and GFT, I1's link
+    tables or the DIRECTCALL header; RETURN nodes call
+    {!Fpc_core.Transfer.return_}.  The tier bakes no link word, so a
+    rebind — host-side ({!Fpc_mesa.Linker.rebind_lv},
+    {!Fpc_core.Simple_links.rebind}) or by the program's own store into
+    a link vector or its code region — needs no notice.  What a call site
+    is linked to at translate time is only a hint: when that callee is a
     {e known leaf} (a straight run of pure instructions ending in RETURN,
-    with a bounded frame and no trap-capable op), its body is spliced into
-    the caller's node: one combined stack-depth guard admits
+    with a bounded frame and no trap-capable op), its body is spliced
+    into the caller's node and runs when the call lands on its entry PC
+    with the machine running: one combined stack-depth guard admits
     body-plus-RETURN, the meters are charged in one batch — batched, but
     never {e reordered} across the call's frame-allocation trap point,
     which the call has already passed — and the RETURN is
-    {!Fpc_core.Transfer.return_}.  A host-side rebind
-    ({!Fpc_mesa.Linker.rebind_lv}, {!Fpc_core.Simple_links.rebind}) that
-    overwrites a word an external call's resolution depends on
-    invalidates the translation's fused external calls via the image's
-    relink observer — subsequent executions deopt to the interpreter's
-    live resolution.
+    {!Fpc_core.Transfer.return_}.  A call that lands elsewhere leaves the
+    machine at that exact boundary for the dispatch loop.
 
     {2 Lazy per-procedure translation}
 
@@ -61,12 +57,11 @@
     failure, an installed tracer or data-reference trace, a banked frame
     not proven resident, a trap-capable instruction (a DIV or MOD
     counts as one unless a non-zero literal divisor directly precedes
-    it in the same run), undecodable bytes,
-    an invalidated or mismatched baked resolution, fuel expiry mid-block
-    — deopts to the interpreter's own semantics at an exact instruction
-    boundary.  Host-speed only: simulated meters are
-    unaffected by whether a run used this tier (that is the whole
-    point). *)
+    it in the same run), undecodable bytes, a call that lands away
+    from its spliced leaf, fuel expiry mid-block — deopts to the
+    interpreter's own semantics at an exact instruction boundary.
+    Host-speed only: simulated meters are unaffected by whether a run
+    used this tier (that is the whole point). *)
 
 type t
 
@@ -78,9 +73,8 @@ val translate : Fpc_mesa.Image.t -> t
 
 val of_image : Fpc_mesa.Image.t -> t * bool
 (** The image's shared translation skeleton: reuses the one cached on
-    the image directory or builds, attaches it, and registers the relink
-    observer that invalidates fused calls.  Procedures translate lazily
-    on first entry.  Returns [true] iff it was already attached (a
+    the image directory or builds and attaches it.  Procedures translate
+    lazily on first entry.  Returns [true] iff it was already attached (a
     translation-cache hit). *)
 
 val run : ?max_steps:int -> t -> Fpc_core.State.t -> unit
@@ -120,9 +114,5 @@ val procs_translated : t -> int
     filling, the procedures actually entered. *)
 
 val invalidations : t -> int
-(** Relink notifications that overwrote a word some fused call site's
-    baked resolution depends on (each clears {!fusion_valid}). *)
-
-val fusion_valid : t -> bool
-(** False once a relink invalidated the baked external-call resolutions;
-    fused external calls then deopt to live resolution. *)
+(** Always 0: the tier bakes no link word, so no rebind invalidates a
+    translation.  Kept for callers that still report the count. *)

@@ -226,21 +226,22 @@ END;
 END;
 |}
 
-(* Aim Main's [g[k] := v] at word [addr] with value [value]: [k] and [v]
-   are found by their sentinel initial values, and [g] is the global
-   declared just before [k]. *)
-let aim_store image ~addr ~value =
+(* Aim [instance]'s [g[k] := v] at word [addr] with value [value]: [k]
+   and [v] are found by their sentinel initial values, and [g] is the
+   global declared just before [k]. *)
+let aim_store ?(instance = "Main") image ~addr ~value =
   let module Image = Fpc_mesa.Image in
-  let ii = Image.find_instance image "Main" in
-  let globals =
-    (Image.find_module image "Main").Fpc_mesa.Compiled.m_global_init
-  in
+  let ii = Image.find_instance image instance in
+  let m = Image.find_module image ii.Image.ii_module in
+  let globals = m.Fpc_mesa.Compiled.m_global_init in
   let index_of sentinel =
     fst (List.find (fun (_, v) -> v = sentinel) globals)
   in
   let k_index = index_of 1111 and v_index = index_of 2222 in
   let global i = ii.Image.ii_gf_addr + Image.global_base + i in
   let mem = image.Image.mem in
+  if addr <= global (k_index - 1) then
+    Alcotest.failf "aim_store: word %d lies below %s's array" addr instance;
   Fpc_machine.Memory.poke mem (global k_index) (addr - global (k_index - 1));
   Fpc_machine.Memory.poke mem (global v_index) value
 
@@ -526,6 +527,58 @@ let test_unowned_descriptor () =
       let got = run_image_to_abort ~tier:true ~engine (image ()) in
       Alcotest.(check bool) (label ^ ": tier == interp") true (got = reference))
     [ false; true ]
+
+(* A trap handler that traps on entry.  [main] breaks into [handler],
+   whose first instruction is [SL 0].  I1-I3 pass the trap code on the
+   evaluation stack, so the handler stores it, prints it and returns
+   past the BRK.  I4 renames it into the register bank, so [SL 0]
+   underflows, the underflow re-enters the handler, and the recursion
+   ends when entering the handler finds the frame heap exhausted: the
+   machine must park in that trap on both tiers, with no exception
+   escaping. *)
+let test_trap_in_handler_entry () =
+  let m =
+    {
+      Fpc_mesa.Compiled.m_name = "Main";
+      m_globals_words = 1;
+      m_global_init = [];
+      m_imports = [||];
+      m_procs =
+        [
+          proc "main" ~locals:0
+            Fpc_isa.Opcode.[ Li 7; Out; Brk; Li 9; Out; Halt ];
+          proc "handler" ~locals:2 Fpc_isa.Opcode.[ Sl 0; Ll 0; Out; Ret ];
+        ];
+    }
+  in
+  List.iter
+    (fun (en, engine) ->
+      let linkage = (Fpc_compiler.Convention.for_engine engine).linkage in
+      let image () =
+        match Fpc_mesa.Linker.link ~linkage ~devirt:false [ m ] with
+        | Ok image ->
+          Fpc_mesa.Image.set_trap_handler image
+            (Fpc_mesa.Image.descriptor_of image ~instance:"Main"
+               ~proc:"handler");
+          image
+        | Error e -> Alcotest.fail ("link: " ^ e)
+      in
+      let label = "trap in handler entry/" ^ en in
+      let ((result, (o, _)) as reference) =
+        run_image_to_abort ~tier:false ~engine (image ())
+      in
+      Alcotest.(check (result unit string)) (label ^ ": no exception") (Ok ())
+        result;
+      let expected =
+        if en = "i4" then
+          Fpc_core.State.Trapped Fpc_core.State.Frame_heap_exhausted
+        else Fpc_core.State.Halted
+      in
+      Alcotest.(check bool) (label ^ ": final status") true
+        (o.Fpc_interp.Interp.o_status = expected);
+      let got = run_image_to_abort ~tier:true ~engine (image ()) in
+      Alcotest.(check bool) (label ^ ": tier == interp") true (got = reference))
+    (engines ())
 
 (* ---- fuel expiry and slicing ---- *)
 
@@ -1066,9 +1119,9 @@ let relink_deopt_prop =
           else true)
         (relink_engines ()))
 
-(* The deterministic half of the protocol: the rebind really lands (the
-   output changes) and really invalidates the baked resolutions. *)
-let test_relink_invalidates () =
+(* The deterministic half: a mid-run host rebind really lands (the
+   output changes) on a translated image, and the run still halts. *)
+let test_rebind_lands () =
   let convention = Fpc_compiler.Convention.external_ in
   let engine = Fpc_core.Engine.i2 in
   let source = relink_source ~n:50 ~c:1 in
@@ -1082,19 +1135,136 @@ let test_relink_invalidates () =
   let image = relink_image ~convention source in
   let st = boot ~engine image in
   let tier, _ = Fpc_tier.Tier.of_image image in
-  Alcotest.(check bool) "fusion valid before relink" true
-    (Fpc_tier.Tier.fusion_valid tier);
   run_with_relink ~pause:100
     (fun ~max_steps st -> Fpc_tier.Tier.run ~max_steps tier st)
     image st;
-  Alcotest.(check bool) "relink invalidated fused resolutions" false
-    (Fpc_tier.Tier.fusion_valid tier);
-  Alcotest.(check bool) "invalidation counted" true
-    (Fpc_tier.Tier.invalidations tier > 0);
   Alcotest.(check bool) "rebound run halts" true
     (st.Fpc_core.State.status = Fpc_core.State.Halted);
   Alcotest.(check bool) "rebind changed the output" true
     (Fpc_core.State.output st <> plain)
+
+(* ---- a program that stores into its own link vector ---- *)
+
+(* Halfway through the loop, [Lib.poke]'s out-of-range [g[k] := v]
+   overwrites the one word of Main's link to [Lib.inc] that a rebind to
+   [Lib.trip] changes: the LV descriptor on the Mesa engines, the I1
+   pair's entry word on I1.  Every call resolves live, on both tiers, so
+   the store retargets the very next call. *)
+let self_relink_src =
+  {|
+MODULE Lib;
+VAR g: ARRAY 1 OF INT;
+VAR k: INT := 1111;
+VAR v: INT := 2222;
+PROC inc(x: INT): INT =
+  RETURN x + 1;
+END;
+PROC trip(x: INT): INT =
+  RETURN x * 3 + 1;
+END;
+PROC poke() =
+  g[k] := v;
+END;
+END;
+
+MODULE Main;
+IMPORT Lib;
+PROC main() =
+  VAR acc: INT := 1;
+  VAR i: INT := 0;
+  WHILE i < 40 DO
+    IF i = 20 THEN
+      Lib.poke();
+    END;
+    acc := Lib.inc(acc);
+    i := i + 1;
+  END;
+  OUTPUT acc;
+END;
+END;
+|}
+
+(* [(addr, word)] of the single word a host rebind of Main's [Lib.inc]
+   import to [Lib.trip] changes in the static region.  The rebind runs
+   on a clone; under I1 the clone first gets the link tables a boot
+   installs, at the same addresses. *)
+let import_word ~engine image =
+  let module Image = Fpc_mesa.Image in
+  let module Memory = Fpc_machine.Memory in
+  let scratch = Image.clone image in
+  let lv_index = lv_index_of image ~instance:"Main" ~target:("Lib", "inc") in
+  let target = ("Lib", "trip") in
+  let rebind =
+    match engine.Fpc_core.Engine.kind with
+    | Fpc_core.Engine.Simple ->
+      let sl = Fpc_core.Simple_links.install scratch in
+      fun () ->
+        Fpc_core.Simple_links.rebind sl scratch ~instance:"Main" ~lv_index
+          ~target
+    | Fpc_core.Engine.Mesa ->
+      fun () ->
+        Fpc_mesa.Linker.rebind_lv scratch ~instance:"Main" ~lv_index ~target
+  in
+  let lo = image.Image.layout.Fpc_mesa.Layout.static_base
+  and hi = image.Image.layout.Fpc_mesa.Layout.heap_base in
+  let peek i = Memory.peek scratch.mem (lo + i) in
+  let before = Array.init (hi - lo) peek in
+  rebind ();
+  match
+    List.filter
+      (fun i -> peek i <> before.(i))
+      (List.init (hi - lo) Fun.id)
+  with
+  | [ i ] -> (lo + i, peek i)
+  | l -> Alcotest.failf "rebind changed %d words, not 1" (List.length l)
+
+(* Tier and interpreter must agree on everything observable, and the
+   tier must splice exactly the calls that land on the leaf their site
+   was linked to: the interpreter's count of calls landing on the entry
+   of [Lib.inc] or [Lib.poke].  No call lands on [Lib.trip]'s entry from
+   a site linked to it, so its twenty calls run unspliced. *)
+let test_self_relink () =
+  let expected =
+    let rec go acc i =
+      if i = 40 then acc
+      else go (if i < 20 then acc + 1 else (acc * 3) + 1) (i + 1)
+    in
+    go 1 0 land 0xFFFF
+  in
+  List.iter
+    (fun (en, engine, convention) ->
+      let image () =
+        let image = relink_image ~convention self_relink_src in
+        let addr, value = import_word ~engine image in
+        aim_store ~instance:"Lib" image ~addr ~value;
+        image
+      in
+      let label = "self-relink/" ^ en in
+      let image_i = image () in
+      let entry proc =
+        Fpc_mesa.Image.entry_byte_address image_i ~instance:"Lib" ~proc + 1
+      in
+      let leaves = [ entry "inc"; entry "poke" ] in
+      let landed = ref 0 and after_call = ref false in
+      let sti = boot ~engine image_i in
+      Fpc_interp.Interp.run_traced sti ~on_step:(fun ~pc_abs op _ ->
+          if !after_call && List.mem pc_abs leaves then incr landed;
+          after_call :=
+            match op with
+            | Fpc_isa.Opcode.(Lfc _ | Efc _ | Dfc _ | Sdfc _) -> true
+            | _ -> false);
+      let image_c = image () in
+      let stc = boot ~engine image_c in
+      Fpc_tier.Tier.run (fst (Fpc_tier.Tier.of_image image_c)) stc;
+      Alcotest.(check (list int)) (label ^ ": the store retargeted the call")
+        [ expected ] (Fpc_core.State.output sti);
+      Alcotest.(check bool) (label ^ ": tier == interp") true
+        (observe stc = observe sti);
+      Alcotest.(check int) (label ^ ": fused calls") !landed
+        stc.metrics.Fpc_core.State.tier_fused_calls;
+      Alcotest.(check int) (label ^ ": Lib.inc and Lib.poke spliced") 21
+        !landed)
+    (relink_engines ())
 
 (* ---- translation bookkeeping ---- *)
 
@@ -1134,6 +1304,8 @@ let () =
               test_static_past_store ());
           Alcotest.test_case "I1 XFER to a descriptor no instance owns" `Quick
             test_unowned_descriptor;
+          Alcotest.test_case "trap while entering the handler" `Quick
+            test_trap_in_handler_entry;
           Alcotest.test_case "fuel exhaustion at exact budgets" `Quick
             test_fuel_exhaustion_equivalence;
           Alcotest.test_case "sliced resume (deadline path)" `Quick
@@ -1150,9 +1322,11 @@ let () =
         [
           Alcotest.test_case "fused calls engage (call-dense suite)" `Quick
             test_fused_calls_engage;
-          Alcotest.test_case "relink invalidates fused resolutions" `Quick
-            test_relink_invalidates;
+          Alcotest.test_case "host rebind lands mid-run" `Quick
+            test_rebind_lands;
           QCheck_alcotest.to_alcotest relink_deopt_prop;
+          Alcotest.test_case "program stores into its own link vector" `Quick
+            test_self_relink;
         ] );
       ( "translation",
         [
