@@ -25,11 +25,18 @@ open Fpc_mesa
      declared ranges.
 
    We run a linear abstract-stack scan over every procedure body in the
-   image (one-pass, join-free: any jump or transfer resets the abstract
-   stack, and popping from an empty abstract stack yields Unknown — both
-   strictly conservative).  If any body contains a store we cannot prove
-   harmless, the whole image abstains: the pass rewrites nothing rather
-   than reason about which link words the store might hit.
+   image (one-pass, join-free, and strictly conservative).  Each step is
+   read off {!Fpc_isa.Opcode.effects}, the table the interpreter is checked
+   against: a jump, call, transfer or stop resets the abstract stack
+   (values flow where the scan cannot follow); any other write at a
+   dynamic offset vetoes; everything else pops [pops] and pushes
+   [pushes] Unknowns, where popping an empty abstract stack yields
+   Unknown.  Only the facts the table does not carry keep their own
+   arms: [Rstore]'s address provenance, the Safe addresses [Lla]/[Lga]
+   push, and the values [Dup]/[Swap]/[Over] copy.  If any body contains
+   a store we cannot prove harmless, the whole image abstains: the pass
+   rewrites nothing rather than reason about which link words the store
+   might hit.
 
    Deliberately out of scope (documented limitation): an interprocedural
    provenance analysis that would prove a forwarded VAR parameter safe.
@@ -38,6 +45,11 @@ open Fpc_mesa
 type av = Safe | Unknown
 
 let pop = function [] -> (Unknown, []) | x :: r -> (x, r)
+let rec drop n = function _ :: r when n > 0 -> drop (n - 1) r | s -> s
+let rec push_unknown n s = if n <= 0 then s else push_unknown (n - 1) (Unknown :: s)
+
+let dynamic_write { Fpc_isa.Opcode.offset; access; _ } =
+  match (offset, access) with Dynamic, Write -> true | _ -> false
 
 (* [true] when every store in the body is provably unable to reach a
    link-time-resolved word.  [entry]/[len] delimit the body in absolute
@@ -50,49 +62,26 @@ let body_store_safe ~fetch ~entry ~len =
   while !ok && !pc < limit do
     match Fpc_isa.Opcode.decode ~fetch ~pc:!pc with
     | exception Invalid_argument _ -> ok := false
-    | op, n ->
+    | op, n -> (
       pc := !pc + n;
-      (match op with
-      (* runtime-indexed stores can escape the declared ranges *)
-      | Slx _ | Sgx _ | Stfld _ -> ok := false
-      | Rstore ->
+      match op with
+      | Rstore -> (
         let _value, s = pop !stack in
-        let addr, s = pop s in
-        (match addr with
-        | Safe -> stack := s
-        | Unknown -> ok := false)
+        match pop s with Safe, s -> stack := s | Unknown, _ -> ok := false)
       | Lla _ | Lga _ -> stack := Safe :: !stack
-      | Li _ | Lpd _ | Ll _ | Lg _ | Lrc -> stack := Unknown :: !stack
-      | Llx _ | Lgx _ | Rload | Ldfld _ | Neg | Bnot ->
-        let _, s = pop !stack in
-        stack := Unknown :: s
-      | Newrec _ -> stack := Unknown :: !stack
-      | Sl _ | Sg _ | Drop | Out | Freerec ->
-        let _, s = pop !stack in
-        stack := s
       | Dup -> (
-        match !stack with
-        | x :: _ -> stack := x :: !stack
-        | [] -> stack := [ Unknown ])
+        match !stack with x :: _ -> stack := x :: !stack | [] -> stack := [ Unknown ])
       | Swap -> (
-        match !stack with
-        | a :: b :: r -> stack := b :: a :: r
-        | _ -> stack := [])
+        match !stack with a :: b :: r -> stack := b :: a :: r | _ -> stack := [])
       | Over -> (
-        match !stack with
-        | a :: b :: r -> stack := b :: a :: b :: r
-        | _ -> stack := [])
-      | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Lt | Le | Eq | Ne
-      | Ge | Gt ->
-        let _, s = pop !stack in
-        let _, s = pop s in
-        stack := Unknown :: s
-      (* control transfers: values flow where the one-pass scan cannot
-         follow, so forget everything (strictly conservative) *)
-      | J _ | Jz _ | Jnz _ | Efc _ | Lfc _ | Dfc _ | Sdfc _ | Xf | Ret
-      | Fork _ | Yield | Stopproc | Brk | Halt ->
-        stack := []
-      | Nop -> ())
+        match !stack with a :: b :: r -> stack := b :: a :: b :: r | _ -> stack := [])
+      | _ -> (
+        let e = Fpc_isa.Opcode.effects op in
+        match e.cls with
+        | Jump | Call | Transfer | Stop -> stack := []
+        | Pure | Data | Alloc ->
+          if List.exists dynamic_write e.refs then ok := false
+          else stack := push_unknown e.pushes (drop e.pops !stack)))
   done;
   !ok
 
@@ -135,27 +124,21 @@ let site_is_padded_efc image ~site_abs ~lv =
   && peek image (site_abs + 2) = 0
   && peek image (site_abs + 3) = 0
 
-(* Overwrite the padded EFC with a DIRECTCALL to [target_abs] — the 3-byte
-   SHORTDIRECTCALL + pad when the displacement fits §6 D1's ±512 KB reach,
-   the 4-byte absolute form otherwise.  Returns how it encoded. *)
+(* Overwrite the padded EFC with a DIRECTCALL to [target_abs], through
+   the encoder — the 3-byte SHORTDIRECTCALL + NOP pad when the
+   displacement fits §6 D1's ±512 KB reach, the 4-byte absolute form
+   otherwise.  Returns how it encoded. *)
 let patch_site image ~site_abs ~target_abs =
   let lo, hi = Fpc_isa.Opcode.sdfc_range in
   let d = target_abs - site_abs in
-  if d >= lo && d <= hi then begin
-    let u = Fpc_util.Bits.unsigned_of_signed ~width:20 d in
-    poke image site_abs (0xA0 lor (u lsr 16));
-    poke image (site_abs + 1) ((u lsr 8) land 0xFF);
-    poke image (site_abs + 2) (u land 0xFF);
-    poke image (site_abs + 3) 0x00;
-    `Short
-  end
-  else if target_abs >= 0 && target_abs <= 0xFFFFFF then begin
-    poke image site_abs 0x92;
-    poke image (site_abs + 1) ((target_abs lsr 16) land 0xFF);
-    poke image (site_abs + 2) ((target_abs lsr 8) land 0xFF);
-    poke image (site_abs + 3) (target_abs land 0xFF);
-    `Long
-  end
+  let put ops enc =
+    let buf = Buffer.create 4 in
+    List.iter (fun op -> Fpc_isa.Opcode.encode op buf) ops;
+    String.iteri (fun i c -> poke image (site_abs + i) (Char.code c)) (Buffer.contents buf);
+    enc
+  in
+  if d >= lo && d <= hi then put [ Sdfc d; Nop ] `Short
+  else if target_abs >= 0 && target_abs <= 0xFFFFFF then put [ Dfc target_abs ] `Long
   else `Unreachable
 
 (* Decode the patched bytes back and check they XFER to exactly the proven

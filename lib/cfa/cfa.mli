@@ -17,11 +17,12 @@
     - the whole image is store-safe: no program store can reach a word
       the link-time resolution depends on (LV entries, GFT, gf code-base
       words, EV entries, the simple engine's link-table pairs).  The scan
-      is a conservative one-pass abstract-stack walk of every body;
-      runtime-indexed stores ([Slx]/[Sgx]/[Stfld]) and [Rstore] through
+      is a conservative one-pass abstract-stack walk of every body whose
+      steps are read off {!Fpc_isa.Opcode.effects}: a write at a dynamic
+      offset ([Slx]/[Sgx]/[Stfld] in the table) or an [Rstore] through
       anything but a fresh [Lla]/[Lga] address (e.g. a forwarded VAR
       parameter — interprocedural provenance is deliberately not
-      attempted) make the image abstain wholesale;
+      attempted) makes the image abstain wholesale;
     - the target module has exactly one instance, so the target carries a
       DIRECTCALL header and no per-instance binding choice remains;
     - the site bytes still hold the recorded padded EFC.

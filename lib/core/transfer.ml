@@ -157,13 +157,11 @@ let spill_oldest (st : State.t) rs =
 
 (* Leaving the current context by a slow transfer: save the PC (always)
    and, in deferred mode, the globalFrame word that eager entry would have
-   written at creation.  [reads] storage reads the caller still owes (a
-   prefilled call's elided resolution) join the stores' batch: nothing
-   between them can trap or emit. *)
-let[@inline] suspend_current (st : State.t) ~reads =
+   written at creation. *)
+let[@inline] suspend_current (st : State.t) =
   let cb = if st.cb >= 0 then st.cb else State.ensure_cb st in
   let defer = deferred st in
-  Cost.refs_n st.cost ~reads ~writes:(if defer then 2 else 1);
+  Cost.refs_n st.cost ~reads:0 ~writes:(if defer then 2 else 1);
   Memory.poke st.mem (st.lf + Frame.off_pc) (st.pc_abs - (2 * cb));
   if defer then Memory.poke st.mem (st.lf + Frame.off_global_frame) st.gf
 
@@ -178,13 +176,13 @@ let[@inline] suspend_current (st : State.t) ~reads =
      [tag_local]      a = entry-vector index
      [tag_desc]       a = gfi, b = five-bit ev
      [tag_import]     a = link-vector index (Simple engine only)
-     [tag_prefilled]  scratch already written by the caller: the DIRECTCALL
-                      header, decoded by {!call_direct}                  *)
+     [tag_direct]     scratch already written by {!call_direct}: charge
+                      the header fetches an IFU has not prefetched        *)
 
 let tag_local = 0
 let tag_desc = 1
 let tag_import = 2
-let tag_prefilled = 3
+let tag_direct = 3
 
 (* An I1 resolution of [-1] found no instance behind the global frame or
    descriptor: the destination names no context, the trap a NIL or
@@ -200,7 +198,9 @@ let resolve_simple_pair (st : State.t) p =
   st.xr_fsi <- fsi
 
 let resolve_into (st : State.t) ~tag ~a ~b =
-  if tag = tag_prefilled then ()
+  if tag = tag_direct then begin
+    if not (deferred st) then Cost.refs_n st.cost ~reads:3 ~writes:0
+  end
   else if tag = tag_desc then
     match st.engine.Engine.kind with
     | Engine.Mesa ->
@@ -293,7 +293,7 @@ let transfer_to_frame (st : State.t) ~dest_lf =
   (match st.banks with
   | Some b -> Fpc_regbank.Bank_file.on_leave b ~lf:st.lf
   | None -> ());
-  suspend_current st ~reads:0;
+  suspend_current st;
   let me = st.lf in
   resume_frame st ~dest_lf;
   st.return_ctx <- me
@@ -306,10 +306,9 @@ let classify (st : State.t) before =
     st.metrics.fast_transfers <- st.metrics.fast_transfers + 1
   else st.metrics.slow_transfers <- st.metrics.slow_transfers + 1
 
-(* One call path for every caller.  [skipped] counts the resolution reads
-   a prefilled caller made unmetered; they are charged where a resolution
-   makes them — before the frame allocation, the only trap point. *)
-let do_call (st : State.t) ~before ~s ~tag ~a ~b ~skipped =
+(* One call path for every caller: the resolution, and so its charge,
+   comes before the frame allocation, the only trap point. *)
+let do_call (st : State.t) ~before ~s ~tag ~a ~b =
   st.metrics.calls <- st.metrics.calls + 1;
   State.note_transfer_direction st 1;
   try
@@ -330,15 +329,14 @@ let do_call (st : State.t) ~before ~s ~tag ~a ~b ~skipped =
         | Some bk -> Fpc_regbank.Bank_file.bank_index bk ~lf:st.lf
         | None -> Fpc_ifu.Return_stack.no_bank
       in
-      if tag <> tag_prefilled then resolve_into st ~tag ~a ~b
-      else if skipped > 0 then Cost.refs_n st.cost ~reads:skipped ~writes:0;
+      resolve_into st ~tag ~a ~b;
       Fpc_ifu.Return_stack.push rs ~lf:e_lf ~gf:e_gf ~cb:e_cb ~pc_abs:e_pc
         ~bank:e_bank;
       enter_proc st ~ret_word ~fast:true;
       classify st before
     | None ->
-      if tag <> tag_prefilled then resolve_into st ~tag ~a ~b;
-      suspend_current st ~reads:skipped;
+      resolve_into st ~tag ~a ~b;
+      suspend_current st;
       enter_proc st ~ret_word ~fast:false;
       (* storing the caller's PC makes it slow by construction *)
       st.metrics.slow_transfers <- st.metrics.slow_transfers + 1);
@@ -351,7 +349,7 @@ let call_external (st : State.t) ~lv_index =
   let before = Cost.mem_refs st.cost in
   let s = snap st in
   match st.engine.Engine.kind with
-  | Engine.Simple -> do_call st ~before ~s ~tag:tag_import ~a:lv_index ~b:0 ~skipped:0
+  | Engine.Simple -> do_call st ~before ~s ~tag:tag_import ~a:lv_index ~b:0
   | Engine.Mesa ->
     (* The link vector lives just below the global frame: entry i is the
        word at gf - 1 - i, so one reference reaches the context. *)
@@ -359,7 +357,7 @@ let call_external (st : State.t) ~lv_index =
     let k = Descriptor.word_kind lv_word in
     if k = Descriptor.word_proc then
       do_call st ~before ~s ~tag:tag_desc ~a:(Descriptor.word_gfi lv_word)
-        ~b:(Descriptor.word_ev lv_word) ~skipped:0
+        ~b:(Descriptor.word_ev lv_word)
     else if k = Descriptor.word_frame then begin
       (* A rebound link naming an existing context: the destination makes
          this a coroutine resume, not a call — F3. *)
@@ -373,14 +371,13 @@ let call_external (st : State.t) ~lv_index =
 let call_local (st : State.t) ~ev_index =
   let before = Cost.mem_refs st.cost in
   let s = snap st in
-  do_call st ~before ~s ~tag:tag_local ~a:ev_index ~b:0 ~skipped:0
+  do_call st ~before ~s ~tag:tag_local ~a:ev_index ~b:0
 
 (* The header (SETGLOBALFRAME gf; ALLOCATEFRAME fsi) is part of the
    instruction stream: its three bytes always span the two code words
    from [target_abs / 2].  With an IFU return stack the prefetcher has
    already consumed it; without one, the machine pays the three fetches,
-   charged as the call's resolution reads.  [before] matters only to the
-   return-stack shape, the one that can be fast. *)
+   charged as the call's resolution ([tag_direct]). *)
 let call_direct (st : State.t) ~target_abs =
   let a = target_abs lsr 1 in
   let w0 = Memory.peek st.mem a in
@@ -390,10 +387,8 @@ let call_direct (st : State.t) ~target_abs =
   st.xr_cb <- State.no_cb;
   st.xr_pc <- target_abs + 3;
   st.xr_fsi <- (window lsr (8 - shift)) land 0xFF;
-  let defer = deferred st in
-  let before = if defer then Cost.mem_refs st.cost else 0 in
-  do_call st ~before ~s:(snap st) ~tag:tag_prefilled ~a:0 ~b:0
-    ~skipped:(if defer then 0 else 3)
+  do_call st ~before:(Cost.mem_refs st.cost) ~s:(snap st) ~tag:tag_direct ~a:0
+    ~b:0
 
 (* ------------------------------------------------------------------ *)
 (* Processes. *)
@@ -502,7 +497,7 @@ let xfer (st : State.t) ~dest_word =
         (match st.banks with
         | Some b -> Fpc_regbank.Bank_file.on_leave b ~lf:st.lf
         | None -> ());
-        suspend_current st ~reads:0;
+        suspend_current st;
         let ret_word = st.lf in
         resolve_into st ~tag:tag_desc ~a:(Descriptor.word_gfi dest_word)
           ~b:(Descriptor.word_ev dest_word);
@@ -576,7 +571,7 @@ let yield (st : State.t) =
         (match st.banks with
         | Some b -> Fpc_regbank.Bank_file.flush_all b
         | None -> ());
-        suspend_current st ~reads:0;
+        suspend_current st;
         let stack = Eval_stack.contents st.stack in
         Array.iter (fun _ -> Cost.mem_write st.cost) stack;
         Queue.add
@@ -632,7 +627,7 @@ let trap (st : State.t) reason =
           (match st.banks with
           | Some b -> Fpc_regbank.Bank_file.flush_all b
           | None -> ());
-          suspend_current st ~reads:0;
+          suspend_current st;
           Eval_stack.clear st.stack;
           Eval_stack.push st.stack (State.trap_code reason);
           let ret_word = st.lf in

@@ -78,24 +78,16 @@ let check_opcode bytes ~pos ~expected ~what =
   if not (expected b) then
     invalid_arg (Printf.sprintf "Builder.%s: no such instruction at %d (byte 0x%02X)" what pos b)
 
+(* Overwrite the bytes at [pos] with [ops], through the encoder. *)
+let overwrite bytes ~pos ops =
+  let buf = Buffer.create 4 in
+  List.iter (fun op -> Opcode.encode op buf) ops;
+  Bytes.blit_string (Buffer.contents buf) 0 bytes pos (Buffer.length buf)
+
 let patch_dfc bytes ~pos ~target =
   check_opcode bytes ~pos ~expected:(fun b -> b = 0x92) ~what:"patch_dfc";
-  if target < 0 || target > 0xFFFFFF then invalid_arg "Builder.patch_dfc: target out of range";
-  Bytes.set bytes (pos + 1) (Char.chr ((target lsr 16) land 0xFF));
-  Bytes.set bytes (pos + 2) (Char.chr ((target lsr 8) land 0xFF));
-  Bytes.set bytes (pos + 3) (Char.chr (target land 0xFF))
-
-let patch_sdfc bytes ~pos ~displacement =
-  check_opcode bytes ~pos ~expected:(fun b -> b land 0xF0 = 0xA0) ~what:"patch_sdfc";
-  let u = Fpc_util.Bits.unsigned_of_signed ~width:20 displacement in
-  Bytes.set bytes pos (Char.chr (0xA0 lor (u lsr 16)));
-  Bytes.set bytes (pos + 1) (Char.chr ((u lsr 8) land 0xFF));
-  Bytes.set bytes (pos + 2) (Char.chr (u land 0xFF))
+  overwrite bytes ~pos [ Opcode.Dfc target ]
 
 let rewrite_dfc_to_sdfc bytes ~pos ~displacement =
   check_opcode bytes ~pos ~expected:(fun b -> b = 0x92) ~what:"rewrite_dfc_to_sdfc";
-  let u = Fpc_util.Bits.unsigned_of_signed ~width:20 displacement in
-  Bytes.set bytes pos (Char.chr (0xA0 lor (u lsr 16)));
-  Bytes.set bytes (pos + 1) (Char.chr ((u lsr 8) land 0xFF));
-  Bytes.set bytes (pos + 2) (Char.chr (u land 0xFF));
-  Bytes.set bytes (pos + 3) (Char.chr 0x00)
+  overwrite bytes ~pos [ Opcode.Sdfc displacement; Opcode.Nop ]

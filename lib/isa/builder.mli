@@ -54,9 +54,6 @@ val to_bytes : t -> bytes
 val patch_dfc : bytes -> pos:int -> target:int -> unit
 (** Rewrite the 24-bit operand of the [Dfc] at byte offset [pos]. *)
 
-val patch_sdfc : bytes -> pos:int -> displacement:int -> unit
-(** Rewrite the [Sdfc] (including its opcode's high bits) at [pos]. *)
-
 val rewrite_dfc_to_sdfc : bytes -> pos:int -> displacement:int -> unit
 (** Turn a 4-byte [Dfc] at [pos] into a 3-byte [Sdfc] followed by a [Nop]
     pad, used when the linker finds the target within short reach but must

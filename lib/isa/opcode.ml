@@ -353,14 +353,62 @@ let to_string = function
   | Brk -> "BRK"
   | Halt -> "HALT"
 
-let equal a b = a = b
+(* ------------------------------------------------------------------ *)
+(* Effects: what {!Fpc_interp.Interp.exec} does with each instruction.
+   Every decodable instruction's effects are built once, here — one
+   constant per operand-free (or operand-blind) form, one table entry
+   per byte operand of a static variable reference — so the translate-
+   and link-time callers allocate only for FORK's count. *)
 
-let is_transfer = function
-  | Efc _ | Lfc _ | Dfc _ | Sdfc _ | Xf | Ret -> true
-  | Li _ | Lpd _ | Ll _ | Sl _ | Lg _ | Sg _ | Lla _ | Lga _ | Llx _ | Slx _
-  | Lgx _ | Sgx _ | Rload | Rstore
-  | Ldfld _ | Stfld _ | Newrec _ | Freerec | Dup | Drop | Swap | Over | Add
-  | Sub | Mul | Div | Mod | Neg | Band | Bor | Bxor | Bnot | Lt | Le | Eq | Ne
-  | Ge | Gt | J _ | Jz _ | Jnz _ | Lrc | Fork _ | Yield | Stopproc | Out | Nop
-  | Brk | Halt ->
-    false
+type cls = Pure | Data | Alloc | Jump | Call | Transfer | Stop
+type region = Local | Global | Indirect
+type offset = Static of int | Dynamic
+type access = Read | Write | Address
+type sref = { region : region; offset : offset; access : access }
+
+type effects = {
+  pops : int;
+  pushes : int;
+  cls : cls;
+  refs : sref list;
+  may_trap : bool;
+}
+
+let fx ?(trap = false) cls pops pushes = { pops; pushes; cls; refs = []; may_trap = trap }
+
+let var region offset access pops pushes =
+  { pops; pushes; cls = Data; refs = [ { region; offset; access } ]; may_trap = false }
+
+(* A static reference's effects, by operand: built once for the byte
+   operands an encoded instruction can carry. *)
+let static region access pops pushes =
+  let table = Array.init 256 (fun n -> var region (Static n) access pops pushes) in
+  fun n -> if n >= 0 && n < 256 then table.(n) else var region (Static n) access pops pushes
+
+let ll = static Local Read 0 1 and sl = static Local Write 1 0 and lla = static Local Address 0 1
+let lg = static Global Read 0 1 and sg = static Global Write 1 0
+let push1 = fx Pure 0 1 and pop1 = fx Pure 1 0 and unary = fx Pure 1 1
+let binary = fx Pure 2 1 and divide = fx ~trap:true Pure 2 1
+let nop = fx Pure 0 0 and dup = fx Pure 1 2 and swap = fx Pure 2 2 and over = fx Pure 2 3
+let llx = var Local Dynamic Read 1 1 and slx = var Local Dynamic Write 2 0
+let lgx = var Global Dynamic Read 1 1 and sgx = var Global Dynamic Write 2 0
+let rload = var Indirect Dynamic Read 1 1 and rstore = var Indirect Dynamic Write 2 0
+let stfld = var Indirect Dynamic Write 2 1
+let newrec = fx ~trap:true Alloc 0 1 and freerec = fx Alloc 1 0
+let goto = fx Jump 0 0 and branch = fx Jump 1 0 and call = fx ~trap:true Call 0 0
+let xf = fx ~trap:true Transfer 1 0 and ret = fx ~trap:true Transfer 0 0
+let switch = fx Transfer 0 0 and brk = fx ~trap:true Stop 0 0 and halt = fx Stop 0 0
+
+let effects = function
+  | Li _ | Lpd _ | Lga _ | Lrc -> push1
+  | Ll n -> ll n | Sl n -> sl n | Lg n -> lg n | Sg n -> sg n | Lla n -> lla n
+  | Llx _ -> llx | Slx _ -> slx | Lgx _ -> lgx | Sgx _ -> sgx
+  | Rload | Ldfld _ -> rload | Rstore -> rstore | Stfld _ -> stfld
+  | Newrec _ -> newrec | Freerec -> freerec
+  | Dup -> dup | Drop | Out -> pop1 | Swap -> swap | Over -> over
+  | Add | Sub | Mul | Band | Bor | Bxor | Lt | Le | Eq | Ne | Ge | Gt -> binary
+  | Div | Mod -> divide | Neg | Bnot -> unary | Nop -> nop
+  | J _ -> goto | Jz _ | Jnz _ -> branch
+  | Efc _ | Lfc _ | Dfc _ | Sdfc _ -> call
+  | Xf -> xf | Ret -> ret | Fork n -> fx ~trap:true Transfer (n + 1) 0
+  | Yield | Stopproc -> switch | Brk -> brk | Halt -> halt

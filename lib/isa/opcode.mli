@@ -103,10 +103,58 @@ val decode : fetch:(int -> int) -> pc:int -> t * int
 val to_string : t -> string
 (** Assembly-style rendering, e.g. ["EFC 3"]. *)
 
-val equal : t -> t -> bool
+(** {1 Effects}
 
-val is_transfer : t -> bool
-(** True for calls, XF, RET — the XFERs counted by experiment E10. *)
+    What each instruction does to the machine, as
+    {!Fpc_interp.Interp.exec} does it: the one table that the compiled
+    tier's block formation, fusion guards and static bills, and CFA's
+    store scan, are derived from.  test_interp's "effect table" property
+    runs every instruction through [Interp.exec] (register banks on and
+    off, random stack, frame and operands) and checks every field. *)
+
+type cls =
+  | Pure  (** stack, literals, ALU, LRC, OUT, NOP: no storage *)
+  | Data  (** names a variable or storage word: see [refs] *)
+  | Alloc  (** NEWREC, FREEREC: the frame-heap allocator *)
+  | Jump  (** J, JZ, JNZ *)
+  | Call  (** EFC, LFC, DFC, SDFC *)
+  | Transfer  (** XF, RET, FORK, YIELD, STOPPROC *)
+  | Stop  (** HALT, BRK *)
+
+type region = Local | Global | Indirect
+(** The meter a reference ticks: [local_refs], [global_refs] or
+    [indirect_refs]. *)
+
+type offset = Static of int | Dynamic
+(** [Static n]: the operand, a fixed word of the frame; [Dynamic]: from the stack. *)
+
+type access =
+  | Read
+  | Write
+  | Address
+      (** forms the address only: no meter, storage reference or
+          data-trace entry.  LLA's is one, because under register banks
+          taking a local's address flags the frame (§7.4). *)
+
+type sref = { region : region; offset : offset; access : access }
+
+type effects = {
+  pops : int;
+      (** words needed and popped (DUP, OVER and STFLD count the words
+          they only peek); for a call or transfer, only its operands (XF's
+          destination, FORK's descriptor and arguments) — the rest of the
+          stack is the record that crosses the transfer *)
+  pushes : int;  (** pushed after the pops; no depth in between exceeds the result *)
+  cls : cls;
+  refs : sref list;  (** storage references, in execution order *)
+  may_trap : bool;  (** can raise [Transfer.Machine_trap] (stack bounds aside) *)
+}
+
+val effects : t -> effects
+(** For translate and link time, never per executed instruction.  It
+    allocates nothing for an instruction [decode] can return (FORK aside):
+    those effects are built once.  (Not [effect]: that is a keyword from
+    OCaml 5.3, which fpc.opam admits.) *)
 
 val max_short_efc : int
 (** Highest LV index encodable in a one-byte EXTERNALCALL (15). *)

@@ -60,105 +60,70 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Instruction classification.
+(* Instruction classification, read off {!Opcode.effects}: the one table
+   of what each instruction does, checked op by op against {!Interp.exec}.
 
-   A terminator moves control (or always traps) and so ends a block; it
-   may still execute inside the node, as its final instruction.  A pure
-   instruction touches only the evaluation stack, variables and meters:
-   it cannot raise a machine trap (the only exceptions it can produce
-   are stack bounds — discharged by the block guard — and a storage
+   A terminator (class jump, call, transfer or stop) moves control or
+   always traps, and so ends a block; it may still execute inside the
+   node, as its final instruction.  A call is a distinguished one: when
+   the callee splices, control comes straight back to the next
+   instruction, so block collection continues through it.
+
+   A pure instruction (class pure or data, no machine trap) can raise
+   only stack bounds — discharged by the block guard — and a storage
    [Invalid_argument], which aborts the whole job identically in both
-   tiers), cannot move the PC and cannot change the status.  Pure
-   instructions are the fusable ones: their per-instruction accounting
-   can be batched and their stack traffic collapsed.  [Div]/[Mod]/
-   [Newrec]/[Freerec] are not pure because they can trap mid-block, and
-   a catchable trap suspends the current frame with the {e exact} PC of
-   the next instruction — so they must run with per-instruction PC
-   updates (an "exact chain").  The one exception is a [Div]/[Mod] right
-   after a literal with a non-zero divisor, which cannot trap:
-   [split_fusable] admits it into the run, though it stays out of
-   spliced leaves, which take only pure ops. *)
+   tiers.  Pure instructions are the fusable ones: their accounting can
+   be batched and their stack traffic collapsed.  The allocator ops and
+   the trap-capable DIV and MOD are not: a catchable trap suspends the
+   frame with the {e exact} PC of the next instruction, so they run with
+   per-instruction PC updates (an "exact chain").  The exception is a
+   DIV or MOD right after a non-zero literal divisor, which cannot trap:
+   [split_fusable] admits it into the run (spliced leaves take only pure
+   ops).  Jumps and HALT end a run but need no transfer machinery, so
+   they can close a fully fused fast path. *)
 
-let is_terminator (op : Opcode.t) =
-  match op with
-  | J _ | Jz _ | Jnz _ | Efc _ | Lfc _ | Dfc _ | Sdfc _ | Xf | Ret | Fork _
-  | Yield | Stopproc | Halt | Brk ->
-    true
+let is_terminator op =
+  match (Opcode.effects op).cls with Jump | Call | Transfer | Stop -> true | _ -> false
+
+let is_pure op =
+  match Opcode.effects op with
+  | { cls = Pure | Data; may_trap = false; _ } -> true
   | _ -> false
 
-(* Calls are terminators (they move control), but distinguished ones:
-   when the callee splices, control is known to come straight back to the
-   next instruction, so block collection continues through them and the
-   node chains into the caller's continuation. *)
-let is_call (op : Opcode.t) =
-  match op with Lfc _ | Efc _ | Dfc _ | Sdfc _ -> true | _ -> false
-
-let is_pure (op : Opcode.t) =
-  match op with
-  | Li _ | Lpd _ | Ll _ | Sl _ | Lg _ | Sg _ | Lla _ | Lga _ | Llx _ | Slx _
-  | Lgx _ | Sgx _ | Rload | Rstore | Ldfld _ | Stfld _ | Dup | Drop | Swap
-  | Over | Add | Sub | Mul | Neg | Band | Bor | Bxor | Bnot | Lt | Le | Eq
-  | Ne | Ge | Gt | Lrc | Out | Nop ->
-    true
-  | _ -> false
-
-(* Terminators that are still fusable inline: they end the block but
-   need no transfer machinery, so they can be the last instruction of a
-   fully fused fast path. *)
-let is_fused_terminator (op : Opcode.t) =
-  match op with J _ | Jz _ | Jnz _ | Halt -> true | _ -> false
-
-(* Stack-depth effect of a fusable instruction: [(need, delta)] — words
-   that must be on the stack before it, and its net depth change.  For
-   every fusable instruction the transient depth during execution never
-   exceeds the boundary depths (pops precede pushes, except the pushes
-   of [Dup]/[Over] whose result depth {e is} the maximum), so checking
-   boundary depths once per block is a sound guard for a whole run of
-   unchecked pushes and pops. *)
-let depth_effect (op : Opcode.t) =
-  match op with
-  | Li _ | Lpd _ | Ll _ | Lg _ | Lla _ | Lga _ | Lrc -> (0, 1)
-  | Sl _ | Sg _ | Drop | Out | Jz _ | Jnz _ -> (1, -1)
-  | Llx _ | Lgx _ | Rload | Ldfld _ | Neg | Bnot -> (1, 0)
-  | Slx _ | Sgx _ | Rstore -> (2, -2)
-  | Stfld _ -> (2, -1)
-  | Dup -> (1, 1)
-  | Swap -> (2, 0)
-  | Over -> (2, 1)
-  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Lt | Le | Eq | Ne | Ge
-  | Gt ->
-    (2, -1)
-  | Nop | J _ | Halt -> (0, 0)
-  | _ -> invalid_arg "Tier.depth_effect: not fusable"
-
+(* Stack guard for a fusable run: [(need, maxd)] — words that must be on
+   the stack at its start, and the highest depth above that it reaches.
+   An instruction pops before it pushes and its transient depth never
+   exceeds its result (the table's promise), so checking the boundary
+   depths once per block is a sound guard for a whole run of unchecked
+   pushes and pops. *)
 let guard_params ops =
   let need = ref 0 and maxd = ref 0 and d = ref 0 in
   List.iter
     (fun (_, op, _) ->
-      let n, delta = depth_effect op in
-      if n - !d > !need then need := n - !d;
-      d := !d + delta;
+      let { Opcode.pops; pushes; _ } = Opcode.effects op in
+      if pops - !d > !need then need := pops - !d;
+      d := !d + pushes - pops;
       if !d > !maxd then maxd := !d)
     ops;
   (!need, !maxd)
 
 (* ------------------------------------------------------------------ *)
-(* Static accounting for a prepaid block.
+(* Static accounting for a prepaid block, summed from the table's refs.
 
-   A fusable run's storage traffic splits into two kinds.  Ops with
-   {e static} addresses (LL/SL/LG/SG at fixed frame offsets) have their
-   whole bill — storage references, local/global ref counters — computable
-   at translate time; when the block's runtime guard holds (no data
-   trace, no register banks shadowing the touched frame, every static
-   address in range) the bill is charged in one batch and the ops touch
-   the store raw.  Ops with {e dynamic} addresses (indexed, indirect)
-   still have a {e static} bill — one reference, one local/global/indirect
-   counter tick — with only the address unknown; they join the batch too,
-   going through the unmetered {!Memory.peek}/{!poke}, whose bounds check
-   aborts exactly like the metered access (which charges before
-   checking).  An abort leaves the rest of the batch billed but not run,
-   so each dynamic access takes that share back before re-raising
-   ({!unbill}). *)
+   A fusable run's storage traffic splits into two kinds.  References
+   at {e static} offsets (LL/SL/LG/SG) have their whole bill — storage
+   references, local/global ref counters — computable at translate time;
+   when the block's runtime guard holds (no data trace, no register banks
+   shadowing the touched frame, every static address in range) the bill
+   is charged in one batch and the ops touch the store raw.  {e Dynamic}
+   references (indexed, indirect) still have a static bill — one
+   reference, one local/global/indirect counter tick — with only the
+   address unknown; they join the batch too, going through the unmetered
+   {!Memory.peek}/{!poke}, whose bounds check aborts exactly like the
+   metered access (which charges before checking).  An abort leaves the
+   rest of the batch billed but not run, so each dynamic access takes
+   that share back before re-raising ({!unbill}).  An address-only
+   reference (LLA) is billed nothing but needs banks absent. *)
 
 type acct = {
   a_reads : int;
@@ -173,80 +138,42 @@ type acct = {
   a_no_banks : bool;
       (** block touches locals or data space raw: banks must be absent *)
   a_bankable : bool;
-      (** local traffic is entirely static Ll/Sl: under banks, a resident
-          shadow window covering [a_max_l] admits the prepaid bank plane
-          (dynamic local offsets, indirect refs and LLA disqualify) *)
+      (** local traffic is entirely static reads and writes: under banks,
+          a resident shadow window covering [a_max_l] admits the prepaid
+          bank plane (dynamic local offsets, indirect refs and address
+          formation disqualify) *)
 }
 
 let acct_of ops =
-  let reads = ref 0
-  and writes = ref 0
-  and g_reads = ref 0
-  and g_writes = ref 0
-  and lrefs = ref 0
-  and grefs = ref 0
-  and irefs = ref 0
-  and max_l = ref (-1)
-  and max_g = ref (-1)
-  and nb = ref false
-  and bankable = ref true in
-  List.iter
-    (fun (_, (op : Opcode.t), _) ->
-      match op with
-      | Ll n ->
-        incr reads;
-        incr lrefs;
-        if n > !max_l then max_l := n;
-        nb := true
-      | Sl n ->
-        incr writes;
-        incr lrefs;
-        if n > !max_l then max_l := n;
-        nb := true
-      | Lg n ->
-        incr reads;
-        incr g_reads;
+  let reads = ref 0 and writes = ref 0 and g_reads = ref 0 and g_writes = ref 0 in
+  let lrefs = ref 0 and grefs = ref 0 and irefs = ref 0 in
+  let max_l = ref (-1) and max_g = ref (-1) in
+  let nb = ref false and bankable = ref true in
+  let one { Opcode.region; offset; access } =
+    (match access with
+    | Address -> ()
+    | Read | Write ->
+      let total, g_total =
+        match access with Write -> (writes, g_writes) | Read | Address -> (reads, g_reads)
+      in
+      incr total;
+      match region with
+      | Local -> incr lrefs
+      | Global ->
         incr grefs;
-        if n > !max_g then max_g := n
-      | Sg n ->
-        incr writes;
-        incr g_writes;
-        incr grefs;
-        if n > !max_g then max_g := n
-      | Lla _ ->
-        (* flag_frame under banks: address formation only *)
-        nb := true;
-        bankable := false
-      | Llx _ ->
-        incr reads;
-        incr lrefs;
-        nb := true;
-        bankable := false
-      | Slx _ ->
-        incr writes;
-        incr lrefs;
-        nb := true;
-        bankable := false
-      | Lgx _ ->
-        incr reads;
-        incr g_reads;
-        incr grefs
-      | Sgx _ ->
-        incr writes;
-        incr g_writes;
-        incr grefs
-      | Rload | Ldfld _ ->
-        incr reads;
-        incr irefs;
-        nb := true;
-        bankable := false
-      | Rstore | Stfld _ ->
-        incr writes;
-        incr irefs;
-        nb := true;
-        bankable := false
-      | _ -> ())
-    ops;
+        incr g_total
+      | Indirect -> incr irefs);
+    match (region, offset, access) with
+    | Global, Static n, _ -> if n > !max_g then max_g := n
+    | Global, Dynamic, _ -> ()
+    | Local, Static n, (Read | Write) ->
+      nb := true;
+      if n > !max_l then max_l := n
+    | (Local | Indirect), _, _ ->
+      nb := true;
+      bankable := false
+  in
+  List.iter (fun (_, op, _) -> List.iter one (Opcode.effects op).refs) ops;
   {
     a_reads = !reads;
     a_writes = !writes;
@@ -331,6 +258,7 @@ let[@inline] exec_arith (op : Opcode.t) a b =
   | Bxor -> a lxor b
   | _ -> assert false
 
+(* [exec_arith]'s domain, which compile's peepholes test. *)
 let is_arith (op : Opcode.t) =
   match op with Add | Sub | Mul | Band | Bor | Bxor -> true | _ -> false
 
@@ -344,14 +272,15 @@ let[@inline] exec_cmp (op : Opcode.t) a b =
   | Gt -> signed a > signed b
   | _ -> assert false
 
+(* [exec_cmp]'s domain. *)
 let is_cmp (op : Opcode.t) =
   match op with Lt | Le | Eq | Ne | Ge | Gt -> true | _ -> false
 
-(* The divisor a literal pushes, as DIV/MOD reads it; 0 for any other op.
-   A DIV or MOD right after a literal with a non-zero divisor cannot trap,
-   so it is fusable (see [split_fusable]). *)
-let lit_divisor (op : Opcode.t) =
-  match op with Li c | Lpd c -> signed (word c) | _ -> 0
+(* The divisor a DIV or MOD [op] reads when [lit], right before it,
+   pushes a literal; 0 for any other pair.  A DIV or MOD by a non-zero
+   literal cannot trap, so it is fusable (see [split_fusable]). *)
+let lit_divisor (lit : Opcode.t) (op : Opcode.t) =
+  match (lit, op) with (Li c | Lpd c), (Div | Mod) -> signed (word c) | _ -> 0
 
 (* DIV/MOD by a non-zero divisor [c]: OCaml's truncating [/] and [mod],
    exactly {!Interp}'s [div_or_mod] once its zero check has passed. *)
@@ -361,14 +290,11 @@ let[@inline] exec_divmod (op : Opcode.t) a c =
   | Mod -> word (signed a mod c)
   | _ -> assert false
 
-let is_divmod (op : Opcode.t) = match op with Div | Mod -> true | _ -> false
-
-let is_cond (op : Opcode.t) = match op with Jz _ | Jnz _ -> true | _ -> false
-
-(* [(jump_if_true, displacement)]: JZ jumps when the (elided) comparison
-   came out false, JNZ when it came out true. *)
+(* A jump's [(jump_if_true, displacement)]: JZ jumps when the popped (or
+   elided comparison's) value is false, JNZ when it is true; J pops
+   nothing and always jumps. *)
 let cond (op : Opcode.t) =
-  match op with Jz d -> (false, d) | Jnz d -> (true, d) | _ -> assert false
+  match op with Jz d -> (false, d) | Jnz d | J d -> (true, d) | _ -> assert false
 
 (* Exactly {!Interp}'s [taken]. *)
 let take_jump (st : State.t) target =
@@ -548,10 +474,10 @@ let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
   | Halt -> fun (st : State.t) -> st.status <- State.Halted
   | _ -> invalid_arg "Tier.compile_one: not fusable"
 
-let is_dynamic (op : Opcode.t) =
-  match op with
-  | Llx _ | Slx _ | Lgx _ | Sgx _ | Rload | Rstore | Ldfld _ | Stfld _ -> true
-  | _ -> false
+let is_dynamic op =
+  List.exists
+    (function { Opcode.offset = Dynamic; _ } -> true | _ -> false)
+    (Opcode.effects op).refs
 
 (* A dynamic address past the store aborts the job with Memory's
    [Invalid_argument] in the middle of a batch that was counted and
@@ -593,8 +519,8 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
   match ops with
   | [] -> last
   (* LOAD a; LOAD b; CMP; Jcond — the compare-and-branch idiom *)
-  | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: [ (jp, jop, _) ]
-    when is_src o1 && is_src o2 && is_cmp o3 && is_cond jop ->
+  | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: [ (jp, ((Jz _ | Jnz _) as jop), _) ]
+    when is_src o1 && is_src o2 && is_cmp o3 ->
     let a = sval o1 and b = sval o2 in
     let jnz, d = cond jop in
     let target = jp + d in
@@ -603,8 +529,8 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
       let bv = load ~plane st b in
       if exec_cmp o3 av bv = jnz then take_jump st target
   (* LOAD b; CMP; Jcond — left operand from the stack *)
-  | (_, o1, _) :: (_, o2, _) :: [ (jp, jop, _) ]
-    when is_src o1 && is_cmp o2 && is_cond jop ->
+  | (_, o1, _) :: (_, o2, _) :: [ (jp, ((Jz _ | Jnz _) as jop), _) ]
+    when is_src o1 && is_cmp o2 ->
     let b = sval o1 in
     let jnz, d = cond jop in
     let target = jp + d in
@@ -660,15 +586,15 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
   (* LOAD a; LI c; DIV|MOD — a literal divisor, non-zero because
      [split_fusable] admitted the DIV/MOD (only after such a literal) *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: rest
-    when is_src o1 && is_divmod o3 && lit_divisor o2 <> 0 ->
-    let a = sval o1 and c = lit_divisor o2 in
+    when is_src o1 && lit_divisor o2 o3 <> 0 ->
+    let a = sval o1 and c = lit_divisor o2 o3 in
     let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       Eval_stack.unsafe_push st.stack (exec_divmod o3 (load ~plane st a) c);
       k st
   (* LI c; DIV|MOD — dividend from the stack *)
-  | (_, o1, _) :: (_, o2, _) :: rest when is_divmod o2 && lit_divisor o1 <> 0 ->
-    let c = lit_divisor o1 in
+  | (_, o1, _) :: (_, o2, _) :: rest when lit_divisor o1 o2 <> 0 ->
+    let c = lit_divisor o1 o2 in
     let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       Eval_stack.unsafe_push st.stack
@@ -1025,17 +951,16 @@ let transfer_node t ~tpc (op : Opcode.t) : int * (State.t -> unit) =
 let rec split_fusable acc (ops : (int * Opcode.t * int) list) =
   match ops with
   | [] -> (List.rev acc, [])
-  | [ ((_, Opcode.J _, _) as o) ] -> (List.rev (o :: acc), [])
-  | ((_, Opcode.J _, _) as o) :: rest -> split_fusable (o :: acc) rest
-  | ((_, op, _) as o) :: rest
-    when is_divmod op
-         && match acc with (_, lit, _) :: _ -> lit_divisor lit <> 0 | [] -> false
-    ->
-    split_fusable (o :: acc) rest
-  | ((_, op, _) as o) :: rest ->
-    if is_pure op then split_fusable (o :: acc) rest
-    else if is_fused_terminator op then (List.rev (o :: acc), [])
-    else (List.rev acc, ops)
+  | ((_, op, _) as o) :: rest -> (
+    match Opcode.effects op with
+    (* pure, or an unconditional jump (it pops no condition) *)
+    | { cls = Pure | Data; may_trap = false; _ } | { cls = Jump; pops = 0; _ } ->
+      split_fusable (o :: acc) rest
+    | _ when match acc with (_, lit, _) :: _ -> lit_divisor lit op <> 0 | [] -> false ->
+      split_fusable (o :: acc) rest
+    (* a conditional jump or HALT closes the run; anything else follows it *)
+    | { cls = Jump; _ } | { cls = Stop; may_trap = false; _ } -> (List.rev (o :: acc), [])
+    | _ -> (List.rev acc, ops))
 
 (* Superblock formation: an unconditional jump to a decodable target does
    not end collection — the block continues at the target, turning a loop
@@ -1053,13 +978,12 @@ let collect_block pd pc0 =
       else
         let op = Predecode.op_at pd pc in
         let acc = (pc, op, len) :: acc in
-        match op with
-        | Opcode.J d when n + 1 < block_cap && Predecode.len_at pd (pc + d) > 0
-          ->
-          go (pc + d) (n + 1) acc
-        | _ ->
-          if is_terminator op && not (is_call op) then List.rev acc
-          else go (pc + len) (n + 1) acc
+        match Opcode.effects op with
+        | { cls = Jump; pops = 0; _ }
+          when n + 1 < block_cap && Predecode.len_at pd (pc + snd (cond op)) > 0 ->
+          go (pc + snd (cond op)) (n + 1) acc
+        | { cls = Jump | Transfer | Stop; _ } -> List.rev acc
+        | _ -> go (pc + len) (n + 1) acc
   in
   go pc0 0 []
 
@@ -1115,16 +1039,17 @@ let rec steps_of ops =
     let fusable, tail = split_fusable [] ops in
     match tail with
     | [] -> [ (fusable, F_end) ]
-    | (tpc, top, tlen) :: rest ->
-      if is_call top then (fusable, F_call (tpc, top, tlen)) :: steps_of rest
-      else if is_terminator top then [ (fusable, F_term (tpc, top, tlen)) ]
-      else (fusable, F_exact (tpc, top, tlen)) :: steps_of rest)
+    | (tpc, top, tlen) :: rest -> (
+      match (Opcode.effects top).cls with
+      | Call -> (fusable, F_call (tpc, top, tlen)) :: steps_of rest
+      | Jump | Transfer | Stop -> [ (fusable, F_term (tpc, top, tlen)) ]
+      | Pure | Data | Alloc -> (fusable, F_exact (tpc, top, tlen)) :: steps_of rest))
 
 let rec exact_prefix ops =
   match ops with
   | [] -> []
   | ((_, op, _) as o) :: rest ->
-    if is_call op || is_terminator op then [ o ] else o :: exact_prefix rest
+    if is_terminator op then [ o ] else o :: exact_prefix rest
 
 let build_node t ops : int * bool * (State.t -> unit) =
   let n_ops = List.length ops in

@@ -78,6 +78,36 @@ let test_suite_rewrites () =
         (Fpc_cfa.Cfa.image_store_safe image))
     [ ("callchain", 5); ("leafcalls", 1); ("xleaf", 2) ]
 
+(* The store-hazard scan's verdict and the pass's outcome on every suite
+   program, as recorded before the scan read its steps off
+   [Opcode.effects]: deriving the scan from the table moved no verdict.
+   (name, store-safe, sites, rewritten, abstained) *)
+let suite_verdicts =
+  [
+    ("fib", true, 0, 0, 0); ("ackermann", true, 0, 0, 0); ("sieve", false, 0, 0, 0);
+    ("isort", false, 0, 0, 0); ("callchain", true, 5, 5, 0); ("leafcalls", true, 1, 1, 0);
+    ("coroutine", true, 0, 0, 0); ("processes", true, 0, 0, 0); ("mixed", false, 0, 0, 0);
+    ("deep", true, 0, 0, 0); ("hanoi", true, 0, 0, 0); ("bsearch", false, 0, 0, 0);
+    ("matmul", false, 0, 0, 0); ("knapsack", false, 0, 0, 0); ("fibleaf", true, 0, 0, 0);
+    ("ackerlite", true, 0, 0, 0); ("xleaf", true, 2, 2, 0); ("polyleaf", true, 0, 0, 0);
+  ]
+
+let test_suite_verdicts () =
+  Alcotest.(check (list string)) "every suite program has a verdict"
+    Fpc_workload.Programs.names
+    (List.map (fun (p, _, _, _, _) -> p) suite_verdicts);
+  List.iter
+    (fun (prog, safe, sites, rewritten, abstained) ->
+      let image =
+        image_for ~engine:Fpc_core.Engine.i2 ~devirt:true (Fpc_workload.Programs.find prog)
+      in
+      let d = devirt_stats_of image in
+      Alcotest.(check bool) (prog ^ ": store-safe") safe (Fpc_cfa.Cfa.image_store_safe image);
+      Alcotest.(check int) (prog ^ ": sites") sites d.Fpc_mesa.Image.dv_sites;
+      Alcotest.(check int) (prog ^ ": rewritten") rewritten d.dv_rewritten;
+      Alcotest.(check int) (prog ^ ": abstained") abstained d.dv_abstained)
+    suite_verdicts
+
 (* ...and that rewriting actually pays: fewer storage references for the
    same output on a call-dense cross-module kernel. *)
 let test_refs_drop () =
@@ -336,6 +366,7 @@ let () =
           Alcotest.test_case "multi-module suite fully proven" `Quick
             test_suite_rewrites;
           Alcotest.test_case "storage refs drop on xleaf" `Quick test_refs_drop;
+          Alcotest.test_case "suite verdicts unchanged" `Quick test_suite_verdicts;
         ] );
       ( "abstention",
         [

@@ -504,6 +504,186 @@ let test_runaway_recursion_stops () =
   in
   status_is (`Trap Fpc_core.State.Frame_heap_exhausted) (Fpc_interp.Interp.outcome st)
 
+(* ---- the effect table against the interpreter ---- *)
+
+(* [Opcode.effects] is what the compiled tier and CFA read instead of the
+   interpreter, so every field of it is checked here against what
+   [Interp.exec] does: one random instance of every instruction, on a
+   machine booted into a frame of 8 locals under 16 globals, with a random
+   evaluation stack (any depth, words small or arbitrary), random locals
+   and globals, and register banks off (I2) and on (I4), data trace on. *)
+
+let effect_image =
+  link_exn
+    [
+      {
+        Fpc_mesa.Compiled.m_name = "Main";
+        m_globals_words = 16;
+        m_global_init = [];
+        m_imports = [||];
+        m_procs = [ proc ~name:"main" ~locals:8 ~nargs:0 [ Opcode.Halt ] ];
+      };
+    ]
+
+(* Every instruction form once, with random operands: static offsets
+   mostly inside the frame, sometimes past it. *)
+let every_op rs =
+  let open Opcode in
+  let int n = Random.State.int rs n in
+  let local () = if int 4 = 0 then int 256 else int 8 in
+  let global () = if int 4 = 0 then int 256 else int 16 in
+  let disp () = int 200 - 100 in
+  [
+    Li (int 0x10000); Lpd (int 0x10000); Ll (local ()); Sl (local ()); Lg (global ());
+    Sg (global ()); Lla (local ()); Lga (global ()); Llx (local ()); Slx (local ());
+    Lgx (global ()); Sgx (global ()); Rload; Rstore; Ldfld (int 256); Stfld (int 256);
+    Newrec (1 + int 255); Freerec; Dup; Drop; Swap; Over; Add; Sub; Mul; Div; Mod; Neg;
+    Band; Bor; Bxor; Bnot; Lt; Le; Eq; Ne; Ge; Gt; J (disp ()); Jz (disp ());
+    Jnz (disp ()); Efc (int 256); Lfc (int 256); Dfc (int 0x1000000);
+    Sdfc (int 0x100000 - 0x80000); Xf; Ret; Lrc; Fork (int 4); Yield; Stopproc; Out;
+    Nop; Brk; Halt;
+  ]
+
+(* Run [op] once on a fresh machine holding [locals], [globals] and
+   [stack], check it against its effects, and return its references
+   paired with the data-trace entries they left. *)
+let check_effect ~engine op ~locals ~globals ~stack =
+  let open Fpc_core in
+  let image = Fpc_mesa.Image.clone effect_image in
+  let st = Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main" ~args:[] () in
+  Array.iteri (State.write_local st) locals;
+  Array.iteri (fun i v -> Fpc_machine.Memory.poke st.mem (State.global_addr st i) v) globals;
+  Array.iter (Eval_stack.push st.stack) stack;
+  let d0 = Array.length stack in
+  let e = Opcode.effects op in
+  let m = st.metrics and cost = st.cost in
+  let l0 = m.local_refs and g0 = m.global_refs and i0 = m.indirect_refs in
+  let r0 = Fpc_machine.Cost.mem_reads cost and w0 = Fpc_machine.Cost.mem_writes cost in
+  let b0 = Fpc_machine.Cost.bank_refs cost in
+  let trace = Option.get st.data_trace in
+  Queue.clear trace;
+  let pc = st.pc_abs in
+  st.pc_abs <- pc + Opcode.encoded_length op;
+  let result =
+    match Fpc_interp.Interp.exec st ~instr_pc:pc op with
+    | () -> `Ok
+    | exception Transfer.Machine_trap _ -> `Trap
+    | exception Eval_stack.Underflow -> `Underflow
+    | exception Eval_stack.Overflow -> `Overflow
+    | exception Invalid_argument _ -> `Storage
+    | exception x -> `Raised (Printexc.to_string x)
+  in
+  let fail fmt =
+    QCheck.Test.fail_reportf
+      ("%s, banks %s, stack depth %d: " ^^ fmt)
+      (Opcode.to_string op)
+      (if Option.is_some st.banks then "on" else "off")
+      d0
+  in
+  (match result with `Raised x -> fail "raised %s" x | _ -> ());
+  if result = `Trap && not e.may_trap then fail "machine trap, but may_trap is false";
+  let underflow = d0 < e.pops in
+  if underflow <> (result = `Underflow) then
+    fail "stack underflow %b, but pops is %d" (result = `Underflow) e.pops;
+  let d1 = d0 - e.pops + e.pushes in
+  (* a call or transfer hands the stack beyond its operands across *)
+  (match (e.cls, result) with
+  | (Call | Transfer), _ -> ()
+  | _, `Ok when Eval_stack.depth st.stack <> d1 ->
+    fail "depth %d -> %d, but pops %d pushes %d" d0 (Eval_stack.depth st.stack) e.pops
+      e.pushes
+  | _, `Overflow when d1 <= Eval_stack.capacity st.stack ->
+    fail "stack overflow, but pops %d pushes %d" e.pops e.pushes
+  | _ -> ());
+  (* the references the instruction made: none once the stack underflowed *)
+  let refs =
+    if underflow then []
+    else List.filter (fun r -> r.Opcode.access <> Opcode.Address) e.refs
+  in
+  let count p = List.length (List.filter p refs) in
+  List.iter
+    (fun (name, g, before, after) ->
+      let n = count (fun r -> r.Opcode.region = g) in
+      if after - before <> n then
+        fail "%s_refs +%d, but the table names %d" name (after - before) n)
+    [
+      ("local", Opcode.Local, l0, m.local_refs);
+      ("global", Opcode.Global, g0, m.global_refs);
+      ("indirect", Opcode.Indirect, i0, m.indirect_refs);
+    ];
+  let stream = List.of_seq (Queue.to_seq trace) in
+  if List.length stream <> List.length refs then
+    fail "%d data-trace entries, but the table names %d" (List.length stream)
+      (List.length refs);
+  List.iter2
+    (fun (r : Opcode.sref) (addr, write) ->
+      if write <> (r.access = Write) then fail "data-trace direction differs";
+      match (r.region, r.offset) with
+      | Local, Static n when addr <> st.lf + n -> fail "local address %d, not lf + %d" addr n
+      | Global, Static n when addr <> State.global_addr st n ->
+        fail "global address %d, not global %d" addr n
+      | _ -> ())
+    refs stream;
+  (match e.cls with
+  | Pure | Data | Jump | Stop ->
+    (* allocator, call and transfer traffic is outside the table *)
+    let reads = Fpc_machine.Cost.mem_reads cost - r0
+    and writes = Fpc_machine.Cost.mem_writes cost - w0
+    and banked = Fpc_machine.Cost.bank_refs cost - b0 in
+    let r = count (fun r -> r.access = Read) and w = count (fun r -> r.access = Write) in
+    let ok =
+      match st.banks with
+      | None -> reads = r && writes = w && banked = 0
+      | Some _ -> reads <= r && writes <= w && reads + writes + banked = r + w
+    in
+    if not ok then
+      fail "storage %d reads %d writes %d bank refs, but the table names %d reads %d writes"
+        reads writes banked r w
+  | Alloc | Call | Transfer -> ());
+  (match st.banks with
+  | Some banks when not underflow ->
+    let address = List.exists (fun r -> r.Opcode.access = Address) e.refs in
+    let flagged = Fpc_regbank.Bank_file.is_flagged banks ~lf:st.lf in
+    if flagged <> address then
+      fail "frame flagged %b, but address-only entry %b" flagged address
+  | _ -> ());
+  List.combine refs stream
+
+(* Each instruction runs twice, the second time with every stack word one
+   higher: a static reference names the same word both times, a dynamic
+   one moves with the stack. *)
+let prop_effect_table =
+  QCheck.Test.make ~count:100 ~name:"Opcode.effects matches Interp.exec" QCheck.int
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let int n = Random.State.int rs n in
+      let capacity = Fpc_core.Eval_stack.(capacity (create ())) in
+      List.iter
+        (fun engine ->
+          let engine = { engine with Fpc_core.Engine.collect_data_trace = true } in
+          List.iter
+            (fun op ->
+              let locals = Array.init 8 (fun _ -> int 0x10000) in
+              let globals = Array.init 16 (fun _ -> int 0x10000) in
+              let stack =
+                Array.init (int (capacity + 1)) (fun _ ->
+                    if int 2 = 0 then int 32 else int 0x10000)
+              in
+              let run stack = check_effect ~engine op ~locals ~globals ~stack in
+              let first = run stack in
+              let moved = run (Array.map (fun v -> (v + 1) land 0xFFFF) stack) in
+              List.iter2
+                (fun ((r : Opcode.sref), (a, _)) (_, (a', _)) ->
+                  if (a <> a') <> (r.offset = Dynamic) then
+                    QCheck.Test.fail_reportf "%s: a %s reference at %d, then %d"
+                      (Opcode.to_string op)
+                      (if r.offset = Dynamic then "dynamic" else "static")
+                      a a')
+                first moved)
+            (every_op rs))
+        [ Fpc_core.Engine.i2; Fpc_core.Engine.i4 () ];
+      true)
+
 let () =
   ignore fib_body;
   Alcotest.run "interp"
@@ -538,6 +718,7 @@ let () =
           Alcotest.test_case "step limit" `Quick test_step_limit;
           Alcotest.test_case "runaway recursion" `Quick test_runaway_recursion_stops;
         ] );
+      ("effect table", [ QCheck_alcotest.to_alcotest prop_effect_table ]);
       ( "model",
         [
           Alcotest.test_case "long argument record" `Quick test_long_argument_record;

@@ -62,7 +62,7 @@ let prop_encode_decode_roundtrip =
     (fun op ->
       let bytes = encode_one op in
       let op', len = decode_bytes bytes ~pc:0 in
-      Opcode.equal op op' && len = Bytes.length bytes)
+      op = op' && len = Bytes.length bytes)
 
 let prop_encoded_length_agrees =
   QCheck.Test.make ~count:2000 ~name:"opcode: encoded_length = real length"
@@ -81,7 +81,7 @@ let prop_stream_roundtrip =
           ~start:0 ~stop:(Bytes.length bytes)
       in
       List.length decoded = List.length ops
-      && List.for_all2 (fun (_, a) b -> Opcode.equal a b) decoded ops)
+      && List.for_all2 (fun (_, a) b -> a = b) decoded ops)
 
 let test_key_encodings () =
   (* The encodings the paper's space arithmetic depends on. *)
@@ -114,12 +114,19 @@ let test_illegal_opcode () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_is_transfer () =
-  Alcotest.(check bool) "EFC" true (Opcode.is_transfer (Opcode.Efc 0));
-  Alcotest.(check bool) "RET" true (Opcode.is_transfer Opcode.Ret);
-  Alcotest.(check bool) "XF" true (Opcode.is_transfer Opcode.Xf);
-  Alcotest.(check bool) "ADD" false (Opcode.is_transfer Opcode.Add);
-  Alcotest.(check bool) "J" false (Opcode.is_transfer (Opcode.J 4))
+(* The XFER-class instructions by their effect: calls and transfers move
+   control to another context; ADD and J do not. *)
+let test_transfer_class () =
+  let xfer op =
+    match (Opcode.effects op).cls with
+    | Opcode.Call | Opcode.Transfer -> true
+    | Opcode.Pure | Opcode.Data | Opcode.Alloc | Opcode.Jump | Opcode.Stop -> false
+  in
+  Alcotest.(check bool) "EFC" true (xfer (Opcode.Efc 0));
+  Alcotest.(check bool) "RET" true (xfer Opcode.Ret);
+  Alcotest.(check bool) "XF" true (xfer Opcode.Xf);
+  Alcotest.(check bool) "ADD" false (xfer Opcode.Add);
+  Alcotest.(check bool) "J" false (xfer (Opcode.J 4))
 
 (* ---- Builder ---- *)
 
@@ -167,7 +174,7 @@ let test_patch_dfc () =
   let code = Builder.to_bytes b in
   Builder.patch_dfc code ~pos ~target:0x123456;
   let op, _ = decode_bytes code ~pc:pos in
-  Alcotest.(check bool) "patched" true (Opcode.equal op (Opcode.Dfc 0x123456))
+  Alcotest.(check bool) "patched" true (op = Opcode.Dfc 0x123456)
 
 let test_rewrite_dfc_to_sdfc () =
   let b = Builder.create () in
@@ -176,11 +183,11 @@ let test_rewrite_dfc_to_sdfc () =
   let code = Builder.to_bytes b in
   Builder.rewrite_dfc_to_sdfc code ~pos ~displacement:(-42);
   let op, len = decode_bytes code ~pc:pos in
-  Alcotest.(check bool) "short form" true (Opcode.equal op (Opcode.Sdfc (-42)));
+  Alcotest.(check bool) "short form" true (op = Opcode.Sdfc (-42));
   let pad, _ = decode_bytes code ~pc:(pos + len) in
-  Alcotest.(check bool) "nop pad" true (Opcode.equal pad Opcode.Nop);
+  Alcotest.(check bool) "nop pad" true (pad = Opcode.Nop);
   let halt, _ = decode_bytes code ~pc:(pos + len + 1) in
-  Alcotest.(check bool) "stream continues" true (Opcode.equal halt Opcode.Halt)
+  Alcotest.(check bool) "stream continues" true (halt = Opcode.Halt)
 
 let test_patch_wrong_site () =
   let b = Builder.create () in
@@ -210,7 +217,7 @@ let () =
           Alcotest.test_case "key encodings" `Quick test_key_encodings;
           Alcotest.test_case "operand ranges" `Quick test_operand_range_checks;
           Alcotest.test_case "illegal opcode" `Quick test_illegal_opcode;
-          Alcotest.test_case "is_transfer" `Quick test_is_transfer;
+          Alcotest.test_case "transfer class" `Quick test_transfer_class;
         ] );
       ( "builder",
         [

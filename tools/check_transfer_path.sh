@@ -6,7 +6,8 @@
 # the int-specialised forms compile to a few instructions.  Tier and
 # Interp (the fused closures and Interp.exec) are held to the same rule
 # in their translate-time and tracing code too, so that no generic
-# compare can creep into their hot paths unnoticed.
+# compare can creep into their hot paths unnoticed — and so is Opcode,
+# whose effect table the tier's block formation and fusion guards read.
 #
 # Run from the root of a checkout after `dune build` (default profile):
 #
@@ -44,7 +45,8 @@ for m in \
   machine/.fpc_machine.objs/native/fpc_machine__Memory \
   machine/.fpc_machine.objs/native/fpc_machine__Cost \
   tier/.fpc_tier.objs/native/fpc_tier__Tier \
-  interp/.fpc_interp.objs/native/fpc_interp__Interp; do
+  interp/.fpc_interp.objs/native/fpc_interp__Interp \
+  isa/.fpc_isa.objs/native/fpc_isa__Opcode; do
   check "$build/lib/$m.o" "$generic"
 done
 check "$build/lib/regbank/.fpc_regbank.objs/native/fpc_regbank__Bank_file.o" \
