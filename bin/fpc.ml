@@ -19,22 +19,13 @@ let read_source path_or_name =
            "%s: not a file and not a suite program (suite: %s)" path_or_name
            (String.concat ", " Fpc_workload.Programs.names))
 
-let engine_of_string = function
-  | "i1" | "I1" -> Fpc_core.Engine.i1
-  | "i2" | "I2" -> Fpc_core.Engine.i2
-  | "i3" | "I3" -> Fpc_core.Engine.i3 ()
-  | "i4" | "I4" -> Fpc_core.Engine.i4 ()
-  | s -> failwith (Printf.sprintf "unknown engine %s (use i1, i2, i3 or i4)" s)
+(* A service-side parse result, or the command's one-line error. *)
+let ok_or_fail = function Ok v -> v | Error m -> failwith m
 
 let engine_arg =
   Arg.(value & opt string "i2" & info [ "e"; "engine" ] ~docv:"ENGINE"
          ~doc:"Transfer engine: i1 (simple), i2 (Mesa), i3 (+IFU return \
                stack), i4 (+register banks).")
-
-let tier_of_string s =
-  match Fpc_svc.Job.tier_of_name s with
-  | Ok t -> t
-  | Error m -> failwith m
 
 let tier_arg =
   Arg.(value & opt string "auto" & info [ "tier" ] ~docv:"TIER"
@@ -61,14 +52,12 @@ let handle f = try `Ok (f ()) with Failure m | Invalid_argument m -> `Error (fal
 let run_cmd =
   let action source engine_name tier_name devirt steps stats =
     handle (fun () ->
-        let engine = engine_of_string engine_name in
-        let tier = tier_of_string tier_name in
+        let engine = ok_or_fail (Fpc_svc.Job.engine_of_name engine_name) in
+        let tier = ok_or_fail (Fpc_svc.Job.tier_of_name tier_name) in
         let convention = Fpc_compiler.Convention.for_engine engine in
         let src = read_source source in
         let image =
-          match Fpc_compiler.Compile.image ~convention ~devirt src with
-          | Ok i -> i
-          | Error m -> failwith m
+          ok_or_fail (Fpc_compiler.Compile.image ~convention ~devirt src)
         in
         let st =
           Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main"
@@ -146,13 +135,11 @@ let disasm_cmd =
 let trace_cmd =
   let action source engine_name steps =
     handle (fun () ->
-        let engine = engine_of_string engine_name in
+        let engine = ok_or_fail (Fpc_svc.Job.engine_of_name engine_name) in
         let convention = Fpc_compiler.Convention.for_engine engine in
         let src = read_source source in
         let image =
-          match Fpc_compiler.Compile.image ~convention src with
-          | Ok i -> i
-          | Error m -> failwith m
+          ok_or_fail (Fpc_compiler.Compile.image ~convention src)
         in
         (* A tiny sink whose listener prints the architectural events
            interleaved with the instruction listing; the noisy per-call
@@ -207,13 +194,11 @@ let trace_cmd =
 let profile_cmd =
   let action source engine_name steps capacity chrome_out folded_out =
     handle (fun () ->
-        let engine = engine_of_string engine_name in
+        let engine = ok_or_fail (Fpc_svc.Job.engine_of_name engine_name) in
         let convention = Fpc_compiler.Convention.for_engine engine in
         let src = read_source source in
         let image =
-          match Fpc_compiler.Compile.image ~convention src with
-          | Ok i -> i
-          | Error m -> failwith m
+          ok_or_fail (Fpc_compiler.Compile.image ~convention src)
         in
         let p = Fpc_interp.Profiler.create ~capacity ~image ~engine () in
         let _st, o =
@@ -288,9 +273,7 @@ let image_cmd =
         in
         let src = read_source source in
         let image =
-          match Fpc_compiler.Compile.image ~convention src with
-          | Ok i -> i
-          | Error m -> failwith m
+          ok_or_fail (Fpc_compiler.Compile.image ~convention src)
         in
         let open Fpc_mesa in
         let l = image.Image.layout in
@@ -450,12 +433,9 @@ let batch_cmd =
           |> List.filter (fun e -> e <> "")
         in
         List.iter
-          (fun e ->
-            match Fpc_svc.Job.engine_of_name e with
-            | Ok _ -> ()
-            | Error m -> failwith m)
+          (fun e -> ignore (ok_or_fail (Fpc_svc.Job.engine_of_name e)))
           engines;
-        let tier = tier_of_string tier_name in
+        let tier = ok_or_fail (Fpc_svc.Job.tier_of_name tier_name) in
         let specs =
           (match jobfile with
           | Some path when Sys.file_exists path ->
@@ -597,7 +577,7 @@ let serve_cmd =
       max_pending max_line =
     handle (fun () ->
         let times = not no_times in
-        let tier = tier_of_string tier_name in
+        let tier = ok_or_fail (Fpc_svc.Job.tier_of_name tier_name) in
         match tcp with
         | Some port ->
           serve_tcp ~domains ~times ~tier ~devirt ~host ~port ~max_connections
@@ -703,12 +683,10 @@ let request_cmd =
 let sched_cmd =
   let action sessions window seed engine_name tier_name policy_name fuel =
     handle (fun () ->
-        let engine = engine_of_string engine_name in
-        let tier = tier_of_string tier_name in
+        let engine = ok_or_fail (Fpc_svc.Job.engine_of_name engine_name) in
+        let tier = ok_or_fail (Fpc_svc.Job.tier_of_name tier_name) in
         let policy =
-          match Fpc_sched.Sched.policy_of_string policy_name with
-          | Ok p -> p
-          | Error m -> failwith m
+          ok_or_fail (Fpc_sched.Sched.policy_of_string policy_name)
         in
         let config =
           let c = Fpc_workload.Sessions.default ~total:sessions in
@@ -717,9 +695,7 @@ let sched_cmd =
         let src = Fpc_workload.Sessions.program config in
         let convention = Fpc_compiler.Convention.for_engine engine in
         let image =
-          match Fpc_compiler.Compile.image ~convention src with
-          | Ok i -> i
-          | Error m -> failwith m
+          ok_or_fail (Fpc_compiler.Compile.image ~convention src)
         in
         let st =
           Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main"

@@ -640,6 +640,23 @@ let trap (st : State.t) reason =
     st.status <- State.Trapped reason;
     emit_xfer st s (Fpc_trace.Event.Trap (State.trap_code reason)) ~target:(-1)
 
+(* The one place the machine's exceptions become traps.  A run loop
+   installs it once around its dispatch loop and, when it returns true,
+   once more in tail position, so a run's OCaml stack does not grow with
+   the traps it takes. *)
+let catch_traps (st : State.t) f =
+  match f st with
+  | () -> false
+  | exception Eval_stack.Overflow ->
+    trap st State.Eval_overflow;
+    true
+  | exception Eval_stack.Underflow ->
+    trap st State.Eval_underflow;
+    true
+  | exception Machine_trap reason ->
+    trap st reason;
+    true
+
 (* ------------------------------------------------------------------ *)
 (* Boot. *)
 

@@ -33,8 +33,8 @@
     run are the interpreter's by construction. *)
 
 exception Machine_trap of State.trap_reason
-(** Raised by transfer machinery on unrecoverable conditions; the
-    interpreter routes it through {!trap}. *)
+(** Raised by transfer machinery on unrecoverable conditions;
+    {!catch_traps} routes it through {!trap}. *)
 
 val start : State.t -> instance:string -> proc:string -> args:int list -> unit
 (** Boot: create the root context for [instance.proc] (returnLink NIL) and
@@ -85,3 +85,11 @@ val trap : State.t -> State.trap_reason -> unit
     a handler, or for fatal reasons, the machine stops.  A trap raised
     while entering the handler (say [Frame_heap_exhausted]) stops the
     machine in that trap; it never escapes. *)
+
+val catch_traps : State.t -> (State.t -> unit) -> bool
+(** [catch_traps st f] runs [f st] and delivers an [Eval_stack.Overflow]
+    or [Underflow] or a {!Machine_trap} it raises through {!trap};
+    [true] iff it delivered one.  The one handler of the machine's
+    exceptions: [Interp.run], [Interp.run_traced] and [Tier.run] install
+    it around their dispatch loops (again, in tail position, after each
+    delivered trap), and the scheduler around an injected yield. *)

@@ -9,14 +9,7 @@ let block_words_for_locals n = overhead_words + n
 
 open Fpc_machine
 
-let read_pc mem ~lf = Memory.read mem (lf + off_pc)
 let write_pc mem ~lf v = Memory.write mem (lf + off_pc) v
-let read_return_link mem ~lf = Memory.read mem (lf + off_return_link)
 let write_return_link mem ~lf v = Memory.write mem (lf + off_return_link) v
-let read_global_frame mem ~lf = Memory.read mem (lf + off_global_frame)
 let write_global_frame mem ~lf v = Memory.write mem (lf + off_global_frame) v
-let read_fsi mem ~lf = Memory.read mem (lf + off_fsi)
-let peek_pc mem ~lf = Memory.peek mem (lf + off_pc)
-let peek_return_link mem ~lf = Memory.peek mem (lf + off_return_link)
-let peek_global_frame mem ~lf = Memory.peek mem (lf + off_global_frame)
 let peek_fsi mem ~lf = Memory.peek mem (lf + off_fsi)

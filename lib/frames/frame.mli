@@ -31,17 +31,10 @@ val block_words_for_locals : int -> int
 
 (** {1 Metered access (the running machine)} *)
 
-val read_pc : Fpc_machine.Memory.t -> lf:int -> int
 val write_pc : Fpc_machine.Memory.t -> lf:int -> int -> unit
-val read_return_link : Fpc_machine.Memory.t -> lf:int -> int
 val write_return_link : Fpc_machine.Memory.t -> lf:int -> int -> unit
-val read_global_frame : Fpc_machine.Memory.t -> lf:int -> int
 val write_global_frame : Fpc_machine.Memory.t -> lf:int -> int -> unit
-val read_fsi : Fpc_machine.Memory.t -> lf:int -> int
 
 (** {1 Unmetered access (linker, tests, display)} *)
 
-val peek_pc : Fpc_machine.Memory.t -> lf:int -> int
-val peek_return_link : Fpc_machine.Memory.t -> lf:int -> int
-val peek_global_frame : Fpc_machine.Memory.t -> lf:int -> int
 val peek_fsi : Fpc_machine.Memory.t -> lf:int -> int

@@ -210,12 +210,6 @@ let exec (st : State.t) ~instr_pc (op : Fpc_isa.Opcode.t) =
   | Brk -> raise (Transfer.Machine_trap State.Break)
   | Halt -> st.status <- State.Halted
 
-let exec_guarded (st : State.t) ~instr_pc op =
-  try exec st ~instr_pc op with
-  | Eval_stack.Overflow -> Transfer.trap st State.Eval_overflow
-  | Eval_stack.Underflow -> Transfer.trap st State.Eval_underflow
-  | Transfer.Machine_trap reason -> Transfer.trap st reason
-
 (* A PC the predecode table cannot answer — outside the carved code
    region, or bytes that do not decode — takes the original live-decode
    path, reproducing its behaviour (including the illegal-instruction
@@ -227,7 +221,7 @@ let step_slow (st : State.t) ~instr_pc =
     Transfer.trap st (State.Illegal_instruction (fetch instr_pc))
   | op, len ->
     st.pc_abs <- instr_pc + len;
-    exec_guarded st ~instr_pc op
+    exec st ~instr_pc op
 
 let step (st : State.t) =
   if st.status = State.Running then begin
@@ -237,40 +231,45 @@ let step (st : State.t) =
     let len = Fpc_isa.Predecode.len_at st.predecode instr_pc in
     if len > 0 then begin
       st.pc_abs <- instr_pc + len;
-      exec_guarded st ~instr_pc (Fpc_isa.Predecode.op_at st.predecode instr_pc)
+      exec st ~instr_pc (Fpc_isa.Predecode.op_at st.predecode instr_pc)
     end
     else step_slow st ~instr_pc
   end
 
+(* A run loop counts its budget down in [remaining], outside the loop's
+   frame, because a trap unwinds that frame: {!Transfer.catch_traps}
+   delivers the trap and the loop is entered again where it left off. *)
 let run_traced ?(max_steps = 20_000_000) st ~on_step =
   let fetch pc = Memory.peek_code_byte st.State.mem ~code_base:0 ~pc in
-  let rec go remaining =
-    if st.State.status = State.Running then
-      if remaining = 0 then st.status <- State.Trapped State.Step_limit
-      else begin
-        let pc_abs = st.State.pc_abs in
-        (if Fpc_isa.Predecode.len_at st.predecode pc_abs > 0 then
-           on_step ~pc_abs (Fpc_isa.Predecode.op_at st.predecode pc_abs) st
-         else
-           match Fpc_isa.Opcode.decode ~fetch ~pc:pc_abs with
-           | op, _ -> on_step ~pc_abs op st
-           | exception Invalid_argument _ -> ());
-        step st;
-        go (remaining - 1)
-      end
+  let remaining = ref max_steps in
+  let go (st : State.t) =
+    while st.status = State.Running && !remaining <> 0 do
+      decr remaining;
+      let pc_abs = st.pc_abs in
+      (if Fpc_isa.Predecode.len_at st.predecode pc_abs > 0 then
+         on_step ~pc_abs (Fpc_isa.Predecode.op_at st.predecode pc_abs) st
+       else
+         match Fpc_isa.Opcode.decode ~fetch ~pc:pc_abs with
+         | op, _ -> on_step ~pc_abs op st
+         | exception Invalid_argument _ -> ());
+      step st
+    done;
+    if st.status = State.Running then st.status <- State.Trapped State.Step_limit
   in
-  go max_steps
+  let rec loop () = if Transfer.catch_traps st go then loop () in
+  loop ()
 
 let run ?(max_steps = 20_000_000) st =
-  let rec go remaining =
-    if st.State.status = State.Running then
-      if remaining = 0 then st.status <- State.Trapped State.Step_limit
-      else begin
-        step st;
-        go (remaining - 1)
-      end
+  let remaining = ref max_steps in
+  let go (st : State.t) =
+    while st.status = State.Running && !remaining <> 0 do
+      decr remaining;
+      step st
+    done;
+    if st.status = State.Running then st.status <- State.Trapped State.Step_limit
   in
-  go max_steps
+  let rec loop () = if Transfer.catch_traps st go then loop () in
+  loop ()
 
 (* One Bank_file.stats call, not one per field: the stats record is an
    allocation, and [outcome] sits on the service's per-job path. *)

@@ -57,19 +57,27 @@ val boot :
     for an unknown procedure. *)
 
 val step : Fpc_core.State.t -> unit
-(** Execute one instruction (no-op unless the status is [Running]). *)
+(** Execute one instruction (no-op unless the status is [Running]).  Like
+    {!exec} it may raise [Eval_stack.Overflow]/[Underflow] or
+    {!Fpc_core.Transfer.Machine_trap}, with the PC already past the
+    instruction: {!run} and the compiled tier's run loop step under
+    {!Fpc_core.Transfer.catch_traps}, which delivers them as traps, and a
+    caller stepping by hand wraps the step in it. *)
 
 val exec : Fpc_core.State.t -> instr_pc:int -> Fpc_isa.Opcode.t -> unit
 (** The effect of one decoded instruction, exactly as the dispatch loop
     performs it — the PC must already have been advanced past the
     instruction.  May raise [Eval_stack.Overflow]/[Underflow] or
-    {!Fpc_core.Transfer.Machine_trap}; {!step} converts those to traps.
-    Exposed so the compiled tier ({!Fpc_tier}) can reuse the single
-    authoritative opcode semantics instead of duplicating it. *)
+    {!Fpc_core.Transfer.Machine_trap}, as {!step} does.  Exposed so the
+    compiled tier ({!Fpc_tier}) can end a node on an instruction it does
+    not fuse with the single authoritative opcode semantics. *)
 
 val run : ?max_steps:int -> Fpc_core.State.t -> unit
 (** Step until the machine halts or traps; [max_steps] (default 20
-    million) guards against runaways, recording a [Step_limit] trap. *)
+    million) guards against runaways, recording a [Step_limit] trap.  The
+    trap handler ({!Fpc_core.Transfer.catch_traps}) is installed once
+    around the loop and again after each delivered trap, so a run's OCaml
+    stack does not grow with the traps it takes. *)
 
 val run_traced :
   ?max_steps:int ->

@@ -229,15 +229,17 @@ let encode op buf =
     byte buf (u lsr 8);
     byte buf u
 
+(* The ALU opcodes 0x10..0x1F, in encoding order. *)
+let alu_ops =
+  [| Add; Sub; Mul; Div; Mod; Neg; Band; Bor; Bxor; Bnot; Lt; Le; Eq; Ne; Ge; Gt |]
+
+(* Operand readers: top-level, so a decode allocates no closure. *)
+let w16 fetch pc = (fetch (pc + 1) lsl 8) lor fetch (pc + 2)
+let s8 fetch pc = Fpc_util.Bits.signed_of_unsigned ~width:8 (fetch (pc + 1))
+let s16 fetch pc = Fpc_util.Bits.signed_of_unsigned ~width:16 (w16 fetch pc)
+
 let decode ~fetch ~pc =
-  let b0 = fetch pc in
-  let b1 () = fetch (pc + 1) in
-  let b2 () = fetch (pc + 2) in
-  let b3 () = fetch (pc + 3) in
-  let w16 () = (b1 () lsl 8) lor b2 () in
-  let s8 () = Fpc_util.Bits.signed_of_unsigned ~width:8 (b1 ()) in
-  let s16 () = Fpc_util.Bits.signed_of_unsigned ~width:16 (w16 ()) in
-  match b0 with
+  match fetch pc with
   | 0x00 -> (Nop, 1)
   | 0x01 -> (Halt, 1)
   | 0x02 -> (Brk, 1)
@@ -247,52 +249,49 @@ let decode ~fetch ~pc =
   | 0x06 -> (Lrc, 1)
   | 0x07 -> (Yield, 1)
   | 0x08 -> (Stopproc, 1)
-  | 0x09 -> (Fork (b1 ()), 2)
+  | 0x09 -> (Fork (fetch (pc + 1)), 2)
   | 0x0A -> (Dup, 1)
   | 0x0B -> (Drop, 1)
   | 0x0C -> (Swap, 1)
   | 0x0D -> (Over, 1)
   | 0x0E -> (Rload, 1)
   | 0x0F -> (Rstore, 1)
-  | b when b >= 0x10 && b <= 0x1F ->
-    let ops =
-      [| Add; Sub; Mul; Div; Mod; Neg; Band; Bor; Bxor; Bnot; Lt; Le; Eq; Ne; Ge; Gt |]
-    in
-    (ops.(b - 0x10), 1)
+  | b when b >= 0x10 && b <= 0x1F -> (alu_ops.(b - 0x10), 1)
   | b when b >= 0x20 && b <= 0x2A -> (Li (b - 0x20), 1)
-  | 0x2B -> (Li (b1 ()), 2)
-  | 0x2C -> (Li (w16 ()), 3)
-  | 0x2D -> (Lpd (w16 ()), 3)
-  | 0x2E -> (Newrec (b1 ()), 2)
+  | 0x2B -> (Li (fetch (pc + 1)), 2)
+  | 0x2C -> (Li (w16 fetch pc), 3)
+  | 0x2D -> (Lpd (w16 fetch pc), 3)
+  | 0x2E -> (Newrec (fetch (pc + 1)), 2)
   | 0x2F -> (Freerec, 1)
   | b when b >= 0x30 && b <= 0x37 -> (Ll (b - 0x30), 1)
-  | 0x38 -> (Ll (b1 ()), 2)
+  | 0x38 -> (Ll (fetch (pc + 1)), 2)
   | b when b >= 0x40 && b <= 0x47 -> (Sl (b - 0x40), 1)
-  | 0x48 -> (Sl (b1 ()), 2)
+  | 0x48 -> (Sl (fetch (pc + 1)), 2)
   | b when b >= 0x50 && b <= 0x57 -> (Lg (b - 0x50), 1)
-  | 0x58 -> (Lg (b1 ()), 2)
+  | 0x58 -> (Lg (fetch (pc + 1)), 2)
   | b when b >= 0x60 && b <= 0x67 -> (Sg (b - 0x60), 1)
-  | 0x68 -> (Sg (b1 ()), 2)
-  | 0x69 -> (Lla (b1 ()), 2)
-  | 0x6A -> (Lga (b1 ()), 2)
-  | 0x6B -> (Ldfld (b1 ()), 2)
-  | 0x6C -> (Stfld (b1 ()), 2)
-  | 0x70 -> (J (s8 ()), 2)
-  | 0x71 -> (J (s16 ()), 3)
-  | 0x72 -> (Jz (s8 ()), 2)
-  | 0x73 -> (Jz (s16 ()), 3)
-  | 0x74 -> (Jnz (s8 ()), 2)
-  | 0x75 -> (Jnz (s16 ()), 3)
-  | 0x76 -> (Llx (b1 ()), 2)
-  | 0x77 -> (Slx (b1 ()), 2)
-  | 0x78 -> (Lgx (b1 ()), 2)
-  | 0x79 -> (Sgx (b1 ()), 2)
+  | 0x68 -> (Sg (fetch (pc + 1)), 2)
+  | 0x69 -> (Lla (fetch (pc + 1)), 2)
+  | 0x6A -> (Lga (fetch (pc + 1)), 2)
+  | 0x6B -> (Ldfld (fetch (pc + 1)), 2)
+  | 0x6C -> (Stfld (fetch (pc + 1)), 2)
+  | 0x70 -> (J (s8 fetch pc), 2)
+  | 0x71 -> (J (s16 fetch pc), 3)
+  | 0x72 -> (Jz (s8 fetch pc), 2)
+  | 0x73 -> (Jz (s16 fetch pc), 3)
+  | 0x74 -> (Jnz (s8 fetch pc), 2)
+  | 0x75 -> (Jnz (s16 fetch pc), 3)
+  | 0x76 -> (Llx (fetch (pc + 1)), 2)
+  | 0x77 -> (Slx (fetch (pc + 1)), 2)
+  | 0x78 -> (Lgx (fetch (pc + 1)), 2)
+  | 0x79 -> (Sgx (fetch (pc + 1)), 2)
   | b when b >= 0x80 && b <= 0x8F -> (Efc (b - 0x80), 1)
-  | 0x90 -> (Efc (b1 ()), 2)
-  | 0x91 -> (Lfc (b1 ()), 2)
-  | 0x92 -> (Dfc ((b1 () lsl 16) lor (b2 () lsl 8) lor b3 ()), 4)
+  | 0x90 -> (Efc (fetch (pc + 1)), 2)
+  | 0x91 -> (Lfc (fetch (pc + 1)), 2)
+  | 0x92 ->
+    (Dfc ((fetch (pc + 1) lsl 16) lor (fetch (pc + 2) lsl 8) lor fetch (pc + 3)), 4)
   | b when b >= 0xA0 && b <= 0xAF ->
-    let u = ((b land 0xF) lsl 16) lor (b1 () lsl 8) lor b2 () in
+    let u = ((b land 0xF) lsl 16) lor (fetch (pc + 1) lsl 8) lor fetch (pc + 2) in
     (Sdfc (Fpc_util.Bits.signed_of_unsigned ~width:20 u), 3)
   | b -> invalid_arg (Printf.sprintf "Opcode.decode: illegal opcode byte 0x%02X at %d" b pc)
 

@@ -22,8 +22,6 @@ let unpack w =
   else if w land 3 = 0 then Frame w
   else invalid_arg (Printf.sprintf "Descriptor.unpack: malformed context word 0x%04X" w)
 
-let is_frame_word w = w <> 0 && w land 3 = 0
-
 (* Packed-word accessors for the transfer hot path: classify and split a
    context word without materialising the variant (whose [Proc]/[Frame]
    blocks would be a per-call allocation). *)

@@ -35,24 +35,17 @@ val unpack : int -> t
 (** Inverse of {!pack}.  Raises [Invalid_argument] on a malformed word
     (a "frame" address with bit 1 set). *)
 
-val is_frame_word : int -> bool
-(** True when the packed word denotes an existing frame (not Nil, not a
-    descriptor). *)
-
 (** {1 Packed-word accessors}
 
     Classify and split a context word without materialising the variant —
     the transfer engine's per-call path must not allocate.  [word_kind]
-    returns one of the codes below; for a {!word_frame} word the frame
-    pointer is the word itself. *)
-
-val word_nil : int  (** 0 *)
+    returns {!word_proc}, {!word_frame}, or another code for a Nil or
+    malformed word; for a {!word_frame} word the frame pointer is the
+    word itself. *)
 
 val word_proc : int  (** 1 *)
 
 val word_frame : int  (** 2 *)
-
-val word_malformed : int  (** -1 *)
 
 val word_kind : int -> int
 val word_gfi : int -> int
@@ -62,5 +55,3 @@ val equal : t -> t -> bool
 val to_string : t -> string
 
 val max_gfi : int  (** 1023 *)
-
-val max_ev : int  (** 31 *)

@@ -28,8 +28,7 @@ val read_entry : t -> cost_mem_read:bool -> gfi:int -> int * int
 
 val read_entry_word : t -> cost_mem_read:bool -> gfi:int -> int
 (** The raw packed entry word — the allocation-free form the transfer
-    engine uses; split it with [w land 0xFFFC] / [w land 3] (see
-    {!unpack_entry}). *)
+    engine uses; split it with [w land 0xFFFC] (the global frame) and
+    [w land 3] (the bias). *)
 
 val pack_entry : gf_addr:int -> bias:int -> int
-val unpack_entry : int -> int * int

@@ -70,8 +70,7 @@ let drift_to_boundary ~step ~budget (st : Fpc_core.State.t) =
    case it is not counted as a preemption. *)
 let inject_yield (st : Fpc_core.State.t) =
   let switched = not (Queue.is_empty st.ready) in
-  (try Fpc_core.Transfer.yield st with
-  | Fpc_core.Transfer.Machine_trap r -> Fpc_core.Transfer.trap st r);
+  ignore (Fpc_core.Transfer.catch_traps st Fpc_core.Transfer.yield : bool);
   switched
 
 let run ?(policy = Run_to_yield) ?deadline_at ~step ~fuel st =

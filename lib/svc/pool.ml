@@ -84,9 +84,9 @@ let execute ?arena cache id (spec : Job.spec) =
   | Ok engine, Ok source -> (
     let convention = Fpc_compiler.Convention.for_engine engine in
     (* Auto resolves to the compiled tier except under a tracer, where
-       every instruction deopts to the exact chain anyway; an explicit
-       tier=compiled trace=1 still runs compiled (the event stream is
-       bit-identical, just slower). *)
+       [Tier.run] hands the whole run to the interpreter anyway; an
+       explicit tier=compiled trace=1 attaches a translation and takes
+       that path (the event stream is the interpreter's). *)
     let compiled_tier =
       match spec.tier with
       | Job.Interp -> false
@@ -148,89 +148,59 @@ let execute ?arena cache id (spec : Job.spec) =
             };
         fun fuel st -> Fpc_tier.Tier.run ~max_steps:fuel tr st
       in
-      (* With an arena (the worker's private one), reuse its image for
-         this pristine and its state for this engine: dirty-page image
-         reset + in-place state reset.  Without one, fall back to
-         clone-per-job.  The steady-state branch is written flat — no
-         [go]/[boot] closures, no shared [image] binding — because every
-         capture here is a per-job minor allocation the arena exists to
-         eliminate. *)
+      (* One boot path.  With an arena (the worker's private one), reuse
+         its image for this pristine and its state for this engine:
+         dirty-page image reset + in-place state reset.  Without one,
+         clone the pristine and boot a fresh state (clone-per-job, the
+         reference test_svc checks the arena against).  A tracer is built
+         against the image before the state is checked out.  Written flat
+         — no [go]/[boot] closures — because every capture here is a
+         per-job minor allocation the arena exists to eliminate. *)
       match
-        if spec.trace then begin
-          let slot =
-            match arena with
-            | Some a ->
-              Some
-                (Arena.acquire a ~key ~engine ~engine_name:spec.engine
-                   ~tier_name ~pristine ())
-            | None -> None
-          in
-          let image =
-            match slot with
-            | Some s -> Arena.image s
-            | None -> Fpc_mesa.Image.clone pristine
-          in
-          let p = Fpc_interp.Profiler.create ~image ~engine () in
-          let st =
-            match slot with
-            | Some s ->
-              let st = Arena.checkout ~tracer:p.Fpc_interp.Profiler.sink s in
-              Fpc_core.Transfer.start st ~instance:"Main" ~proc:"main" ~args:[];
-              st
-            | None ->
-              Fpc_interp.Interp.boot ~tracer:p.Fpc_interp.Profiler.sink ~image
-                ~engine ~instance:"Main" ~proc:"main" ~args:[] ()
-          in
-          let step = if compiled_tier then tier_step image else interp_step in
-          let deadline_hit, sstats = drive ~step st in
-          let o = Fpc_interp.Interp.outcome st in
-          ignore
-            (Fpc_trace.Profile.finish p.Fpc_interp.Profiler.profile
-               ~cycles:o.Fpc_interp.Interp.o_cycles
-               ~mem_refs:o.Fpc_interp.Interp.o_mem_refs);
-          ( st,
-            Some (Fpc_trace.Profile.summary p.Fpc_interp.Profiler.profile),
-            deadline_hit,
-            sstats )
-        end
-        else if compiled_tier then begin
-          let slot_image, st =
-            match arena with
-            | Some a ->
-              let slot =
-                Arena.acquire a ~key ~engine ~engine_name:spec.engine
-                  ~tier_name ~pristine ()
-              in
-              let st = Arena.checkout slot in
-              Fpc_core.Transfer.start st ~instance:"Main" ~proc:"main" ~args:[];
-              (Arena.image slot, st)
-            | None ->
-              let image = Fpc_mesa.Image.clone pristine in
-              ( image,
-                Fpc_interp.Interp.boot ~image ~engine ~instance:"Main"
-                  ~proc:"main" ~args:[] () )
-          in
-          let deadline_hit, sstats = drive ~step:(tier_step slot_image) st in
-          (st, None, deadline_hit, sstats)
-        end
-        else begin
-          let st =
-            match arena with
-            | Some a ->
-              let st =
-                Arena.checkout
-                  (Arena.acquire a ~key ~engine ~engine_name:spec.engine
-                     ~tier_name ~pristine ())
-              in
-              Fpc_core.Transfer.start st ~instance:"Main" ~proc:"main" ~args:[];
-              st
-            | None ->
-              Fpc_interp.Interp.boot ~image:(Fpc_mesa.Image.clone pristine)
-                ~engine ~instance:"Main" ~proc:"main" ~args:[] ()
-          in
-          let deadline_hit, sstats = drive ~step:interp_step st in
-          (st, None, deadline_hit, sstats)
-        end
+        let slot =
+          match arena with
+          | Some a ->
+            Some
+              (Arena.acquire a ~key ~engine ~engine_name:spec.engine ~tier_name
+                 ~pristine ())
+          | None -> None
+        in
+        let image =
+          match slot with
+          | Some s -> Arena.image s
+          | None -> Fpc_mesa.Image.clone pristine
+        in
+        let profiler =
+          if spec.trace then Some (Fpc_interp.Profiler.create ~image ~engine ())
+          else None
+        in
+        let tracer =
+          Option.map (fun (p : Fpc_interp.Profiler.t) -> p.sink) profiler
+        in
+        let st =
+          match slot with
+          | Some s ->
+            let st = Arena.checkout ?tracer s in
+            Fpc_core.Transfer.start st ~instance:"Main" ~proc:"main" ~args:[];
+            st
+          | None ->
+            Fpc_interp.Interp.boot ?tracer ~image ~engine ~instance:"Main"
+              ~proc:"main" ~args:[] ()
+        in
+        let step = if compiled_tier then tier_step image else interp_step in
+        let deadline_hit, sstats = drive ~step st in
+        let profile =
+          match profiler with
+          | None -> None
+          | Some p ->
+            let o = Fpc_interp.Interp.outcome st in
+            ignore
+              (Fpc_trace.Profile.finish p.Fpc_interp.Profiler.profile
+                 ~cycles:o.Fpc_interp.Interp.o_cycles
+                 ~mem_refs:o.Fpc_interp.Interp.o_mem_refs);
+            Some (Fpc_trace.Profile.summary p.Fpc_interp.Profiler.profile)
+        in
+        (st, profile, deadline_hit, sstats)
       with
       | exception Not_found ->
         failed id spec Job.Compile_error "program has no Main.main()"

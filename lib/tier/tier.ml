@@ -75,12 +75,12 @@ type t = {
    tiers.  Pure instructions are the fusable ones: their accounting can
    be batched and their stack traffic collapsed.  The allocator ops and
    the trap-capable DIV and MOD are not: a catchable trap suspends the
-   frame with the {e exact} PC of the next instruction, so they run with
-   per-instruction PC updates (an "exact chain").  The exception is a
-   DIV or MOD right after a non-zero literal divisor, which cannot trap:
-   [split_fusable] admits it into the run (spliced leaves take only pure
-   ops).  Jumps and HALT end a run but need no transfer machinery, so
-   they can close a fully fused fast path. *)
+   frame with the {e exact} PC of the next instruction, so each ends its
+   node, run by {!Interp.exec} with the PC already past it.  The
+   exception is a DIV or MOD right after a non-zero literal divisor,
+   which cannot trap: [split_fusable] admits it into the run (spliced
+   leaves take only pure ops).  Jumps and HALT end a run but need no
+   transfer machinery, so they can close a fully fused fast path. *)
 
 let is_terminator op =
   match (Opcode.effects op).cls with Jump | Call | Transfer | Stop -> true | _ -> false
@@ -648,26 +648,6 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
   | o :: rest -> compile_one ~plane o (compile ~plane ~tail rest)
 
 (* ------------------------------------------------------------------ *)
-(* Exact chains: per-instruction accounting identical to [Interp.step]
-   over a predecoded instruction — counter, dispatch cost, PC advanced
-   {e before} the effect, then the single authoritative [Interp.exec].
-   No inter-instruction checks are needed: a fusable instruction cannot
-   move control, a trap-capable one signals by raising (unwinding the
-   rest of the chain to the node's handler), and terminators are last. *)
-let rec exact_chain (ops : (int * Opcode.t * int) list) : State.t -> unit =
-  match ops with
-  | [] -> stop
-  | (pc, op, len) :: rest ->
-    let next = pc + len in
-    let k = exact_chain rest in
-    fun (st : State.t) ->
-      st.metrics.instructions <- st.metrics.instructions + 1;
-      Cost.dispatch st.cost;
-      st.pc_abs <- next;
-      Interp.exec st ~instr_pc:pc op;
-      k st
-
-(* ------------------------------------------------------------------ *)
 (* Transfer nodes.
 
    A node carries no call or return code of its own: every transfer is
@@ -720,8 +700,8 @@ let has_data_trace (st : State.t) =
    A batch that fits neither plane — under a data trace, a banked frame
    the batch cannot prove resident, or a static address past the store
    (only hand-made code holds one) — is not counted at all: [bail] runs
-   instead and leaves the machine to the exact per-instruction path,
-   which records every reference and aborts where the interpreter does.
+   instead and leaves the machine to {!Interp.step}, which records every
+   reference and aborts where the interpreter does.
    A batch that can never qualify for [Bank] has no bank variant.
 
    Within a batch nothing changes bank ownership or window sizes (the
@@ -927,8 +907,10 @@ let call_node ~tpc (op : Opcode.t) ~entry_pc ~leaf : State.t -> unit =
       landed st
   | _ -> invalid_arg "Tier.call_node: not a call"
 
-(* The node for a block-ending transfer, with the extra instruction
-   headroom a spliced leaf can retire on top of the block's own count. *)
+(* The node for a block-ending instruction, with the extra instruction
+   headroom a spliced leaf can retire on top of the block's own count.
+   Any other terminator, and an allocator op or a DIV or MOD the run
+   could not prove safe, is {!Interp.exec}'s. *)
 let transfer_node t ~tpc (op : Opcode.t) : int * (State.t -> unit) =
   match op with
   | Ret -> (0, Transfer.return_)
@@ -946,8 +928,9 @@ let transfer_node t ~tpc (op : Opcode.t) : int * (State.t -> unit) =
    position it is the ordinary fused terminator.  A DIV or MOD whose
    preceding op in the run is a literal with a non-zero divisor cannot
    trap, so it is fusable too; any other DIV/MOD (a variable or literal-0
-   divisor, or the first op of a node, as at a jump target) stays an
-   exact follower.  This is the one place a step's run is formed. *)
+   divisor, or the first op of a node, as at a jump target) is a
+   follower that ends the node.  This is the one place a step's run is
+   formed. *)
 let rec split_fusable acc (ops : (int * Opcode.t * int) list) =
   match ops with
   | [] -> (List.rev acc, [])
@@ -991,46 +974,41 @@ let collect_block pd pc0 =
 
    The block is decomposed into a chain of {e steps}: each a (possibly
    empty) run of fusable instructions plus at most one follower — the
-   first non-fusable instruction after the run.  Followers come in three
+   first non-fusable instruction after the run.  Followers come in two
    kinds:
 
-   - a {e terminator} (RETURN, XFER, FORK, ...): joins the step's batch
-     for counting, then runs its transfer node or the generic
-     [Interp.exec], ending the node;
-   - a {e call}: joins the batch, runs its call node (which may splice
-     a known-leaf callee and return), and — when control
-     provably came straight back to the next instruction with the
-     machine still running — chains into the following step, so a
+   - a {e call}: joins the step's batch for counting, runs its call node
+     (which may splice a known-leaf callee and return), and — when
+     control provably came straight back to the next instruction with
+     the machine still running — chains into the following step, so a
      call-dense loop body is one node, not one dispatch per call site;
-   - a {e trap-capable} instruction (NEWREC, FREEREC, and a DIV or MOD
-     that [split_fusable] could not prove non-trapping): joins the
-     batch, runs under exact PC via [Interp.exec] (a catchable trap
-     signals by raising, unwinding the chain to the node's handler),
-     then chains into the following step.
+   - a {e terminator}: anything else that is not fusable — a jump the
+     run could not fuse, RETURN, XFER, FORK, ..., and the trap-capable
+     NEWREC, FREEREC and DIV or MOD that [split_fusable] could not prove
+     safe.  It joins the batch, then runs its transfer node or
+     {!Interp.exec} with the PC past it (a catchable trap signals by
+     raising to the handler [run] installs) and ends the node.  The
+     instructions collected after it are left to the next dispatch.
 
    Every step guards, counts and bills only its own batch, in program
    order: the meters are batched but never reordered across a potential
-   trap point.  A step boundary is an exact machine boundary — if a
-   later step's depth guard fails, the node simply returns: the
-   previous follower left the PC on the step's first instruction, and
-   the dispatch loop re-enters there (that boundary's own node falls
-   back to an exact chain when its first guard fails or its first batch
-   declines, so progress is guaranteed).  The exact fallback itself
-   never runs past the first control-moving instruction: a generic call
-   leaves the PC in the callee, which is where per-instruction execution
-   leaves the node anyway.
+   trap point.  A step boundary is an exact machine boundary.  A first
+   step that cannot run fused — its depth guard fails or its batch
+   declines — retires exactly one instruction through {!Interp.step} and
+   returns to dispatch, so progress is guaranteed; a later step in that
+   case returns with the PC on its first instruction, where the previous
+   follower left it, and the dispatch loop re-enters there.
 
    The returned count is an {e upper bound} on instructions the node
-   can retire (block plus any spliced callee batches) — the run loop
-   admits a node only when the whole bound fits the remaining budget,
-   so fuel expiry stays exact.  [fused] is true when some fast path
-   covers two or more instructions in one batch. *)
+   can retire (its steps plus any spliced callee batches) — the run
+   loop admits a node only when the whole bound fits the remaining
+   budget, so fuel expiry stays exact.  [fused] is true when some fast
+   path covers two or more instructions in one batch. *)
 
 type follower =
   | F_end  (** fully fused to the block's end (or to [block_cap]) *)
   | F_term of int * Opcode.t * int
   | F_call of int * Opcode.t * int
-  | F_exact of int * Opcode.t * int
 
 let rec steps_of ops =
   match ops with
@@ -1042,22 +1020,18 @@ let rec steps_of ops =
     | (tpc, top, tlen) :: rest -> (
       match (Opcode.effects top).cls with
       | Call -> (fusable, F_call (tpc, top, tlen)) :: steps_of rest
-      | Jump | Transfer | Stop -> [ (fusable, F_term (tpc, top, tlen)) ]
-      | Pure | Data | Alloc -> (fusable, F_exact (tpc, top, tlen)) :: steps_of rest))
-
-let rec exact_prefix ops =
-  match ops with
-  | [] -> []
-  | ((_, op, _) as o) :: rest ->
-    if is_terminator op then [ o ] else o :: exact_prefix rest
+      | _ -> [ (fusable, F_term (tpc, top, tlen)) ]))
 
 let build_node t ops : int * bool * (State.t -> unit) =
-  let n_ops = List.length ops in
+  let steps = steps_of ops in
+  let kept =
+    List.fold_left
+      (fun n (fusable, follower) ->
+        n + List.length fusable + match follower with F_end -> 0 | _ -> 1)
+      0 steps
+  in
   let extra = ref 0 in
   let any_super = ref false in
-  (* Tracer / first-guard-failure / declined-first-batch fallback:
-     exact, up to and including the first control-moving instruction. *)
-  let exact_head = exact_chain (exact_prefix ops) in
   let rec comp ~first steps : State.t -> unit =
     match steps with
     | [] -> stop
@@ -1085,17 +1059,11 @@ let build_node t ops : int * bool * (State.t -> unit) =
                returned: spliced fast path, machine still running, PC
                back on the continuation.  Anything else — generic path
                now sitting in the callee, a depth-guard bail at the
-               callee's entry, a handled trap — leaves the node at an
-               exact boundary for the dispatch loop. *)
+               callee's entry — leaves the node at an exact boundary for
+               the dispatch loop. *)
             (match st.status with
             | State.Running when st.pc_abs = t_next -> k st
             | _ -> ())
-        | F_exact (tpc, top, tlen) ->
-          let t_next = tpc + tlen in
-          fun (st : State.t) ->
-            st.pc_abs <- t_next;
-            Interp.exec st ~instr_pc:tpc top;
-            k st
       in
       if f = 0 then (
         match follower with
@@ -1111,7 +1079,7 @@ let build_node t ops : int * bool * (State.t -> unit) =
             Cost.dispatch st.cost;
             tail_fn st)
       else begin
-        let fail = if first then exact_head else stop in
+        let fail = if first then Interp.step else stop in
         let need, maxd = guard_params fusable in
         (* The follower joins the batch: the interpreter counts an
            instruction before executing it, so pre-counting leaves every
@@ -1125,9 +1093,7 @@ let build_node t ops : int * bool * (State.t -> unit) =
         let super = if batch >= 2 then batch else 0 in
         if super > 0 then any_super := true;
         (* A batch that declines to run leaves the machine on its first
-           instruction, where the depth guard's failure would: the first
-           step then runs the exact head, a later one hands that
-           boundary to the dispatch loop. *)
+           instruction, where the depth guard's failure would. *)
         let pc_first =
           match fusable with (pc, _, _) :: _ -> pc | [] -> assert false
         in
@@ -1162,8 +1128,8 @@ let build_node t ops : int * bool * (State.t -> unit) =
             else fail st
       end
   in
-  let body = comp ~first:true (steps_of ops) in
-  let total = n_ops + !extra in
+  let body = comp ~first:true steps in
+  let total = kept + !extra in
   let pc0 = match ops with (pc, _, _) :: _ -> pc | [] -> -1 in
   (* Self-looping node: when the body's back-edge lands on this node's
      own boundary, iterate in place instead of returning to the
@@ -1180,15 +1146,7 @@ let build_node t ops : int * bool * (State.t -> unit) =
       spin st
     | _ -> ()
   in
-  let exec (st : State.t) =
-    try
-      match st.tracer with Some _ -> exact_head st | None -> spin st
-    with
-    | Eval_stack.Overflow -> Transfer.trap st State.Eval_overflow
-    | Eval_stack.Underflow -> Transfer.trap st State.Eval_underflow
-    | Transfer.Machine_trap reason -> Transfer.trap st reason
-  in
-  (total, !any_super, exec)
+  (total, !any_super, spin)
 
 (* ------------------------------------------------------------------ *)
 (* Lazy per-procedure translation.
@@ -1307,42 +1265,49 @@ let procs t = Array.length t.ranges
 let procs_translated t = t.n_translated
 let invalidations (_ : t) = 0
 
+(* A tracer is fixed for a run ([State.reset] is its only writer), and a
+   traced run is the interpreter's: every event in its exact order. *)
 let run ?(max_steps = 20_000_000) t (st : State.t) =
-  let m = st.metrics in
-  let limit = m.instructions + max_steps in
-  st.fuel_limit <- limit;
-  let base = t.base in
-  let slots = t.slots and proc_of = t.proc_of in
-  let size = Array.length slots in
-  let rec go () =
-    if st.status = State.Running then
-      if m.instructions >= limit then st.status <- State.Trapped State.Step_limit
-      else begin
-        let idx = st.pc_abs - base in
-        let nd =
-          if idx >= 0 && idx < size then Array.unsafe_get slots idx else no_node
-        in
-        if nd.n_count > 0 && m.instructions + nd.n_count <= limit then
-          nd.n_exec st
-        else if
-          nd.n_count = 0 && idx >= 0 && idx < size
-          &&
-          let p = Array.unsafe_get proc_of idx in
-          p >= 0 && not (Array.unsafe_get t.translated p)
-        then begin
-          (* First XFER into an untranslated procedure: translate it now
-             and retry this PC without retiring an instruction. *)
-          if ensure_proc t (Array.unsafe_get proc_of idx) then
-            m.tier_lazy_translations <- m.tier_lazy_translations + 1
-        end
+  match st.tracer with
+  | Some _ -> Interp.run ~max_steps st
+  | None ->
+    let m = st.metrics in
+    let limit = m.instructions + max_steps in
+    st.fuel_limit <- limit;
+    let base = t.base in
+    let slots = t.slots and proc_of = t.proc_of in
+    let size = Array.length slots in
+    let rec go (st : State.t) =
+      if st.status = State.Running then
+        if m.instructions >= limit then st.status <- State.Trapped State.Step_limit
         else begin
-          (* No node (undecodable or uncovered PC), or the remaining
-             budget cannot cover a whole block: one interpreter step —
-             by construction it lands back on an exact boundary. *)
-          m.tier_deopts <- m.tier_deopts + 1;
-          Interp.step st
-        end;
-        go ()
-      end
-  in
-  go ()
+          let idx = st.pc_abs - base in
+          let nd =
+            if idx >= 0 && idx < size then Array.unsafe_get slots idx else no_node
+          in
+          if nd.n_count > 0 && m.instructions + nd.n_count <= limit then
+            nd.n_exec st
+          else if
+            nd.n_count = 0 && idx >= 0 && idx < size
+            &&
+            let p = Array.unsafe_get proc_of idx in
+            p >= 0 && not (Array.unsafe_get t.translated p)
+          then begin
+            (* First XFER into an untranslated procedure: translate it
+               now and retry this PC without retiring an instruction. *)
+            if ensure_proc t (Array.unsafe_get proc_of idx) then
+              m.tier_lazy_translations <- m.tier_lazy_translations + 1
+          end
+          else begin
+            (* No node (undecodable or uncovered PC), or the remaining
+               budget cannot cover a whole block: one interpreter step —
+               by construction it lands back on an exact boundary. *)
+            m.tier_deopts <- m.tier_deopts + 1;
+            Interp.step st
+          end;
+          go st
+        end
+    in
+    (* The run's one trap handler, installed again after each trap. *)
+    let rec loop () = if Transfer.catch_traps st go then loop () in
+    loop ()

@@ -49,19 +49,31 @@
     records, so concurrent domains race safely (a stale read costs one
     deopted interpreter step, never an error).
 
+    {2 One semantics}
+
     Equivalence is the contract: a translated run is {e bit-identical} to
     the interpreter — outcome, output, cycle / storage-reference /
     transfer meters, trap behaviour, (under a tracer) the exact event
     stream and (under [Engine.collect_data_trace]) the exact
-    data-reference stream.  Anything the fast path cannot prove — a stack-depth guard
-    failure, an installed tracer or data-reference trace, a banked frame
-    not proven resident, a trap-capable instruction (a DIV or MOD
-    counts as one unless a non-zero literal divisor directly precedes
-    it in the same run), undecodable bytes, a call that lands away
-    from its spliced leaf, fuel expiry mid-block — deopts to the
-    interpreter's own semantics at an exact instruction boundary.
-    Host-speed only: simulated meters are unaffected by whether a run
-    used this tier (that is the whole point). *)
+    data-reference stream.  The tier has no exact executor of its own:
+    whatever the fast path cannot prove runs on the interpreter's, at an
+    exact instruction boundary.
+
+    - A traced run is {!Fpc_interp.Interp.run} throughout.
+    - A node whose first batch fails its stack-depth guard or declines
+      to run (a data-reference trace, a banked frame not proven
+      resident) retires one {!Fpc_interp.Interp.step}.
+    - A trap-capable instruction (NEWREC, FREEREC, and a DIV or MOD
+      unless a non-zero literal divisor directly precedes it in the same
+      run) ends its node through {!Fpc_interp.Interp.exec}.
+    - Undecodable bytes, and a node whose bound does not fit the
+      remaining fuel, are stepped by the interpreter; a call that lands
+      away from its spliced leaf returns to dispatch.
+
+    Machine exceptions become traps in one handler,
+    {!Fpc_core.Transfer.catch_traps}, installed by {!run} around its
+    dispatch loop.  Host-speed only: simulated meters are unaffected by
+    whether a run used this tier (that is the whole point). *)
 
 type t
 
@@ -83,7 +95,8 @@ val run : ?max_steps:int -> t -> Fpc_core.State.t -> unit
     [Step_limit] trap on expiry), including resumability — a fuel-sliced
     caller may reset the status to [Running] and call again, and the next
     instruction executes at the exact boundary where the budget ran out.
-    The first XFER into an untranslated procedure translates it (counted
+    A run under a tracer is {!Fpc_interp.Interp.run}.  Otherwise the
+    first XFER into an untranslated procedure translates it (counted
     in [metrics.tier_lazy_translations]) and retries the same PC without
     retiring an instruction.  Instructions whose remaining budget cannot
     cover a whole block, and PCs without a node, are stepped by the
@@ -92,7 +105,9 @@ val run : ?max_steps:int -> t -> Fpc_core.State.t -> unit
     [tier_super_instrs], and each fused-call execution in
     [metrics.tier_fused_calls].  A node's instruction count is an upper
     bound (block plus spliced callee), so fuel admission is conservative
-    and expiry stays exact. *)
+    and expiry stays exact.  The trap handler is installed once around
+    the dispatch loop and again after each delivered trap, so the OCaml
+    stack does not grow with the traps a run takes. *)
 
 val boundaries : t -> int
 (** Number of byte boundaries with a compiled node (translated so far). *)

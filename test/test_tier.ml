@@ -831,6 +831,194 @@ let test_divmod_literal () =
         [ false; true ])
     [ false; true ]
 
+(* ---- exact execution: one trap handler, the interpreter's own step ---- *)
+
+(* [main], whose body [body] emits, and [handler], which returns straight
+   to the faulting frame: the trap suspended it with its PC past the
+   faulting instruction, so the run carries on there.  Neither touches
+   the trap code, which I4 passes in the register bank and the other
+   engines on the stack; the code below works with either. *)
+let exact_image ~engine ~handled body =
+  let open Fpc_isa in
+  let b = Builder.create () in
+  body b;
+  let main = { (proc "main" ~locals:4 []) with p_body = Builder.to_bytes b } in
+  let handler = { (proc "handler" ~locals:2 Opcode.[ Ret ]) with p_nargs = 1 } in
+  let m =
+    {
+      Fpc_mesa.Compiled.m_name = "Main";
+      m_globals_words = 1;
+      m_global_init = [];
+      m_imports = [||];
+      m_procs = [ main; handler ];
+    }
+  in
+  let linkage = (Fpc_compiler.Convention.for_engine engine).linkage in
+  let image =
+    match Fpc_mesa.Linker.link ~linkage [ m ] with
+    | Ok image -> image
+    | Error e -> Alcotest.fail ("link: " ^ e)
+  in
+  if handled then
+    Fpc_mesa.Image.set_trap_handler image
+      (Fpc_mesa.Image.descriptor_of image ~instance:"Main" ~proc:"handler");
+  image
+
+(* (a) 100,000 handled DIV-by-zero traps in one run: two passes of a
+   50,000-iteration loop whose body divides by a literal 0 mid-block. *)
+let trap_loop b =
+  let open Fpc_isa in
+  let outer = Builder.new_label b and inner = Builder.new_label b in
+  let emit = List.iter (Builder.emit b) in
+  emit Opcode.[ Li 2; Sl 1 ];
+  Builder.place b outer;
+  emit Opcode.[ Lpd 50_000; Sl 0 ];
+  Builder.place b inner;
+  emit Opcode.[ Li 1; Li 0; Div; Ll 0; Li 1; Sub; Sl 0; Ll 0 ];
+  Builder.jump b `Jnz inner;
+  emit Opcode.[ Ll 1; Li 1; Sub; Sl 1; Ll 1 ];
+  Builder.jump b `Jnz outer;
+  emit Opcode.[ Lpd 4242; Out; Halt ]
+
+(* (b) First steps whose depth guard fails: a straight run of 17 pushes,
+   one more than the stack holds.  Each boundary's node fails its guard
+   and retires one interpreter step, until a push overflows.  With
+   [drop], a DROP on the empty stack comes first. *)
+let guard_fail ~drop b =
+  let open Fpc_isa in
+  let emit = List.iter (Builder.emit b) in
+  if drop then emit Opcode.[ Drop; Li 5; Out ];
+  emit (List.init 17 (fun i -> Opcode.Li i));
+  emit Opcode.[ Out; Lpd 4242; Out; Halt ]
+
+(* (c) A DIV by a variable, a NEWREC and a FREEREC mid-block, three times
+   round a loop; the last pass divides by a zero variable.  Then a NEWREC
+   loop that never frees runs the frame heap out (a fatal trap). *)
+let ends_node b =
+  let open Fpc_isa in
+  let loop = Builder.new_label b and leak = Builder.new_label b in
+  let emit = List.iter (Builder.emit b) in
+  emit Opcode.[ Li 3; Sl 1; Li 3; Sl 2 ];
+  Builder.place b loop;
+  emit Opcode.[ Li 100; Ll 1; Div; Out; Li 7; Newrec 2; Sl 3; Out ];
+  emit Opcode.[ Ll 3; Li 5; Stfld 1; Ldfld 1; Out; Ll 3; Freerec ];
+  emit Opcode.[ Li 9; Ll 2; Li 1; Sub; Sl 2; Ll 2; Div; Out; Ll 2 ];
+  Builder.jump b `Jnz loop;
+  emit Opcode.[ Lpd 4242; Out ];
+  Builder.place b leak;
+  emit Opcode.[ Li 1; Newrec 200; Drop; Out ];
+  Builder.jump b `J leak
+
+(* Runs [f] with the OCaml stack capped at 256 KiB: a run loop that
+   re-installed its trap handler in non-tail position would grow the
+   stack with every trap, and 100,000 traps overflow the cap. *)
+let with_small_stack f =
+  let limit = (Gc.get ()).Gc.stack_limit in
+  let set words = Gc.set { (Gc.get ()) with Gc.stack_limit = words } in
+  set (32 * 1024);
+  Fun.protect ~finally:(fun () -> set limit) f
+
+(* Each case on [engines], tier against interpreter: whole runs (under
+   [with_small_stack]) and runs in fuel slices of 2, 3, 5, 7 and 11. *)
+let check_exact cases =
+  List.iter
+    (fun (name, body, handled, engines, check) ->
+      List.iter
+        (fun (en, engine) ->
+          let label = Printf.sprintf "%s/%s" name en in
+          let image () = exact_image ~engine ~handled body in
+          let interp _ ~max_steps st = Fpc_interp.Interp.run ~max_steps st in
+          let tier img ~max_steps st =
+            Fpc_tier.Tier.run ~max_steps (fst (Fpc_tier.Tier.of_image img)) st
+          in
+          let whole runner =
+            let img = image () in
+            let st = boot ~engine img in
+            (match
+               with_small_stack (fun () -> runner img ~max_steps:5_000_000 st)
+             with
+            | () -> ()
+            | exception Stack_overflow ->
+              Alcotest.fail (label ^ ": the OCaml stack grew with the traps"));
+            observe st
+          in
+          let reference = whole interp in
+          check label (fst reference);
+          Alcotest.(check bool) (label ^ ": tier == interp") true
+            (whole tier = reference);
+          List.iter
+            (fun slice ->
+              let sliced runner =
+                let img = image () in
+                let st = boot ~engine img in
+                run_sliced (runner img) st ~fuel:5_000_000 ~slice;
+                observe st
+              in
+              let want = sliced interp in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/slice=%d: tier == interp" label slice)
+                true (sliced tier = want);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s/slice=%d: same as unsliced" label slice)
+                true (want = reference))
+            [ 2; 3; 5; 7; 11 ])
+        engines)
+    cases
+
+let data_traced (en, engine) =
+  (en ^ "+data", { engine with Fpc_core.Engine.collect_data_trace = true })
+
+let test_trap_loop () =
+  check_exact
+    [
+      ( "trap loop", trap_loop, true, engines (),
+        fun label (o : Fpc_interp.Interp.outcome) ->
+          Alcotest.(check bool) (label ^ ": halted") true
+            (o.o_status = Fpc_core.State.Halted);
+          Alcotest.(check (list int)) (label ^ ": output") [ 4242 ] o.o_output;
+          (* 2 + 2 * (2 + 50,000 * (9 + the handler's RET) + 6) + 3 *)
+          Alcotest.(check int) (label ^ ": 100,000 handler returns")
+            1_000_021 o.o_instructions );
+    ]
+
+let test_guard_fails () =
+  check_exact
+    [
+      ( "guard fails", guard_fail ~drop:true, true,
+        engines () @ List.map data_traced (engines ()),
+        fun label (o : Fpc_interp.Interp.outcome) ->
+          Alcotest.(check bool) (label ^ ": halted") true
+            (o.o_status = Fpc_core.State.Halted);
+          Alcotest.(check bool) (label ^ ": ends with 4242") true
+            (List.rev o.o_output |> List.hd = 4242) );
+      ( "guard fails, fatal", guard_fail ~drop:false, false,
+        engines () @ List.map data_traced (engines ()),
+        fun label (o : Fpc_interp.Interp.outcome) ->
+          Alcotest.(check bool) (label ^ ": stack overflow") true
+            (o.o_status
+            = Fpc_core.State.Trapped Fpc_core.State.Eval_overflow) );
+    ]
+
+let test_ends_node () =
+  check_exact
+    [
+      ( "ends node", ends_node, true,
+        engines () @ List.map data_traced (engines ()),
+        fun label (o : Fpc_interp.Interp.outcome) ->
+          Alcotest.(check bool) (label ^ ": frame heap exhausted") true
+            (o.o_status
+            = Fpc_core.State.Trapped Fpc_core.State.Frame_heap_exhausted);
+          Alcotest.(check (list int)) (label ^ ": quotients and records")
+            [ 33; 7; 5; 4; 33; 7; 5; 9; 33; 7; 5 ]
+            (List.filteri (fun i _ -> i < 11) o.o_output);
+          Alcotest.(check bool) (label ^ ": resumed after the trap") true
+            (List.mem 4242 o.o_output) );
+      ( "ends node, fatal", ends_node, false, engines (),
+        fun label (o : Fpc_interp.Interp.outcome) ->
+          Alcotest.(check bool) (label ^ ": division by zero") true
+            (o.o_status = Fpc_core.State.Trapped Fpc_core.State.Div_zero) );
+    ]
+
 (* ---- the data-reference stream is part of the contract ---- *)
 
 (* E9's engine flag records every storage reference, in order.  A
@@ -1312,6 +1500,12 @@ let () =
             test_sliced_resume_equivalence;
           Alcotest.test_case "DIV and MOD by a literal" `Quick
             test_divmod_literal;
+          Alcotest.test_case "100,000 handled traps in constant stack" `Quick
+            test_trap_loop;
+          Alcotest.test_case "first-step depth guard failures" `Quick
+            test_guard_fails;
+          Alcotest.test_case "NEWREC, FREEREC and DIV end the node" `Quick
+            test_ends_node;
           Alcotest.test_case "traced profiles" `Slow
             test_traced_profile_equivalence;
           Alcotest.test_case "data-reference traces" `Quick
