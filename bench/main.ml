@@ -1,133 +1,61 @@
-(* The benchmark harness.
+(* The host-side benchmark harness: what no other tool measures.  The
+   paper's tables are printed by `fpc experiment` and gated by
+   test_experiments; serving latency is bench/serve's.  Five layers:
 
-   Two layers:
+   1. `micro`: Bechamel micro-benchmarks of the simulator itself (host
+      wall-clock) — the interpreter and the compiled tier under each
+      engine, the AV allocator, the return stack and the bank file —
+      plus tier translation time, cross-call fusion on the call-dense
+      kernels and link-time devirtualization on the cross-module ones.
 
-   1. The experiment tables — one per figure/table/quantitative claim of
-      the paper (E1..E14), printed in full.  These are the reproduction's
-      primary output; pass experiment keys (or E-ids) as arguments to run a
-      subset, e.g. `dune exec bench/main.exe -- fastpath frame_alloc`.
-
-   2. Bechamel micro-benchmarks of the simulator itself (host wall-clock),
-      so regressions in the reproduction's own code are visible: the
-      interpreter under each engine, the AV allocator, the return stack and
-      the bank file.  Enabled with the `micro` argument.
-
-   3. The execution-service scaling benchmark (`svc` argument): the
-      whole workload suite x all four engines pushed through an
-      Fpc_svc.Pool at 1, 2, 4 and 8 worker domains, reporting jobs/sec
+   2. `svc`: the whole workload suite x all four engines pushed through
+      an Fpc_svc.Pool at 1, 2, 4 and 8 worker domains, reporting jobs/sec
       and the speedup over one domain.  The cache is warmed and the
-      domains are spawned before the clock starts; only submit->await
-      is timed.
+      domains are spawned before the clock starts; only submit->await is
+      timed.  Then per-job minor allocation, arena versus clone, against
+      a budget the run enforces.
 
-   4. The tracing-overhead benchmark (`trace` argument): the call-heavy
-      fib run with the XFER tracer absent (the null-sink path every
-      ordinary run takes) versus attached with a streaming profile, so
-      the cost of the lib/trace subsystem — off and on — is a recorded
-      number rather than a claim.
+   3. `trace`: the call-heavy fib run with the XFER tracer absent (the
+      null-sink path every ordinary run takes) versus attached with a
+      streaming profile, so the cost of the lib/trace subsystem — off and
+      on — is a recorded number rather than a claim.
 
-   5. The session-scheduler benchmark (`sched` argument): the generated
-      session workload streamed through the lib/sched green-thread
-      scheduler at 100/1k/10k sessions under both execution tiers,
-      recording throughput and the frame-heap-vs-LIFO footprint keys
-      (the `sched/sessions` section).
+   4. `sched`: the generated session workload streamed through the
+      lib/sched green-thread scheduler at 100/1k/10k sessions under both
+      execution tiers, recording throughput and the frame-heap-vs-LIFO
+      footprint keys.
 
-   6. The TCP serving benchmark (`net` argument): an in-process
-      lib/net server driven closed-loop by Fpc_net.Loadgen at 1, 2 and
-      4 connections, recording throughput and round-trip latency
-      percentiles (the `net/latency` section).  With `--port` it
-      targets an already-running `fpc serve --tcp` instead (the CI
-      serve-smoke step), and `--shutdown` sends the server a graceful
-      drain afterwards.  The non-smoke run continues into the
-      high-concurrency ladder: a spawned `fpc serve --tcp` subprocess
-      driven at 100 and 1000 pipelined connections while a poller
-      samples the server's /proc thread and fd tables, recording
-      latency percentiles plus the observed footprint
-      (`net/latency/100c`, `net/latency/1000c`) and failing if the
-      server's OS thread count ever exceeds the reactor's constant
-      bound.  `--conns N [--pipeline K]` runs just that ladder, capped
-      at N connections — the CI reactor-smoke step is
-      `bench net --conns 200`.
+   5. `net [--conns N] [--pipeline K]`: the reactor's claim.  A spawned
+      `fpc serve --tcp` is driven at 100 and 1000 connections (capped at
+      N, default 1000) by this process's one thread, while a poller
+      samples the server's /proc thread and fd tables.  Every round trip
+      must answer ok, and the server's OS threads must stay within the
+      reactor's constant bound.
 
-   With no arguments all six layers run.  `--smoke` shrinks the svc,
-   trace, sched and net layers to a seconds-long CI sanity pass (tiny job set,
-   widths 1-2, nothing recorded).  `--json` additionally writes
-   every recorded (name, metric, value) measurement to
-   BENCH_results.json, the perf-trajectory file tracked across PRs:
-   prior entries are carried over and only re-measured (name, metric)
-   pairs are replaced, so the file accumulates instead of resetting. *)
+   With no layer argument all five run.  `--smoke` shrinks them to a
+   CI sanity pass: tiny job sets, widths 1-2, fewer samples, net capped
+   at 100 connections.  `--json` writes every (name, metric, value) the run
+   recorded to BENCH_results.json, the perf-trajectory file, replacing
+   it whole; it is accepted only on a full run (no layer argument, no
+   --smoke, --conns or --pipeline), so the file always comes from one
+   run of one build. *)
 
 (* Measurements destined for BENCH_results.json, in recording order. *)
 let recorded : (string * string * float) list ref = ref []
 let record name metric value = recorded := (name, metric, value) :: !recorded
 
-let read_prior path =
-  if not (Sys.file_exists path) then []
-  else
-    match Fpc_util.Jsonin.parse_file path with
-    | Ok (Fpc_util.Jsonout.List entries) ->
-      List.filter_map
-        (function
-          | Fpc_util.Jsonout.Obj fields -> (
-            match
-              ( List.assoc_opt "name" fields,
-                List.assoc_opt "metric" fields,
-                List.assoc_opt "value" fields )
-            with
-            | ( Some (Fpc_util.Jsonout.String n),
-                Some (Fpc_util.Jsonout.String m),
-                Some v ) -> (
-              match v with
-              | Fpc_util.Jsonout.Float f -> Some (n, m, f)
-              | Fpc_util.Jsonout.Int i -> Some (n, m, float_of_int i)
-              | _ -> None)
-            | _ -> None)
-          | _ -> None)
-        entries
-    | Ok _ | Error _ -> []
-
-let prior_value prior name metric =
-  List.find_map
-    (fun (n, m, v) -> if n = name && m = metric then Some v else None)
-    prior
-
 let write_json path =
   let open Fpc_util.Jsonout in
-  let fresh = List.rev !recorded in
-  let remeasured = List.map (fun (n, m, _) -> (n, m)) fresh in
-  let carried =
-    List.filter (fun (n, m, _) -> not (List.mem (n, m) remeasured)) (read_prior path)
-  in
   let entries =
-    List.map
+    List.rev_map
       (fun (name, metric, value) ->
         Obj [ ("name", String name); ("metric", String metric); ("value", Float value) ])
-      (carried @ fresh)
+      !recorded
   in
   let oc = open_out path in
   output_string oc (pretty (List entries));
   close_out oc;
-  Printf.printf "wrote %d measurements to %s (%d carried over, %d new)\n"
-    (List.length entries) path (List.length carried) (List.length fresh)
-
-let run_experiments filter =
-  let wanted (key, _) =
-    match filter with [] -> true | names -> List.mem key names
-  in
-  let selected = List.filter wanted Fpc_experiments.Registry.all in
-  let selected =
-    if selected = [] && filter <> [] then
-      (* maybe ids like E4 were given *)
-      List.filter_map
-        (fun name ->
-          Option.map (fun f -> (name, f)) (Fpc_experiments.Registry.find name))
-        filter
-    else selected
-  in
-  List.iter
-    (fun (_, f) ->
-      print_string (Fpc_experiments.Exp.render (f ()));
-      print_newline ())
-    selected
+  Printf.printf "wrote %d measurements to %s\n" (List.length entries) path
 
 (* ------------------------------------------------------------------ *)
 
@@ -273,20 +201,18 @@ let run_tier_calls ?(smoke = false) () =
             median_run_s ~samples ~runs:1 (fun () -> ignore (run_tier ()))
           in
           let speedup = interp_s /. tier_s in
-          if not smoke then begin
-            let name =
-              Printf.sprintf "micro/fpc/tier/calls/%s/%s" prog ename
-            in
-            record name "interp_ns_per_run" (interp_s *. 1e9);
-            record name "tier_ns_per_run" (tier_s *. 1e9);
-            record name "speedup" speedup;
-            record name "fused_call_coverage" coverage;
-            record name "lazy_miss" (float_of_int lazy_miss);
-            record name "lazy_hit" (float_of_int lazy_hit);
-            record name "procs" (float_of_int (Fpc_tier.Tier.procs tier));
-            record name "procs_translated"
-              (float_of_int (Fpc_tier.Tier.procs_translated tier))
-          end;
+          let name =
+            Printf.sprintf "micro/fpc/tier/calls/%s/%s" prog ename
+          in
+          record name "interp_ns_per_run" (interp_s *. 1e9);
+          record name "tier_ns_per_run" (tier_s *. 1e9);
+          record name "speedup" speedup;
+          record name "fused_call_coverage" coverage;
+          record name "lazy_miss" (float_of_int lazy_miss);
+          record name "lazy_hit" (float_of_int lazy_hit);
+          record name "procs" (float_of_int (Fpc_tier.Tier.procs tier));
+          record name "procs_translated"
+            (float_of_int (Fpc_tier.Tier.procs_translated tier));
           add_row tb
             [ prog; ename;
               Printf.sprintf "%.2f ms" (interp_s *. 1e3);
@@ -360,17 +286,15 @@ let run_devirt ?(smoke = false) () =
             | None -> 0
           in
           let saved = float_of_int (refs_b - refs_d) /. float_of_int refs_b in
-          if not smoke then begin
-            let name = Printf.sprintf "micro/fpc/devirt/%s/%s" prog ename in
-            record name "sites_rewritten" (float_of_int rewritten);
-            record name "mem_refs_base" (float_of_int refs_b);
-            record name "mem_refs_devirt" (float_of_int refs_d);
-            record name "cycles_base" (float_of_int cycles_b);
-            record name "cycles_devirt" (float_of_int cycles_d);
-            record name "refs_saved_pct" (100.0 *. saved);
-            record name "interp_ns_per_run_base" (host_b *. 1e9);
-            record name "interp_ns_per_run_devirt" (host_d *. 1e9)
-          end;
+          let name = Printf.sprintf "micro/fpc/devirt/%s/%s" prog ename in
+          record name "sites_rewritten" (float_of_int rewritten);
+          record name "mem_refs_base" (float_of_int refs_b);
+          record name "mem_refs_devirt" (float_of_int refs_d);
+          record name "cycles_base" (float_of_int cycles_b);
+          record name "cycles_devirt" (float_of_int cycles_d);
+          record name "refs_saved_pct" (100.0 *. saved);
+          record name "interp_ns_per_run_base" (host_b *. 1e9);
+          record name "interp_ns_per_run_devirt" (host_d *. 1e9);
           add_row tb
             [ prog; ename; cell_int rewritten;
               Printf.sprintf "%d -> %d" refs_b refs_d;
@@ -439,11 +363,7 @@ let bench_banks =
    compiles.  Simulated results are deterministic, so the run also
    double-checks that every job succeeds at every width.
 
-   Recorded as the `svc/scaling` section; the older end-to-end
-   `svc/throughput` keys are left in BENCH_results.json (carried over by
-   the merge) so the trajectory across methodologies stays visible.
-
-   Both execution tiers run the same sweep.  The historical
+   Recorded as the `svc/scaling` section.  Both execution tiers run the same sweep.  The historical
    `svc/scaling/*` keys pin tier=interp explicitly (Auto now resolves to
    the compiled tier, and silently rebasing those keys would corrupt the
    cross-PR trajectory); the compiled tier records alongside as
@@ -512,11 +432,9 @@ let run_svc ?(smoke = false) () =
             failwith "svc bench: not every job came back";
           let jps = float_of_int njobs /. wall in
           if !base = 0.0 then base := jps;
-          if not smoke then begin
-            record (Printf.sprintf "%s/%dd" key_prefix domains) "jobs_per_sec" jps;
-            record (Printf.sprintf "%s/%dd" key_prefix domains) "speedup"
-              (jps /. !base)
-          end;
+          record (Printf.sprintf "%s/%dd" key_prefix domains) "jobs_per_sec" jps;
+          record (Printf.sprintf "%s/%dd" key_prefix domains) "speedup"
+            (jps /. !base);
           add_row tb
             [ tier_label; cell_int domains; cell_int njobs;
               Printf.sprintf "%.3fs" wall; cell_float ~decimals:1 jps;
@@ -526,9 +444,8 @@ let run_svc ?(smoke = false) () =
         widths)
     [ ("interp", Fpc_svc.Job.Interp, "svc/scaling");
       ("compiled", Fpc_svc.Job.Compiled, "svc/scaling/tier") ];
-  if not smoke then
-    record "svc/scaling" "host_recommended_domains"
-      (float_of_int (Fpc_svc.Pool.recommended_domains ()));
+  record "svc/scaling" "host_recommended_domains"
+    (float_of_int (Fpc_svc.Pool.recommended_domains ()));
   add_note tb
     (Printf.sprintf
        "measured window is submit->await only; host reports %d recommended domain(s)"
@@ -603,14 +520,12 @@ let run_svc_alloc ?(smoke = false) () =
       let reduction =
         if arena_steady > 0.0 then clone_steady /. arena_steady else 0.0
       in
-      if not smoke then begin
-        let sec = Printf.sprintf "svc/alloc/%dd" domains in
-        record sec "minor_words_per_job_clone" clone_avg;
-        record sec "minor_words_per_job_arena" arena_avg;
-        record sec "steady_minor_words_per_job_clone" clone_steady;
-        record sec "steady_minor_words_per_job_arena" arena_steady;
-        record sec "steady_reduction_x" reduction
-      end;
+      let sec = Printf.sprintf "svc/alloc/%dd" domains in
+      record sec "minor_words_per_job_clone" clone_avg;
+      record sec "minor_words_per_job_arena" arena_avg;
+      record sec "steady_minor_words_per_job_clone" clone_steady;
+      record sec "steady_minor_words_per_job_arena" arena_steady;
+      record sec "steady_reduction_x" reduction;
       add_row tb
         [ cell_int domains; "clone"; cell_float ~decimals:1 clone_avg;
           cell_float ~decimals:0 clone_steady; "" ];
@@ -625,8 +540,7 @@ let run_svc_alloc ?(smoke = false) () =
               minor words/job > budget %.0f"
              domains arena_steady alloc_budget_words))
     [ 1; 2 ];
-  if not smoke then
-    record "svc/alloc" "budget_minor_words_per_job" alloc_budget_words;
+  record "svc/alloc" "budget_minor_words_per_job" alloc_budget_words;
   add_note tb
     (Printf.sprintf
        "per-job Gc.minor_words deltas, warmed cache; budget (steady-state \
@@ -639,18 +553,13 @@ let run_svc_alloc ?(smoke = false) () =
 
 (* Tracing overhead, off and on.  The off side is the path every
    untraced run takes — instrumentation reduces to one match on
-   [State.tracer] per transfer — and is recorded so the cross-PR
-   trajectory shows whether carrying the subsystem costs anything
-   ([off_drift_pct] against the previous recorded run).  The on side
-   attaches a full streaming profile, the worst case [trace=1] pays. *)
+   [State.tracer] per transfer.  The on side attaches a full streaming
+   profile, the worst case [trace=1] pays. *)
 let run_trace ?(smoke = false) () =
-  let prior = read_prior "BENCH_results.json" in
   let open Fpc_util.Tablefmt in
   let tb =
     create ~title:"tracing overhead (fib, host wall-clock)"
-      ~columns:
-        [ ("engine", Left); ("off", Right); ("on", Right);
-          ("on overhead", Right); ("off drift vs last", Right) ]
+      ~columns:[ ("engine", Left); ("off", Right); ("on", Right); ("on overhead", Right) ]
   in
   List.iter
     (fun (name, engine) ->
@@ -678,25 +587,14 @@ let run_trace ?(smoke = false) () =
         if smoke then median_run_s ~samples:3 ~runs:1 on else median_run_s on
       in
       let on_pct = (on_s -. off_s) /. off_s *. 100.0 in
-      let drift =
-        Option.map
-          (fun last -> ((off_s *. 1e9) -. last) /. last *. 100.0)
-          (prior_value prior bench "off_ns_per_run")
-      in
-      if not smoke then begin
-        record bench "off_ns_per_run" (off_s *. 1e9);
-        record bench "on_ns_per_run" (on_s *. 1e9);
-        record bench "on_overhead_pct" on_pct;
-        Option.iter (record bench "off_drift_pct") drift
-      end;
+      record bench "off_ns_per_run" (off_s *. 1e9);
+      record bench "on_ns_per_run" (on_s *. 1e9);
+      record bench "on_overhead_pct" on_pct;
       add_row tb
         [ name;
           Printf.sprintf "%.2f ms" (off_s *. 1e3);
           Printf.sprintf "%.2f ms" (on_s *. 1e3);
-          Printf.sprintf "%+.1f%%" on_pct;
-          (match drift with
-          | Some d -> Printf.sprintf "%+.1f%%" d
-          | None -> "(first run)") ])
+          Printf.sprintf "%+.1f%%" on_pct ])
     (if smoke then [ ("I1", Fpc_core.Engine.i1) ]
      else
        [ ("I1", Fpc_core.Engine.i1); ("I2", Fpc_core.Engine.i2);
@@ -748,101 +646,13 @@ let run_micro () =
 
 (* ------------------------------------------------------------------ *)
 
-(* TCP serving throughput and latency through the full lib/net stack:
-   framing, admission control, pool execution on worker domains, and
-   the ordered writer path back out.  Closed-loop clients, so offered
-   load tracks service rate and the percentiles describe the server.
-   The request is the call-heavy fib on i2 with a warmed image cache —
-   round trips measure serving machinery, not compilation. *)
-let run_net ?(smoke = false) ?port ?(host = "127.0.0.1") ?(shutdown = false) ()
-    =
-  let server, port =
-    match port with
-    | Some p -> (None, p)
-    | None ->
-      let s =
-        Fpc_net.Server.create ~domains:(Fpc_svc.Pool.recommended_domains ())
-          ~max_pending:256 ~times:false ()
-      in
-      (Some s, Fpc_net.Server.port s)
-  in
-  let request_line = "prog=fib engine=i2" in
-  let conn_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let requests = if smoke then 20 else 300 in
-  (* Warm the server's image cache before any measured round trip. *)
-  let warm =
-    Fpc_net.Loadgen.run ~host ~port ~connections:1 ~requests:3 ~request_line ()
-  in
-  if warm.Fpc_net.Loadgen.ok <> 3 then
-    failwith "net bench: warmup round trips did not all come back ok";
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create
-      ~title:
-        (Printf.sprintf "net serving latency (fib/i2, %d round trips per conn)"
-           requests)
-      ~columns:
-        [ ("conns", Right); ("answered", Right); ("jobs/sec", Right);
-          ("p50", Right); ("p95", Right); ("p99", Right) ]
-  in
-  List.iter
-    (fun connections ->
-      let rep =
-        Fpc_net.Loadgen.run ~host ~port ~connections ~requests ~request_line ()
-      in
-      let expected = connections * requests in
-      if rep.Fpc_net.Loadgen.ok <> expected then
-        failwith
-          (Printf.sprintf
-             "net bench: %d connections: %d of %d round trips ok (%d shed, %d \
-              failed)"
-             connections rep.Fpc_net.Loadgen.ok expected
-             rep.Fpc_net.Loadgen.shed rep.Fpc_net.Loadgen.failed);
-      let pct q =
-        float_of_int (Fpc_util.Histogram.percentile rep.Fpc_net.Loadgen.latency_us q)
-      in
-      if not smoke then begin
-        let name = Printf.sprintf "net/latency/%dc" connections in
-        record name "jobs_per_sec" rep.Fpc_net.Loadgen.jobs_per_sec;
-        record name "p50_us" (pct 50.0);
-        record name "p95_us" (pct 95.0);
-        record name "p99_us" (pct 99.0)
-      end;
-      add_row tb
-        [ cell_int connections; cell_int rep.Fpc_net.Loadgen.answered;
-          cell_float ~decimals:1 rep.Fpc_net.Loadgen.jobs_per_sec;
-          Printf.sprintf "%.0fus" (pct 50.0);
-          Printf.sprintf "%.0fus" (pct 95.0);
-          Printf.sprintf "%.0fus" (pct 99.0) ])
-    conn_counts;
-  (match server with
-  | Some s ->
-    Fpc_net.Server.request_drain s;
-    ignore (Fpc_net.Server.wait s)
-  | None ->
-    if shutdown then begin
-      let c = Fpc_net.Client.connect ~host ~port () in
-      Fpc_net.Client.send_line c "shutdown";
-      (match Fpc_net.Client.recv_line c with
-      | Some {|{"status":"draining"}|} -> ()
-      | Some other ->
-        failwith ("net bench: unexpected shutdown response: " ^ other)
-      | None -> failwith "net bench: no shutdown acknowledgement");
-      Fpc_net.Client.close c
-    end);
-  add_note tb
-    "closed-loop round trips over loopback TCP; in-process server unless --port";
-  print tb;
-  print_newline ()
-
-(* The high-concurrency ladder.  The server runs as a spawned
-   `fpc serve --tcp` subprocess rather than in-process, for two
-   reasons: its fd numbers stay small (the select backend caps fds at
-   FD_SETSIZE, and the generator's own 1000 client sockets would blow
-   through that in a shared process), and /proc/<pid> then describes
-   the server alone — the thread and fd tables ARE the claim under
-   test, so they must not include the generator's thousand client
-   threads. *)
+(* The high-concurrency ladder: the reactor's claim that a server's OS
+   threads stay constant while its connections scale.  The server runs
+   as a spawned `fpc serve --tcp` subprocess rather than in-process, for
+   two reasons: its fd numbers stay small (the select backend caps fds
+   at FD_SETSIZE, and the bench's own 1000 client sockets would blow
+   through that in a shared process), and /proc/<pid> then describes the
+   server alone — the thread and fd tables ARE the claim under test. *)
 
 let fpc_binary () =
   (* bench runs from _build/default/bench/main.exe; fpc sits next door. *)
@@ -897,30 +707,34 @@ let spawn_server ~domains ~max_conns ~max_pending =
     ignore (Unix.waitpid [] pid);
     failwith "net bench: spawned server never announced its port"
 
+(* The "Threads:" line of a /proc status file; 0 if it cannot be read. *)
+let proc_threads status =
+  match open_in status with
+  | exception Sys_error _ -> 0
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> 0
+      | line -> (
+        try Scanf.sscanf line "Threads: %d" Fun.id
+        with Scanf.Scan_failure _ | Failure _ | End_of_file -> scan ())
+    in
+    let n = scan () in
+    close_in ic;
+    n
+
+let proc_fds pid =
+  try Array.length (Sys.readdir (Printf.sprintf "/proc/%d/fd" pid))
+  with Sys_error _ -> 0
+
 (* Peak OS-thread and open-fd counts for [pid], sampled from /proc
    every few milliseconds until [stop] flips.  Plain int refs are fine:
    systhreads serialize on the runtime lock. *)
 let proc_poller pid stop peak_threads peak_fds =
   let status = Printf.sprintf "/proc/%d/status" pid in
-  let fddir = Printf.sprintf "/proc/%d/fd" pid in
   let sample () =
-    (try
-       let ic = open_in status in
-       (try
-          while true do
-            let line = input_line ic in
-            try
-              Scanf.sscanf line "Threads: %d" (fun n ->
-                  if n > !peak_threads then peak_threads := n)
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> ()
-          done
-        with End_of_file -> ());
-       close_in ic
-     with Sys_error _ -> ());
-    try
-      let n = Array.length (Sys.readdir fddir) in
-      if n > !peak_fds then peak_fds := n
-    with Sys_error _ -> ()
+    peak_threads := max !peak_threads (proc_threads status);
+    peak_fds := max !peak_fds (proc_fds pid)
   in
   while not (Atomic.get stop) do
     sample ();
@@ -928,7 +742,45 @@ let proc_poller pid stop peak_threads peak_fds =
   done;
   sample ()
 
-let run_net_conns ?(pipeline = 4) ?(record_keys = true) ~conns () =
+(* One rung, driven from this thread over [Fpc_net.Client]: open
+   [connections] connections, then run [rounds] rounds, each writing
+   [pipeline] request lines on every connection (one write per
+   connection) and then reading [pipeline] replies from each.  The
+   server answers a connection's jobs in request order, and a reply is
+   ok iff it carries "status":"ok".  Returns (ok, failed, shed, wall);
+   the wall clock covers the rounds, not the connects. *)
+let drive_rung ~host ~port ~connections ~rounds ~pipeline ~request_line =
+  let clients =
+    Array.init connections (fun _ -> Fpc_net.Client.connect ~host ~port ())
+  in
+  let batch = String.concat "\n" (List.init pipeline (fun _ -> request_line)) in
+  let ok = ref 0 and failed = ref 0 and shed = ref 0 in
+  let has sub line =
+    let n = String.length line and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
+    go 0
+  in
+  let t0 = Fpc_util.Clock.now () in
+  for _ = 1 to rounds do
+    Array.iter (fun c -> Fpc_net.Client.send_line c batch) clients;
+    Array.iter
+      (fun c ->
+        for _ = 1 to pipeline do
+          match Fpc_net.Client.recv_line c with
+          | Some line when has {|"status":"ok"|} line -> incr ok
+          | Some line when has {|"status":"shed"|} line -> incr shed
+          | Some _ -> incr failed
+          | None -> failwith "net bench: the server closed a connection"
+        done)
+      clients
+  done;
+  let wall = Fpc_util.Clock.now () -. t0 in
+  Array.iter Fpc_net.Client.close clients;
+  (!ok, !failed, !shed, wall)
+
+let run_net_conns ?(pipeline = 4) ~conns () =
+  if conns < 1 || pipeline < 1 then
+    failwith "net bench: --conns and --pipeline must be positive";
   let domains = 2 in
   let host = "127.0.0.1" in
   let ladder =
@@ -958,11 +810,24 @@ let run_net_conns ?(pipeline = 4) ?(record_keys = true) ~conns () =
     ignore (Unix.waitpid [] pid)
   in
   Fun.protect ~finally:finish @@ fun () ->
-  let warm =
-    Fpc_net.Loadgen.run ~host ~port ~connections:1 ~requests:3 ~request_line ()
+  (* A rung starts once the server has closed the previous rung's
+     connections: until then they count against its connection limit
+     and its select set. *)
+  let idle_fds = proc_fds pid in
+  let await_idle () =
+    let deadline = Fpc_util.Clock.now () +. 10.0 in
+    while proc_fds pid > idle_fds do
+      if Fpc_util.Clock.now () > deadline then
+        failwith "net bench: the server kept the previous rung's connections";
+      Thread.delay 0.01
+    done
   in
-  if warm.Fpc_net.Loadgen.ok <> 3 then
-    failwith "net bench: high-concurrency warmup did not come back ok";
+  (* Warm the server's image cache before any measured round trip. *)
+  (match
+     drive_rung ~host ~port ~connections:1 ~rounds:3 ~pipeline:1 ~request_line
+   with
+  | 3, _, _, _ -> ()
+  | _ -> failwith "net bench: warmup round trips did not all come back ok");
   let open Fpc_util.Tablefmt in
   let tb =
     create
@@ -972,63 +837,53 @@ let run_net_conns ?(pipeline = 4) ?(record_keys = true) ~conns () =
             spawned server)"
            pipeline domains)
       ~columns:
-        [ ("conns", Right); ("req/conn", Right); ("answered", Right);
-          ("jobs/sec", Right); ("p50", Right); ("p99", Right);
-          ("srv thr", Right); ("srv fds", Right) ]
+        [ ("conns", Right); ("rounds", Right); ("ok", Right);
+          ("jobs/sec", Right); ("srv thr", Right); ("srv fds", Right);
+          ("bench thr", Right) ]
   in
+  (* The reactor's whole point: OS threads stay constant while
+     connections scale.  The OCaml-level count is domains + 3 (main,
+     signal waiter, loop); the runtime adds a tick thread and at most one
+     backup thread per domain, hence the bound. *)
+  let thread_bound = (2 * domains) + 5 in
   List.iter
     (fun connections ->
+      await_idle ();
       peak_threads := 0;
       peak_fds := 0;
-      let requests = max 5 (5_000 / connections) in
-      let rep =
-        Fpc_net.Loadgen.run ~host ~port ~connections ~requests ~pipeline
-          ~request_line ()
+      let rounds = max 5 (5_000 / connections) in
+      let ok, failed, shed, wall =
+        drive_rung ~host ~port ~connections ~rounds ~pipeline ~request_line
       in
-      let expected = connections * requests in
-      if rep.Fpc_net.Loadgen.ok <> expected then
+      let bench_threads = proc_threads "/proc/self/status" in
+      let expected = connections * rounds * pipeline in
+      if ok <> expected then
         failwith
           (Printf.sprintf
              "net bench: %d pipelined connections: %d of %d round trips ok \
               (%d shed, %d failed)"
-             connections rep.Fpc_net.Loadgen.ok expected
-             rep.Fpc_net.Loadgen.shed rep.Fpc_net.Loadgen.failed);
-      (* The reactor's whole point: OS threads stay constant while
-         connections scale.  The OCaml-level count is domains + 3 (main,
-         signal waiter, loop); the runtime adds a tick thread and at
-         most one backup thread per domain, hence the bound. *)
-      let thread_bound = (2 * domains) + 5 in
+             connections ok expected shed failed);
       if !peak_threads > thread_bound then
         failwith
           (Printf.sprintf
              "net bench: server used %d OS threads at %d connections \
               (bound %d): the reactor is leaking threads"
              !peak_threads connections thread_bound);
-      let pct q =
-        float_of_int
-          (Fpc_util.Histogram.percentile rep.Fpc_net.Loadgen.latency_us q)
-      in
-      if record_keys then begin
-        let name = Printf.sprintf "net/latency/%dc" connections in
-        record name "jobs_per_sec" rep.Fpc_net.Loadgen.jobs_per_sec;
-        record name "p50_us" (pct 50.0);
-        record name "p99_us" (pct 99.0);
-        record name "server_threads" (float_of_int !peak_threads);
-        record name "server_fds" (float_of_int !peak_fds)
-      end;
+      let jps = float_of_int ok /. wall in
+      let name = Printf.sprintf "net/conns/%dc" connections in
+      record name "jobs_per_sec" jps;
+      record name "server_threads" (float_of_int !peak_threads);
+      record name "server_fds" (float_of_int !peak_fds);
       add_row tb
-        [ cell_int connections; cell_int requests;
-          cell_int rep.Fpc_net.Loadgen.answered;
-          cell_float ~decimals:1 rep.Fpc_net.Loadgen.jobs_per_sec;
-          Printf.sprintf "%.0fus" (pct 50.0);
-          Printf.sprintf "%.0fus" (pct 99.0);
-          cell_int !peak_threads; cell_int !peak_fds ])
+        [ cell_int connections; cell_int rounds; cell_int ok;
+          cell_float ~decimals:1 jps; cell_int !peak_threads;
+          cell_int !peak_fds; cell_int bench_threads ])
     ladder;
   add_note tb
     (Printf.sprintf
-       "open-loop pipelined clients; srv thr/fds are /proc peaks of the \
-        spawned server (thread bound %d enforced)"
-       ((2 * domains) + 5));
+       "one driving thread; srv thr/fds are /proc peaks of the spawned \
+        server (thread bound %d enforced); bench thr is this process's"
+       thread_bound);
   print tb;
   print_newline ()
 
@@ -1040,7 +895,7 @@ let run_net_conns ?(pipeline = 4) ?(record_keys = true) ~conns () =
    run-to-yield, under both execution tiers.  Throughput is host
    wall-clock (compile excluded — the image is built once per scale);
    the footprint keys are simulated meters and therefore exact.  The
-   smoke variant runs one tiny scale and records nothing. *)
+   smoke variant runs one tiny scale. *)
 let run_sched ?(smoke = false) () =
   let engine = Fpc_core.Engine.i2 in
   let scales = if smoke then [ ("64", 64) ] else [ ("100", 100); ("1k", 1_000); ("10k", 10_000) ] in
@@ -1092,16 +947,14 @@ let run_sched ?(smoke = false) () =
         * Fpc_workload.Sessions.worst_extent_words config ~image
       in
       let r = Fpc_sched.Sched.report ~lifo_reserved ~stats st in
-      if not smoke then begin
-        let sec = "sched/sessions/" ^ label in
-        record sec "sessions_per_sec_interp" interp_sps;
-        record sec "sessions_per_sec_tier" tier_sps;
-        record sec "frame_peak_words"
-          (float_of_int r.Fpc_sched.Sched.frame_peak_words);
-        record sec "lifo_reserved_words"
-          (float_of_int r.Fpc_sched.Sched.lifo_reserved_words);
-        record sec "footprint_ratio" r.Fpc_sched.Sched.footprint_ratio
-      end;
+      let sec = "sched/sessions/" ^ label in
+      record sec "sessions_per_sec_interp" interp_sps;
+      record sec "sessions_per_sec_tier" tier_sps;
+      record sec "frame_peak_words"
+        (float_of_int r.Fpc_sched.Sched.frame_peak_words);
+      record sec "lifo_reserved_words"
+        (float_of_int r.Fpc_sched.Sched.lifo_reserved_words);
+      record sec "footprint_ratio" r.Fpc_sched.Sched.footprint_ratio;
       add_row tb
         [ label; cell_float ~decimals:0 interp_sps;
           cell_float ~decimals:0 tier_sps;
@@ -1115,77 +968,65 @@ let run_sched ?(smoke = false) () =
   print tb;
   print_newline ()
 
+let usage =
+  "usage: main.exe [micro] [svc] [trace] [sched] [net] [--smoke] [--conns N] \
+   [--pipeline K] [--json]"
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  (* --port N / --host H take a value; pull them out before the
-     remaining args are treated as experiment filters. *)
-  let extract_opt key args =
-    let rec go acc = function
-      | [] -> (None, List.rev acc)
-      | k :: v :: rest when k = key -> (Some v, List.rev_append acc rest)
-      | a :: rest -> go (a :: acc) rest
-    in
-    go [] args
+  let fail msg =
+    prerr_endline ("bench: " ^ msg);
+    prerr_endline usage;
+    exit 2
   in
-  let port_s, args = extract_opt "--port" args in
-  let host_s, args = extract_opt "--host" args in
-  let conns_s, args = extract_opt "--conns" args in
-  let pipeline_s, args = extract_opt "--pipeline" args in
-  let int_opt flag s =
-    match int_of_string_opt s with
-    | Some p -> p
-    | None -> failwith (Printf.sprintf "bench: %s expects an integer, got %s" flag s)
+  let int_arg flag v =
+    match int_of_string_opt v with
+    | Some n -> n
+    | None -> fail (Printf.sprintf "%s expects an integer, got %s" flag v)
   in
-  let port = Option.map (int_opt "--port") port_s in
-  let conns = Option.map (int_opt "--conns") conns_s in
-  let pipeline = Option.map (int_opt "--pipeline") pipeline_s in
-  let host = Option.value host_s ~default:"127.0.0.1" in
-  let shutdown = List.mem "--shutdown" args in
-  let json = List.mem "--json" args in
-  let smoke = List.mem "--smoke" args in
-  let micro = List.mem "micro" args in
-  let svc = List.mem "svc" args in
-  let trace = List.mem "trace" args in
-  let net = List.mem "net" args in
-  let sched = List.mem "sched" args in
-  let filter =
-    List.filter
-      (fun a ->
-        not
-          (List.mem a
-             [ "micro"; "svc"; "trace"; "net"; "sched"; "--json"; "--smoke";
-               "--shutdown" ]))
-      args
+  let layers = ref [] and smoke = ref false and json = ref false in
+  let conns = ref None and pipeline = ref None in
+  let rec parse = function
+    | [] -> ()
+    | ("micro" | "svc" | "trace" | "sched" | "net") as l :: rest ->
+      layers := l :: !layers;
+      parse rest
+    | "--smoke" :: rest ->
+      smoke := true;
+      parse rest
+    | "--json" :: rest ->
+      json := true;
+      parse rest
+    | "--conns" :: v :: rest ->
+      conns := Some (int_arg "--conns" v);
+      parse rest
+    | "--pipeline" :: v :: rest ->
+      pipeline := Some (int_arg "--pipeline" v);
+      parse rest
+    | a :: _ -> fail ("unknown argument " ^ a)
   in
-  let everything =
-    filter = [] && (not micro) && (not svc) && (not trace) && (not net)
-    && not sched
-  in
-  if everything || filter <> [] then run_experiments filter;
-  if micro || everything then begin
+  parse (List.tl (Array.to_list Sys.argv));
+  let smoke = !smoke in
+  let full = !layers = [] in
+  if !json && not (full && (not smoke) && !conns = None && !pipeline = None)
+  then
+    fail
+      "--json replaces BENCH_results.json whole, so it takes a full run: no \
+       layer argument, --smoke, --conns or --pipeline";
+  let wants l = full || List.mem l !layers in
+  if wants "micro" then begin
     run_micro ();
     run_tier_compile ();
     run_tier_calls ~smoke ();
     run_devirt ~smoke ()
   end;
-  if svc || everything then begin
+  if wants "svc" then begin
     run_svc ~smoke ();
     run_svc_alloc ~smoke ()
   end;
-  if trace || everything then run_trace ~smoke ();
-  if sched || everything then run_sched ~smoke ();
-  (match conns with
-  | Some c ->
-    (* `bench net --conns N [--pipeline K]`: just the high-concurrency
-       ladder, its own spawned server, record nothing beyond stdout
-       unless --json asked for the trajectory keys. *)
-    run_net_conns ?pipeline ~record_keys:json ~conns:c ()
-  | None ->
-    if net || everything then begin
-      run_net ~smoke ?port ~host ~shutdown ();
-      (* The high-concurrency ladder spawns its own server; skip it in
-         smoke mode and when the run targets an external --port. *)
-      if (not smoke) && port = None then
-        run_net_conns ?pipeline ~conns:1000 ()
-    end);
-  if json then write_json "BENCH_results.json"
+  if wants "trace" then run_trace ~smoke ();
+  if wants "sched" then run_sched ~smoke ();
+  if wants "net" then
+    run_net_conns ?pipeline:!pipeline
+      ~conns:(Option.value !conns ~default:(if smoke then 100 else 1000))
+      ();
+  if !json then write_json "BENCH_results.json"

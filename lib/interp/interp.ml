@@ -243,7 +243,7 @@ let run_traced ?(max_steps = 20_000_000) st ~on_step =
   let fetch pc = Memory.peek_code_byte st.State.mem ~code_base:0 ~pc in
   let remaining = ref max_steps in
   let go (st : State.t) =
-    while st.status = State.Running && !remaining <> 0 do
+    while st.status = State.Running && !remaining > 0 do
       decr remaining;
       let pc_abs = st.pc_abs in
       (if Fpc_isa.Predecode.len_at st.predecode pc_abs > 0 then
@@ -262,7 +262,7 @@ let run_traced ?(max_steps = 20_000_000) st ~on_step =
 let run ?(max_steps = 20_000_000) st =
   let remaining = ref max_steps in
   let go (st : State.t) =
-    while st.status = State.Running && !remaining <> 0 do
+    while st.status = State.Running && !remaining > 0 do
       decr remaining;
       step st
     done;

@@ -74,7 +74,8 @@ val exec : Fpc_core.State.t -> instr_pc:int -> Fpc_isa.Opcode.t -> unit
 
 val run : ?max_steps:int -> Fpc_core.State.t -> unit
 (** Step until the machine halts or traps; [max_steps] (default 20
-    million) guards against runaways, recording a [Step_limit] trap.  The
+    million) guards against runaways, recording a [Step_limit] trap; a
+    non-positive budget records it before any instruction runs.  The
     trap handler ({!Fpc_core.Transfer.catch_traps}) is installed once
     around the loop and again after each delivered trap, so a run's OCaml
     stack does not grow with the traps it takes. *)

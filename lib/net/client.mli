@@ -1,6 +1,6 @@
-(** A minimal blocking client for the line protocol — what the tests and
-    {!Loadgen} speak; not a public SDK.  One TCP connection, send request
-    lines, read response lines. *)
+(** A minimal blocking client for the line protocol — what the tests,
+    [fpc request] and [bench net] speak; not a public SDK.  One TCP
+    connection, send request lines, read response lines. *)
 
 type t
 

@@ -99,7 +99,7 @@ let stats_json t =
         Obj
           [
             ("port", Int t.port);
-            ("backend", String (Loop.backend_name t.loop));
+            ("backend", String Backend.name);
             ("draining", Bool (Atomic.get t.stopping));
             ("connections", Int ls.connections);
             ("max_connections", Int ls.max_connections);
@@ -456,10 +456,10 @@ let resolve_host host =
 
 let create ?(host = "127.0.0.1") ?(port = 0) ?domains ?max_connections
     ?max_pending ?(max_line = Framing.default_max_line) ?(times = true)
-    ?(tier = Fpc_svc.Job.Auto) ?(devirt = true) ?backend ?sndbuf () =
+    ?(tier = Fpc_svc.Job.Auto) ?(devirt = true) ?sndbuf () =
   ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
   let limiter = Limiter.create ?max_connections ?max_pending () in
-  let loop = Loop.create ?backend () in
+  let loop = Loop.create () in
   (* The result handoff: the worker domain that completed the job
      renders its JSON line right there (spreading the serialization cost
      across domains), releases the admission slot, and posts the line

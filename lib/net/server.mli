@@ -53,7 +53,6 @@ val create :
   ?times:bool ->
   ?tier:Fpc_svc.Job.tier ->
   ?devirt:bool ->
-  ?backend:Fpc_reactor.Backend.t ->
   ?sndbuf:int ->
   unit ->
   t
@@ -65,9 +64,7 @@ val create :
     (the default execution tier for requests that carry no explicit
     [tier=] key; an explicit key always wins), [devirt:true] (the default
     link-time-devirtualization choice for requests that carry no explicit
-    [devirt=] key),
-    [backend:{!Fpc_reactor.Backend.default}] (the readiness backend —
-    [select] today, shaped so an epoll backend slots in), [sndbuf] unset
+    [devirt=] key), [sndbuf] unset
     (a test hook: SO_SNDBUF for accepted sockets, to force partial
     writes).  Installs a SIGPIPE-ignore handler (a dead peer must read
     as an I/O error, not kill the process). *)

@@ -1,12 +1,9 @@
 (** The readiness API the event loop drives: register file descriptors,
     declare read/write interest, block until something is ready.
 
-    A backend is a record of operations, so alternatives slot in without
-    a functor dance: {!select} is the portable one ([Unix.select], fd
-    numbers below FD_SETSIZE — 1024 on Linux — O(registered) per wait);
-    an epoll backend would return the same record from C stubs and scale
-    past that.  {!Loop.create} takes the backend as a parameter and
-    never looks inside it. *)
+    Implemented over [Unix.select]: portable, fd numbers below
+    FD_SETSIZE (1024 on Linux), O(registered fds) per wait.  An epoll
+    implementation would keep this signature. *)
 
 type ready = {
   r_fd : Unix.file_descr;
@@ -14,22 +11,24 @@ type ready = {
   r_writable : bool;
 }
 
-type t = {
-  name : string;
-  add : Unix.file_descr -> unit;
-      (** register with no interest; raises [Invalid_argument] if the fd
-          is already registered *)
-  modify : Unix.file_descr -> read:bool -> write:bool -> unit;
-      (** replace the fd's interest set *)
-  remove : Unix.file_descr -> unit;  (** forget the fd (idempotent) *)
-  wait : float -> ready list;
-      (** block up to [timeout] seconds (negative = forever) for
-          readiness on the registered interest; an empty list is a
-          legitimate timeout or spurious (EINTR) wake *)
-}
+type t
 
-val select : unit -> t
-(** The [Unix.select] backend. *)
+val name : string
+(** ["select"], reported in [/stats]. *)
 
-val default : unit -> t
-(** The best backend available on this host (today: {!select}). *)
+val create : unit -> t
+
+val add : t -> Unix.file_descr -> unit
+(** Register with no interest; raises [Invalid_argument] if the fd is
+    already registered. *)
+
+val modify : t -> Unix.file_descr -> read:bool -> write:bool -> unit
+(** Replace the fd's interest set. *)
+
+val remove : t -> Unix.file_descr -> unit
+(** Forget the fd (idempotent). *)
+
+val wait : t -> float -> ready list
+(** Block up to [timeout] seconds (negative = forever) for readiness on
+    the registered interest; an empty list is a legitimate timeout or
+    spurious (EINTR) wake. *)

@@ -25,10 +25,8 @@ type t = {
 
 let now = Fpc_util.Clock.now
 
-let create ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> Backend.default ()
-  in
+let create () =
+  let backend = Backend.create () in
   let wake_rd, wake_wr = Unix.pipe () in
   Unix.set_nonblock wake_rd;
   Unix.set_nonblock wake_wr;
@@ -51,18 +49,16 @@ let create ?backend () =
   in
   (* the self-pipe is a watcher like any other; its payload bytes carry
      no information (the posted queue does), so just drain them *)
-  backend.Backend.add wake_rd;
-  backend.Backend.modify wake_rd ~read:true ~write:false;
+  Backend.add backend wake_rd;
+  Backend.modify backend wake_rd ~read:true ~write:false;
   t
-
-let backend_name t = t.backend.Backend.name
 
 let watch t fd ?(on_readable = ignore) ?(on_writable = ignore) () =
   let w =
     { w_fd = fd; on_readable; on_writable; want_read = false;
       want_write = false; alive = true }
   in
-  t.backend.Backend.add fd;
+  Backend.add t.backend fd;
   Hashtbl.replace t.watchers fd w;
   w
 
@@ -70,13 +66,13 @@ let interest t w ~read ~write =
   if w.alive && (w.want_read <> read || w.want_write <> write) then begin
     w.want_read <- read;
     w.want_write <- write;
-    t.backend.Backend.modify w.w_fd ~read ~write
+    Backend.modify t.backend w.w_fd ~read ~write
   end
 
 let unwatch t w =
   if w.alive then begin
     w.alive <- false;
-    t.backend.Backend.remove w.w_fd;
+    Backend.remove t.backend w.w_fd;
     Hashtbl.remove t.watchers w.w_fd
   end
 
@@ -147,7 +143,7 @@ let run t =
         | Some s -> s
         | None -> -1.0
     in
-    let ready = t.backend.Backend.wait timeout in
+    let ready = Backend.wait t.backend timeout in
     List.iter
       (fun (r : Backend.ready) ->
         if r.Backend.r_fd = t.wake_rd then drain_wake t

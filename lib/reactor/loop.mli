@@ -1,4 +1,4 @@
-(** A single-threaded event loop: readiness callbacks over a pluggable
+(** A single-threaded event loop: readiness callbacks over a
     {!Backend}, a {!Wheel} of timers, and a self-pipe for thread-safe
     work injection ({!post}) — the one legal way other threads (pool
     worker domains, a signal-relay thread) reach loop-owned state.
@@ -12,10 +12,7 @@ type t
 
 type watcher
 
-val create : ?backend:Backend.t -> unit -> t
-(** Defaults to {!Backend.default}. *)
-
-val backend_name : t -> string
+val create : unit -> t
 
 val watch :
   t ->

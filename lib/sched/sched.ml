@@ -30,9 +30,9 @@ type stats = { deadline_hit : bool; slices : int; preemptions : int }
 
 let now = Fpc_util.Clock.now
 
-(* Same contract as the pool's deadline slicer: [Step_limit] can only come
-   from the step budget, so with fuel remaining it marks a resumable slice
-   boundary, not a terminal state.  A final [Step_limit] (fuel exhausted)
+(* The slicer's contract: [Step_limit] can only come from the step
+   budget, so with fuel remaining it marks a resumable slice boundary,
+   not a terminal state.  A final [Step_limit] (fuel exhausted)
    is left on the machine for the caller's fuel-exhaustion policy. *)
 let hit deadline_at = match deadline_at with None -> false | Some d -> now () > d
 
@@ -80,56 +80,57 @@ let run ?(policy = Run_to_yield) ?deadline_at ~step ~fuel st =
     | Preempt { quantum } -> max 1 quantum
   in
   let preemptive = match policy with Preempt _ -> true | Run_to_yield -> false in
-  let rec go remaining slices preemptions =
-    let s = min slice remaining in
-    step s st;
-    let slices = slices + 1 in
-    match st.Fpc_core.State.status with
-    | Fpc_core.State.Trapped Fpc_core.State.Step_limit when remaining > s ->
-      if hit deadline_at then { deadline_hit = true; slices; preemptions }
-      else begin
-        st.Fpc_core.State.status <- Fpc_core.State.Running;
-        let remaining = remaining - s in
-        let remaining, preemptions =
-          if not preemptive then (remaining, preemptions)
-          else begin
-            let budget = min slice remaining in
-            let spent = drift_to_boundary ~step ~budget st in
-            let at_boundary =
-              st.Fpc_core.State.status = Fpc_core.State.Running
-              && Fpc_core.Eval_stack.depth st.stack = 0
-            in
-            ( remaining - spent,
-              if at_boundary && inject_yield st then preemptions + 1
-              else preemptions )
-          end
-        in
-        (* an injected yield can itself trap (a corrupted context word),
-           and the drift may have exhausted the fuel or ended the run *)
-        match st.Fpc_core.State.status with
-        | Fpc_core.State.Running when remaining > 0 ->
-          go remaining slices preemptions
-        | Fpc_core.State.Running ->
-          st.Fpc_core.State.status <-
-            Fpc_core.State.Trapped Fpc_core.State.Step_limit;
-          { deadline_hit = false; slices; preemptions }
-        | _ -> { deadline_hit = false; slices; preemptions }
-      end
-    | _ -> { deadline_hit = false; slices; preemptions }
-  in
-  if fuel <= 0 then { deadline_hit = false; slices = 0; preemptions = 0 }
+  (* a machine parked at a previous invocation's fuel boundary is
+     resumable by contract: clear the marker and keep going.  A
+     non-positive [fuel] reaches [step], which parks it there again. *)
+  (match st.Fpc_core.State.status with
+  | Fpc_core.State.Trapped Fpc_core.State.Step_limit ->
+    st.Fpc_core.State.status <- Fpc_core.State.Running
+  | _ -> ());
+  if (not preemptive) && deadline_at = None then begin
+    step fuel st;
+    { deadline_hit = false; slices = 1; preemptions = 0 }
+  end
   else begin
-    (* a machine parked at a previous invocation's fuel boundary is
-       resumable by contract: clear the marker and keep going *)
-    (match st.Fpc_core.State.status with
-    | Fpc_core.State.Trapped Fpc_core.State.Step_limit ->
-      st.Fpc_core.State.status <- Fpc_core.State.Running
-    | _ -> ());
-    if (not preemptive) && deadline_at = None then begin
-      step fuel st;
-      { deadline_hit = false; slices = 1; preemptions = 0 }
-    end
-    else go fuel 0 0
+    (* [go] is built only here: the one-slice path allocates no closure *)
+    let rec go remaining slices preemptions =
+      let s = min slice remaining in
+      step s st;
+      let slices = slices + 1 in
+      match st.Fpc_core.State.status with
+      | Fpc_core.State.Trapped Fpc_core.State.Step_limit when remaining > s ->
+        if hit deadline_at then { deadline_hit = true; slices; preemptions }
+        else begin
+          st.Fpc_core.State.status <- Fpc_core.State.Running;
+          let remaining = remaining - s in
+          let remaining, preemptions =
+            if not preemptive then (remaining, preemptions)
+            else begin
+              let budget = min slice remaining in
+              let spent = drift_to_boundary ~step ~budget st in
+              let at_boundary =
+                st.Fpc_core.State.status = Fpc_core.State.Running
+                && Fpc_core.Eval_stack.depth st.stack = 0
+              in
+              ( remaining - spent,
+                if at_boundary && inject_yield st then preemptions + 1
+                else preemptions )
+            end
+          in
+          (* an injected yield can itself trap (a corrupted context word),
+             and the drift may have exhausted the fuel or ended the run *)
+          match st.Fpc_core.State.status with
+          | Fpc_core.State.Running when remaining > 0 ->
+            go remaining slices preemptions
+          | Fpc_core.State.Running ->
+            st.Fpc_core.State.status <-
+              Fpc_core.State.Trapped Fpc_core.State.Step_limit;
+            { deadline_hit = false; slices; preemptions }
+          | _ -> { deadline_hit = false; slices; preemptions }
+        end
+      | _ -> { deadline_hit = false; slices; preemptions }
+    in
+    go fuel 0 0
   end
 
 type report = {

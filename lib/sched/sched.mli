@@ -5,8 +5,8 @@
     frame retires its process — all in simulated instructions, metered like
     any other transfer.  This module adds the one thing the machine lacks,
     a host-side notion of {e time}: it runs the machine in fuel slices
-    (reusing the resumable [Step_limit] boundary the service pool
-    established) and, under the preemptive policy, forces a switch point
+    (at the resumable [Step_limit] boundary where both run loops stop)
+    and, under the preemptive policy, forces a switch point
     between slices by injecting the exact YIELD the program could have
     written itself.
 
@@ -57,8 +57,10 @@ val run :
     compiled equivalent.  Mid-run [Step_limit] traps are slice boundaries
     and are resumed; a terminal [Step_limit] (fuel exhausted) is left on
     the machine, and handing the same machine back with fresh fuel picks
-    up where it stopped.  With [deadline_at] (absolute seconds on
-    {!Fpc_util.Clock}), the clock is checked at every slice boundary. *)
+    up where it stopped; a non-positive [fuel] runs no instruction and
+    leaves [Step_limit].  With [deadline_at] (absolute seconds on
+    {!Fpc_util.Clock}), the clock is checked at every slice boundary.
+    The service pool runs every job through it. *)
 
 type report = {
   forked : int;  (** sessions queued by FORK *)

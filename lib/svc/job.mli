@@ -21,8 +21,9 @@ type source =
 (** Which execution strategy runs the job.  [Interp] is the dispatch-loop
     interpreter; [Compiled] is the threaded-code tier ({!Fpc_tier.Tier}),
     bit-identical on every simulated meter; [Auto] (the default) lets the
-    pool choose — compiled, except for traced jobs, where the tier would
-    deopt every instruction anyway. *)
+    pool choose — compiled, except for traced jobs, whose run is
+    {!Fpc_interp.Interp.run} on either tier, so they skip attaching a
+    translation. *)
 type tier = Interp | Compiled | Auto
 
 type spec = {

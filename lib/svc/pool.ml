@@ -43,39 +43,6 @@ let failed ?(stats = Job.no_stats) id spec kind msg =
     sched = None;
   }
 
-(* Deadlined jobs run in slices of this many steps, with a wall-clock
-   check between slices.  Small enough for few-ms deadline granularity,
-   large enough that the per-slice overhead (one clock read, one status
-   reset) vanishes against the interpreter loop. *)
-let deadline_slice = 50_000
-
-(* Run [st] for up to [fuel] steps with [step] (one tier's run function).
-   With a deadline, run in slices and check the clock between them;
-   returns [true] iff the deadline fired while the program was still
-   running.  [Step_limit] is only ever set by the tier's own step counter
-   (the trap machinery never raises it), so a mid-slice [Step_limit] with
-   fuel remaining is safely resumed by resetting the status to [Running]
-   — both tiers resume at the exact boundary where the budget ran out. *)
-let run_with_deadline ?deadline_at ~step ~fuel st =
-  match deadline_at with
-  | None ->
-    step fuel st;
-    false
-  | Some deadline ->
-    let rec go remaining =
-      let s = min deadline_slice remaining in
-      step s st;
-      match st.Fpc_core.State.status with
-      | Fpc_core.State.Trapped Fpc_core.State.Step_limit when remaining > s ->
-        if now () > deadline then true
-        else begin
-          st.Fpc_core.State.status <- Fpc_core.State.Running;
-          go (remaining - s)
-        end
-      | _ -> false
-    in
-    if fuel <= 0 then false else go fuel
-
 let interp_step fuel st = Fpc_interp.Interp.run ~max_steps:fuel st
 
 let execute ?arena cache id (spec : Job.spec) =
@@ -112,20 +79,12 @@ let execute ?arena cache id (spec : Job.spec) =
       in
       let translation = ref Job.No_translation in
       let tier_used = ref None in
-      (* Scheduled jobs (an explicit policy, or any Sessions workload)
-         drive the machine through the green-thread scheduler instead of
-         the plain deadline slicer; both leave the same terminal status
-         on [st], so the outcome classification below is shared. *)
+      (* Every job is driven by the scheduler's slicer: with no policy
+         and no deadline that is one [step] over the whole fuel; a
+         deadline or preemption slices the run, and the clock is checked
+         between slices.  Scheduled jobs (an explicit policy, or any Sessions
+         workload) also get a scheduler report. *)
       let sched_policy = Job.effective_sched spec in
-      let drive ~step st =
-        match sched_policy with
-        | None -> (run_with_deadline ?deadline_at ~step ~fuel:spec.fuel st, None)
-        | Some policy ->
-          let s =
-            Fpc_sched.Sched.run ~policy ?deadline_at ~step ~fuel:spec.fuel st
-          in
-          (s.Fpc_sched.Sched.deadline_hit, Some s)
-      in
       (* The compiled tier's run function for [image]: reuses the
          translation attached to the image's shared directory or builds
          and attaches it (a translation-cache miss, once per pristine). *)
@@ -188,7 +147,10 @@ let execute ?arena cache id (spec : Job.spec) =
               ~proc:"main" ~args:[] ()
         in
         let step = if compiled_tier then tier_step image else interp_step in
-        let deadline_hit, sstats = drive ~step st in
+        let sstats =
+          Fpc_sched.Sched.run ?policy:sched_policy ?deadline_at ~step
+            ~fuel:spec.fuel st
+        in
         let profile =
           match profiler with
           | None -> None
@@ -200,12 +162,12 @@ let execute ?arena cache id (spec : Job.spec) =
                  ~mem_refs:o.Fpc_interp.Interp.o_mem_refs);
             Some (Fpc_trace.Profile.summary p.Fpc_interp.Profiler.profile)
         in
-        (st, profile, deadline_hit, sstats)
+        (st, profile, sstats)
       with
       | exception Not_found ->
         failed id spec Job.Compile_error "program has no Main.main()"
       | exception e -> failed id spec Job.Internal (Printexc.to_string e)
-      | st, profile, deadline_hit, sstats ->
+      | st, profile, sstats ->
         let o = Fpc_interp.Interp.outcome st in
         let minor_words = int_of_float (Gc.minor_words () -. mw0) in
         (match (!translation, !tier_used) with
@@ -235,7 +197,7 @@ let execute ?arena cache id (spec : Job.spec) =
           }
         in
         let outcome =
-          if deadline_hit then
+          if sstats.Fpc_sched.Sched.deadline_hit then
             Job.Failed
               ( Job.Deadline_exceeded,
                 Printf.sprintf "deadline of %d ms exceeded"
@@ -254,9 +216,9 @@ let execute ?arena cache id (spec : Job.spec) =
                 (Job.Trapped (Fpc_core.State.trap_reason_to_string r), "machine trap")
         in
         let sched =
-          match sstats with
+          match sched_policy with
           | None -> None
-          | Some stats ->
+          | Some _ ->
             (* The LIFO-reservation baseline only exists for session
                workloads, whose generator knows its own worst case. *)
             let lifo_reserved =
@@ -267,7 +229,7 @@ let execute ?arena cache id (spec : Job.spec) =
                     ~image:st.Fpc_core.State.image
               | Job.Suite _ | Job.Inline _ -> 0
             in
-            Some (Fpc_sched.Sched.report ~lifo_reserved ~stats st)
+            Some (Fpc_sched.Sched.report ~lifo_reserved ~stats:sstats st)
         in
         { Job.id; spec; outcome; stats; profile; sched }))
 

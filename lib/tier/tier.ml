@@ -1272,7 +1272,13 @@ let run ?(max_steps = 20_000_000) t (st : State.t) =
   | Some _ -> Interp.run ~max_steps st
   | None ->
     let m = st.metrics in
-    let limit = m.instructions + max_steps in
+    (* Saturated: a resumed run given a budget near [max_int] must not
+       wrap round to a limit already passed.  A non-positive budget
+       stops before any instruction, as [Interp.run] does. *)
+    let limit =
+      if max_steps > max_int - m.instructions then max_int
+      else m.instructions + max_steps
+    in
     st.fuel_limit <- limit;
     let base = t.base in
     let slots = t.slots and proc_of = t.proc_of in

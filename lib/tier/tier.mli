@@ -92,9 +92,11 @@ val of_image : Fpc_mesa.Image.t -> t * bool
 val run : ?max_steps:int -> t -> Fpc_core.State.t -> unit
 (** Drive [st] to completion on the compiled tier: exactly
     {!Fpc_interp.Interp.run} (default [max_steps] 20 million, recording a
-    [Step_limit] trap on expiry), including resumability — a fuel-sliced
-    caller may reset the status to [Running] and call again, and the next
-    instruction executes at the exact boundary where the budget ran out.
+    [Step_limit] trap on expiry, and before any instruction for a
+    non-positive budget), including resumability — a fuel-sliced caller
+    may reset the status to [Running] and call again, with any budget up
+    to [max_int], and the next instruction executes at the exact boundary
+    where the budget ran out.
     A run under a tracer is {!Fpc_interp.Interp.run}.  Otherwise the
     first XFER into an untranslated procedure translates it (counted
     in [metrics.tier_lazy_translations]) and retries the same PC without

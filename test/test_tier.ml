@@ -645,6 +645,57 @@ let test_sliced_resume_equivalence () =
       (`Inline infinite_loop_src, 20_000, 133);
     ]
 
+(* The two run loops agree on the budget at its edges: a non-positive
+   budget stops both before any instruction, and a run stopped after 100
+   steps resumes under a budget of [max_int] (which must not wrap round
+   when added to the instructions already retired). *)
+let test_budget_edges () =
+  let source = Fpc_workload.Programs.find "fib" in
+  let once runner ~max_steps st = runner ~max_steps st in
+  let resume runner ~max_steps st =
+    runner ~max_steps st;
+    if max_steps = 100 then begin
+      st.Fpc_core.State.status <- Fpc_core.State.Running;
+      runner ~max_steps:max_int st
+    end
+  in
+  List.iter
+    (fun (en, engine) ->
+      List.iter
+        (fun (label, max_steps, runner, halts) ->
+          let reference =
+            let st = boot ~engine (image_for ~engine source) in
+            runner (fun ~max_steps st -> Fpc_interp.Interp.run ~max_steps st)
+              ~max_steps st;
+            observe st
+          in
+          let got =
+            let image = image_for ~engine source in
+            let st = boot ~engine image in
+            let tier, _ = Fpc_tier.Tier.of_image image in
+            runner (fun ~max_steps st -> Fpc_tier.Tier.run ~max_steps tier st)
+              ~max_steps st;
+            observe st
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: interp ends %s" en label
+               (if halts then "halted" else "at the step limit"))
+            true
+            ((fst reference).Fpc_interp.Interp.o_status
+            = if halts then Fpc_core.State.Halted
+              else Fpc_core.State.Trapped Fpc_core.State.Step_limit);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s/%s: tier == interp" en label)
+            true (got = reference))
+        [
+          ("-1", -1, once, false);
+          ("0", 0, once, false);
+          ("1", 1, once, false);
+          ("100", 100, once, false);
+          ("100 then max_int", 100, resume, true);
+        ])
+    (engines ())
+
 (* ---- DIV and MOD by a literal ---- *)
 
 (* A DIV or MOD right after a literal with a non-zero divisor cannot
@@ -1498,6 +1549,8 @@ let () =
             test_fuel_exhaustion_equivalence;
           Alcotest.test_case "sliced resume (deadline path)" `Quick
             test_sliced_resume_equivalence;
+          Alcotest.test_case "budget edges: non-positive, max_int resume" `Quick
+            test_budget_edges;
           Alcotest.test_case "DIV and MOD by a literal" `Quick
             test_divmod_literal;
           Alcotest.test_case "100,000 handled traps in constant stack" `Quick
