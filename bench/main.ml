@@ -462,6 +462,57 @@ let run_svc ?(smoke = false) () =
    assertion makes an allocation regression fail the bench (CI runs
    `bench svc --smoke`) instead of silently eroding the win. *)
 let alloc_budget_words = 256.0
+let session_alloc_budget_words = 4096.0
+
+(* Session jobs take the scheduler and every process operation — FORK,
+   YIELD, coroutine XFER, process end — which the suite programs barely
+   touch.  A small session shape per engine, on one domain's arena after
+   a warm-up job, under its own budget: the worst job must stay within
+   it. *)
+let run_svc_session_alloc ~check_all_ok ~cache =
+  let reps = 4 and total = 100 in
+  let session engine =
+    Fpc_svc.Job.spec ~engine
+      (Fpc_svc.Job.Sessions
+         { (Fpc_workload.Sessions.default ~total) with Fpc_workload.Sessions.window = 8 })
+  in
+  let open Fpc_util.Tablefmt in
+  let tb =
+    create
+      ~title:(Printf.sprintf "svc per-job minor allocation, sessions=%d window=8" total)
+      ~columns:[ ("engine", Left); ("steady-state (max)", Right) ]
+  in
+  List.iter
+    (fun engine ->
+      let results, _ =
+        Fpc_svc.Pool.run_jobs ~domains:1 ~cache ~arena_reuse:true
+          (List.init (reps + 1) (fun _ -> session engine))
+      in
+      check_all_ok results;
+      let steady =
+        List.fold_left
+          (fun acc (r : Fpc_svc.Job.result) ->
+            max acc r.Fpc_svc.Job.stats.Fpc_svc.Job.minor_words)
+          0 (List.tl results)
+      in
+      record "svc/alloc/sessions" ("steady_minor_words_per_job_" ^ engine)
+        (float_of_int steady);
+      add_row tb [ engine; cell_int steady ];
+      if float_of_int steady > session_alloc_budget_words then
+        failwith
+          (Printf.sprintf
+             "svc session alloc budget exceeded on %s: %d minor words/job > \
+              budget %.0f"
+             engine steady session_alloc_budget_words))
+    [ "i1"; "i2"; "i3"; "i4" ];
+  record "svc/alloc/sessions" "budget_minor_words_per_job" session_alloc_budget_words;
+  add_note tb
+    (Printf.sprintf
+       "worst of %d arena-hit jobs after one warm-up job; budget = %.0f \
+        words/job"
+       reps session_alloc_budget_words);
+  print tb;
+  print_newline ()
 
 let run_svc_alloc ?(smoke = false) () =
   let programs =
@@ -547,7 +598,8 @@ let run_svc_alloc ?(smoke = false) () =
         arena) = %.0f words/job"
        alloc_budget_words);
   print tb;
-  print_newline ()
+  print_newline ();
+  run_svc_session_alloc ~check_all_ok ~cache
 
 (* ------------------------------------------------------------------ *)
 

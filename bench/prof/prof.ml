@@ -12,8 +12,9 @@
      dune build bench/prof/prof.exe
      ./_build/default/bench/prof/prof.exe --workload serve-hot --seed 1
 
-   It prints CPU us/job and the timed phase's arena hits and misses,
-   then the top functions and source files as percentages of samples.
+   It prints CPU us/job, the timed phase's arena hits and misses and its
+   minor and direct-major words per job, then the top functions and
+   source files as percentages of samples.
    With [--no-sample] it only times the jobs.  Linux x86-64 only. *)
 
 open Fpc_svc
@@ -276,11 +277,18 @@ let () =
   Gc.full_major ();
   if !sampling then start (interval_us * 1000);
   let a0 = Arena.stats arena in
+  let g0 = Gc.quick_stat () in
   let t0 = Sys.time () in
   Array.iteri (fun i line -> run_job cache arena i line) lines;
   let cpu = Sys.time () -. t0 in
   if !sampling then stop ();
+  (* brings the domain's major-heap counters up to date *)
+  Gc.minor ();
+  let g1 = Gc.quick_stat () in
   let a1 = Arena.stats arena in
+  (* Words allocated straight into the major heap (blocks too large for
+     the minor heap) are the major words that were not promoted. *)
+  let direct (g : Gc.stat) = g.Gc.major_words -. g.Gc.promoted_words in
   Printf.printf "%s seed %d: %d jobs over %d shapes after %d warm-up pass(es)\n" !workload
     !seed jobs (Array.length shapes) warmup_passes;
   Printf.printf "cpu_s %.3f  us_per_job %.1f\n" cpu (1e6 *. cpu /. float_of_int jobs);
@@ -288,6 +296,9 @@ let () =
     (a1.Arena.hits - a0.Arena.hits)
     (a1.Arena.misses - a0.Arena.misses)
     a1.Arena.images a1.Arena.states;
+  Printf.printf "gc minor_words_per_job %.1f  direct_major_words_per_job %.1f\n"
+    ((g1.Gc.minor_words -. g0.Gc.minor_words) /. float_of_int jobs)
+    ((direct g1 -. direct g0) /. float_of_int jobs);
   if !sampling then begin
     Printf.printf "samples %d every %d us (%d dropped)\n" (count ()) interval_us (dropped ());
     report ~top:!top

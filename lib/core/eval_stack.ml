@@ -43,7 +43,11 @@ let contents t = Array.sub t.data 0 t.depth
 
 let buffer t = t.data
 
-let replace t values =
-  if Array.length values > Array.length t.data then raise Overflow;
-  Array.blit values 0 t.data 0 (Array.length values);
-  t.depth <- Array.length values
+let save t dst =
+  Array.blit t.data 0 dst 0 t.depth;
+  t.depth
+
+let restore t src ~depth =
+  if depth > Array.length t.data then raise Overflow;
+  Array.blit src 0 t.data 0 depth;
+  t.depth <- depth

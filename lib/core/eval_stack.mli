@@ -44,5 +44,11 @@ val buffer : t -> int array
     it as the argument record without copying — treat it as invalid after
     any push/pop/clear. *)
 
-val replace : t -> int array -> unit
-(** Set the whole stack (process resume). *)
+val save : t -> int array -> int
+(** Copy the live words, bottom first, into the front of the given array
+    (at least {!depth} long) and return the depth: a process switch's
+    state-vector save, into a preallocated slot. *)
+
+val restore : t -> int array -> depth:int -> unit
+(** Set the whole stack from the first [depth] words of the array
+    (process resume); raises {!Overflow} past the capacity. *)

@@ -2,11 +2,11 @@ open Fpc_machine
 open Fpc_mesa
 
 type t = {
-  slv : (string, int) Hashtbl.t;  (** instance -> import-table base *)
-  slv_by_gf : (int, int) Hashtbl.t;
-      (** gf -> import-table base: the int-keyed index every per-call
-          resolution goes through (one int hash, no string) *)
-  sev_by_gf : (int, int) Hashtbl.t;  (** gf -> own-entry-table base *)
+  mutable gfs : int array;
+      (** the instances' global frames, ascending: the index every
+          per-call resolution binary-searches (int compares only) *)
+  mutable slv_bases : int array;  (** import-table base, parallel to [gfs] *)
+  mutable sev_bases : int array;  (** own-entry-table base, parallel to [gfs] *)
   mutable words : int;
   mutable replay : int array;
       (** flattened (addr, word) pairs install wrote, for {!reinstall} *)
@@ -26,7 +26,7 @@ let pair_gf p = p land 0xFFFF
 
 let install_into t image =
   t.words <- 0;
-  let written = ref [] in
+  let written = ref [] and by_gf = ref [] in
   let poke addr w =
     Memory.poke image.Image.mem addr w;
     written := w :: addr :: !written
@@ -36,9 +36,9 @@ let install_into t image =
       let m = Image.find_module image ii.ii_module in
       let n_imports = Array.length ii.ii_imports in
       let n_procs = List.length m.Compiled.m_procs in
-      let slv_base = Image.alloc_static image ~words:(max 1 (2 * n_imports)) ~quad:false in
+      let slv_base = Image.alloc_static image ~words:(Int.max 1 (2 * n_imports)) ~quad:false in
       let sev_base = Image.alloc_static image ~words:(2 * n_procs) ~quad:false in
-      t.words <- t.words + max 1 (2 * n_imports) + (2 * n_procs);
+      t.words <- t.words + Int.max 1 (2 * n_imports) + (2 * n_procs);
       Array.iteri
         (fun i (tm, tp) ->
           let w0, w1 = pack_entry image ~target_instance:tm ~target_proc:tp in
@@ -51,10 +51,15 @@ let install_into t image =
           poke (sev_base + (2 * i)) w0;
           poke (sev_base + (2 * i) + 1) w1)
         m.Compiled.m_procs;
-      Hashtbl.replace t.slv ii.ii_name slv_base;
-      Hashtbl.replace t.slv_by_gf ii.ii_gf_addr slv_base;
-      Hashtbl.replace t.sev_by_gf ii.ii_gf_addr sev_base)
+      by_gf := (ii.ii_gf_addr, slv_base, sev_base) :: !by_gf)
     image.dir.instances;
+  let by_gf =
+    Array.of_list
+      (List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b) !by_gf)
+  in
+  t.gfs <- Array.map (fun (gf, _, _) -> gf) by_gf;
+  t.slv_bases <- Array.map (fun (_, b, _) -> b) by_gf;
+  t.sev_bases <- Array.map (fun (_, _, b) -> b) by_gf;
   (* [written] is newest-first (word, addr, word, addr, ...): materialise
      the replay tape oldest-first as addr-then-word pairs. *)
   let tape = Array.of_list !written in
@@ -70,9 +75,9 @@ let install_into t image =
 let install image =
   install_into
     {
-      slv = Hashtbl.create 8;
-      slv_by_gf = Hashtbl.create 8;
-      sev_by_gf = Hashtbl.create 8;
+      gfs = [||];
+      slv_bases = [||];
+      sev_bases = [||];
       words = 0;
       replay = [||];
       cursor_after = 0;
@@ -100,21 +105,30 @@ let read_pair image base index =
   let abs = ((w1 land 1) lsl 16) lor w0 in
   (abs lsl 16) lor gf
 
+(* The position of [gf] in [t.gfs], or -1.  This is the per-call path:
+   a binary search over a handful of ints, with no hash, no option and no
+   exception. *)
+let gf_index t gf =
+  let gfs = t.gfs in
+  let lo = ref 0 and hi = ref (Array.length gfs - 1) and found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    let g = Array.unsafe_get gfs mid in
+    if g = gf then found := mid else if g < gf then lo := mid + 1 else hi := mid - 1
+  done;
+  !found
+
 (* A global frame that names no installed instance resolves to [-1]
    (never a valid packed pair — bit 16 of the entry address caps abs
    below 2^17, and a pair is non-negative), with no storage reference;
-   the caller turns it into a machine trap.  [Hashtbl.find] under a
-   handler rather than [find_opt]: this is the per-call path, and an
-   option would be a per-call allocation. *)
+   the caller turns it into a machine trap. *)
 let resolve_import_by_gf t image ~gf ~lv_index =
-  match Hashtbl.find t.slv_by_gf gf with
-  | base -> read_pair image base lv_index
-  | exception Not_found -> -1
+  let i = gf_index t gf in
+  if i < 0 then -1 else read_pair image t.slv_bases.(i) lv_index
 
 let resolve_own_by_gf t image ~gf ~ev_index =
-  match Hashtbl.find t.sev_by_gf gf with
-  | base -> read_pair image base ev_index
-  | exception Not_found -> -1
+  let i = gf_index t gf in
+  if i < 0 then -1 else read_pair image t.sev_bases.(i) ev_index
 
 (* Host-side relink for I1, the simple-table analogue of
    {!Fpc_mesa.Linker.rebind_lv}: re-point one import pair at a new
@@ -124,7 +138,7 @@ let rebind t image ~instance ~lv_index ~target:(tm, tp) =
   let ii = Image.find_instance image instance in
   if lv_index < 0 || lv_index >= Array.length ii.Image.ii_imports then
     invalid_arg "Simple_links.rebind: LV index out of range";
-  let base = Hashtbl.find t.slv instance in
+  let base = t.slv_bases.(gf_index t ii.Image.ii_gf_addr) in
   let w0, w1 = pack_entry image ~target_instance:tm ~target_proc:tp in
   Memory.poke image.Image.mem (base + (2 * lv_index)) w0;
   Memory.poke image.Image.mem (base + (2 * lv_index) + 1) w1

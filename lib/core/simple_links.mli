@@ -28,7 +28,7 @@ val install : Fpc_mesa.Image.t -> t
 
 val reinstall : t -> Fpc_mesa.Image.t -> unit
 (** Rebuild the tables into a reset image's static region, reusing [t]'s
-    hashtables (arena reuse: a reset erased the static region and rewound
+    lookup tables (arena reuse: a reset erased the static region and rewound
     the cursor, so the same bases are re-carved and re-poked). *)
 
 (** Resolutions return both halves packed into one immediate int —

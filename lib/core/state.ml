@@ -123,7 +123,18 @@ let zero_metrics m =
   m.tier_fused_calls <- 0;
   m.tier_lazy_translations <- 0
 
-type process = { p_id : int; p_lf : int; p_stack : int array; p_rctx : int }
+type process = {
+  mutable p_id : int;
+  mutable p_lf : int;
+  mutable p_rctx : int;
+  p_stack : int array;
+  mutable p_depth : int;
+}
+
+let ring_initial = 8
+
+let fresh_process stack_capacity =
+  { p_id = 0; p_lf = 0; p_rctx = 0; p_stack = Array.make stack_capacity 0; p_depth = 0 }
 
 let no_cb = -1
 
@@ -164,7 +175,9 @@ type t = {
   mutable status : status;
   mutable output_rev : int list;
   metrics : metrics;
-  ready : process Queue.t;
+  mutable ring : process array;
+  mutable ring_head : int;
+  mutable ring_len : int;
   mutable next_pid : int;
   mutable current_pid : int;
   data_trace : (int * bool) Queue.t option;
@@ -230,6 +243,7 @@ let create ?tracer ~image ~engine () =
       Fpc_frames.Alloc_vector.fsi_for_locals ladder engine.Engine.free_frame_payload_words
     else -1
   in
+  let stack = Eval_stack.create () in
   let t = {
     image;
     mem = image.Image.mem;
@@ -253,11 +267,13 @@ let create ?tracer ~image ~engine () =
     xr_cb = no_cb;
     xr_pc = 0;
     xr_fsi = 0;
-    stack = Eval_stack.create ();
+    stack;
     status = Running;
     output_rev = [];
     metrics = fresh_metrics ();
-    ready = Queue.create ();
+    ring = Array.init ring_initial (fun _ -> fresh_process (Eval_stack.capacity stack));
+    ring_head = 0;
+    ring_len = 0;
     next_pid = 1;
     current_pid = 0;
     data_trace = (if engine.Engine.collect_data_trace then Some (Queue.create ()) else None);
@@ -298,7 +314,8 @@ let reset ?tracer t =
   t.status <- Running;
   t.output_rev <- [];
   zero_metrics t.metrics;
-  Queue.clear t.ready;
+  t.ring_head <- 0;
+  t.ring_len <- 0;
   Option.iter Queue.clear t.data_trace;
   t.next_pid <- 1;
   t.current_pid <- 0;
@@ -306,6 +323,34 @@ let reset ?tracer t =
   Fpc_util.Histogram.reset t.run_hist;
   t.tracer <- tracer;
   wire_hooks t
+
+(* ---- the ready ring ---- *)
+
+let[@inline] ready_count t = t.ring_len
+
+(* Doubling keeps the capacity a power of two, so a position is a mask
+   away from its slot; the slots move over in queue order and the new
+   half is fresh. *)
+let grow_ring t =
+  let old = t.ring in
+  let n = Array.length old in
+  let cap = Eval_stack.capacity t.stack in
+  t.ring <-
+    Array.init (2 * n) (fun i ->
+        if i < n then old.((t.ring_head + i) land (n - 1)) else fresh_process cap);
+  t.ring_head <- 0
+
+let[@inline] reserve t =
+  if t.ring_len = Array.length t.ring then grow_ring t;
+  t.ring.((t.ring_head + t.ring_len) land (Array.length t.ring - 1))
+
+let[@inline] enqueue t = t.ring_len <- t.ring_len + 1
+
+let[@inline] dequeue t =
+  let p = t.ring.(t.ring_head) in
+  t.ring_head <- (t.ring_head + 1) land (Array.length t.ring - 1);
+  t.ring_len <- t.ring_len - 1;
+  p
 
 let output t = List.rev t.output_rev
 let emit t v = t.output_rev <- Fpc_util.Bits.to_word v :: t.output_rev

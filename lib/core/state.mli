@@ -74,16 +74,21 @@ type metrics = {
           not-yet-translated procedure) *)
 }
 
+(** A slot of the ready ring: one suspended process's state vector,
+    rewritten in place so a switch allocates nothing. *)
 type process = {
-  p_id : int;
-  p_lf : int;
-  p_stack : int array;
-  p_rctx : int;
+  mutable p_id : int;
+  mutable p_lf : int;
+  mutable p_rctx : int;
       (** the suspended process's returnContext.  Part of the saved state
           vector so a round-robin switch is transparent: a process
           preempted between an XFER resumption and its [RETCTX] read must
           see the same context word when it runs again.  0 (NIL) for a
           freshly FORKed process. *)
+  p_stack : int array;
+      (** the saved evaluation stack, bottom first; as long as the
+          evaluation stack's capacity *)
+  mutable p_depth : int;  (** live words of [p_stack] *)
 }
 
 type t = {
@@ -124,7 +129,12 @@ type t = {
   mutable status : status;
   mutable output_rev : int list;
   metrics : metrics;
-  ready : process Queue.t;
+  mutable ring : process array;
+      (** the ready queue: a ring of reusable process slots whose length
+          is a power of two; it doubles when full and keeps its capacity
+          across {!reset}s *)
+  mutable ring_head : int;  (** index of the oldest ready process *)
+  mutable ring_len : int;  (** ready processes, the running one excluded *)
   mutable next_pid : int;
   mutable current_pid : int;
   data_trace : (int * bool) Queue.t option;
@@ -154,9 +164,31 @@ val reset : ?tracer:Fpc_trace.Sink.t -> t -> unit
     arena path.  Must be called {e after} [Image.clone_into] has restored
     the store — it reinstalls the I1 link tables, resets the allocator,
     return stack, bank file and free-frame stack, zeroes every register,
-    meter and histogram, clears the process queues and rewires the event
-    hooks for the (possibly different) [tracer].  The observable state
+    meter and histogram, empties the ready ring (keeping its slots) and
+    rewires the event hooks for the (possibly different) [tracer].  The observable state
     afterwards is exactly that of a fresh {!create}. *)
+
+(** {1 The ready ring}
+
+    FIFO order, as the paper's process queue.  A switch reserves the tail
+    slot, writes the suspended state vector into it, enqueues it, and
+    dequeues the head: no step allocates once the ring is large
+    enough. *)
+
+val ready_count : t -> int
+(** Ready processes waiting behind the running one. *)
+
+val reserve : t -> process
+(** The slot just past the tail (doubling the ring if it is full), not yet
+    queued: the caller fills it, then {!enqueue}s it, or drops it by
+    enqueuing nothing. *)
+
+val enqueue : t -> unit
+(** Queue the slot the last {!reserve} returned. *)
+
+val dequeue : t -> process
+(** Remove and return the oldest ready process; the ring must not be
+    empty.  The slot stays valid until the next {!reserve}. *)
 
 val emit_sub : t -> Fpc_trace.Event.kind -> unit
 (** Emit a sub-event (zero deltas) stamped with the current PC, depth and

@@ -10,8 +10,10 @@ exception Machine_trap of State.trap_reason
    agree exactly with [classify]; every [metrics] increment emits exactly
    one event, which is what lets a profile's transfer counts equal the
    machine's.  All of it is skipped — one option match — when no tracer is
-   installed, and the hot call/return paths are written without closures
-   so an untraced transfer performs no OCaml allocation at all. *)
+   installed, and every transfer path — calls and returns, coroutine
+   XFERs, process switches and traps alike — is written without closures,
+   in the explicit [match ... with exception] form, so an untraced
+   transfer performs no OCaml allocation at all. *)
 
 type snap = { s_pc : int; s_cycles : int; s_refs : int }
 
@@ -30,16 +32,6 @@ let[@inline] emit_xfer (st : State.t) s kind ~target =
       ~mem_refs:refs ~d_cycles:(cycles - s.s_cycles)
       ~d_mem_refs:(refs - s.s_refs)
   | _ -> ()
-
-(* Run [body]; emit [kind] even when it escapes by exception (a trap
-   mid-transfer), so event counts stay one-to-one with the metrics.  Only
-   the cold transfers (coroutines, switches, traps) use this closure form. *)
-let guarded st s kind body =
-  match body () with
-  | () -> emit_xfer st s kind ~target:st.State.pc_abs
-  | exception e ->
-    emit_xfer st s kind ~target:(-1);
-    raise e
 
 let ladder (st : State.t) = Alloc_vector.ladder st.allocator
 let payload_of_fsi st fsi = Size_class.block_words (ladder st) fsi - Frame.overhead_words
@@ -126,14 +118,19 @@ let flush_rstack (st : State.t) =
   match st.rstack with
   | None -> ()
   | Some rs ->
+    (* Newest first, each caller chained to the frame above it; a loop
+       over the live slots, so a switch's flush allocates nothing. *)
     let above = ref st.lf in
-    Fpc_ifu.Return_stack.flush rs ~f:(fun e ->
-        (* [Descriptor.pack (Frame lf)] is [lf] itself. *)
-        Frame.write_return_link st.mem ~lf:!above e.r_lf;
-        let cb = cb_of_entry st e in
-        Frame.write_pc st.mem ~lf:e.r_lf (e.r_pc_abs - (2 * cb));
-        Frame.write_global_frame st.mem ~lf:e.r_lf e.r_gf;
-        above := e.r_lf)
+    for i = Fpc_ifu.Return_stack.length rs - 1 downto 0 do
+      let e = Fpc_ifu.Return_stack.slot rs i in
+      (* [Descriptor.pack (Frame lf)] is [lf] itself. *)
+      Frame.write_return_link st.mem ~lf:!above e.r_lf;
+      let cb = cb_of_entry st e in
+      Frame.write_pc st.mem ~lf:e.r_lf (e.r_pc_abs - (2 * cb));
+      Frame.write_global_frame st.mem ~lf:e.r_lf e.r_gf;
+      above := e.r_lf
+    done;
+    Fpc_ifu.Return_stack.flushed rs
 
 let[@inline] deferred (st : State.t) =
   match st.rstack with Some _ -> true | None -> false
@@ -362,9 +359,14 @@ let call_external (st : State.t) ~lv_index =
       (* A rebound link naming an existing context: the destination makes
          this a coroutine resume, not a call — F3. *)
       st.metrics.other_xfers <- st.metrics.other_xfers + 1;
-      guarded st s Fpc_trace.Event.Coroutine (fun () ->
-          transfer_to_frame st ~dest_lf:lv_word;
-          classify st before)
+      match
+        transfer_to_frame st ~dest_lf:lv_word;
+        classify st before
+      with
+      | () -> emit_xfer st s Fpc_trace.Event.Coroutine ~target:st.pc_abs
+      | exception e ->
+        emit_xfer st s Fpc_trace.Event.Coroutine ~target:(-1);
+        raise e
     end
     else raise (Machine_trap State.Nil_context)
 
@@ -393,12 +395,15 @@ let call_direct (st : State.t) ~target_abs =
 (* ------------------------------------------------------------------ *)
 (* Processes. *)
 
+(* Everything here reads the slot before anything can reserve it again. *)
 let resume_process (st : State.t) (p : State.process) =
   st.current_pid <- p.p_id;
   (* State-vector restore: the saved evaluation stack returns from
      storage. *)
-  Array.iter (fun _ -> Cost.mem_read st.cost) p.p_stack;
-  Eval_stack.replace st.stack p.p_stack;
+  for _ = 1 to p.p_depth do
+    Cost.mem_read st.cost
+  done;
+  Eval_stack.restore st.stack p.p_stack ~depth:p.p_depth;
   (* the returnContext register rides the state vector (its save/restore
      is folded into the switch cost, like LF) so a switch is transparent
      even between an XFER resumption and the RETCTX read *)
@@ -407,12 +412,17 @@ let resume_process (st : State.t) (p : State.process) =
 
 let end_process (st : State.t) =
   st.metrics.procs_ended <- st.metrics.procs_ended + 1;
-  match Queue.take_opt st.ready with
-  | None -> st.status <- State.Halted
-  | Some p ->
+  if State.ready_count st = 0 then st.status <- State.Halted
+  else begin
+    let p = State.dequeue st in
     st.metrics.other_xfers <- st.metrics.other_xfers + 1;
     let s = snap st in
-    guarded st s Fpc_trace.Event.Switch (fun () -> resume_process st p)
+    match resume_process st p with
+    | () -> emit_xfer st s Fpc_trace.Event.Switch ~target:st.pc_abs
+    | exception e ->
+      emit_xfer st s Fpc_trace.Event.Switch ~target:(-1);
+      raise e
+  end
 
 (* ------------------------------------------------------------------ *)
 (* RETURN: free the frame, returnContext := NIL, XFER[returnLink]. *)
@@ -489,44 +499,57 @@ let return_ (st : State.t) =
 let xfer (st : State.t) ~dest_word =
   st.metrics.other_xfers <- st.metrics.other_xfers + 1;
   let s = snap st in
-  guarded st s Fpc_trace.Event.Coroutine (fun () ->
-      let k = Descriptor.word_kind dest_word in
-      if k = Descriptor.word_frame then transfer_to_frame st ~dest_lf:dest_word
-      else if k = Descriptor.word_proc then begin
-        flush_rstack st;
-        (match st.banks with
-        | Some b -> Fpc_regbank.Bank_file.on_leave b ~lf:st.lf
-        | None -> ());
-        suspend_current st;
-        let ret_word = st.lf in
-        resolve_into st ~tag:tag_desc ~a:(Descriptor.word_gfi dest_word)
-          ~b:(Descriptor.word_ev dest_word);
-        enter_proc st ~ret_word ~fast:false
-      end
-      else raise (Machine_trap State.Nil_context))
+  match
+    let k = Descriptor.word_kind dest_word in
+    if k = Descriptor.word_frame then transfer_to_frame st ~dest_lf:dest_word
+    else if k = Descriptor.word_proc then begin
+      flush_rstack st;
+      (match st.banks with
+      | Some b -> Fpc_regbank.Bank_file.on_leave b ~lf:st.lf
+      | None -> ());
+      suspend_current st;
+      let ret_word = st.lf in
+      resolve_into st ~tag:tag_desc ~a:(Descriptor.word_gfi dest_word)
+        ~b:(Descriptor.word_ev dest_word);
+      enter_proc st ~ret_word ~fast:false
+    end
+    else raise (Machine_trap State.Nil_context)
+  with
+  | () -> emit_xfer st s Fpc_trace.Event.Coroutine ~target:st.pc_abs
+  | exception e ->
+    emit_xfer st s Fpc_trace.Event.Coroutine ~target:(-1);
+    raise e
 
 (* A FORK grows the live-process set (the running process plus the ready
-   queue); nothing else does, so the peak is tracked here alone. *)
-let note_fork (st : State.t) =
+   ring); nothing else does, so the peak is tracked here alone.  It queues
+   the slot [fork_body] filled. *)
+let enqueue_fork (st : State.t) (p : State.process) ~lf ~depth =
+  p.p_id <- st.next_pid;
+  p.p_lf <- lf;
+  p.p_rctx <- 0;
+  p.p_depth <- depth;
+  State.enqueue st;
+  st.next_pid <- st.next_pid + 1;
   let m = st.metrics in
   m.procs_forked <- m.procs_forked + 1;
-  let live = 1 + Queue.length st.ready in
+  let live = 1 + State.ready_count st in
   if live > m.peak_live_procs then m.peak_live_procs <- live
 
+(* The arguments are popped straight into a reserved ring slot.  Too few
+   of them empties the stack and underflows, as popping them one by one
+   would. *)
 let fork_body (st : State.t) ~nargs =
   let desc = Eval_stack.pop st.stack in
-  let args = Array.make nargs 0 in
+  if Eval_stack.depth st.stack < nargs then begin
+    Eval_stack.clear st.stack;
+    raise Eval_stack.Underflow
+  end;
+  let p = State.reserve st in
   for i = nargs - 1 downto 0 do
-    args.(i) <- Eval_stack.pop st.stack
+    p.p_stack.(i) <- Eval_stack.pop st.stack
   done;
   let k = Descriptor.word_kind desc in
-  if k = Descriptor.word_frame then begin
-    Queue.add
-      { State.p_id = st.next_pid; p_lf = desc; p_stack = args; p_rctx = 0 }
-      st.ready;
-    st.next_pid <- st.next_pid + 1;
-    note_fork st
-  end
+  if k = Descriptor.word_frame then enqueue_fork st p ~lf:desc ~depth:nargs
   else if k = Descriptor.word_proc then begin
     resolve_into st ~tag:tag_desc ~a:(Descriptor.word_gfi desc)
       ~b:(Descriptor.word_ev desc);
@@ -536,18 +559,13 @@ let fork_body (st : State.t) ~nargs =
     Frame.write_global_frame st.mem ~lf:lf_new st.xr_gf;
     let cb = if st.xr_cb >= 0 then st.xr_cb else Memory.read st.mem st.xr_gf in
     Frame.write_pc st.mem ~lf:lf_new (st.xr_pc - (2 * cb));
-    let p_stack =
-      if Engine.args_in_place st.engine then begin
-        Array.iteri (fun i v -> Memory.write st.mem (lf_new + i) v) args;
-        [||]
-      end
-      else args
-    in
-    Queue.add
-      { State.p_id = st.next_pid; p_lf = lf_new; p_stack; p_rctx = 0 }
-      st.ready;
-    st.next_pid <- st.next_pid + 1;
-    note_fork st
+    if Engine.args_in_place st.engine then begin
+      for i = 0 to nargs - 1 do
+        Memory.write st.mem (lf_new + i) p.p_stack.(i)
+      done;
+      enqueue_fork st p ~lf:lf_new ~depth:0
+    end
+    else enqueue_fork st p ~lf:lf_new ~depth:nargs
   end
   else raise (Machine_trap State.Nil_context)
 
@@ -562,29 +580,34 @@ let fork (st : State.t) ~nargs =
     emit_xfer st s Fpc_trace.Event.Fork ~target:(-1);
     raise e
 
+(* The running process's state vector goes into the tail slot before the
+   head is taken, so the two slots are distinct. *)
 let yield (st : State.t) =
-  if not (Queue.is_empty st.ready) then begin
+  if State.ready_count st > 0 then begin
     st.metrics.other_xfers <- st.metrics.other_xfers + 1;
     let s = snap st in
-    guarded st s Fpc_trace.Event.Switch (fun () ->
-        flush_rstack st;
-        (match st.banks with
-        | Some b -> Fpc_regbank.Bank_file.flush_all b
-        | None -> ());
-        suspend_current st;
-        let stack = Eval_stack.contents st.stack in
-        Array.iter (fun _ -> Cost.mem_write st.cost) stack;
-        Queue.add
-          {
-            State.p_id = st.current_pid;
-            p_lf = st.lf;
-            p_stack = stack;
-            p_rctx = st.return_ctx;
-          }
-          st.ready;
-        match Queue.take_opt st.ready with
-        | Some p -> resume_process st p
-        | None -> assert false)
+    match
+      flush_rstack st;
+      (match st.banks with
+      | Some b -> Fpc_regbank.Bank_file.flush_all b
+      | None -> ());
+      suspend_current st;
+      let p = State.reserve st in
+      let depth = Eval_stack.save st.stack p.p_stack in
+      for _ = 1 to depth do
+        Cost.mem_write st.cost
+      done;
+      p.p_id <- st.current_pid;
+      p.p_lf <- st.lf;
+      p.p_rctx <- st.return_ctx;
+      p.p_depth <- depth;
+      State.enqueue st;
+      resume_process st (State.dequeue st)
+    with
+    | () -> emit_xfer st s Fpc_trace.Event.Switch ~target:st.pc_abs
+    | exception e ->
+      emit_xfer st s Fpc_trace.Event.Switch ~target:(-1);
+      raise e
   end
 
 let stop_process (st : State.t) =
@@ -621,21 +644,26 @@ let trap (st : State.t) reason =
   Cost.trap st.cost;
   match Image.trap_handler st.image with
   | Descriptor.Proc { gfi; ev } when catchable reason -> (
+    let kind = Fpc_trace.Event.Trap (State.trap_code reason) in
     match
-      guarded st s (Fpc_trace.Event.Trap (State.trap_code reason)) (fun () ->
-          flush_rstack st;
-          (match st.banks with
-          | Some b -> Fpc_regbank.Bank_file.flush_all b
-          | None -> ());
-          suspend_current st;
-          Eval_stack.clear st.stack;
-          Eval_stack.push st.stack (State.trap_code reason);
-          let ret_word = st.lf in
-          resolve_into st ~tag:tag_desc ~a:gfi ~b:ev;
-          enter_proc st ~ret_word ~fast:false)
+      flush_rstack st;
+      (match st.banks with
+      | Some b -> Fpc_regbank.Bank_file.flush_all b
+      | None -> ());
+      suspend_current st;
+      Eval_stack.clear st.stack;
+      Eval_stack.push st.stack (State.trap_code reason);
+      let ret_word = st.lf in
+      resolve_into st ~tag:tag_desc ~a:gfi ~b:ev;
+      enter_proc st ~ret_word ~fast:false
     with
-    | () -> ()
-    | exception Machine_trap r -> st.status <- State.Trapped r)
+    | () -> emit_xfer st s kind ~target:st.pc_abs
+    | exception Machine_trap r ->
+      emit_xfer st s kind ~target:(-1);
+      st.status <- State.Trapped r
+    | exception e ->
+      emit_xfer st s kind ~target:(-1);
+      raise e)
   | Descriptor.Proc _ | Descriptor.Frame _ | Descriptor.Nil ->
     st.status <- State.Trapped reason;
     emit_xfer st s (Fpc_trace.Event.Trap (State.trap_code reason)) ~target:(-1)

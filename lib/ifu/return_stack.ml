@@ -116,14 +116,15 @@ let drop_oldest_slot t =
 
 let drop_oldest t = if t.top = 0 then None else Some (drop_oldest_slot t)
 
-let flush t ~f =
+let slot t i =
+  if i < 0 || i >= t.top then invalid_arg "Return_stack.slot: no such entry";
+  t.entries.(i)
+
+let flushed t =
   if t.top > 0 then begin
-    t.flushes <- t.flushes + 1;
     let n = t.top in
-    for i = t.top - 1 downto 0 do
-      f t.entries.(i);
-      t.flushed_entries <- t.flushed_entries + 1
-    done;
+    t.flushes <- t.flushes + 1;
+    t.flushed_entries <- t.flushed_entries + n;
     t.top <- 0;
     match t.on_event with
     | Some f -> f (Fpc_trace.Event.Rs_flush n)

@@ -15,8 +15,8 @@
     component of LF").
 
     The stack stores entries and statistics; flush orchestration (who is
-    the next-higher frame) belongs to the transfer engine, which passes a
-    writer to {!flush}.
+    the next-higher frame) belongs to the transfer engine, which walks
+    the live {!slot}s and then calls {!flushed}.
 
     Entries are preallocated records rewritten in place, so the hot
     push/pop pair never touches the OCaml allocator.  "Absent" fields use
@@ -101,10 +101,16 @@ val drop_oldest_slot : t -> entry
 val drop_oldest : t -> entry option
 (** Option-returning wrapper over {!drop_oldest_slot}. *)
 
-val flush : t -> f:(entry -> unit) -> unit
-(** Drain every entry, {e newest first} (so the writer can chain each
-    caller to the frame above it), emptying the stack.  Counted as one
-    flush event.  The entries passed to [f] are live slots. *)
+val slot : t -> int -> entry
+(** The live entry at position [i], [0] the oldest and [length - 1] the
+    newest; raises [Invalid_argument] outside that range.  A flush walks
+    the slots newest first (so each caller chains to the frame above it),
+    performing their deferred stores, then calls {!flushed}. *)
+
+val flushed : t -> unit
+(** Empty the stack once its entries' deferred stores are performed,
+    counting one flush of {!length} entries (and firing [Rs_flush]); a
+    no-op on an empty stack.  Allocation-free. *)
 
 (** {1 Statistics for experiment E1/E11} *)
 

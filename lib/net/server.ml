@@ -108,6 +108,15 @@ let stats_json t =
             ("shed_connections", Int ls.shed_connections);
           ] );
       ("pool", Metrics.to_json (snapshot_now t));
+      ( "gc",
+        let g = Gc.quick_stat () in
+        Obj
+          [
+            ("heap_words", Int g.Gc.heap_words);
+            ("top_heap_words", Int g.Gc.top_heap_words);
+            ("minor_collections", Int g.Gc.minor_collections);
+            ("major_collections", Int g.Gc.major_collections);
+          ] );
     ]
 
 let note_shed t =

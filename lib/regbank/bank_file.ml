@@ -324,14 +324,16 @@ let on_leave t ~lf =
 
 let flush_all t =
   t.s_flush_events <- t.s_flush_events + 1;
-  Array.iter
-    (fun b ->
-      if b.owner >= 0 then begin
-        write_back t b;
-        detach t b
-      end
-      else if b.owner = owner_stack then detach t b)
-    t.banks
+  (* A loop, not [Array.iter]: a closure over [t] would be one
+     allocation per process switch. *)
+  for i = 0 to Array.length t.banks - 1 do
+    let b = t.banks.(i) in
+    if b.owner >= 0 then begin
+      write_back t b;
+      detach t b
+    end
+    else if b.owner = owner_stack then detach t b
+  done
 
 let[@inline] read_local t ~lf ~index =
   let bi = bank_index t ~lf in

@@ -1,6 +1,7 @@
 (* The green-thread scheduler: fuel-sliced execution of a machine whose
    ready queue holds the sessions.  There is no host-side run queue — the
-   machine's own process queue is the scheduler's data structure, and
+   machine's own ready ring ([State.ring]) is the scheduler's data
+   structure, and
    coroutine/process XFER is the only context-switch primitive.  The host
    merely decides *when* the running session is forced to a switch point
    (Preempt) or lets the program pick its own (Run_to_yield). *)
@@ -69,7 +70,7 @@ let drift_to_boundary ~step ~budget (st : Fpc_core.State.t) =
    stack and banks — or no-ops when no other session is ready, in which
    case it is not counted as a preemption. *)
 let inject_yield (st : Fpc_core.State.t) =
-  let switched = not (Queue.is_empty st.ready) in
+  let switched = Fpc_core.State.ready_count st > 0 in
   ignore (Fpc_core.Transfer.catch_traps st Fpc_core.Transfer.yield : bool);
   switched
 

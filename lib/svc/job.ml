@@ -117,12 +117,40 @@ let engine_of_name name =
   | "i4" -> Ok (Fpc_core.Engine.i4 ())
   | s -> Error (Printf.sprintf "unknown engine %s (use i1, i2, i3 or i4)" s)
 
+(* A session program's text is a pure function of its config, and at
+   ~2 KB it is too large for the minor heap: built per request, it went
+   straight into the major heap, where OCaml 5 collects it only slowly.
+   So each config's text is built once and its [Ok] kept, shared by every
+   worker domain; a hit allocates nothing.  The table is bounded: when
+   full it starts over, which only costs a rebuild. *)
+let session_texts : (Fpc_workload.Sessions.config, (string, string) Stdlib.result) Hashtbl.t =
+  Hashtbl.create 16
+
+let session_texts_mutex = Mutex.create ()
+let session_texts_max = 64
+
+let session_text c =
+  Mutex.lock session_texts_mutex;
+  match Hashtbl.find session_texts c with
+  | text ->
+    Mutex.unlock session_texts_mutex;
+    text
+  | exception Not_found -> (
+    Mutex.unlock session_texts_mutex;
+    match Fpc_workload.Sessions.program c with
+    | exception Invalid_argument m -> Error m
+    | src ->
+      let text = Ok src in
+      Mutex.lock session_texts_mutex;
+      if Hashtbl.length session_texts >= session_texts_max then
+        Hashtbl.reset session_texts;
+      Hashtbl.replace session_texts c text;
+      Mutex.unlock session_texts_mutex;
+      text)
+
 let source_text = function
   | Inline src -> Ok src
-  | Sessions c -> (
-    match Fpc_workload.Sessions.program c with
-    | src -> Ok src
-    | exception Invalid_argument m -> Error m)
+  | Sessions c -> session_text c
   | Suite name -> (
     match Fpc_workload.Programs.find name with
     | src -> Ok src

@@ -159,7 +159,9 @@ type result = {
 val engine_of_name : string -> (Fpc_core.Engine.t, string) Stdlib.result
 
 val source_text : source -> (string, string) Stdlib.result
-(** The mini-Mesa text to compile; [Error] for an unknown suite name. *)
+(** The mini-Mesa text to compile; [Error] for an unknown suite name or
+    an invalid session config.  A session config's text is built once and
+    then shared (across domains too): asking again allocates nothing. *)
 
 val source_label : source -> string
 (** ["fib"] for a suite program, ["inline:<digest-prefix>"] for source

@@ -148,7 +148,7 @@ let replay_return_stack ~depth ?(coroutines = 4) events =
       r_bank = Return_stack.no_bank;
     }
   in
-  let flush () = Return_stack.flush rs ~f:(fun _ -> ()) in
+  let flush () = Return_stack.flushed rs in
   let make_room () = ignore (Return_stack.drop_oldest rs) in
   (* Depth bookkeeping per activity so a Return beyond an activity's root
      is ignored, mirroring the other replayers. *)

@@ -58,10 +58,14 @@ let test_return_stack_lifo () =
 let test_return_stack_flush_order () =
   let rs = Fpc_ifu.Return_stack.create ~depth:4 in
   List.iter (fun lf -> Fpc_ifu.Return_stack.push_entry rs (entry lf)) [ 4; 8; 12 ];
-  let seen = ref [] in
-  Fpc_ifu.Return_stack.flush rs ~f:(fun e -> seen := e.r_lf :: !seen);
-  (* Flush drains newest first; so the accumulated list is oldest first. *)
-  Alcotest.(check (list int)) "newest first" [ 4; 8; 12 ] !seen;
+  (* Slots index oldest first: a flush walks them downwards, newest first. *)
+  Alcotest.(check (list int)) "oldest first" [ 4; 8; 12 ]
+    (List.init (Fpc_ifu.Return_stack.length rs) (fun i ->
+         (Fpc_ifu.Return_stack.slot rs i).r_lf));
+  Alcotest.check_raises "no slot past the top"
+    (Invalid_argument "Return_stack.slot: no such entry") (fun () ->
+      ignore (Fpc_ifu.Return_stack.slot rs 3));
+  Fpc_ifu.Return_stack.flushed rs;
   Alcotest.(check bool) "empty after" true (Fpc_ifu.Return_stack.is_empty rs);
   Alcotest.(check int) "flush events" 1 (Fpc_ifu.Return_stack.flushes rs);
   Alcotest.(check int) "flushed entries" 3 (Fpc_ifu.Return_stack.flushed_entries rs)
@@ -108,7 +112,7 @@ let prop_return_stack_matches_list_model =
               e.r_lf = m
             | _ -> false)
           | _ ->
-            Fpc_ifu.Return_stack.flush rs ~f:(fun _ -> ());
+            Fpc_ifu.Return_stack.flushed rs;
             model := [];
             true)
         ops)

@@ -348,6 +348,41 @@ let test_graceful_drain () =
        answer — EOF or nothing *)
     Client.close client
 
+(* /stats carries the server's memory: a "gc" object next to "server"
+   and "pool", with the heap and collection counters, each a number. *)
+let test_stats_gc_fields () =
+  let server = Server.create ~domains:1 ~times:false () in
+  let client = Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () in
+  Client.send_line client "prog=fib";
+  Client.send_line client "/stats";
+  let stats =
+    List.init 2 (fun _ ->
+        match Client.recv_line client with
+        | Some l -> l
+        | None -> Alcotest.fail "closed before /stats answered")
+    |> List.find_opt (fun l ->
+           match Fpc_util.Jsonin.parse l with
+           | Ok (Fpc_util.Jsonout.Obj fields) -> List.mem_assoc "server" fields
+           | _ -> false)
+  in
+  Client.close client;
+  Server.request_drain server;
+  ignore (Server.wait server);
+  match Option.map Fpc_util.Jsonin.parse stats with
+  | Some (Ok (Fpc_util.Jsonout.Obj fields)) -> (
+    Alcotest.(check bool) "pool object kept" true (List.mem_assoc "pool" fields);
+    match List.assoc_opt "gc" fields with
+    | Some (Fpc_util.Jsonout.Obj gc) ->
+      List.iter
+        (fun key ->
+          match List.assoc_opt key gc with
+          | Some (Fpc_util.Jsonout.Int n) ->
+            Alcotest.(check bool) (key ^ " is a count") true (n >= 0)
+          | _ -> Alcotest.failf "gc.%s missing or not an integer" key)
+        [ "heap_words"; "top_heap_words"; "minor_collections"; "major_collections" ]
+    | _ -> Alcotest.fail "/stats has no gc object")
+  | _ -> Alcotest.fail "no /stats reply"
+
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
   let rec at k = k + n <= h && (String.sub hay k n = needle || at (k + 1)) in
@@ -563,5 +598,7 @@ let () =
             `Quick test_ordering_under_reordered_completion;
           Alcotest.test_case "timer wheel answers a queued deadline" `Quick
             test_timer_answers_queued_deadline;
+          Alcotest.test_case "/stats reports the server's gc counters" `Quick
+            test_stats_gc_fields;
         ] );
     ]

@@ -4,7 +4,9 @@
    tiers — plain and traced — and requires byte-identical outputs
    everywhere plus bit-identical meters between tiers per engine.  The
    unit tests pin the policy parser, fuel-slice resumability and the
-   preemptive policy's determinism. *)
+   preemptive policy's determinism; the ring tests drive the machine's
+   ready ring through growth, wrap-around, FORK arguments and a reset
+   with processes still queued. *)
 
 let engines =
   [
@@ -205,6 +207,184 @@ let test_report_shape () =
   Alcotest.(check int) "four stable report lines" 4
     (List.length (Fpc_sched.Sched.report_lines r))
 
+(* ---- the ready ring ---- *)
+
+(* Everything observable about a run, the tier's own host-speed counters
+   excluded: the interpreter outcome plus the meters it does not fold in. *)
+let observe (st : Fpc_core.State.t) =
+  let m = st.metrics in
+  ( Fpc_interp.Interp.outcome st,
+    (m.jumps_taken, m.local_refs, m.global_refs, m.indirect_refs),
+    (m.arg_words_stored, m.arg_words_renamed, m.call_depth),
+    (m.procs_forked, m.procs_ended, m.peak_live_procs) )
+
+let step_for ~compiled image =
+  if compiled then (
+    let tr = Fpc_tier.Tier.translate image in
+    fun n st -> Fpc_tier.Tier.run ~max_steps:n tr st)
+  else fun n st -> Fpc_interp.Interp.run ~max_steps:n st
+
+(* Run [source] on a fresh clone under [policy] on both tiers; require
+   tier == interp on [observe] and return the interpreter's machine. *)
+let ring_run ?(policy = Fpc_sched.Sched.Run_to_yield) ?(fuel = 5_000_000)
+    ~name ~engine source =
+  let pristine = image_for ~engine source in
+  let run compiled =
+    let image = Fpc_mesa.Image.clone pristine in
+    let st =
+      Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main"
+        ~args:[] ()
+    in
+    ignore (Fpc_sched.Sched.run ~policy ~step:(step_for ~compiled image) ~fuel st);
+    st
+  in
+  let st = run false in
+  if observe (run true) <> observe st then
+    Alcotest.failf "%s: the compiled tier diverged from the interpreter" name;
+  st
+
+let ring_capacity0 ~engine source =
+  let image = Fpc_mesa.Image.clone (image_for ~engine source) in
+  Array.length (Fpc_core.State.create ~image ~engine ()).Fpc_core.State.ring
+
+(* [n] workers of three arguments each, every argument word of which
+   must arrive.  On I4 FORK stores the arguments into the new frame;
+   elsewhere they ride the process's saved evaluation stack.  The wait
+   loop does more than YIELD: with the bare [WHILE .. DO YIELD END] the
+   loop's length lines its YIELD up with the end of every 2-step slice
+   under preempt:2, so the injected yield takes the CPU back from each
+   worker before it runs a step, and the run never ends. *)
+let forking_workers n =
+  Printf.sprintf
+    {|
+MODULE Main;
+VAR finished: INT := 0;
+PROC worker(id: INT, a: INT, b: INT) =
+  VAR i: INT := 0;
+  WHILE i < 3 DO
+    OUTPUT id * 1000 + a * 100 + b * 10 + i;
+    i := i + 1;
+    YIELD;
+  END;
+  finished := finished + 1;
+END;
+PROC main() =
+  VAR k: INT := 0;
+  WHILE k < %d DO
+    FORK worker(k + 1, k MOD 7, 9 - k MOD 5);
+    k := k + 1;
+  END;
+  WHILE finished < %d DO
+    YIELD;
+    k := k + 1;
+  END;
+  OUTPUT finished;
+END;
+END;
+|}
+    n n
+
+let check_forking ~name ~n (st : Fpc_core.State.t) =
+  (match st.status with
+  | Fpc_core.State.Halted -> ()
+  | _ -> Alcotest.failf "%s: did not halt" name);
+  let expected =
+    n
+    :: List.concat_map
+         (fun k ->
+           List.init 3 (fun i ->
+               ((k + 1) * 1000) + (k mod 7 * 100) + ((9 - (k mod 5)) * 10) + i))
+         (List.init n Fun.id)
+  in
+  Alcotest.(check (list int))
+    (name ^ ": every worker's argument words arrived")
+    (List.sort Int.compare expected)
+    (List.sort Int.compare (Fpc_core.State.output st))
+
+let test_ring_growth_and_fork_args () =
+  List.iter
+    (fun (en, engine) ->
+      Alcotest.(check bool)
+        (en ^ ": FORK stores arguments in place iff banks (I4)")
+        (en = "i4") (Fpc_core.Engine.args_in_place engine);
+      let source = forking_workers 12 in
+      let cap0 = ring_capacity0 ~engine source in
+      let st = ring_run ~name:en ~engine source in
+      check_forking ~name:en ~n:12 st;
+      Alcotest.(check bool)
+        (en ^ ": more live processes than initial slots")
+        true
+        (st.metrics.peak_live_procs > cap0);
+      Alcotest.(check bool)
+        (en ^ ": the ring grew, keeping a power of two")
+        true
+        (let n = Array.length st.ring in
+         n > cap0 && n land (n - 1) = 0))
+    engines
+
+(* Small quanta force many switches through a ring that never fills (six
+   workers and [main] fit the initial slots): the head and tail wrap
+   around it again and again. *)
+let test_ring_wraps_under_preempt () =
+  let source = forking_workers 6 in
+  List.iter
+    (fun quantum ->
+      List.iter
+        (fun (en, engine) ->
+          let name = Printf.sprintf "%s preempt:%d" en quantum in
+          let policy = Fpc_sched.Sched.Preempt { quantum } in
+          let cap0 = ring_capacity0 ~engine source in
+          let st = ring_run ~policy ~name ~engine source in
+          check_forking ~name ~n:6 st;
+          Alcotest.(check int) (name ^ ": no growth") cap0
+            (Array.length st.ring);
+          Alcotest.(check bool)
+            (name ^ ": switches wrapped the ring")
+            true
+            (st.metrics.other_xfers > 4 * cap0))
+        engines)
+    [ 2; 3; 7 ]
+
+(* A machine reset while processes are still queued must not resume
+   them: a rerun on the recycled state equals a run on a fresh one. *)
+let test_ring_reset_rerun () =
+  List.iter
+    (fun (en, engine) ->
+      List.iter
+        (fun (source, policy) ->
+          List.iter
+            (fun compiled ->
+              let name =
+                Printf.sprintf "%s %s %s" en
+                  (Fpc_sched.Sched.policy_to_string policy)
+                  (if compiled then "compiled" else "interp")
+              in
+              let pristine = image_for ~engine source in
+              let image = Fpc_mesa.Image.clone pristine in
+              let step = step_for ~compiled image in
+              let st =
+                Fpc_interp.Interp.boot ~image ~engine ~instance:"Main"
+                  ~proc:"main" ~args:[] ()
+              in
+              ignore (Fpc_sched.Sched.run ~policy ~step ~fuel:600 st);
+              Alcotest.(check bool)
+                (name ^ ": processes left queued")
+                true
+                (Fpc_core.State.ready_count st > 0);
+              Fpc_mesa.Image.clone_into ~arena:image pristine;
+              Fpc_core.State.reset st;
+              Fpc_core.Transfer.start st ~instance:"Main" ~proc:"main" ~args:[];
+              ignore (Fpc_sched.Sched.run ~policy ~step ~fuel:5_000_000 st);
+              let fresh = ring_run ~policy ~name ~engine source in
+              if observe st <> observe fresh then
+                Alcotest.failf "%s: the reset machine's rerun differs" name)
+            [ false; true ])
+        [
+          (forking_workers 12, Fpc_sched.Sched.Run_to_yield);
+          (source_of ~seed:4 ~total:20 ~window:6, Fpc_sched.Sched.Preempt { quantum = 7 });
+        ])
+    engines
+
 let () =
   Alcotest.run "sched"
     [
@@ -219,5 +399,14 @@ let () =
           Alcotest.test_case "fuel exhaustion resumes" `Quick
             test_fuel_exhaustion_resumes;
           Alcotest.test_case "report shape" `Quick test_report_shape;
+        ] );
+      ( "ring",
+        [
+          Alcotest.test_case "growth and FORK arguments" `Quick
+            test_ring_growth_and_fork_args;
+          Alcotest.test_case "wrap-around under preempt 2/3/7" `Quick
+            test_ring_wraps_under_preempt;
+          Alcotest.test_case "reset with processes queued" `Quick
+            test_ring_reset_rerun;
         ] );
     ]

@@ -827,6 +827,40 @@ let test_arena_eviction_exact () =
         [ "i1"; "i2"; "i3"; "i4" ])
     [ ""; "compiled" ]
 
+(* A cache-hit session job allocates nothing straight into the major
+   heap: its ~2 KB program text, too large for the minor heap, is built
+   once per config, and nothing else on the path is that large.  Direct
+   major allocation is the major words that were not promoted; a minor
+   collection before each reading brings the domain's counters up to
+   date (without it a reading can lag by a whole earlier job). *)
+let test_session_job_no_direct_major () =
+  let cache = Image_cache.create () in
+  let arena = Pool.worker_arena cache in
+  let direct () =
+    Gc.minor ();
+    let g = Gc.quick_stat () in
+    g.Gc.major_words -. g.Gc.promoted_words
+  in
+  List.iter
+    (fun engine ->
+      let spec =
+        Job.spec ~engine
+          (Job.Sessions { (Fpc_workload.Sessions.default ~total:250) with seed = 2 })
+      in
+      let run i =
+        match (Pool.execute ~arena cache i spec).Job.outcome with
+        | Job.Output _ -> ()
+        | Job.Failed (_, m) -> Alcotest.failf "%s session job failed: %s" engine m
+      in
+      run 0;
+      let d0 = direct () in
+      run 1;
+      let d1 = direct () in
+      Alcotest.(check (float 0.0))
+        (engine ^ ": direct major words of a cache-hit session job")
+        0.0 (d1 -. d0))
+    [ "i1"; "i2"; "i3"; "i4" ]
+
 (* serve-hot's working set fits the worker's arena: its 44 request
    shapes (the call-intensive programs x I1-I4) compile to 33 pristines,
    because I1 and I2 share one, and an arena made the way a worker makes
@@ -1013,6 +1047,8 @@ let () =
             `Quick test_serve_hot_working_set;
           Alcotest.test_case "pool metrics count arena reuse" `Quick
             test_pool_metrics_count_arena;
+          Alcotest.test_case "cache-hit session job: no direct major words"
+            `Quick test_session_job_no_direct_major;
           Alcotest.test_case "pool results identical with arena off" `Slow
             test_pool_arena_matches_clone_path;
         ] );

@@ -8,6 +8,8 @@
 # in their translate-time and tracing code too, so that no generic
 # compare can creep into their hot paths unnoticed — and so is Opcode,
 # whose effect table the tier's block formation and fusion guards read.
+# Simple_links, I1's per-call link resolution, must not hash either: no
+# caml_hash and no Stdlib Hashtbl call.
 #
 # Run from the root of a checkout after `dune build` (default profile):
 #
@@ -49,10 +51,12 @@ for m in \
   isa/.fpc_isa.objs/native/fpc_isa__Opcode; do
   check "$build/lib/$m.o" "$generic"
 done
+check "$build/lib/core/.fpc_core.objs/native/fpc_core__Simple_links.o" \
+  "$generic|caml_hash|camlStdlib__Hashtbl[.][a-z_]+_[0-9]+"
 check "$build/lib/regbank/.fpc_regbank.objs/native/fpc_regbank__Bank_file.o" \
   "$generic|camlStdlib__Array[.]fill_[0-9]+"
 
 if [ $status -eq 0 ]; then
-  echo "transfer path: no generic comparison, polymorphic min/max or bank Array.fill"
+  echo "transfer path: no generic comparison, polymorphic min/max, bank Array.fill or I1 link hashing"
 fi
 exit $status
