@@ -32,10 +32,6 @@ let create ?(config = default_config) ~mem ~stack_base ~stack_limit () =
     high_water = 0;
   }
 
-let words_per_call _t config ~nargs ~locals_words =
-  ignore locals_words;
-  nargs + config.linkage_words + config.saved_registers
-
 let call t ~nargs ~locals_words =
   let pushed = nargs + t.config.linkage_words + t.config.saved_registers in
   let total = pushed + locals_words in
@@ -67,7 +63,3 @@ let depth t = List.length t.frames
 let sp t = t.sp
 let high_water t = t.high_water
 let calls t = t.calls
-
-type activity_plan = { activities : int; max_depth : int; mean_frame_words : int }
-
-let reserve_activity p = p.activities * p.max_depth * p.mean_frame_words

@@ -8,13 +8,12 @@
     reference on the simulated memory, so per-call costs are measured, not
     assumed.
 
-    The structural point of §1 is also modelled: "most such architectures
-    can support only a strictly last-in first-out pattern of transfers...
-    each coroutine or process needs a contiguous piece of storage large
-    enough to hold the largest set of frames it will ever have".
-    {!reserve_activity} prices exactly that: one maximal contiguous stack
-    per coroutine/process, against the frame heap's pay-as-you-go
-    allocation (experiment E11). *)
+    The structural point of §1 — "most such architectures can support only
+    a strictly last-in first-out pattern of transfers... each coroutine or
+    process needs a contiguous piece of storage large enough to hold the
+    largest set of frames it will ever have" — is priced by experiment E11:
+    one maximal contiguous stack per coroutine/process, against the frame
+    heap's pay-as-you-go allocation. *)
 
 type config = {
   saved_registers : int;  (** registers saved/restored per call (default 4) *)
@@ -48,18 +47,3 @@ val high_water : t -> int
 (** Maximum words of stack ever in use. *)
 
 val calls : t -> int
-val words_per_call : t -> config -> nargs:int -> locals_words:int -> int
-(** Storage words written by one call (analytic, equals what [call]
-    meters). *)
-
-(** {1 The structural restriction} *)
-
-type activity_plan = {
-  activities : int;  (** coroutines or processes *)
-  max_depth : int;
-  mean_frame_words : int;
-}
-
-val reserve_activity : activity_plan -> int
-(** Words of storage a LIFO-only architecture must reserve: one maximal
-    contiguous stack per activity. *)

@@ -1,7 +1,5 @@
 open Fpc_lang.Ast
 
-let is_temp name = String.length name > 0 && name.[0] = '$'
-
 type ctx = { mutable next : int; mutable decls : stmt list }
 
 let fresh ctx =

@@ -19,6 +19,3 @@ val proc : Fpc_lang.Ast.proc -> Fpc_lang.Ast.proc
 
 val module_decl : Fpc_lang.Ast.module_decl -> Fpc_lang.Ast.module_decl
 val program : Fpc_lang.Ast.program -> Fpc_lang.Ast.program
-
-val is_temp : string -> bool
-(** Recognise compiler temporaries (names starting with '$'). *)

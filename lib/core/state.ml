@@ -51,8 +51,6 @@ type metrics = {
   mutable frame_allocs : int;
   mutable frame_frees : int;
   mutable call_depth : int;
-  mutable run_length : int;  (* consecutive same-direction transfers *)
-  mutable run_dir : int;  (* +1 call run, -1 return run, 0 none *)
   mutable procs_forked : int;  (* processes queued by FORK *)
   mutable procs_ended : int;  (* processes retired (root return or STOP) *)
   mutable peak_live_procs : int;  (* running + ready high-water mark *)
@@ -82,8 +80,6 @@ let fresh_metrics () =
     frame_allocs = 0;
     frame_frees = 0;
     call_depth = 0;
-    run_length = 0;
-    run_dir = 0;
     procs_forked = 0;
     procs_ended = 0;
     peak_live_procs = 1;
@@ -112,8 +108,6 @@ let zero_metrics m =
   m.frame_allocs <- 0;
   m.frame_frees <- 0;
   m.call_depth <- 0;
-  m.run_length <- 0;
-  m.run_dir <- 0;
   m.procs_forked <- 0;
   m.procs_ended <- 0;
   m.peak_live_procs <- 1;
@@ -181,8 +175,6 @@ type t = {
   mutable next_pid : int;
   mutable current_pid : int;
   data_trace : (int * bool) Queue.t option;
-  depth_hist : Fpc_util.Histogram.t;
-  run_hist : Fpc_util.Histogram.t;  (** lengths of same-direction transfer runs *)
   mutable tracer : Fpc_trace.Sink.t option;
 }
 
@@ -277,8 +269,6 @@ let create ?tracer ~image ~engine () =
     next_pid = 1;
     current_pid = 0;
     data_trace = (if engine.Engine.collect_data_trace then Some (Queue.create ()) else None);
-    depth_hist = Fpc_util.Histogram.create ();
-    run_hist = Fpc_util.Histogram.create ();
     tracer;
   }
   in
@@ -288,7 +278,7 @@ let create ?tracer ~image ~engine () =
 (* Reset must reproduce [create]'s observable initial state exactly over a
    recycled machine: the arena path calls [Image.clone_into] (store back to
    pristine, cost/allocator reset) and then this, so a reused machine is
-   indistinguishable — status, meters, histograms, fastpath counters and
+   indistinguishable — status, meters, fastpath counters and
    event hooks included — from a freshly created one. *)
 let reset ?tracer t =
   Cost.reset t.cost;
@@ -319,8 +309,6 @@ let reset ?tracer t =
   Option.iter Queue.clear t.data_trace;
   t.next_pid <- 1;
   t.current_pid <- 0;
-  Fpc_util.Histogram.reset t.depth_hist;
-  Fpc_util.Histogram.reset t.run_hist;
   t.tracer <- tracer;
   wire_hooks t
 
@@ -362,12 +350,6 @@ let[@inline] ensure_cb t =
     t.cb <- cb;
     cb
   end
-
-let pc_rel t = t.pc_abs - (2 * ensure_cb t)
-
-let set_pc_rel t ~cb rel =
-  t.cb <- cb;
-  t.pc_abs <- (2 * cb) + rel
 
 let[@inline] trace t addr ~write =
   match t.data_trace with
@@ -420,23 +402,9 @@ let[@inline] data_write t ~addr v =
   | Some banks -> Fpc_regbank.Bank_file.data_write banks ~addr v
   | None -> Memory.write t.mem addr v
 
-(* Depth and run-length bookkeeping for calls (+1) and returns (-1): the
-   section 7.1 locality measurements.  Runs on every call and return, so
-   it is inlined and compares ints only. *)
+(* The call depth for calls (+1) and returns (-1), which every transfer
+   event carries.  Runs on every call and return, so it is inlined and
+   compares ints only. *)
 let[@inline] note_transfer_direction t dir =
   let m = t.metrics in
-  m.call_depth <- Int.max 0 (m.call_depth + dir);
-  Fpc_util.Histogram.add t.depth_hist m.call_depth;
-  if m.run_dir = dir then m.run_length <- m.run_length + 1
-  else begin
-    if m.run_length > 0 then Fpc_util.Histogram.add t.run_hist m.run_length;
-    m.run_dir <- dir;
-    m.run_length <- 1
-  end
-
-let meter_transfer t thunk =
-  let before = Cost.mem_refs t.cost in
-  thunk ();
-  if Cost.mem_refs t.cost = before then
-    t.metrics.fast_transfers <- t.metrics.fast_transfers + 1
-  else t.metrics.slow_transfers <- t.metrics.slow_transfers + 1
+  m.call_depth <- Int.max 0 (m.call_depth + dir)

@@ -47,8 +47,6 @@ type metrics = {
   mutable frame_allocs : int;
   mutable frame_frees : int;
   mutable call_depth : int;  (** current dynamic nesting depth *)
-  mutable run_length : int;
-  mutable run_dir : int;
   mutable procs_forked : int;  (** processes queued by FORK *)
   mutable procs_ended : int;
       (** processes retired — a root return with returnLink NIL, or STOP.
@@ -138,11 +136,6 @@ type t = {
   mutable next_pid : int;
   mutable current_pid : int;
   data_trace : (int * bool) Queue.t option;
-  depth_hist : Fpc_util.Histogram.t;
-      (** call depth observed at every call/return (the paper's locality argument) *)
-  run_hist : Fpc_util.Histogram.t;
-      (** lengths of uninterrupted call-runs / return-runs — the paper's
-          "long runs ... are quite rare" made measurable *)
   mutable tracer : Fpc_trace.Sink.t option;
       (** event sink; [None] (the default) keeps every instrumentation
           site down to one branch *)
@@ -163,8 +156,8 @@ val reset : ?tracer:Fpc_trace.Sink.t -> t -> unit
 (** Recycle the machine for a fresh run over the same (reset) image: the
     arena path.  Must be called {e after} [Image.clone_into] has restored
     the store — it reinstalls the I1 link tables, resets the allocator,
-    return stack, bank file and free-frame stack, zeroes every register,
-    meter and histogram, empties the ready ring (keeping its slots) and
+    return stack, bank file and free-frame stack, zeroes every register
+    and meter, empties the ready ring (keeping its slots) and
     rewires the event hooks for the (possibly different) [tracer].  The observable state
     afterwards is exactly that of a fresh {!create}. *)
 
@@ -205,11 +198,6 @@ val ensure_cb : t -> int
 (** The current code base, reading it from GF word 0 (one metered
     reference) if the register is invalid. *)
 
-val pc_rel : t -> int
-(** Current PC relative to the (ensured) code base. *)
-
-val set_pc_rel : t -> cb:int -> int -> unit
-
 (** {1 Variable access} *)
 
 val read_local : t -> int -> int
@@ -232,9 +220,7 @@ val data_write : t -> addr:int -> int -> unit
 (** {1 Metering helpers} *)
 
 val note_transfer_direction : t -> int -> unit
-(** [+1] for a call, [-1] for a return; feeds the depth and run
-    histograms. *)
-
-val meter_transfer : t -> (unit -> unit) -> unit
-(** Run a transfer thunk and classify it fast (no storage references) or
-    slow. *)
+(** [+1] for a call, [-1] for a return: moves [metrics.call_depth], never
+    below 0.  The depth and run-length statistics of §7.1 are derived from
+    the transfer events, which carry the depth (E6's locality table,
+    {!Fpc_trace.Profile}). *)

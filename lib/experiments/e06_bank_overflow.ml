@@ -101,6 +101,78 @@ let programs_table () =
   in
   (t, mean)
 
+(* Same-direction runs over a stream of calls (+1) and returns (-1).  A
+   run is counted when the direction turns, so the run still open when the
+   stream ends is not. *)
+let run_fold () =
+  let runs = Histogram.create () and dir = ref 0 and len = ref 0 in
+  let step d =
+    if d = !dir then incr len
+    else begin
+      if !len > 0 then Histogram.add runs !len;
+      dir := d;
+      len := 1
+    end
+  in
+  (runs, step)
+
+(* A suite program's statistics, from its XFER event stream: every call
+   and return event carries the call depth after it.  Unlike
+   {!Fpc_trace.Profile}'s histogram, which counts calls only, the depth
+   is sampled at returns too. *)
+let machine_locality program =
+  let engine = Fpc_core.Engine.i2 in
+  let depth = Histogram.create () in
+  let runs, step = run_fold () in
+  let sink = Fpc_trace.Sink.create ~capacity:1 ~engine:(Fpc_core.Engine.name engine) () in
+  Fpc_trace.Sink.set_listener sink
+    (Some
+       (fun (e : Fpc_trace.Event.t) ->
+         match e.kind with
+         | Call ->
+           Histogram.add depth e.depth;
+           step 1
+         | Return ->
+           Histogram.add depth e.depth;
+           step (-1)
+         | _ -> ()));
+  ignore (Harness.run_one ~engine ~tracer:sink ~program ());
+  (depth, runs)
+
+let synthetic_locality () =
+  let trace = Fpc_workload.Synthetic.generate ~seed:7 ~length:120_000 () in
+  let runs, step = run_fold () in
+  List.iter
+    (function
+      | Fpc_workload.Synthetic.Call _ -> step 1
+      | Fpc_workload.Synthetic.Return -> step (-1)
+      | Fpc_workload.Synthetic.Coroutine_switch | Fpc_workload.Synthetic.Process_switch
+        -> ())
+    trace;
+  (Fpc_workload.Synthetic.depth_profile trace, runs)
+
+(* The table's rows as printed: workload, depth p50 / p95 / max, run p95 /
+   max and the share of runs of at most 4. *)
+let locality_rows () =
+  let row label (depth, runs) =
+    if Histogram.count runs > 0 && Histogram.count depth > 0 then
+      Some
+        [
+          label;
+          Tablefmt.cell_int (Histogram.percentile depth 50.0);
+          Tablefmt.cell_int (Histogram.percentile depth 95.0);
+          Tablefmt.cell_int (Histogram.max_value depth);
+          Tablefmt.cell_int (Histogram.percentile runs 95.0);
+          Tablefmt.cell_int (Histogram.max_value runs);
+          Tablefmt.cell_pct (Histogram.fraction_le runs 4);
+        ]
+    else None
+  in
+  List.filter_map
+    (fun program -> row program (machine_locality program))
+    Fpc_workload.Programs.sequential
+  @ Option.to_list (row "synthetic (calibrated)" (synthetic_locality ()))
+
 (* The paper's intuition, measured: "long runs of calls nearly
    uninterrupted by returns, or vice versa, are quite rare."  Run lengths
    and call-depth locality over the compiled suite (engine I2), with the
@@ -119,45 +191,7 @@ let locality_table () =
           ("runs <= 4", Tablefmt.Right);
         ]
   in
-  let add_row label depth_hist run_hist =
-    if Histogram.count run_hist > 0 && Histogram.count depth_hist > 0 then
-      Tablefmt.add_row t
-        [
-          label;
-          Tablefmt.cell_int (Histogram.percentile depth_hist 50.0);
-          Tablefmt.cell_int (Histogram.percentile depth_hist 95.0);
-          Tablefmt.cell_int (Histogram.max_value depth_hist);
-          Tablefmt.cell_int (Histogram.percentile run_hist 95.0);
-          Tablefmt.cell_int (Histogram.max_value run_hist);
-          Tablefmt.cell_pct (Histogram.fraction_le run_hist 4);
-        ]
-  in
-  List.iter
-    (fun program ->
-      let st = Harness.run_one ~engine:Fpc_core.Engine.i2 ~program () in
-      add_row program st.Fpc_core.State.depth_hist st.Fpc_core.State.run_hist)
-    Fpc_workload.Programs.sequential;
-  (* The synthetic trace, through the same statistics. *)
-  let trace = Fpc_workload.Synthetic.generate ~seed:7 ~length:120_000 () in
-  let run_hist = Histogram.create () in
-  let dir = ref 0 and len = ref 0 in
-  List.iter
-    (fun (e : Fpc_workload.Synthetic.event) ->
-      let d =
-        match e with
-        | Fpc_workload.Synthetic.Call _ -> 1
-        | Fpc_workload.Synthetic.Return -> -1
-        | _ -> 0
-      in
-      if d <> 0 then
-        if d = !dir then incr len
-        else begin
-          if !len > 0 then Histogram.add run_hist !len;
-          dir := d;
-          len := 1
-        end)
-    trace;
-  add_row "synthetic (calibrated)" (Fpc_workload.Synthetic.depth_profile trace) run_hist;
+  List.iter (Tablefmt.add_row t) (locality_rows ());
   Tablefmt.add_note t
     "section 7.1's claim quantified: nearly all same-direction runs fit the bank window";
   t

@@ -27,7 +27,7 @@ let collect program =
   (layout, refs)
 
 let run () =
-  let params = Cost.default_params in
+  let params = Cost.params in
   let t =
     Tablefmt.create ~title:"Data references: cache alone vs banks + cache"
       ~columns:
@@ -54,7 +54,7 @@ let run () =
       (* Pass 1: everything through one cache. *)
       let cache_all = Cache.create () in
       List.iter (fun (a, w) -> ignore (Cache.access cache_all ~address:a ~write:w)) refs;
-      let cycles_all = Cache.cycles cache_all ~params in
+      let cycles_all = Cache.cycles cache_all in
       (* Pass 2: frame-region references served by banks at one cycle. *)
       let cache_rest = Cache.create () in
       let bank_cycles = ref 0 in
@@ -64,7 +64,7 @@ let run () =
             bank_cycles := !bank_cycles + params.bank_ref_cycles
           else ignore (Cache.access cache_rest ~address:a ~write:w))
         refs;
-      let cycles_banked = Cache.cycles cache_rest ~params + !bank_cycles in
+      let cycles_banked = Cache.cycles cache_rest + !bank_cycles in
       let speedup = Harness.ratio cycles_all cycles_banked in
       shares := share :: !shares;
       speedups := speedup :: !speedups;

@@ -21,11 +21,11 @@ let must_halt (st : Fpc_core.State.t) =
   | Fpc_core.State.Trapped r ->
     failwith ("program trapped: " ^ Fpc_core.State.trap_reason_to_string r)
 
-let run_one ?(engine = Fpc_core.Engine.i2) ~program () =
+let run_one ?(engine = Fpc_core.Engine.i2) ?tracer ~program () =
   let convention = Fpc_compiler.Convention.for_engine engine in
   let image = image_of ~convention ~program () in
   let st =
-    Fpc_interp.Interp.run_program ~image ~engine ~instance:"Main" ~proc:"main"
+    Fpc_interp.Interp.run_program ?tracer ~image ~engine ~instance:"Main" ~proc:"main"
       ~args:[] ()
   in
   must_halt st;

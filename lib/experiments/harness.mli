@@ -12,9 +12,13 @@ val image_of :
 (** Compile a named suite program (failing loudly on compile errors). *)
 
 val run_one :
-  ?engine:Fpc_core.Engine.t -> program:string -> unit -> Fpc_core.State.t
-(** Compile with the engine's natural convention and run [Main.main].
-    Fails loudly on a trap. *)
+  ?engine:Fpc_core.Engine.t ->
+  ?tracer:Fpc_trace.Sink.t ->
+  program:string ->
+  unit ->
+  Fpc_core.State.t
+(** Compile with the engine's natural convention and run [Main.main]
+    (under [tracer], when given).  Fails loudly on a trap. *)
 
 val run_suite :
   ?engine:Fpc_core.Engine.t ->

@@ -36,12 +36,6 @@ let render (st : Fpc_core.State.t) =
     row "argument words stored by prologues" (Tablefmt.cell_int m.arg_words_stored);
   if m.arg_words_renamed > 0 then
     row "argument words delivered by renaming" (Tablefmt.cell_int m.arg_words_renamed);
-  if Histogram.count st.depth_hist > 0 then
-    row "call depth p50 / p95 / max"
-      (Printf.sprintf "%d / %d / %d"
-         (Histogram.percentile st.depth_hist 50.0)
-         (Histogram.percentile st.depth_hist 95.0)
-         (Histogram.max_value st.depth_hist));
   (match st.rstack with
   | None -> ()
   | Some rs ->

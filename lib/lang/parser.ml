@@ -403,9 +403,3 @@ let parse src =
       in
       Ok (modules [])
     with Parse_error msg -> Error msg)
-
-let parse_module src =
-  match parse src with
-  | Error _ as e -> e
-  | Ok [ m ] -> Ok m
-  | Ok ms -> Error (Printf.sprintf "expected one module, found %d" (List.length ms))

@@ -22,6 +22,3 @@
     v} *)
 
 val parse : string -> (Ast.program, string) result
-
-val parse_module : string -> (Ast.module_decl, string) result
-(** Convenience for sources containing exactly one module. *)

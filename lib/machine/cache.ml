@@ -71,8 +71,8 @@ let hit_rate t =
   let n = accesses t in
   if n = 0 then 0.0 else float_of_int t.hits /. float_of_int n
 
-let cycles t ~params =
-  let p : Cost.params = params in
+let cycles t =
+  let p = Cost.params in
   (t.hits * p.cache_hit_cycles)
   + (t.misses * (p.cache_hit_cycles + (p.mem_ref_cycles * t.config.line_words)))
 

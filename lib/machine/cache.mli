@@ -31,8 +31,9 @@ val accesses : t -> int
 val hit_rate : t -> float
 (** 0 when no accesses yet. *)
 
-val cycles : t -> params:Cost.params -> int
-(** Total latency of all accesses so far: hits at [cache_hit_cycles], misses
-    at [cache_hit_cycles + mem_ref_cycles * line_words] (fill the line). *)
+val cycles : t -> int
+(** Total latency of all accesses so far, from {!Cost.params}: hits at
+    [cache_hit_cycles], misses at [cache_hit_cycles + mem_ref_cycles *
+    line_words] (fill the line). *)
 
 val reset : t -> unit

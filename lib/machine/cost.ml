@@ -6,9 +6,10 @@ type params = {
   jump_cycles : int;
   trap_cycles : int;
   software_alloc_cycles : int;
+  divert_cycles : int;
 }
 
-let default_params =
+let params =
   {
     mem_ref_cycles = 4;
     cache_hit_cycles = 2;
@@ -17,95 +18,77 @@ let default_params =
     jump_cycles = 1;
     trap_cycles = 50;
     software_alloc_cycles = 100;
+    divert_cycles = 4;
   }
 
 type t = {
-  p : params;
-  mutable cycles : int;
   mutable mem_reads : int;
   mutable mem_writes : int;
   mutable bank_refs : int;
   mutable dispatches : int;
+  mutable jumps : int;
+  mutable traps : int;
+  mutable software_allocs : int;
+  mutable diversions : int;
 }
 
-let create ?(params = default_params) () =
-  { p = params; cycles = 0; mem_reads = 0; mem_writes = 0; bank_refs = 0; dispatches = 0 }
+let create () =
+  {
+    mem_reads = 0;
+    mem_writes = 0;
+    bank_refs = 0;
+    dispatches = 0;
+    jumps = 0;
+    traps = 0;
+    software_allocs = 0;
+    diversions = 0;
+  }
 
-let params t = t.p
-
-let mem_read t =
-  t.mem_reads <- t.mem_reads + 1;
-  t.cycles <- t.cycles + t.p.mem_ref_cycles
-
-let mem_write t =
-  t.mem_writes <- t.mem_writes + 1;
-  t.cycles <- t.cycles + t.p.mem_ref_cycles
-
-let bank_ref t =
-  t.bank_refs <- t.bank_refs + 1;
-  t.cycles <- t.cycles + t.p.bank_ref_cycles
-
-let bank_ref_n t n =
-  t.bank_refs <- t.bank_refs + n;
-  t.cycles <- t.cycles + (n * t.p.bank_ref_cycles)
-
-let dispatch t =
-  t.dispatches <- t.dispatches + 1;
-  t.cycles <- t.cycles + t.p.dispatch_cycles
+let mem_read t = t.mem_reads <- t.mem_reads + 1
+let mem_write t = t.mem_writes <- t.mem_writes + 1
+let bank_ref t = t.bank_refs <- t.bank_refs + 1
+let bank_ref_n t n = t.bank_refs <- t.bank_refs + n
+let dispatch t = t.dispatches <- t.dispatches + 1
 
 let[@inline] refs_n t ~reads ~writes =
   t.mem_reads <- t.mem_reads + reads;
-  t.mem_writes <- t.mem_writes + writes;
-  t.cycles <- t.cycles + ((reads + writes) * t.p.mem_ref_cycles)
+  t.mem_writes <- t.mem_writes + writes
 
 let[@inline] block_bill t ~instrs ~reads ~writes =
   t.dispatches <- t.dispatches + instrs;
   t.mem_reads <- t.mem_reads + reads;
-  t.mem_writes <- t.mem_writes + writes;
-  t.cycles <-
-    t.cycles + (instrs * t.p.dispatch_cycles)
-    + ((reads + writes) * t.p.mem_ref_cycles)
+  t.mem_writes <- t.mem_writes + writes
 
-let jump t = t.cycles <- t.cycles + t.p.jump_cycles
-let trap t = t.cycles <- t.cycles + t.p.trap_cycles
-let software_alloc t = t.cycles <- t.cycles + t.p.software_alloc_cycles
-let add_cycles t n = t.cycles <- t.cycles + n
-let cycles t = t.cycles
+let jump t = t.jumps <- t.jumps + 1
+let trap t = t.traps <- t.traps + 1
+let software_alloc t = t.software_allocs <- t.software_allocs + 1
+let divert t = t.diversions <- t.diversions + 1
+
+let cycles t =
+  ((t.mem_reads + t.mem_writes) * params.mem_ref_cycles)
+  + (t.bank_refs * params.bank_ref_cycles)
+  + (t.dispatches * params.dispatch_cycles)
+  + (t.jumps * params.jump_cycles)
+  + (t.traps * params.trap_cycles)
+  + (t.software_allocs * params.software_alloc_cycles)
+  + (t.diversions * params.divert_cycles)
+
 let mem_reads t = t.mem_reads
 let mem_writes t = t.mem_writes
 let mem_refs t = t.mem_reads + t.mem_writes
 let bank_refs t = t.bank_refs
 let dispatches t = t.dispatches
+let jumps t = t.jumps
+let traps t = t.traps
+let software_allocs t = t.software_allocs
+let diversions t = t.diversions
 
 let reset t =
-  t.cycles <- 0;
   t.mem_reads <- 0;
   t.mem_writes <- 0;
   t.bank_refs <- 0;
-  t.dispatches <- 0
-
-type snapshot = {
-  s_cycles : int;
-  s_mem_reads : int;
-  s_mem_writes : int;
-  s_bank_refs : int;
-  s_dispatches : int;
-}
-
-let snapshot t =
-  {
-    s_cycles = t.cycles;
-    s_mem_reads = t.mem_reads;
-    s_mem_writes = t.mem_writes;
-    s_bank_refs = t.bank_refs;
-    s_dispatches = t.dispatches;
-  }
-
-let delta ~before ~after =
-  {
-    s_cycles = after.s_cycles - before.s_cycles;
-    s_mem_reads = after.s_mem_reads - before.s_mem_reads;
-    s_mem_writes = after.s_mem_writes - before.s_mem_writes;
-    s_bank_refs = after.s_bank_refs - before.s_bank_refs;
-    s_dispatches = after.s_dispatches - before.s_dispatches;
-  }
+  t.dispatches <- 0;
+  t.jumps <- 0;
+  t.traps <- 0;
+  t.software_allocs <- 0;
+  t.diversions <- 0

@@ -2,12 +2,15 @@
 
     The paper's machines (Alto, Dorado) are microcoded processors we do not
     have; per the reproduction plan we substitute a cost-accounting
-    simulation.  Every architectural event of interest — main-storage
-    reference, register-bank reference, instruction dispatch, IFU-followed
-    transfer — is charged here.  Experiments report ratios of these counts,
-    so the defaults only need to respect the *relationships* the paper
-    states (§7.3: a register bank reference is one cycle, a cache access
-    two, main storage several). *)
+    simulation.  A meter holds counts only, one per kind of architectural
+    event: main-storage reads and writes, register-bank references,
+    instruction dispatches, IFU-followed jumps, traps, software
+    allocations and pointer diversions.  Cycles are derived: {!cycles} is
+    the dot product of the counts with the one constant cost table
+    {!params}, so cycle conservation holds by construction.  Experiments
+    report ratios of these counts, so the table only needs to respect the
+    {e relationships} the paper states (§7.3: a register bank reference is
+    one cycle, a cache access two, main storage several). *)
 
 type params = {
   mem_ref_cycles : int;  (** one main-storage word reference *)
@@ -19,19 +22,25 @@ type params = {
   software_alloc_cycles : int;
       (** the software allocator invoked when an AV free list is empty
           (§5.3) or a frame is larger than the fast classes *)
+  divert_cycles : int;
+      (** a pointer dereference diverted to a register bank (§7.4), on top
+          of its bank reference *)
 }
 
-val default_params : params
-(** mem_ref 4, cache_hit 2, bank_ref 1, dispatch 1, jump 1, trap 50,
-    software_alloc 100. *)
+val params : params
+(** The cost table: mem_ref 4, cache_hit 2, bank_ref 1, dispatch 1, jump 1,
+    trap 50, software_alloc 100, divert 4. *)
 
 type t
-(** A mutable bundle of counters charged against one execution. *)
+(** A mutable bundle of event counts charged against one execution. *)
 
-val create : ?params:params -> unit -> t
-val params : t -> params
+val create : unit -> t
 
-(** {1 Charging} *)
+(** {1 Charging}
+
+    Each charge adds to counts only.  The batched charges take counts of
+    either sign: the tier undoes a declined batch's bill by charging its
+    negation. *)
 
 val mem_read : t -> unit
 val mem_write : t -> unit
@@ -58,11 +67,16 @@ val block_bill : t -> instrs:int -> reads:int -> writes:int -> unit
 val jump : t -> unit
 val trap : t -> unit
 val software_alloc : t -> unit
-val add_cycles : t -> int -> unit
+
+val divert : t -> unit
+(** One pointer diversion (§7.4).  The bank reference the diverted access
+    makes is charged separately, with {!bank_ref}. *)
 
 (** {1 Reading the meters} *)
 
 val cycles : t -> int
+(** The counts weighted by {!params}. *)
+
 val mem_reads : t -> int
 val mem_writes : t -> int
 val mem_refs : t -> int
@@ -70,18 +84,10 @@ val mem_refs : t -> int
 
 val bank_refs : t -> int
 val dispatches : t -> int
+val jumps : t -> int
+val traps : t -> int
+val software_allocs : t -> int
+val diversions : t -> int
 
 val reset : t -> unit
-
-type snapshot = {
-  s_cycles : int;
-  s_mem_reads : int;
-  s_mem_writes : int;
-  s_bank_refs : int;
-  s_dispatches : int;
-}
-
-val snapshot : t -> snapshot
-
-val delta : before:snapshot -> after:snapshot -> snapshot
-(** Component-wise difference, for metering a region of execution. *)
+(** Zero every count. *)

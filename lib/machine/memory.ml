@@ -48,7 +48,6 @@ let clone t =
 
 let size t = t.words
 let set_cost t c = t.cost <- Some c
-let clear_cost t = t.cost <- None
 let cost t = t.cost
 
 let out_of_range what addr =

@@ -33,7 +33,7 @@ val create : ?cost:Cost.t -> size_words:int -> unit -> t
 val clone : t -> t
 (** An independent copy of the store: same contents, its own byte buffer
     (one [memcpy]), charging the original's meter (override with
-    {!set_cost} / {!clear_cost}).  This is what lets a linked image be
+    {!set_cost}).  This is what lets a linked image be
     cached and re-run — each execution works on a clone, leaving the
     pristine store untouched.  The copy's dirty map starts clean: it is content-identical
     to [t], so a later {!reset_from} against [t]'s store (or any
@@ -41,7 +41,6 @@ val clone : t -> t
 
 val size : t -> int
 val set_cost : t -> Cost.t -> unit
-val clear_cost : t -> unit
 val cost : t -> Cost.t option
 
 (** {1 Dirty tracking and reset}

@@ -80,7 +80,7 @@ let clone t =
      the decode once and every per-execution clone shares it (the whole
      directory is shared — it is immutable once linked). *)
   ignore (predecode t);
-  let cost = Cost.create ~params:(Cost.params t.cost) () in
+  let cost = Cost.create () in
   let mem = Memory.clone t.mem in
   Memory.set_cost mem cost;
   {

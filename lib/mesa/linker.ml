@@ -228,13 +228,13 @@ let write_segment (image : Image.t) ~linkage ~layouts (ml : module_layout) =
   Memory.blit_bytes image.mem ~code_base:ml.l_code_base seg
 
 let link ?(linkage = Image.External) ?(devirt = false) ?(memory_words = 65536) ?ladder
-    ?cost_params ?(extra_instances = []) modules =
+    ?(extra_instances = []) modules =
   match validate_modules modules with
   | Error _ as e -> e
   | Ok () -> (
     try
       let ladder = match ladder with Some l -> l | None -> Size_class.default in
-      let cost = Cost.create ?params:cost_params () in
+      let cost = Cost.create () in
       let layout = Layout.make ~memory_words ~ladder () in
       let mem = Memory.create ~cost ~size_words:memory_words () in
       let gft = Gft.create ~mem ~base:layout.gft_base in

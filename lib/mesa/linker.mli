@@ -27,7 +27,6 @@ val link :
   ?devirt:bool ->
   ?memory_words:int ->
   ?ladder:Fpc_frames.Size_class.t ->
-  ?cost_params:Fpc_machine.Cost.params ->
   ?extra_instances:string list ->
   Compiled.t list ->
   (Image.t, string) result

@@ -7,7 +7,6 @@ type config = {
   bank_words : int;
   track_dirty : bool;
   pointer_policy : pointer_policy;
-  divert_penalty_cycles : int;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     bank_words = 16;
     track_dirty = true;
     pointer_policy = Flush_flagged;
-    divert_penalty_cycles = 4;
   }
 
 (* Owner encoding, kept as an immediate int so ownership changes never
@@ -376,7 +374,7 @@ let data_read t ~addr =
     | Divert -> ());
     t.s_diversions <- t.s_diversions + 1;
     Cost.bank_ref t.cost;
-    Cost.add_cycles t.cost t.cfg.divert_penalty_cycles;
+    Cost.divert t.cost;
     let lf = b.owner in
     assert (lf >= 0);
     b.data.(addr - lf)
@@ -393,7 +391,7 @@ let data_write t ~addr v =
     | Divert -> ());
     t.s_diversions <- t.s_diversions + 1;
     Cost.bank_ref t.cost;
-    Cost.add_cycles t.cost t.cfg.divert_penalty_cycles;
+    Cost.divert t.cost;
     let lf = b.owner in
     assert (lf >= 0);
     b.data.(addr - lf) <- v;
@@ -424,10 +422,6 @@ let has_bank t ~lf = bank_index t ~lf >= 0
 let bank_id t ~lf =
   let bi = bank_index t ~lf in
   if bi < 0 then None else Some bi
-
-let shadow_words t ~lf =
-  let bi = bank_index t ~lf in
-  if bi < 0 then None else Some (Array.sub t.banks.(bi).data 0 t.banks.(bi).shadow_len)
 
 let stats t =
   {

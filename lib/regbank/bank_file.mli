@@ -28,8 +28,10 @@
       same-context pointer, which Pascal-level languages can outlaw) is
       still diverted for safety and counted as a C2 violation.
     - [Divert]: every data reference into the frame region is compared
-      against the banks and diverted to the matching register, at
-      [divert_penalty_cycles] apiece. *)
+      against the banks and diverted to the matching register.  Each
+      diversion is charged as one bank reference plus one
+      {!Fpc_machine.Cost.divert}, whose penalty lives in the cost table
+      ([Cost.params.divert_cycles]). *)
 
 type pointer_policy = Flush_flagged | Divert
 
@@ -40,11 +42,10 @@ type config = {
       (** "keep track of which registers have been written, to avoid the
           cost of dumping registers which have never been written" *)
   pointer_policy : pointer_policy;
-  divert_penalty_cycles : int;
 }
 
 val default_config : config
-(** 4 banks of 16 words, dirty tracking on, [Flush_flagged], penalty 4. *)
+(** 4 banks of 16 words, dirty tracking on, [Flush_flagged]. *)
 
 type t
 
@@ -140,9 +141,6 @@ val bank_index : t -> lf:int -> int
 
 val bank_id : t -> lf:int -> int option
 (** Option-returning wrapper over {!bank_index} (experiments, tests). *)
-
-val shadow_words : t -> lf:int -> int array option
-(** Copy of the shadowed window (tests). *)
 
 (** {1 Statistics} *)
 

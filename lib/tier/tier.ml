@@ -48,14 +48,12 @@ type t = {
   ranges : (int * int) array;  (** proc id -> body [first_pc, limit_pc) *)
   translated : bool array;  (** per procedure, set under [lock] *)
   lock : Mutex.t;
-  seen_sites : (int, unit) Hashtbl.t;  (** call-site PCs already counted *)
   leaf_memo : (int, ((State.t -> unit) * int) option) Hashtbl.t;
       (** callee entry PC -> spliced leaf continuation and its instruction
           count (under lock): every suffix block containing a call site
           resolves the same leaf *)
   mutable n_boundaries : int;
   mutable n_fused : int;
-  mutable n_fused_calls : int;
   mutable n_translated : int;
 }
 
@@ -821,10 +819,9 @@ let compile_callee t ~entry_pc =
     in
     Some (cont, batch)
 
-(* The fused continuation for the callee entered at [entry_pc], when it
-   is a known leaf; [tpc] identifies the call site so overlapping suffix
-   blocks count it once. *)
-let callee_for t ~tpc ~entry_pc =
+(* The fused continuation for the callee entered at [entry_pc] and its
+   instruction count, when it is a known leaf; [(stop, 0)] otherwise. *)
+let callee_for t ~entry_pc =
   let leaf =
     match Hashtbl.find_opt t.leaf_memo entry_pc with
     | Some l -> l
@@ -833,14 +830,7 @@ let callee_for t ~tpc ~entry_pc =
       Hashtbl.replace t.leaf_memo entry_pc l;
       l
   in
-  match leaf with
-  | Some (cont, batch) ->
-    if not (Hashtbl.mem t.seen_sites tpc) then begin
-      Hashtbl.replace t.seen_sites tpc ();
-      t.n_fused_calls <- t.n_fused_calls + 1
-    end;
-    (cont, batch)
-  | None -> (stop, 0)
+  Option.value leaf ~default:(stop, 0)
 
 (* The entry PC a call site's link-time binding names: where a leaf
    spliced into its node begins.  A hint only — the call resolves live,
@@ -917,7 +907,7 @@ let transfer_node t ~tpc (op : Opcode.t) : int * (State.t -> unit) =
   | Lfc _ | Efc _ | Dfc _ | Sdfc _ -> (
     match entry_hint t ~tpc op with
     | Some entry_pc ->
-      let leaf, extra = callee_for t ~tpc ~entry_pc in
+      let leaf, extra = callee_for t ~entry_pc in
       (extra, call_node ~tpc op ~entry_pc ~leaf)
     | None -> (0, call_node ~tpc op ~entry_pc:(-1) ~leaf:stop))
   | _ -> (0, fun (st : State.t) -> Interp.exec st ~instr_pc:tpc op)
@@ -1206,11 +1196,9 @@ let create (image : Image.t) =
     ranges;
     translated = Array.make (Array.length ranges) false;
     lock = Mutex.create ();
-    seen_sites = Hashtbl.create 16;
     leaf_memo = Hashtbl.create 16;
     n_boundaries = 0;
     n_fused = 0;
-    n_fused_calls = 0;
     n_translated = 0;
   }
 
@@ -1260,7 +1248,6 @@ let of_image (image : Image.t) =
 
 let boundaries t = t.n_boundaries
 let fused_boundaries t = t.n_fused
-let fused_call_sites t = t.n_fused_calls
 let procs t = Array.length t.ranges
 let procs_translated t = t.n_translated
 let invalidations (_ : t) = 0

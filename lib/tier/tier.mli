@@ -118,10 +118,6 @@ val fused_boundaries : t -> int
 (** Of {!boundaries}, how many have a multi-instruction fused fast path
     (a superinstruction of two or more instructions). *)
 
-val fused_call_sites : t -> int
-(** Distinct call sites whose known-leaf callee was spliced into the
-    caller's node. *)
-
 val procs : t -> int
 (** Procedure bodies the translation covers (deduplicated across
     instances sharing a module's code). *)

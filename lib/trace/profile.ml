@@ -58,7 +58,7 @@ type t = {
   mutable last_refs : int;
   totals : totals;
   fastpath : fastpath;
-  depth_hist : Fpc_util.Histogram.t;
+  call_depths : Fpc_util.Histogram.t;  (* depth at each call event *)
   mutable events : int;
   mutable finished : bool;
 }
@@ -99,7 +99,7 @@ let create ~procs ~engine =
         fp_frame_frees = 0;
         fp_ff_frees = 0;
       };
-    depth_hist = Fpc_util.Histogram.create ();
+    call_depths = Fpc_util.Histogram.create ();
     events = 0;
     finished = false;
   }
@@ -196,7 +196,7 @@ let record t (e : Event.t) =
   | Event.Call ->
     t.totals.t_calls <- t.totals.t_calls + 1;
     classify t e.fast;
-    Fpc_util.Histogram.add t.depth_hist e.depth;
+    Fpc_util.Histogram.add t.call_depths e.depth;
     enter t ~target:e.target ~fast:e.fast ~count:true ~start_cycles ~start_refs;
     add_excl t (cur_id t) op_c op_r
   | Event.Return ->
@@ -279,7 +279,6 @@ let finish t ~cycles ~mem_refs =
 
 let totals t = t.totals
 let fastpath t = t.fastpath
-let depth_hist t = t.depth_hist
 
 let rows t =
   Hashtbl.fold (fun _ r acc -> r :: acc) t.rows []
@@ -342,9 +341,9 @@ let summary t =
           })
         (rows t);
     s_depth_max =
-      (if Fpc_util.Histogram.count t.depth_hist = 0 then 0
-       else Fpc_util.Histogram.max_value t.depth_hist);
-    s_depth_mean = Fpc_util.Histogram.mean t.depth_hist;
+      (if Fpc_util.Histogram.count t.call_depths = 0 then 0
+       else Fpc_util.Histogram.max_value t.call_depths);
+    s_depth_mean = Fpc_util.Histogram.mean t.call_depths;
   }
 
 let summary_to_json s =
@@ -446,8 +445,8 @@ let render ?dropped t =
        "frames: %d allocs (%d via free-frame stack, %d software), %d frees (%d to free-frame stack)"
        fp.fp_frame_allocs fp.fp_ff_allocs fp.fp_sw_allocs fp.fp_frame_frees
        fp.fp_ff_frees);
-  (if Fpc_util.Histogram.count t.depth_hist > 0 then
-     let h = t.depth_hist in
+  (if Fpc_util.Histogram.count t.call_depths > 0 then
+     let h = t.call_depths in
      add_note table
        (Printf.sprintf "call depth: mean %.1f, p50 %d, p90 %d, max %d"
           (Fpc_util.Histogram.mean h)

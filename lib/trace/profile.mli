@@ -78,9 +78,6 @@ val rows : t -> row list
     ["(outside)"] rows when cost fell outside known procedures; sorted by
     exclusive cycles, descending. *)
 
-val depth_hist : t -> Fpc_util.Histogram.t
-(** Call depth observed at each call event. *)
-
 val render : ?dropped:int -> t -> string
 (** The profile as an aligned table with totals, fast-path counters and
     the depth histogram as notes.  [dropped] (from the sink) adds a

@@ -1,7 +1,7 @@
-(* Small non-negative values (call depths, run lengths — the per-transfer
-   hot path) are counted in a dense array; everything else falls back to a
-   hashtable of refs.  [add] on the dense path touches no allocator, which
-   keeps per-transfer bookkeeping allocation-free. *)
+(* Small non-negative values (call depths, run lengths, frame sizes) are
+   counted in a dense array; everything else falls back to a hashtable of
+   refs.  [add] on the dense path touches no allocator, so a trace
+   listener can count every transfer event without allocating. *)
 
 let dense_limit = 256
 
@@ -30,8 +30,8 @@ let add_many t v ~count =
     t.total <- t.total + (v * count)
   end
 
-(* Inlined into the per-transfer bookkeeping; the sparse fallback stays
-   one out-of-line call. *)
+(* Inlined into per-event listeners; the sparse fallback stays one
+   out-of-line call. *)
 let[@inline] add t v =
   if v >= 0 && v < dense_limit then begin
     t.dense.(v) <- t.dense.(v) + 1;

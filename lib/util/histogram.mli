@@ -9,8 +9,9 @@ val create : unit -> t
 (** An empty histogram. *)
 
 val add : t -> int -> unit
-(** Record one observation.  Allocation-free for values in [0, 255] (the
-    per-transfer call-depth / run-length hot path). *)
+(** Record one observation.  Allocation-free for values in [0, 255], the
+    range of the call depths and run lengths a trace listener counts per
+    transfer event. *)
 
 val reset : t -> unit
 (** Forget all observations, keeping the structure for reuse. *)

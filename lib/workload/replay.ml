@@ -230,63 +230,3 @@ let replay_allocator ?(ladder = Size_class.default) ?(coroutines = 4) events =
     al_mem_refs_per_free =
       (if !frees = 0 then 0.0 else float_of_int !free_reads /. float_of_int !frees);
   }
-
-(* ------------------------------------------------------------------ *)
-
-type baseline_result = {
-  bl_words_written : int;
-  bl_words_read : int;
-  bl_high_water_total : int;
-  bl_calls : int;
-}
-
-let replay_baseline ?(config = Fpc_baseline.Stack_machine.default_config)
-    ?(coroutines = 4) events =
-  let open Fpc_baseline in
-  let cost = Cost.create () in
-  let mem = Memory.create ~cost ~size_words:(1 lsl 18) () in
-  (* Partition storage into one contiguous stack region per activity —
-     the LIFO architecture's requirement. *)
-  let region = Memory.size mem / max 1 coroutines in
-  let machines =
-    Array.init (max 1 coroutines) (fun i ->
-        Stack_machine.create ~config ~mem ~stack_base:(i * region)
-          ~stack_limit:(((i + 1) * region) - 1) ())
-  in
-  let acts = { ring = [ [ 0 ] ]; limit = max 1 coroutines } in
-  let next_id = ref 0 in
-  let spawn () =
-    incr next_id;
-    !next_id
-  in
-  let depth_guard = Array.make (Array.length machines) 0 in
-  List.iter
-    (fun (e : Synthetic.event) ->
-      let act = current acts in
-      let sm = machines.(act mod Array.length machines) in
-      match e with
-      | Synthetic.Call payload ->
-        Stack_machine.call sm ~nargs:(min 4 payload) ~locals_words:payload;
-        depth_guard.(act mod Array.length machines) <-
-          depth_guard.(act mod Array.length machines) + 1;
-        push_frame acts act
-      | Synthetic.Return -> (
-        match pop_frame acts with
-        | None -> ()
-        | Some _ ->
-          if depth_guard.(act mod Array.length machines) > 0 then begin
-            Stack_machine.return_ sm;
-            depth_guard.(act mod Array.length machines) <-
-              depth_guard.(act mod Array.length machines) - 1
-          end)
-      | Synthetic.Coroutine_switch | Synthetic.Process_switch ->
-        rotate acts ~spawn)
-    events;
-  let total_calls = Array.fold_left (fun acc sm -> acc + Stack_machine.calls sm) 0 machines in
-  let hw = Array.fold_left (fun acc sm -> acc + Stack_machine.high_water sm) 0 machines in
-  {
-    bl_words_written = Cost.mem_writes cost;
-    bl_words_read = Cost.mem_reads cost;
-    bl_high_water_total = hw;
-    bl_calls = total_calls;
-  }

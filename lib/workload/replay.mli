@@ -42,16 +42,3 @@ val replay_allocator :
   ?coroutines:int ->
   Synthetic.event list ->
   alloc_result
-
-type baseline_result = {
-  bl_words_written : int;
-  bl_words_read : int;
-  bl_high_water_total : int;  (** sum of per-activity stack high-water marks *)
-  bl_calls : int;
-}
-
-val replay_baseline :
-  ?config:Fpc_baseline.Stack_machine.config ->
-  ?coroutines:int ->
-  Synthetic.event list ->
-  baseline_result

@@ -75,6 +75,31 @@ let test_e6 () =
   check_band ~what:"8 banks" ~lo:0.0 ~hi:0.01
     (headline "bank_overflow" "synthetic_rate_8_banks")
 
+(* E6's locality table, pinned row for row: depth p50 / p95 / max, run p95
+   / max and runs <= 4 for every sequential suite program (engine I2) and
+   the calibrated synthetic trace. *)
+let test_e6_locality () =
+  Alcotest.(check (list (list string)))
+    "locality rows"
+    [
+      [ "fib"; "9"; "12"; "14"; "5"; "14"; "93.8%" ];
+      [ "ackermann"; "27"; "52"; "63"; "2"; "61"; "97.6%" ];
+      [ "sieve"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "callchain"; "2"; "3"; "3"; "3"; "3"; "100.0%" ];
+      [ "leafcalls"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "mixed"; "1"; "2"; "2"; "1"; "2"; "100.0%" ];
+      [ "deep"; "100"; "191"; "201"; "201"; "201"; "0.0%" ];
+      [ "hanoi"; "7"; "8"; "8"; "5"; "8"; "94.1%" ];
+      [ "matmul"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "knapsack"; "7"; "9"; "9"; "7"; "9"; "80.0%" ];
+      [ "fibleaf"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "ackerlite"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "xleaf"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "polyleaf"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "synthetic (calibrated)"; "8"; "10"; "14"; "2"; "6"; "100.0%" ];
+    ]
+    (Fpc_experiments.E06_bank_overflow.locality_rows ())
+
 (* E7: 95% of frames below 80 bytes; effective allocation ~0.8x fast. *)
 let test_e7 () =
   check_band ~what:"<=80B fraction" ~lo:0.93 ~hi:0.97
@@ -197,6 +222,7 @@ let () =
           case "E4 frame allocator" test_e4;
           case "E5 directcall space" test_e5;
           case "E6 bank overflow" test_e6;
+          case "E6 locality table" test_e6_locality;
           case "E7 frame sizes" test_e7;
           case "E8 argument passing" test_e8;
           case "E9 bank vs cache" test_e9;

@@ -122,9 +122,8 @@ let test_software_only_mode () =
   let av, cost, _ = make_av ~mode:Alloc_vector.Software_only () in
   let before_cycles = Cost.cycles cost in
   let lf = Alloc_vector.alloc_words av ~cost ~body_words:8 in
-  let p = Cost.params cost in
   Alcotest.(check bool) "charged software cost" true
-    (Cost.cycles cost - before_cycles >= p.software_alloc_cycles);
+    (Cost.cycles cost - before_cycles >= Cost.params.software_alloc_cycles);
   Alcotest.(check int) "no fast-path refs" 0 (Cost.mem_refs cost);
   Alloc_vector.free av ~cost ~lf;
   let s = Alloc_vector.stats av in

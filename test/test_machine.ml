@@ -6,31 +6,95 @@ let qtest = QCheck_alcotest.to_alcotest
 
 (* ---- Cost ---- *)
 
+let counts c =
+  [
+    ("reads", Cost.mem_reads c);
+    ("writes", Cost.mem_writes c);
+    ("bank refs", Cost.bank_refs c);
+    ("dispatches", Cost.dispatches c);
+    ("jumps", Cost.jumps c);
+    ("traps", Cost.traps c);
+    ("software allocs", Cost.software_allocs c);
+    ("diversions", Cost.diversions c);
+  ]
+
+(* Every charge moves counts only; cycles are the counts weighted by the
+   cost table. *)
 let test_cost_charges () =
   let c = Cost.create () in
   Cost.mem_read c;
   Cost.mem_read c;
   Cost.mem_write c;
-  Cost.dispatch c;
-  Cost.jump c;
-  Alcotest.(check int) "reads" 2 (Cost.mem_reads c);
-  Alcotest.(check int) "writes" 1 (Cost.mem_writes c);
-  Alcotest.(check int) "refs" 3 (Cost.mem_refs c);
-  let p = Cost.params c in
-  Alcotest.(check int) "cycles"
-    ((3 * p.mem_ref_cycles) + p.dispatch_cycles + p.jump_cycles)
-    (Cost.cycles c)
-
-let test_cost_snapshot_delta () =
-  let c = Cost.create () in
-  Cost.mem_read c;
-  let before = Cost.snapshot c in
-  Cost.mem_write c;
   Cost.bank_ref c;
-  let d = Cost.delta ~before ~after:(Cost.snapshot c) in
-  Alcotest.(check int) "delta writes" 1 d.s_mem_writes;
-  Alcotest.(check int) "delta reads" 0 d.s_mem_reads;
-  Alcotest.(check int) "delta banks" 1 d.s_bank_refs
+  Cost.dispatch c;
+  Cost.bank_ref_n c 5;
+  Cost.refs_n c ~reads:3 ~writes:2;
+  Cost.block_bill c ~instrs:10 ~reads:4 ~writes:1;
+  (* the tier undoes a declined batch by billing its negation *)
+  Cost.block_bill c ~instrs:(-3) ~reads:(-1) ~writes:(-1);
+  Cost.jump c;
+  Cost.jump c;
+  Cost.trap c;
+  Cost.software_alloc c;
+  Cost.divert c;
+  Alcotest.(check (list (pair string int)))
+    "counts"
+    [
+      ("reads", 8);
+      ("writes", 3);
+      ("bank refs", 6);
+      ("dispatches", 8);
+      ("jumps", 2);
+      ("traps", 1);
+      ("software allocs", 1);
+      ("diversions", 1);
+    ]
+    (counts c);
+  Alcotest.(check int) "refs" 11 (Cost.mem_refs c);
+  let p = Cost.params in
+  Alcotest.(check int) "cycles are the dot product"
+    ((11 * p.mem_ref_cycles) + (6 * p.bank_ref_cycles) + (8 * p.dispatch_cycles)
+    + (2 * p.jump_cycles) + p.trap_cycles + p.software_alloc_cycles + p.divert_cycles)
+    (Cost.cycles c);
+  Alcotest.(check int) "cycles under the documented table" 214 (Cost.cycles c);
+  Cost.reset c;
+  Alcotest.(check (list (pair string int)))
+    "counts reset"
+    (List.map (fun (what, _) -> (what, 0)) (counts c))
+    (counts c);
+  Alcotest.(check int) "cycles reset" 0 (Cost.cycles c)
+
+(* Under the [Divert] policy a pointer read into a shadowed window costs
+   one bank reference, like a local's, plus the diversion penalty. *)
+let test_cost_divert () =
+  let open Fpc_regbank in
+  let cost = Cost.create () in
+  let mem = Memory.create ~cost ~size_words:(1 lsl 16) () in
+  let ladder = Fpc_frames.Size_class.default in
+  let config = { Bank_file.default_config with pointer_policy = Bank_file.Divert } in
+  let bf = Bank_file.create ~config ~mem ~cost ~ladder () in
+  let block = 8192 in
+  Memory.poke mem block
+    (Option.get
+       (Fpc_frames.Size_class.index_for_block ladder
+          (Fpc_frames.Frame.block_words_for_locals 8)));
+  let lf = Fpc_frames.Frame.lf_of_block block in
+  Bank_file.on_call bf ~callee_lf:lf ~payload_words:8 ~args:[| 21 |];
+  let charge f =
+    let cycles = Cost.cycles cost and banks = Cost.bank_refs cost in
+    let divs = Cost.diversions cost in
+    ignore (f ());
+    (Cost.cycles cost - cycles, Cost.bank_refs cost - banks, Cost.diversions cost - divs)
+  in
+  let plain, plain_banks, plain_divs =
+    charge (fun () -> Bank_file.read_local bf ~lf ~index:0)
+  in
+  let diverted, diverted_banks, diverted_divs =
+    charge (fun () -> Bank_file.data_read bf ~addr:lf)
+  in
+  Alcotest.(check (list int)) "plain bank ref" [ 1; 0 ] [ plain_banks; plain_divs ];
+  Alcotest.(check (list int)) "diverted read" [ 1; 1 ] [ diverted_banks; diverted_divs ];
+  Alcotest.(check int) "penalty" 4 (diverted - plain)
 
 let test_cost_reset () =
   let c = Cost.create () in
@@ -329,8 +393,7 @@ let test_cache_rates_and_cycles () =
     done
   done;
   Alcotest.(check bool) "looping working set mostly hits" true (Cache.hit_rate c > 0.9);
-  let p = Cost.default_params in
-  Alcotest.(check bool) "cycles positive" true (Cache.cycles c ~params:p > 0);
+  Alcotest.(check bool) "cycles positive" true (Cache.cycles c > 0);
   Cache.reset c;
   Alcotest.(check int) "reset" 0 (Cache.accesses c)
 
@@ -345,7 +408,7 @@ let () =
       ( "cost",
         [
           Alcotest.test_case "charges" `Quick test_cost_charges;
-          Alcotest.test_case "snapshot delta" `Quick test_cost_snapshot_delta;
+          Alcotest.test_case "divert charge" `Quick test_cost_divert;
           Alcotest.test_case "reset" `Quick test_cost_reset;
         ] );
       ( "memory",

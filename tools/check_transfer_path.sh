@@ -9,7 +9,9 @@
 # compare can creep into their hot paths unnoticed — and so is Opcode,
 # whose effect table the tier's block formation and fusion guards read.
 # Simple_links, I1's per-call link resolution, must not hash either: no
-# caml_hash and no Stdlib Hashtbl call.
+# caml_hash and no Stdlib Hashtbl call.  Transfer, State and Cost keep
+# counts only: no Histogram call, since the call-depth and run-length
+# statistics are derived from the transfer events.
 #
 # Run from the root of a checkout after `dune build` (default profile):
 #
@@ -55,8 +57,14 @@ check "$build/lib/core/.fpc_core.objs/native/fpc_core__Simple_links.o" \
   "$generic|caml_hash|camlStdlib__Hashtbl[.][a-z_]+_[0-9]+"
 check "$build/lib/regbank/.fpc_regbank.objs/native/fpc_regbank__Bank_file.o" \
   "$generic|camlStdlib__Array[.]fill_[0-9]+"
+for m in \
+  core/.fpc_core.objs/native/fpc_core__Transfer \
+  core/.fpc_core.objs/native/fpc_core__State \
+  machine/.fpc_machine.objs/native/fpc_machine__Cost; do
+  check "$build/lib/$m.o" "camlFpc_util__Histogram([.][A-Za-z0-9_]+)?"
+done
 
 if [ $status -eq 0 ]; then
-  echo "transfer path: no generic comparison, polymorphic min/max, bank Array.fill or I1 link hashing"
+  echo "transfer path: no generic comparison, polymorphic min/max, bank Array.fill, I1 link hashing or histogram"
 fi
 exit $status
