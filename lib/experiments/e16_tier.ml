@@ -18,8 +18,6 @@
 
 open Fpc_util
 
-let timing_reps = 5
-
 type tally = {
   mutable instrs : int;
   mutable super : int;
@@ -30,60 +28,28 @@ type tally = {
   mutable tier_s : float;
 }
 
-let fingerprint (st : Fpc_core.State.t) =
-  let m = st.metrics in
-  ( Fpc_core.State.output st,
-    m.instructions,
-    Fpc_machine.Cost.cycles st.cost,
-    Fpc_machine.Cost.mem_refs st.cost,
-    (m.calls, m.returns, m.other_xfers, m.fast_transfers) )
-
-(* Every run gets a fresh clone of the pristine image: execution mutates
-   global frames, so reusing one image across runs would leak state.  The
-   translation itself is clone-invariant (derived from the shared code
-   bytes). *)
-let boot ~image ~engine =
-  let image = Fpc_mesa.Image.clone image in
-  Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main" ~args:[]
-    ()
-
-(* Median-of-reps wall time for [f] applied to a freshly booted state:
-   robust to a noisy host, and boot cost is paid identically on both
-   sides of the comparison. *)
-let time_runs ~image ~engine f =
-  let samples =
-    List.init timing_reps (fun _ ->
-        let st = boot ~image ~engine in
-        let t0 = Fpc_util.Clock.now () in
-        f st;
-        Fpc_util.Clock.now () -. t0)
-  in
-  match List.sort compare samples with
-  | [] -> 0.0
-  | sorted -> List.nth sorted (timing_reps / 2)
-
 let run_engine (tally : tally) engine =
   List.iter
     (fun program ->
       let convention = Fpc_compiler.Convention.for_engine engine in
       let image = Harness.image_of ~convention ~program () in
       let tr = Fpc_tier.Tier.translate image in
-      let sti = boot ~image ~engine in
+      let sti = Harness.boot ~image ~engine in
       Fpc_interp.Interp.run sti;
       Harness.must_halt sti;
-      let stc = boot ~image ~engine in
+      let stc = Harness.boot ~image ~engine in
       Fpc_tier.Tier.run tr stc;
       Harness.must_halt stc;
-      if fingerprint sti <> fingerprint stc then
+      if Harness.fingerprint sti <> Harness.fingerprint stc then
         tally.mismatches <- tally.mismatches + 1;
       tally.instrs <- tally.instrs + stc.metrics.instructions;
       tally.super <- tally.super + stc.metrics.tier_super_instrs;
       tally.fast <- tally.fast + stc.metrics.tier_fast_instrs;
       tally.deopts <- tally.deopts + stc.metrics.tier_deopts;
       tally.interp_s <-
-        tally.interp_s +. time_runs ~image ~engine Fpc_interp.Interp.run;
+        tally.interp_s +. Harness.time_runs ~image ~engine Fpc_interp.Interp.run;
       tally.tier_s <-
-        tally.tier_s +. time_runs ~image ~engine (Fpc_tier.Tier.run tr))
+        tally.tier_s +. Harness.time_runs ~image ~engine (Fpc_tier.Tier.run tr))
     Fpc_workload.Programs.names
 
 let run () =

@@ -20,42 +20,15 @@
 
 open Fpc_util
 
-let timing_reps = 5
-
-let fingerprint (st : Fpc_core.State.t) =
-  let m = st.metrics in
-  ( Fpc_core.State.output st,
-    m.instructions,
-    Fpc_machine.Cost.cycles st.cost,
-    Fpc_machine.Cost.mem_refs st.cost,
-    (m.calls, m.returns, m.other_xfers, m.fast_transfers) )
-
-let boot ~image ~engine =
-  let image = Fpc_mesa.Image.clone image in
-  Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main" ~args:[]
-    ()
-
-let time_runs ~image ~engine f =
-  let samples =
-    List.init timing_reps (fun _ ->
-        let st = boot ~image ~engine in
-        let t0 = Fpc_util.Clock.now () in
-        f st;
-        Fpc_util.Clock.now () -. t0)
-  in
-  match List.sort compare samples with
-  | [] -> 0.0
-  | sorted -> List.nth sorted (timing_reps / 2)
-
 (* ---- differential: suite + synthetic + forced mid-run relink ---- *)
 
 let check ~image ~engine =
   let tr = Fpc_tier.Tier.translate image in
-  let sti = boot ~image ~engine in
+  let sti = Harness.boot ~image ~engine in
   Fpc_interp.Interp.run sti;
-  let stc = boot ~image ~engine in
+  let stc = Harness.boot ~image ~engine in
   Fpc_tier.Tier.run tr stc;
-  if fingerprint sti = fingerprint stc then 0 else 1
+  if Harness.fingerprint sti = Harness.fingerprint stc then 0 else 1
 
 let suite_mismatches engine =
   let convention = Fpc_compiler.Convention.for_engine engine in
@@ -164,7 +137,7 @@ let relink_mismatches engine =
         run_with_relink ~pause
           (fun ~max_steps st -> Fpc_interp.Interp.run ~max_steps st)
           image st;
-        fingerprint st
+        Harness.fingerprint st
       in
       let image = relink_image ~engine in
       let st = relink_boot ~image ~engine in
@@ -173,7 +146,7 @@ let relink_mismatches engine =
         (fun ~max_steps st -> Fpc_tier.Tier.run ~max_steps tr st)
         image st;
       let landed = Fpc_core.State.output st <> plain in
-      acc + (if fingerprint st = reference && landed then 0 else 1))
+      acc + (if Harness.fingerprint st = reference && landed then 0 else 1))
     0 relink_pauses
 
 (* ---- the call-dense kernels: coverage, laziness, speedup ---- *)
@@ -191,15 +164,15 @@ let measure_kernel ~engine program =
   let convention = Fpc_compiler.Convention.for_engine engine in
   let image = Harness.image_of ~convention ~program () in
   let tr, _ = Fpc_tier.Tier.of_image image in
-  let cold = boot ~image ~engine in
+  let cold = Harness.boot ~image ~engine in
   Fpc_tier.Tier.run tr cold;
   Harness.must_halt cold;
-  let warm = boot ~image ~engine in
+  let warm = Harness.boot ~image ~engine in
   Fpc_tier.Tier.run tr warm;
   Harness.must_halt warm;
   let m = cold.metrics in
-  let interp_s = time_runs ~image ~engine Fpc_interp.Interp.run in
-  let tier_s = time_runs ~image ~engine (Fpc_tier.Tier.run tr) in
+  let interp_s = Harness.time_runs ~image ~engine Fpc_interp.Interp.run in
+  let tier_s = Harness.time_runs ~image ~engine (Fpc_tier.Tier.run tr) in
   {
     coverage = Harness.ratio m.tier_fused_calls m.calls;
     lazy_cold = m.tier_lazy_translations;

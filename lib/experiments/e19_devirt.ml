@@ -21,19 +21,6 @@
 
 open Fpc_util
 
-let fingerprint (st : Fpc_core.State.t) =
-  let m = st.metrics in
-  ( Fpc_core.State.output st,
-    m.instructions,
-    Fpc_machine.Cost.cycles st.cost,
-    Fpc_machine.Cost.mem_refs st.cost,
-    (m.calls, m.returns, m.other_xfers, m.fast_transfers) )
-
-let boot ~image ~engine =
-  let image = Fpc_mesa.Image.clone image in
-  Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main" ~args:[]
-    ()
-
 let compile ~convention ~devirt source =
   match Fpc_compiler.Compile.image ~convention ~devirt source with
   | Ok image -> image
@@ -49,16 +36,16 @@ let check ~engine source =
   let base = compile ~convention ~devirt:false source in
   let dv = compile ~convention ~devirt:true source in
   let base_out =
-    let st = boot ~image:base ~engine in
+    let st = Harness.boot ~image:base ~engine in
     Fpc_interp.Interp.run st;
     Fpc_core.State.output st
   in
-  let sti = boot ~image:dv ~engine in
+  let sti = Harness.boot ~image:dv ~engine in
   Fpc_interp.Interp.run sti;
   let tr = Fpc_tier.Tier.translate dv in
-  let stc = boot ~image:dv ~engine in
+  let stc = Harness.boot ~image:dv ~engine in
   Fpc_tier.Tier.run tr stc;
-  if Fpc_core.State.output sti = base_out && fingerprint stc = fingerprint sti
+  if Fpc_core.State.output sti = base_out && Harness.fingerprint stc = Harness.fingerprint sti
   then 0
   else 1
 

@@ -35,4 +35,27 @@ let run_suite ?(engine = Fpc_core.Engine.i2)
     ?(programs = Fpc_workload.Programs.names) () =
   List.map (fun p -> (p, run_one ~engine ~program:p ())) programs
 
+(* Every run gets a fresh clone of the pristine image: execution mutates
+   global frames, so reusing one image across runs would leak state.  A
+   translation is clone-invariant (derived from the shared code bytes). *)
+let boot ~image ~engine =
+  let image = Fpc_mesa.Image.clone image in
+  Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main" ~args:[] ()
+
+let fingerprint = Fpc_interp.Interp.outcome
+
+let timing_reps = 5
+
+(* Boot cost is paid identically on both sides of a comparison, and the
+   median is robust to a noisy host. *)
+let time_runs ~image ~engine f =
+  let samples =
+    List.init timing_reps (fun _ ->
+        let st = boot ~image ~engine in
+        let t0 = Fpc_util.Clock.now () in
+        f st;
+        Fpc_util.Clock.now () -. t0)
+  in
+  List.nth (List.sort Float.compare samples) (timing_reps / 2)
+
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b

@@ -29,5 +29,20 @@ val run_suite :
 val must_halt : Fpc_core.State.t -> unit
 (** Raises [Failure] unless the run halted normally. *)
 
+val boot : image:Fpc_mesa.Image.t -> engine:Fpc_core.Engine.t -> Fpc_core.State.t
+(** A machine ready to run [Main.main] on a fresh clone of [image]. *)
+
+val fingerprint : Fpc_core.State.t -> Fpc_interp.Interp.outcome
+(** Everything a differential compares after a run: status, output,
+    final stack, meters, transfer counts and the fast-path record. *)
+
+val time_runs :
+  image:Fpc_mesa.Image.t ->
+  engine:Fpc_core.Engine.t ->
+  (Fpc_core.State.t -> unit) ->
+  float
+(** Median host wall time, in seconds, of 5 runs of the runner on a
+    freshly {!boot}ed machine each. *)
+
 val ratio : int -> int -> float
 (** [ratio a b] = a/b as float; 0 when [b] = 0. *)

@@ -73,12 +73,31 @@ let taken (st : State.t) target =
   Cost.jump st.cost;
   st.pc_abs <- target
 
-let div_or_mod (st : State.t) ~is_div =
-  let b = Eval_stack.pop st.stack in
-  let a = Eval_stack.pop st.stack in
-  if signed b = 0 then raise (Transfer.Machine_trap State.Div_zero);
-  Eval_stack.push st.stack
-    (word (if is_div then signed a / signed b else signed a mod signed b))
+(* The value of a two-operand operator on words [a] (left) and [b]: the
+   one definition both executors compute it by.  DIV and MOD truncate
+   toward zero, as OCaml's [/] and [mod] do, and trap on a zero divisor.
+   Inlined into every caller, where it is one short jump table on the
+   operator: as a call from the compiled tier's fused code it took a
+   measurable share of a serving mix's samples. *)
+let[@inline] binop (op : Fpc_isa.Opcode.t) a b =
+  match op with
+  | Add -> word (signed a + signed b)
+  | Sub -> word (signed a - signed b)
+  | Mul -> word (signed a * signed b)
+  | Band -> a land b
+  | Bor -> a lor b
+  | Bxor -> a lxor b
+  | Lt -> if signed a < signed b then 1 else 0
+  | Le -> if signed a <= signed b then 1 else 0
+  | Eq -> if signed a = signed b then 1 else 0
+  | Ne -> if signed a <> signed b then 1 else 0
+  | Ge -> if signed a >= signed b then 1 else 0
+  | Gt -> if signed a > signed b then 1 else 0
+  | Div | Mod ->
+    let d = signed b in
+    if d = 0 then raise (Transfer.Machine_trap State.Div_zero);
+    word (match op with Div -> signed a / d | _ -> signed a mod d)
+  | _ -> invalid_arg "Interp.binop: not a two-operand operator"
 
 let exec (st : State.t) ~instr_pc (op : Fpc_isa.Opcode.t) =
   let stack = st.stack in
@@ -141,55 +160,12 @@ let exec (st : State.t) ~instr_pc (op : Fpc_isa.Opcode.t) =
     let a = Eval_stack.peek stack in
     Eval_stack.push stack b;
     Eval_stack.push stack a
-  | Add ->
+  | Add | Sub | Mul | Div | Mod | Band | Bor | Bxor | Lt | Le | Eq | Ne | Ge | Gt ->
     let b = Eval_stack.pop stack in
     let a = Eval_stack.pop stack in
-    Eval_stack.push stack (word (signed a + signed b))
-  | Sub ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (word (signed a - signed b))
-  | Mul ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (word (signed a * signed b))
-  | Div -> div_or_mod st ~is_div:true
-  | Mod -> div_or_mod st ~is_div:false
+    Eval_stack.push stack (binop op a b)
   | Neg -> Eval_stack.push stack (word (-signed (Eval_stack.pop stack)))
-  | Band ->
-    let b = Eval_stack.pop stack in
-    Eval_stack.push stack (Eval_stack.pop stack land b)
-  | Bor ->
-    let b = Eval_stack.pop stack in
-    Eval_stack.push stack (Eval_stack.pop stack lor b)
-  | Bxor ->
-    let b = Eval_stack.pop stack in
-    Eval_stack.push stack (Eval_stack.pop stack lxor b)
   | Bnot -> Eval_stack.push stack (Eval_stack.pop stack lxor 0xFFFF)
-  | Lt ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (if signed a < signed b then 1 else 0)
-  | Le ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (if signed a <= signed b then 1 else 0)
-  | Eq ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (if signed a = signed b then 1 else 0)
-  | Ne ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (if signed a <> signed b then 1 else 0)
-  | Ge ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (if signed a >= signed b then 1 else 0)
-  | Gt ->
-    let b = Eval_stack.pop stack in
-    let a = Eval_stack.pop stack in
-    Eval_stack.push stack (if signed a > signed b then 1 else 0)
   | J d -> taken st (instr_pc + d)
   | Jz d -> if Eval_stack.pop stack = 0 then taken st (instr_pc + d)
   | Jnz d -> if Eval_stack.pop stack <> 0 then taken st (instr_pc + d)

@@ -64,13 +64,27 @@ val step : Fpc_core.State.t -> unit
     {!Fpc_core.Transfer.catch_traps}, which delivers them as traps, and a
     caller stepping by hand wraps the step in it. *)
 
+val binop : Fpc_isa.Opcode.t -> int -> int -> int
+(** [binop op a b]: the word a two-operand operator (ADD, SUB, MUL, DIV,
+    MOD, the three bitwise operators and the six signed comparisons)
+    leaves on the stack, given its left operand [a] and right operand [b]
+    as words.  Comparisons give 1 or 0; DIV and MOD truncate toward zero
+    and raise {!Fpc_core.Transfer.Machine_trap} [Div_zero] when [b] is 0.
+    {!exec} computes every such operator by it, and so does the compiled
+    tier's fused code. *)
+
+val taken : Fpc_core.State.t -> int -> unit
+(** [taken st target]: a jump taken to [target] — counted, charged and
+    the PC moved, as {!exec} does for J, JZ and JNZ. *)
+
 val exec : Fpc_core.State.t -> instr_pc:int -> Fpc_isa.Opcode.t -> unit
 (** The effect of one decoded instruction, exactly as the dispatch loop
     performs it — the PC must already have been advanced past the
     instruction.  May raise [Eval_stack.Overflow]/[Underflow] or
     {!Fpc_core.Transfer.Machine_trap}, as {!step} does.  Exposed so the
-    compiled tier ({!Fpc_tier}) can end a node on an instruction it does
-    not fuse with the single authoritative opcode semantics. *)
+    compiled tier ({!Fpc_tier}) runs every instruction whose effect it
+    does not prepay — inside a fused run, and the one that ends a node —
+    by the single authoritative opcode semantics. *)
 
 val run : ?max_steps:int -> Fpc_core.State.t -> unit
 (** Step until the machine halts or traps; [max_steps] (default 20

@@ -9,7 +9,6 @@ module Bank_file = Fpc_regbank.Bank_file
 module Interp = Fpc_interp.Interp
 
 let[@inline] word v = Fpc_util.Bits.to_word v
-let[@inline] signed v = Fpc_util.Bits.signed_of_unsigned ~width:16 v
 
 (* A node covers the straight-line block starting at its boundary: at
    most [block_cap] instructions, ending early at a terminator (anything
@@ -108,29 +107,27 @@ let guard_params ops =
 (* ------------------------------------------------------------------ *)
 (* Static accounting for a prepaid block, summed from the table's refs.
 
-   A fusable run's storage traffic splits into two kinds.  References
-   at {e static} offsets (LL/SL/LG/SG) have their whole bill — storage
-   references, local/global ref counters — computable at translate time;
-   when the block's runtime guard holds (no data trace, no register banks
-   shadowing the touched frame, every static address in range) the bill
-   is charged in one batch and the ops touch the store raw.  {e Dynamic}
-   references (indexed, indirect) still have a static bill — one
-   reference, one local/global/indirect counter tick — with only the
-   address unknown; they join the batch too, going through the unmetered
-   {!Memory.peek}/{!poke}, whose bounds check aborts exactly like the
-   metered access (which charges before checking).  An abort leaves the
-   rest of the batch billed but not run, so each dynamic access takes
-   that share back before re-raising ({!unbill}).  An address-only
-   reference (LLA) is billed nothing but needs banks absent. *)
+   A fusable run's storage references at {e static} offsets (LL/SL/LG/
+   SG) have their whole bill — storage references, local/global ref
+   counters — computable at translate time; when the block's runtime
+   guard holds (no data trace, no register banks shadowing the touched
+   frame, every static address in range) the bill is charged in one
+   batch and the ops touch the store raw.  {e Dynamic} references
+   (indexed, indirect) are not billed here: they run as {!Interp.exec},
+   metering themselves access by access exactly as in the interpreter
+   (which charges a reference before its bounds check).  A dynamic access
+   that aborts leaves the rest of the batch counted and billed but not
+   run, so it takes that share back before re-raising ({!unbill}).  An
+   address-only reference (LLA) is billed nothing but needs banks
+   absent. *)
 
 type acct = {
-  a_reads : int;
-  a_writes : int;
+  a_reads : int;  (** static storage reads *)
+  a_writes : int;  (** static storage writes *)
   a_g_reads : int;  (** the global-frame share of [a_reads] *)
   a_g_writes : int;  (** the global-frame share of [a_writes] *)
   a_lrefs : int;
   a_grefs : int;
-  a_irefs : int;
   a_max_l : int;  (** highest static local offset dereferenced; -1 none *)
   a_max_g : int;  (** highest static global offset dereferenced; -1 none *)
   a_no_banks : bool;
@@ -144,29 +141,32 @@ type acct = {
 
 let acct_of ops =
   let reads = ref 0 and writes = ref 0 and g_reads = ref 0 and g_writes = ref 0 in
-  let lrefs = ref 0 and grefs = ref 0 and irefs = ref 0 in
+  let lrefs = ref 0 and grefs = ref 0 in
   let max_l = ref (-1) and max_g = ref (-1) in
   let nb = ref false and bankable = ref true in
-  let one { Opcode.region; offset; access } =
-    (match access with
+  let bill access ~global =
+    match access with
+    | Opcode.Read ->
+      incr reads;
+      if global then incr g_reads
+    | Write ->
+      incr writes;
+      if global then incr g_writes
     | Address -> ()
-    | Read | Write ->
-      let total, g_total =
-        match access with Write -> (writes, g_writes) | Read | Address -> (reads, g_reads)
-      in
-      incr total;
-      match region with
-      | Local -> incr lrefs
-      | Global ->
-        incr grefs;
-        incr g_total
-      | Indirect -> incr irefs);
+  in
+  let one { Opcode.region; offset; access } =
     match (region, offset, access) with
-    | Global, Static n, _ -> if n > !max_g then max_g := n
-    | Global, Dynamic, _ -> ()
     | Local, Static n, (Read | Write) ->
+      bill access ~global:false;
+      incr lrefs;
       nb := true;
       if n > !max_l then max_l := n
+    | Global, Static n, (Read | Write) ->
+      bill access ~global:true;
+      incr grefs;
+      if n > !max_g then max_g := n
+    (* a dynamic global meters itself, and no bank shadows the global frame *)
+    | Global, _, _ -> ()
     | (Local | Indirect), _, _ ->
       nb := true;
       bankable := false
@@ -179,7 +179,6 @@ let acct_of ops =
     a_g_writes = !g_writes;
     a_lrefs = !lrefs;
     a_grefs = !grefs;
-    a_irefs = !irefs;
     a_max_l = !max_l;
     a_max_g = !max_g;
     a_no_banks = !nb;
@@ -191,8 +190,8 @@ let acct_of ops =
    value is known without touching the stack; when a peephole consumes
    it directly the elided push must still truncate to a word, exactly as
    {!Eval_stack.push} would have.  [plane] selects the access plane the
-   compiled closures touch variables through — chosen per batch at run
-   time, after the bill for that plane has been charged:
+   compiled closures touch static variables through — chosen per batch
+   at run time, after the bill for that plane has been charged:
 
    - [Raw]: the prepaid storage plane — bill already charged, addresses
      already guarded, banks absent;
@@ -209,7 +208,8 @@ let acct_of ops =
    [charge_and_run]).  Neither plane has an observable side effect on a
    variable read, so a peephole may read its operands in either order.
    The branch on the plane is resolved at closure-build time, and stored
-   words are already truncated. *)
+   words are already truncated.  What an operator computes is
+   {!Interp.binop}'s, on either plane. *)
 
 type plane = Raw | Bank
 
@@ -240,86 +240,35 @@ let[@inline] load ~plane (st : State.t) = function
     | Bank -> Bank_file.raw_read (bank_of st) ~lf:st.lf ~index:n)
   | Sglobal n -> Memory.prepaid_read st.mem (st.gf + Image.global_base + n)
 
-(* Operator dispatch through a known function: the operator is a
-   translation-time constant, so each call is a direct entry into a
-   short jump table — where calling a stored [int -> int -> int]
-   closure would go through the runtime's unknown-arity apply path on
-   every fused ALU op (measurably hot on the call-dense kernels).  Both
-   are inlined into each fused closure. *)
-let[@inline] exec_arith (op : Opcode.t) a b =
-  match op with
-  | Add -> word (signed a + signed b)
-  | Sub -> word (signed a - signed b)
-  | Mul -> word (signed a * signed b)
-  | Band -> a land b
-  | Bor -> a lor b
-  | Bxor -> a lxor b
-  | _ -> assert false
+(* A two-operand operator: {!Interp.binop}'s domain, which the peepholes
+   test.  Inside a run a DIV or MOD cannot trap: the run admits one only
+   right after a non-zero literal (see [split_fusable]). *)
+let is_binop op =
+  match Opcode.effects op with { cls = Pure; pops = 2; pushes = 1; _ } -> true | _ -> false
 
-(* [exec_arith]'s domain, which compile's peepholes test. *)
-let is_arith (op : Opcode.t) =
-  match op with Add | Sub | Mul | Band | Bor | Bxor -> true | _ -> false
-
-let[@inline] exec_cmp (op : Opcode.t) a b =
-  match op with
-  | Lt -> signed a < signed b
-  | Le -> signed a <= signed b
-  | Eq -> signed a = signed b
-  | Ne -> signed a <> signed b
-  | Ge -> signed a >= signed b
-  | Gt -> signed a > signed b
-  | _ -> assert false
-
-(* [exec_cmp]'s domain. *)
-let is_cmp (op : Opcode.t) =
-  match op with Lt | Le | Eq | Ne | Ge | Gt -> true | _ -> false
-
-(* The divisor a DIV or MOD [op] reads when [lit], right before it,
-   pushes a literal; 0 for any other pair.  A DIV or MOD by a non-zero
-   literal cannot trap, so it is fusable (see [split_fusable]). *)
-let lit_divisor (lit : Opcode.t) (op : Opcode.t) =
-  match (lit, op) with (Li c | Lpd c), (Div | Mod) -> signed (word c) | _ -> 0
-
-(* DIV/MOD by a non-zero divisor [c]: OCaml's truncating [/] and [mod],
-   exactly {!Interp}'s [div_or_mod] once its zero check has passed. *)
-let[@inline] exec_divmod (op : Opcode.t) a c =
-  match op with
-  | Div -> word (signed a / c)
-  | Mod -> word (signed a mod c)
-  | _ -> assert false
+(* Whether [op] is a DIV or MOD right after [lit], a literal with a
+   non-zero divisor: such a DIV or MOD cannot trap, so it is fusable
+   (see [split_fusable]). *)
+let lit_divides (lit : Opcode.t) (op : Opcode.t) =
+  match (lit, op) with (Li c | Lpd c), (Div | Mod) -> word c <> 0 | _ -> false
 
 (* A jump's [(jump_if_true, displacement)]: JZ jumps when the popped (or
-   elided comparison's) value is false, JNZ when it is true; J pops
-   nothing and always jumps. *)
+   elided operator's) value is zero, JNZ when it is not; J pops nothing
+   and always jumps. *)
 let cond (op : Opcode.t) =
   match op with Jz d -> (false, d) | Jnz d | J d -> (true, d) | _ -> assert false
 
-(* Exactly {!Interp}'s [taken]. *)
-let take_jump (st : State.t) target =
-  st.metrics.jumps_taken <- st.metrics.jumps_taken + 1;
-  Cost.jump st.cost;
-  st.pc_abs <- target
-
-(* One fusable instruction as a direct closure over unchecked stack
-   access — semantics identical to {!Interp.exec} under the block guard
-   ([unsafe_push] still truncates to a word).  Static local ops come in
-   both planes (see [plane] above); every other variable op touches the
-   store the same way on either, because dynamic-address and indirect
-   ops never qualify for [Bank], LLA disqualifies it, and globals are
-   never shadowed. *)
+(* One fusable instruction as a closure.  Only what the tier does
+   differently from the interpreter is written here: static variable
+   access on the prepaid planes (see [plane] above), NOP, and the jumps,
+   whose target is a translation-time constant.  Every other instruction
+   is {!Interp.exec} itself, under the block guard: the stack-only ops,
+   LRC, OUT, LGA, LLA (banks are absent wherever it runs, so there is no
+   frame to flag) and the dynamic-address ops, which meter their own
+   references. *)
 let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
     (k : State.t -> unit) : State.t -> unit =
   match op with
-  | Li n ->
-    let n = word n in
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack n;
-      k st
-  | Lpd w ->
-    let w = word w in
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack w;
-      k st
   | Ll n -> (
     match plane with
     | Raw ->
@@ -353,124 +302,22 @@ let compile_one ~plane ((pc, (op : Opcode.t), _) : int * Opcode.t * int)
         (st.gf + Image.global_base + n)
         (Eval_stack.unsafe_pop st.stack);
       k st
-  | Lla n ->
-    fun (st : State.t) ->
-      (* banks are absent under the prepaid guard, so no frame to flag *)
-      Eval_stack.unsafe_push st.stack (st.lf + n);
-      k st
-  | Lga n ->
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack (State.global_addr st n);
-      k st
-  | Llx n ->
-    fun (st : State.t) ->
-      let i = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack (Memory.peek st.mem (st.lf + n + i));
-      k st
-  | Slx n ->
-    fun (st : State.t) ->
-      let v = Eval_stack.unsafe_pop st.stack in
-      let i = Eval_stack.unsafe_pop st.stack in
-      Memory.poke st.mem (st.lf + n + i) v;
-      k st
-  | Lgx n ->
-    fun (st : State.t) ->
-      let i = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack
-        (Memory.peek st.mem (st.gf + Image.global_base + n + i));
-      k st
-  | Sgx n ->
-    fun (st : State.t) ->
-      let v = Eval_stack.unsafe_pop st.stack in
-      let i = Eval_stack.unsafe_pop st.stack in
-      Memory.poke st.mem (st.gf + Image.global_base + n + i) v;
-      k st
-  | Rload ->
-    fun (st : State.t) ->
-      let a = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack (Memory.peek st.mem a);
-      k st
-  | Rstore ->
-    fun (st : State.t) ->
-      let v = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_pop st.stack in
-      Memory.poke st.mem a v;
-      k st
-  | Ldfld i ->
-    fun (st : State.t) ->
-      let a = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack (Memory.peek st.mem (a + i));
-      k st
-  | Stfld i ->
-    fun (st : State.t) ->
-      let v = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_peek st.stack in
-      Memory.poke st.mem (a + i) v;
-      k st
-  | Dup ->
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack (Eval_stack.unsafe_peek st.stack);
-      k st
-  | Drop ->
-    fun (st : State.t) ->
-      ignore (Eval_stack.unsafe_pop st.stack);
-      k st
-  | Swap ->
-    fun (st : State.t) ->
-      let b = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack b;
-      Eval_stack.unsafe_push st.stack a;
-      k st
-  | Over ->
-    fun (st : State.t) ->
-      let b = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_peek st.stack in
-      Eval_stack.unsafe_push st.stack b;
-      Eval_stack.unsafe_push st.stack a;
-      k st
-  | Add | Sub | Mul | Band | Bor | Bxor ->
-    fun (st : State.t) ->
-      let b = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack (exec_arith op a b);
-      k st
-  | Neg ->
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack (-signed (Eval_stack.unsafe_pop st.stack));
-      k st
-  | Bnot ->
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack (Eval_stack.unsafe_pop st.stack lxor 0xFFFF);
-      k st
-  | Lt | Le | Eq | Ne | Ge | Gt ->
-    fun (st : State.t) ->
-      let b = Eval_stack.unsafe_pop st.stack in
-      let a = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack (if exec_cmp op a b then 1 else 0);
-      k st
-  | Lrc ->
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack st.return_ctx;
-      k st
-  | Out ->
-    fun (st : State.t) ->
-      State.emit st (Eval_stack.unsafe_pop st.stack);
-      k st
   | Nop -> k
   | J d ->
     let target = pc + d in
-    fun (st : State.t) -> take_jump st target
+    fun (st : State.t) -> Interp.taken st target
   | Jz d ->
     let target = pc + d in
     fun (st : State.t) ->
-      if Eval_stack.unsafe_pop st.stack = 0 then take_jump st target
+      if Eval_stack.unsafe_pop st.stack = 0 then Interp.taken st target
   | Jnz d ->
     let target = pc + d in
     fun (st : State.t) ->
-      if Eval_stack.unsafe_pop st.stack <> 0 then take_jump st target
-  | Halt -> fun (st : State.t) -> st.status <- State.Halted
-  | _ -> invalid_arg "Tier.compile_one: not fusable"
+      if Eval_stack.unsafe_pop st.stack <> 0 then Interp.taken st target
+  | _ ->
+    fun (st : State.t) ->
+      Interp.exec st ~instr_pc:pc op;
+      k st
 
 let is_dynamic op =
   List.exists
@@ -481,10 +328,10 @@ let is_dynamic op =
    [Invalid_argument] in the middle of a batch that was counted and
    billed in full before it ran.  The interpreter stops having counted
    and charged up to and including the aborting access, with the PC past
-   it.  [unbill ~plane ~tail ~next rest] takes back what the batch
-   charged for the instructions after the access: [rest], plus [tail]
-   joined instructions that follow the run (the step's follower, a
-   spliced leaf's RETURN). *)
+   it.  The access has metered itself; [unbill ~plane ~tail ~next rest]
+   takes back what the batch charged for the instructions after it:
+   [rest], plus [tail] joined instructions that follow the run (the
+   step's follower, a spliced leaf's RETURN). *)
 let unbill ~plane ~tail ~next rest =
   let n = List.length rest + tail in
   let a = acct_of rest in
@@ -495,7 +342,6 @@ let unbill ~plane ~tail ~next rest =
     st.pc_abs <- next;
     m.local_refs <- m.local_refs - a.a_lrefs;
     m.global_refs <- m.global_refs - a.a_grefs;
-    m.indirect_refs <- m.indirect_refs - a.a_irefs;
     match plane with
     | Raw ->
       Cost.block_bill st.cost ~instrs:(-n) ~reads:(-a.a_reads)
@@ -516,87 +362,70 @@ let rec compile ~plane ~tail ~last (ops : (int * Opcode.t * int) list) :
   let compile ~plane ~tail ops = compile ~plane ~tail ~last ops in
   match ops with
   | [] -> last
-  (* LOAD a; LOAD b; CMP; Jcond — the compare-and-branch idiom *)
+  (* LOAD a; LOAD b; BINOP; Jcond — the compare-and-branch idiom *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: [ (jp, ((Jz _ | Jnz _) as jop), _) ]
-    when is_src o1 && is_src o2 && is_cmp o3 ->
+    when is_src o1 && is_src o2 && is_binop o3 ->
     let a = sval o1 and b = sval o2 in
     let jnz, d = cond jop in
     let target = jp + d in
     fun (st : State.t) ->
       let av = load ~plane st a in
       let bv = load ~plane st b in
-      if exec_cmp o3 av bv = jnz then take_jump st target
-  (* LOAD b; CMP; Jcond — left operand from the stack *)
+      if (Interp.binop o3 av bv <> 0) = jnz then Interp.taken st target
+  (* LOAD b; BINOP; Jcond — left operand from the stack *)
   | (_, o1, _) :: (_, o2, _) :: [ (jp, ((Jz _ | Jnz _) as jop), _) ]
-    when is_src o1 && is_cmp o2 ->
+    when is_src o1 && is_binop o2 ->
     let b = sval o1 in
     let jnz, d = cond jop in
     let target = jp + d in
     fun (st : State.t) ->
       let bv = load ~plane st b in
       let av = Eval_stack.unsafe_pop st.stack in
-      if exec_cmp o2 av bv = jnz then take_jump st target
-  (* LOAD a; LOAD b; ARITH; store — the assignment statement idiom
+      if (Interp.binop o2 av bv <> 0) = jnz then Interp.taken st target
+  (* LOAD a; LOAD b; BINOP; store — the assignment statement idiom
      (x := a OP b), with no stack traffic at all *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: (_, Sl n, _) :: rest
-    when is_src o1 && is_src o2 && is_arith o3 ->
+    when is_src o1 && is_src o2 && is_binop o3 ->
     let a = sval o1 and b = sval o2 in
     let k = compile ~plane ~tail rest in
     (match plane with
     | Raw ->
       fun (st : State.t) ->
         Memory.prepaid_write st.mem (st.lf + n)
-          (exec_arith o3 (load ~plane:Raw st a) (load ~plane:Raw st b));
+          (Interp.binop o3 (load ~plane:Raw st a) (load ~plane:Raw st b));
         k st
     | Bank ->
       fun (st : State.t) ->
         Bank_file.raw_write (bank_of st) ~lf:st.lf ~index:n
-          (exec_arith o3 (load ~plane:Bank st a) (load ~plane:Bank st b));
+          (Interp.binop o3 (load ~plane:Bank st a) (load ~plane:Bank st b));
         k st)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: (_, Sg n, _) :: rest
-    when is_src o1 && is_src o2 && is_arith o3 ->
+    when is_src o1 && is_src o2 && is_binop o3 ->
     let a = sval o1 and b = sval o2 in
     let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       Memory.prepaid_write st.mem
         (st.gf + Image.global_base + n)
-        (exec_arith o3 (load ~plane st a) (load ~plane st b));
+        (Interp.binop o3 (load ~plane st a) (load ~plane st b));
       k st
-  (* LOAD a; LOAD b; ARITH *)
+  (* LOAD a; LOAD b; BINOP *)
   | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: rest
-    when is_src o1 && is_src o2 && is_arith o3 ->
+    when is_src o1 && is_src o2 && is_binop o3 ->
     let a = sval o1 and b = sval o2 in
     let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       let av = load ~plane st a in
       let bv = load ~plane st b in
-      Eval_stack.unsafe_push st.stack (exec_arith o3 av bv);
+      Eval_stack.unsafe_push st.stack (Interp.binop o3 av bv);
       k st
-  (* LOAD b; ARITH — left operand from the stack *)
-  | (_, o1, _) :: (_, o2, _) :: rest when is_src o1 && is_arith o2 ->
+  (* LOAD b; BINOP — left operand from the stack *)
+  | (_, o1, _) :: (_, o2, _) :: rest when is_src o1 && is_binop o2 ->
     let b = sval o1 in
     let k = compile ~plane ~tail rest in
     fun (st : State.t) ->
       let bv = load ~plane st b in
       let av = Eval_stack.unsafe_pop st.stack in
-      Eval_stack.unsafe_push st.stack (exec_arith o2 av bv);
-      k st
-  (* LOAD a; LI c; DIV|MOD — a literal divisor, non-zero because
-     [split_fusable] admitted the DIV/MOD (only after such a literal) *)
-  | (_, o1, _) :: (_, o2, _) :: (_, o3, _) :: rest
-    when is_src o1 && lit_divisor o2 o3 <> 0 ->
-    let a = sval o1 and c = lit_divisor o2 o3 in
-    let k = compile ~plane ~tail rest in
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack (exec_divmod o3 (load ~plane st a) c);
-      k st
-  (* LI c; DIV|MOD — dividend from the stack *)
-  | (_, o1, _) :: (_, o2, _) :: rest when lit_divisor o1 o2 <> 0 ->
-    let c = lit_divisor o1 o2 in
-    let k = compile ~plane ~tail rest in
-    fun (st : State.t) ->
-      Eval_stack.unsafe_push st.stack
-        (exec_divmod o2 (Eval_stack.unsafe_pop st.stack) c);
+      Eval_stack.unsafe_push st.stack (Interp.binop o2 av bv);
       k st
   (* LOAD; SL — straight-through variable copy *)
   | (_, o1, _) :: (_, Sl n, _) :: rest when is_src o1 ->
@@ -687,13 +516,14 @@ let has_data_trace (st : State.t) =
    Plane choice, in order:
    - prepaid storage ([Raw]): nothing can observe or alter the batched
      accesses — no data trace, no bank shadowing the touched locals,
-     every static address proven in range (dynamic addresses
-     bounds-check themselves in the chain);
+     every static address proven in range (dynamic references meter
+     and bounds-check themselves in the chain);
    - prepaid bank ([Bank]): a banked engine whose batch's local traffic
      is all static Ll/Sl, with the frame's resident shadow window
      covering the highest offset — every local access would have hit
      the bank and every global access the store, so the bill is the
-     globals' storage references plus one batch of bank references.
+     static globals' storage references plus one batch of bank
+     references.
 
    A batch that fits neither plane — under a data trace, a banked frame
    the batch cannot prove resident, or a static address past the store
@@ -704,8 +534,8 @@ let has_data_trace (st : State.t) =
 
    Within a batch nothing changes bank ownership or window sizes (the
    ops are pure), so residency checked at the head holds for every
-   access, and the batched bill equals the interpreter's per-access sum
-   exactly. *)
+   access, and the batched bill, with the dynamic references' own,
+   equals the interpreter's per-access sum exactly. *)
 let[@inline] count_batch (m : State.metrics) ~batch ~super =
   m.instructions <- m.instructions + batch;
   m.tier_fast_instrs <- m.tier_fast_instrs + batch;
@@ -715,7 +545,7 @@ let charge_and_run ~batch ~super ~tail ~last ops ~bail =
   let a = acct_of ops in
   let reads = a.a_reads and writes = a.a_writes in
   let g_reads = a.a_g_reads and g_writes = a.a_g_writes in
-  let lrefs = a.a_lrefs and grefs = a.a_grefs and irefs = a.a_irefs in
+  let lrefs = a.a_lrefs and grefs = a.a_grefs in
   let max_l = a.a_max_l and max_g = a.a_max_g in
   let no_banks = a.a_no_banks in
   let bankable = a.a_bankable && lrefs > 0 in
@@ -738,7 +568,6 @@ let charge_and_run ~batch ~super ~tail ~last ops ~bail =
       Cost.block_bill st.cost ~instrs:batch ~reads ~writes;
       m.local_refs <- m.local_refs + lrefs;
       m.global_refs <- m.global_refs + grefs;
-      m.indirect_refs <- m.indirect_refs + irefs;
       fused_raw st
     end
     else if
@@ -929,7 +758,7 @@ let rec split_fusable acc (ops : (int * Opcode.t * int) list) =
     (* pure, or an unconditional jump (it pops no condition) *)
     | { cls = Pure | Data; may_trap = false; _ } | { cls = Jump; pops = 0; _ } ->
       split_fusable (o :: acc) rest
-    | _ when match acc with (_, lit, _) :: _ -> lit_divisor lit op <> 0 | [] -> false ->
+    | _ when match acc with (_, lit, _) :: _ -> lit_divides lit op | [] -> false ->
       split_fusable (o :: acc) rest
     (* a conditional jump or HALT closes the run; anything else follows it *)
     | { cls = Jump; _ } | { cls = Stop; may_trap = false; _ } -> (List.rev (o :: acc), [])

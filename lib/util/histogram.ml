@@ -44,12 +44,6 @@ let count t = t.count
 let total t = t.total
 let mean t = if t.count = 0 then 0.0 else float_of_int t.total /. float_of_int t.count
 
-let reset t =
-  Array.fill t.dense 0 dense_limit 0;
-  Hashtbl.reset t.sparse;
-  t.count <- 0;
-  t.total <- 0
-
 let to_sorted_list t =
   let sparse = Hashtbl.fold (fun v r acc -> (v, !r) :: acc) t.sparse [] in
   let dense = ref [] in
@@ -91,4 +85,3 @@ let fraction_le t v =
     float_of_int !seen /. float_of_int t.count
   end
 
-let iter t f = List.iter (fun (v, c) -> f v c) (to_sorted_list t)

@@ -13,9 +13,6 @@ val add : t -> int -> unit
     range of the call depths and run lengths a trace listener counts per
     transfer event. *)
 
-val reset : t -> unit
-(** Forget all observations, keeping the structure for reuse. *)
-
 val add_many : t -> int -> count:int -> unit
 (** Record [count] observations of the same value. *)
 
@@ -41,9 +38,6 @@ val percentile : t -> float -> int
 
 val fraction_le : t -> int -> float
 (** Fraction of observations [<= v]; 0 when empty. *)
-
-val iter : t -> (int -> int -> unit) -> unit
-(** [iter t f] calls [f value count] for every distinct value, ascending. *)
 
 val to_sorted_list : t -> (int * int) list
 (** All (value, count) pairs, ascending by value. *)

@@ -504,6 +504,96 @@ let test_runaway_recursion_stops () =
   in
   status_is (`Trap Fpc_core.State.Frame_heap_exhausted) (Fpc_interp.Interp.outcome st)
 
+(* ---- every two-operand operator's value, under both executors ---- *)
+
+(* The word [op] leaves for left operand [a] and right operand [b],
+   worked out here from the operators' definitions rather than by
+   [Interp.binop]: operands are signed 16-bit words, results truncate to
+   a word, comparisons give 1 or 0, and DIV and MOD truncate toward zero
+   (a quotient's magnitude is |a| / |b| of non-negative ints, and the
+   remainder takes the dividend's sign).  [None]: a zero divisor, which
+   traps. *)
+let expected_binop (op : Opcode.t) a b =
+  let signed v = if v >= 0x8000 then v - 0x10000 else v in
+  let word v = v land 0xFFFF in
+  let x = signed a and y = signed b in
+  let truth c = Some (if c then 1 else 0) in
+  let quotient () =
+    let q = abs x / abs y in
+    if (x < 0) <> (y < 0) then -q else q
+  in
+  match op with
+  | Add -> Some (word (x + y))
+  | Sub -> Some (word (x - y))
+  | Mul -> Some (word (x * y))
+  | Div -> if y = 0 then None else Some (word (quotient ()))
+  | Mod -> if y = 0 then None else Some (word (x - (y * quotient ())))
+  | Band -> Some (a land b)
+  | Bor -> Some (a lor b)
+  | Bxor -> Some (a lxor b)
+  | Lt -> truth (x < y)
+  | Le -> truth (x <= y)
+  | Eq -> truth (x = y)
+  | Ne -> truth (x <> y)
+  | Ge -> truth (x >= y)
+  | Gt -> truth (x > y)
+  | _ -> invalid_arg "expected_binop"
+
+let binops = Opcode.[ Add; Sub; Mul; Div; Mod; Band; Bor; Bxor; Lt; Le; Eq; Ne; Ge; Gt ]
+
+(* Every pair of edge words, the signs of -7 and 2 (where truncating and
+   floor division part), and random pairs. *)
+let binop_pairs =
+  let edges = [ 0; 1; 0x7FFF; 0x8000; 0xFFFF ] in
+  let rs = Random.State.make [| 27 |] in
+  List.concat_map (fun a -> List.map (fun b -> (a, b)) edges) edges
+  @ [ (0xFFF9, 2); (7, 0xFFFE); (0xFFF9, 0xFFFE); (7, 2) ]
+  @ List.init 40 (fun _ -> (Random.State.int rs 0x10000, Random.State.int rs 0x10000))
+
+(* Each case runs as a program under [Interp.run] and [Tier.run]: once
+   with both operands literals (a fused batch in the tier) and once with
+   them passed through the stack, so the operator stands alone.  Every
+   case runs before the check, which names each one that went wrong. *)
+let test_binop_values () =
+  let wrong = ref [] in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun (a, b) ->
+          let want =
+            match expected_binop op a b with
+            | Some v -> ([ v ], Fpc_core.State.Halted)
+            | None -> ([], Fpc_core.State.Trapped Fpc_core.State.Div_zero)
+          in
+          List.iter
+            (fun (shape, body) ->
+              let image = link_exn [ one_module [ proc ~name:"main" ~locals:4 ~nargs:0 body ] ] in
+              let tier = Fpc_tier.Tier.translate image in
+              List.iter
+                (fun (executor, run) ->
+                  let st =
+                    Fpc_interp.Interp.boot ~image:(Fpc_mesa.Image.clone image)
+                      ~engine:Fpc_core.Engine.i2 ~instance:"M" ~proc:"main" ~args:[] ()
+                  in
+                  run st;
+                  if (Fpc_core.State.output st, st.status) <> want then
+                    wrong :=
+                      Printf.sprintf "%s %d %d (%s) under %s" (Opcode.to_string op) a b
+                        shape executor
+                      :: !wrong)
+                [
+                  ("interp", fun st -> Fpc_interp.Interp.run st);
+                  ("tier", fun st -> Fpc_tier.Tier.run tier st);
+                ])
+            Opcode.
+              [
+                ("literals", [ Lpd a; Lpd b; op; Out; Halt ]);
+                ("stack", [ Lpd a; Lpd b; Swap; Swap; op; Out; Halt ]);
+              ])
+        binop_pairs)
+    binops;
+  Alcotest.(check (list string)) "cases with a wrong value" [] (List.rev !wrong)
+
 (* ---- the effect table against the interpreter ---- *)
 
 (* [Opcode.effects] is what the compiled tier and CFA read instead of the
@@ -706,6 +796,8 @@ let () =
           Alcotest.test_case "signed division" `Quick test_division_signed;
           Alcotest.test_case "indexed locals" `Quick test_indexed_locals;
           Alcotest.test_case "boot args" `Quick test_boot_args;
+          Alcotest.test_case "every two-operand operator, both tiers" `Quick
+            test_binop_values;
         ] );
       ( "traps",
         [

@@ -884,12 +884,13 @@ let test_divmod_literal () =
 
 (* ---- exact execution: one trap handler, the interpreter's own step ---- *)
 
-(* [main], whose body [body] emits, and [handler], which returns straight
+(* [main], whose body [body] emits over [globals] (initial values of
+   globals 0, 1, ...), and [handler], which returns straight
    to the faulting frame: the trap suspended it with its PC past the
    faulting instruction, so the run carries on there.  Neither touches
    the trap code, which I4 passes in the register bank and the other
    engines on the stack; the code below works with either. *)
-let exact_image ~engine ~handled body =
+let exact_image ?(globals = []) ~engine ~handled body =
   let open Fpc_isa in
   let b = Builder.create () in
   body b;
@@ -898,8 +899,8 @@ let exact_image ~engine ~handled body =
   let m =
     {
       Fpc_mesa.Compiled.m_name = "Main";
-      m_globals_words = 1;
-      m_global_init = [];
+      m_globals_words = Int.max 1 (List.length globals);
+      m_global_init = List.mapi (fun i v -> (i, v)) globals;
       m_imports = [||];
       m_procs = [ main; handler ];
     }
@@ -1069,6 +1070,101 @@ let test_ends_node () =
           Alcotest.(check bool) (label ^ ": division by zero") true
             (o.o_status = Fpc_core.State.Trapped Fpc_core.State.Div_zero) );
     ]
+
+(* ---- the peepholes take any two-operand operator ---- *)
+
+(* The fused idioms compute their operator by [Interp.binop], so every
+   two-operand operator joins them: a sum as a branch condition, a
+   comparison stored as a value, a DIV or MOD by a non-zero literal
+   stored straight into a local.  Each shape loads its operands [x] and
+   [y] from globals 0 and 1 into locals 0 and 1 and runs on all four
+   engines (I4's locals take the bank plane), retiring every instruction
+   in a fused batch.  A DIV by a literal 0 must stay out of its batch:
+   it traps at an exact PC, under a handler that returns to the next
+   instruction, and unhandled. *)
+let shape_pairs =
+  [ (3, 0xFFFD); (3, 4); (0x8000, 0x7FFF); (0xFFF9, 0); (0x7FFF, 0x7FFF); (0, 0x8000) ]
+
+let shapes =
+  let open Fpc_isa in
+  let signed v = Fpc_util.Bits.signed_of_unsigned ~width:16 v in
+  let word v = v land 0xFFFF in
+  let emit b = List.iter (Builder.emit b) in
+  let load b = emit b Opcode.[ Lg 0; Sl 0; Lg 1; Sl 1 ] in
+  [
+    ( "LOAD;LOAD;ADD;JZ", true,
+      (fun b ->
+        let zero = Builder.new_label b in
+        load b;
+        emit b Opcode.[ Ll 0; Ll 1; Add ];
+        Builder.jump b `Jz zero;
+        emit b Opcode.[ Li 1; Out; Halt ];
+        Builder.place b zero;
+        emit b Opcode.[ Li 2; Out; Halt ]),
+      fun x y -> [ (if word (x + y) = 0 then 2 else 1) ] );
+    ( "x := a < b", true,
+      (fun b ->
+        load b;
+        emit b Opcode.[ Ll 0; Ll 1; Lt; Sl 2; Ll 2; Out; Halt ]),
+      fun x y -> [ (if signed x < signed y then 1 else 0) ] );
+    ( "LOAD;LI c;DIV;SL", true,
+      (fun b ->
+        load b;
+        emit b
+          Opcode.[ Ll 0; Li 7; Div; Sl 2; Ll 2; Out; Ll 1; Lpd 0xFFF9; Mod; Sl 3; Ll 3; Out; Halt ]),
+      fun x y -> [ word (signed x / 7); word (signed y mod -7) ] );
+    ( "LI 0;DIV", false,
+      (fun b ->
+        load b;
+        emit b Opcode.[ Ll 0; Li 0; Div; Li 5; Out; Halt ]),
+      fun _ _ -> [ 5 ] );
+  ]
+
+let test_peephole_shapes () =
+  List.iter
+    (fun (name, fuses, body, expect) ->
+      List.iter
+        (fun (x, y) ->
+          List.iter
+            (fun handled ->
+              List.iter
+                (fun (en, engine) ->
+                  let label =
+                    Printf.sprintf "%s x=%d y=%d handled=%b/%s" name x y handled en
+                  in
+                  let run runner =
+                    let img = exact_image ~globals:[ x; y ] ~engine ~handled body in
+                    let st = boot ~engine img in
+                    runner img st;
+                    (observe st, st.metrics)
+                  in
+                  let reference, _ =
+                    run (fun _ st -> Fpc_interp.Interp.run ~max_steps:1_000 st)
+                  in
+                  let got, m =
+                    run (fun img st ->
+                        Fpc_tier.Tier.run ~max_steps:1_000
+                          (fst (Fpc_tier.Tier.of_image img))
+                          st)
+                  in
+                  let o = fst reference in
+                  (if fuses || handled then begin
+                     Alcotest.(check (list int)) (label ^ ": output") (expect x y)
+                       o.Fpc_interp.Interp.o_output;
+                     Alcotest.(check bool) (label ^ ": halted") true
+                       (o.o_status = Fpc_core.State.Halted)
+                   end
+                   else
+                     Alcotest.(check bool) (label ^ ": division by zero") true
+                       (o.o_status = Fpc_core.State.Trapped Fpc_core.State.Div_zero));
+                  Alcotest.(check bool) (label ^ ": tier == interp") true (got = reference);
+                  if fuses then
+                    Alcotest.(check int) (label ^ ": every instruction fused")
+                      m.Fpc_core.State.instructions m.tier_super_instrs)
+                (engines ()))
+            (if fuses then [ false ] else [ false; true ]))
+        shape_pairs)
+    shapes
 
 (* ---- the data-reference stream is part of the contract ---- *)
 
@@ -1559,6 +1655,8 @@ let () =
             test_guard_fails;
           Alcotest.test_case "NEWREC, FREEREC and DIV end the node" `Quick
             test_ends_node;
+          Alcotest.test_case "peepholes over any two-operand operator" `Quick
+            test_peephole_shapes;
           Alcotest.test_case "traced profiles" `Slow
             test_traced_profile_equivalence;
           Alcotest.test_case "data-reference traces" `Quick
