@@ -1,390 +1,349 @@
-(* The host-side benchmark harness: what no other tool measures.  The
-   paper's tables are printed by `fpc experiment` and gated by
-   test_experiments; serving latency is bench/serve's.  Five layers:
+(* The host-side benchmark harness: host time, and nothing else.  The
+   simulated meters (cycles, storage references, transfers, frame
+   footprints) are exact, so they live in the tables `fpc experiment`
+   prints, which test/experiments.t pins byte for byte; serving latency
+   is bench/serve's.  What is left is how fast this host runs the
+   simulator, and that is a distribution, so every key is sampled at
+   least 11 times and recorded as median, p25, p75 and n.  Five layers:
 
-   1. `micro`: Bechamel micro-benchmarks of the simulator itself (host
-      wall-clock) — the interpreter and the compiled tier under each
-      engine, the AV allocator, the return stack and the bank file —
-      plus tier translation time, cross-call fusion on the call-dense
-      kernels and link-time devirtualization on the cross-module ones.
+   1. `micro`: the whole suite under the interpreter and the compiled
+      tier per engine; the frame allocator, the return stack and the
+      bank file; tier translation of the fib image; cross-call fusion on
+      the call-dense kernels; link-time devirtualization on the
+      cross-module ones.
 
-   2. `svc`: the whole workload suite x all four engines pushed through
-      an Fpc_svc.Pool at 1, 2, 4 and 8 worker domains, reporting jobs/sec
-      and the speedup over one domain.  The cache is warmed and the
-      domains are spawned before the clock starts; only submit->await is
-      timed.  Then per-job minor allocation, arena versus clone, against
-      a budget the run enforces.
+   2. `svc`: the suite x all four engines pushed through an
+      Fpc_svc.Pool at 1 and 2 worker domains (no more than the host
+      recommends), widths sampled alternately, both tiers.  The cache is
+      warmed and the domains are spawned before the clock starts; only
+      submit->await is timed.
 
    3. `trace`: the call-heavy fib run with the XFER tracer absent (the
       null-sink path every ordinary run takes) versus attached with a
-      streaming profile, so the cost of the lib/trace subsystem — off and
-      on — is a recorded number rather than a claim.
+      streaming profile.
 
    4. `sched`: the generated session workload streamed through the
       lib/sched green-thread scheduler at 100/1k/10k sessions under both
-      execution tiers, recording throughput and the frame-heap-vs-LIFO
-      footprint keys.
+      execution tiers.
 
    5. `net [--conns N] [--pipeline K]`: the reactor's claim.  A spawned
       `fpc serve --tcp` is driven at 100 and 1000 connections (capped at
       N, default 1000) by this process's one thread, while a poller
       samples the server's /proc thread and fd tables.  Every round trip
       must answer ok, and the server's OS threads must stay within the
-      reactor's constant bound.
+      reactor's constant bound.  Each round is one sample.
 
    With no layer argument all five run.  `--smoke` shrinks them to a
-   CI sanity pass: tiny job sets, widths 1-2, fewer samples, net capped
-   at 100 connections.  `--json` writes every (name, metric, value) the run
-   recorded to BENCH_results.json, the perf-trajectory file, replacing
-   it whole; it is accepted only on a full run (no layer argument, no
-   --smoke, --conns or --pipeline), so the file always comes from one
-   run of one build. *)
+   CI sanity pass: 3 samples a key, tiny job sets, net capped at 100
+   connections.  `--json` writes BENCH_results.json, replacing it whole:
+   one host block and every key the run recorded; it is accepted only on
+   a full run (no layer argument, no --smoke, --conns or --pipeline), so
+   the file always comes from one run of one build. *)
 
-(* Measurements destined for BENCH_results.json, in recording order. *)
-let recorded : (string * string * float) list ref = ref []
-let record name metric value = recorded := (name, metric, value) :: !recorded
+let samples = ref 11
+
+(* Seconds [f] takes. *)
+let time f =
+  let t0 = Fpc_util.Clock.now () in
+  f ();
+  Fpc_util.Clock.now () -. t0
+
+(* One sample: seconds per call over [runs] back-to-back calls. *)
+let per_call ?(runs = 1) f () =
+  time (fun () ->
+      for _ = 1 to runs do
+        f ()
+      done)
+  /. float_of_int runs
+
+(* The one sampler.  [!samples] rounds, each taking one sample of every
+   measure in [ms] in turn, so the host's drift falls on all of them
+   alike instead of on whichever ran last; an untimed warm-up round goes
+   first.  A measure returns one sample, in seconds; the result holds
+   each measure's samples, in order. *)
+let sample ms =
+  let ms = Array.of_list ms in
+  Array.iter (fun m -> ignore (m () : float)) ms;
+  let out = Array.map (fun _ -> Array.make !samples 0.0) ms in
+  for i = 0 to !samples - 1 do
+    Array.iteri (fun k m -> out.(k).(i) <- m ()) ms
+  done;
+  Array.to_list (Array.map Array.to_list out)
+
+let sample2 a b =
+  match sample [ a; b ] with [ xa; xb ] -> (xa, xb) | _ -> assert false
+
+(* Measurements destined for BENCH_results.json, newest first: each
+   key's median and quartiles over its samples, in its metric's unit. *)
+type entry = {
+  name : string;
+  metric : string;
+  median : float;
+  p25 : float;
+  p75 : float;
+  n : int;
+}
+
+let recorded : entry list ref = ref []
+
+let record name metric xs =
+  let p25, p75 = Stat.quartiles xs in
+  recorded :=
+    { name; metric; median = Stat.median xs; p25; p75; n = List.length xs }
+    :: !recorded
+let ns xs = List.map (fun s -> s *. 1e9) xs
+let per_sec count xs = List.map (fun s -> float_of_int count /. s) xs
+
+(* Run one layer and print what it recorded, median (p25-p75) per key. *)
+let layer title f =
+  let skip = List.length !recorded in
+  f ();
+  let fresh = List.filteri (fun i _ -> i >= skip) (List.rev !recorded) in
+  let open Fpc_util.Tablefmt in
+  let tb =
+    create ~title
+      ~columns:
+        [ ("key", Left); ("metric", Left); ("median", Right); ("p25", Right);
+          ("p75", Right); ("n", Right) ]
+  in
+  let g x =
+    if Float.abs x >= 100.0 then Printf.sprintf "%.0f" x
+    else Printf.sprintf "%.3g" x
+  in
+  List.iter
+    (fun e -> add_row tb [ e.name; e.metric; g e.median; g e.p25; g e.p75; cell_int e.n ])
+    fresh;
+  print tb;
+  print_newline ()
+
+(* The first line [cmd] prints, if it exits 0. *)
+let command_line cmd =
+  match Unix.open_process_in (cmd ^ " 2>/dev/null") with
+  | exception Unix.Unix_error _ -> None
+  | ic -> (
+    let line = In_channel.input_line ic in
+    match (Unix.close_process_in ic, line) with
+    | Unix.WEXITED 0, Some l when l <> "" -> Some l
+    | _ -> None)
 
 let write_json path =
   let open Fpc_util.Jsonout in
+  let nproc =
+    match Option.bind (command_line "nproc") int_of_string_opt with
+    | Some n -> n
+    | None -> Domain.recommended_domain_count ()
+  in
+  let host =
+    Obj
+      [ ("nproc", Int nproc); ("ocaml", String Sys.ocaml_version);
+        ("word_size", Int Sys.word_size);
+        ( "commit",
+          match command_line "git describe --always --dirty" with
+          | Some c -> String c
+          | None -> Null ) ]
+  in
   let entries =
     List.rev_map
-      (fun (name, metric, value) ->
-        Obj [ ("name", String name); ("metric", String metric); ("value", Float value) ])
+      (fun e ->
+        Obj
+          [ ("name", String e.name); ("metric", String e.metric);
+            ("median", Float e.median); ("p25", Float e.p25);
+            ("p75", Float e.p75); ("n", Int e.n) ])
       !recorded
   in
   let oc = open_out path in
-  output_string oc (pretty (List entries));
+  output_string oc (pretty (Obj [ ("host", host); ("results", List entries) ]));
   close_out oc;
   Printf.printf "wrote %d measurements to %s\n" (List.length entries) path
 
 (* ------------------------------------------------------------------ *)
 
-let fib_image engine =
+let engines =
+  [ ("i1", Fpc_core.Engine.i1); ("i2", Fpc_core.Engine.i2);
+    ("i3", Fpc_core.Engine.i3 ()); ("i4", Fpc_core.Engine.i4 ()) ]
+
+let compile ?devirt ~engine source =
   let convention = Fpc_compiler.Convention.for_engine engine in
-  match Fpc_compiler.Compile.image ~convention (Fpc_workload.Programs.find "fib") with
+  match Fpc_compiler.Compile.image ~convention ?devirt source with
   | Ok image -> image
-  | Error m -> failwith m
+  | Error m -> failwith ("bench compile: " ^ m)
 
-let bench_engine name engine =
-  let image = fib_image engine in
-  Bechamel.Test.make ~name:(Printf.sprintf "interp/fib/%s" name)
-    (Bechamel.Staged.stage (fun () ->
-         let st =
-           Fpc_interp.Interp.run_program ~image ~engine ~instance:"Main"
-             ~proc:"main" ~args:[] ()
-         in
-         assert (st.Fpc_core.State.status = Fpc_core.State.Halted)))
+let image_of ?devirt ~engine prog =
+  compile ?devirt ~engine (Fpc_workload.Programs.find prog)
 
-let median_run_s ?(samples = 7) ?(runs = 5) f =
-  f ();
-  (* warm up caches and the minor heap *)
-  let samples =
-    List.init samples (fun _ ->
-        let t0 = Fpc_util.Clock.now () in
-        for _ = 1 to runs do
-          f ()
-        done;
-        (Fpc_util.Clock.now () -. t0) /. float_of_int runs)
+let boot ~engine image =
+  Fpc_interp.Interp.boot ~image:(Fpc_mesa.Image.clone image) ~engine
+    ~instance:"Main" ~proc:"main" ~args:[] ()
+
+let must_halt (st : Fpc_core.State.t) =
+  if st.Fpc_core.State.status <> Fpc_core.State.Halted then
+    failwith "bench: a run did not halt"
+
+let run_interp ~engine image () =
+  let st = boot ~engine image in
+  Fpc_interp.Interp.run st;
+  must_halt st
+
+let run_tier ~engine image tier () =
+  let st = boot ~engine image in
+  Fpc_tier.Tier.run tier st;
+  must_halt st
+
+(* The whole suite under each tier, per engine: the host time the
+   compiled tier saves (E16 checks that it changes no meter).  A sample
+   is one run of every program, boots and translation excluded. *)
+let run_suite () =
+  List.iter
+    (fun (ename, engine) ->
+      let progs =
+        List.map
+          (fun p ->
+            let image = image_of ~engine p in
+            (image, Fpc_tier.Tier.translate image))
+          Fpc_workload.Programs.names
+      in
+      let suite run () =
+        List.fold_left
+          (fun acc (image, tr) ->
+            let st = boot ~engine image in
+            let s = time (fun () -> run tr st) in
+            must_halt st;
+            acc +. s)
+          0.0 progs
+      in
+      let interp, tier =
+        sample2
+          (suite (fun _ st -> Fpc_interp.Interp.run st))
+          (suite (fun tr st -> Fpc_tier.Tier.run tr st))
+      in
+      let name = "micro/fpc/suite/" ^ ename in
+      record name "interp_ns_per_suite" (ns interp);
+      record name "tier_ns_per_suite" (ns tier))
+    engines
+
+(* The machine's structures alone, 1000 operations a call. *)
+let run_structures () =
+  let open Fpc_machine in
+  let allocator () =
+    let cost = Cost.create () in
+    let mem = Memory.create ~cost ~size_words:65536 () in
+    let av =
+      Fpc_frames.Alloc_vector.create ~mem ~ladder:Fpc_frames.Size_class.default
+        ~av_base:16 ~heap_base:1024 ~heap_limit:65536 ()
+    in
+    for _ = 1 to 1000 do
+      let lf = Fpc_frames.Alloc_vector.alloc_words av ~cost ~body_words:8 in
+      Fpc_frames.Alloc_vector.free av ~cost ~lf
+    done
   in
-  let sorted = List.sort compare samples in
-  List.nth sorted (List.length sorted / 2)
-
-(* The compiled tier on the same workload: boot is shared with the
-   interpreter path, so the delta between interp/fib/* and tier/fib/* is
-   exactly the dispatch loop versus threaded code. *)
-let bench_tier name engine =
-  let image = fib_image engine in
-  let tier, _ = Fpc_tier.Tier.of_image image in
-  Bechamel.Test.make ~name:(Printf.sprintf "tier/fib/%s" name)
-    (Bechamel.Staged.stage (fun () ->
-         let st =
-           Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main"
-             ~args:[] ()
-         in
-         Fpc_tier.Tier.run tier st;
-         assert (st.Fpc_core.State.status = Fpc_core.State.Halted)))
+  let return_stack () =
+    let rs = Fpc_ifu.Return_stack.create ~depth:16 in
+    for _ = 1 to 1000 do
+      Fpc_ifu.Return_stack.push rs ~lf:8192 ~gf:4096 ~cb:32768 ~pc_abs:65536
+        ~bank:Fpc_ifu.Return_stack.no_bank;
+      ignore (Fpc_ifu.Return_stack.try_pop rs)
+    done
+  in
+  let banks () =
+    let cost = Cost.create () in
+    let mem = Memory.create ~cost ~size_words:65536 () in
+    let bf =
+      Fpc_regbank.Bank_file.create ~mem ~cost ~ladder:Fpc_frames.Size_class.default ()
+    in
+    Memory.poke mem 8192 0;
+    for _ = 1 to 1000 do
+      Fpc_regbank.Bank_file.on_call bf ~callee_lf:8196 ~payload_words:8
+        ~args:[| 1; 2 |];
+      Fpc_regbank.Bank_file.release_frame bf ~lf:8196
+    done
+  in
+  let keys =
+    [ "micro/fpc/allocator/alloc+free"; "micro/fpc/return_stack/push+pop";
+      "micro/fpc/bank_file/call+return" ]
+  in
+  List.iter2
+    (fun name xs -> record name "ns_per_run" (ns xs))
+    keys
+    (sample (List.map (per_call ~runs:10) [ allocator; return_stack; banks ]))
 
 (* Translation time: what attaching the compiled tier to a freshly
-   linked image costs, per engine, on the call-heavy fib image.  One-time
-   per cached image, but it sits on the first-request path. *)
-let run_tier_compile () =
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create ~title:"tier translation time (fib image, host wall-clock)"
-      ~columns:
-        [ ("engine", Left); ("boundaries", Right); ("fused", Right);
-          ("translate", Right) ]
-  in
-  List.iter
-    (fun (name, engine) ->
-      let image = fib_image engine in
-      let t = Fpc_tier.Tier.translate image in
-      let ms = median_run_s (fun () -> ignore (Fpc_tier.Tier.translate image)) *. 1e3 in
-      record ("compile/fib/" ^ name) "translate_ms" ms;
-      add_row tb
-        [ name; cell_int (Fpc_tier.Tier.boundaries t);
-          cell_int (Fpc_tier.Tier.fused_boundaries t);
-          Printf.sprintf "%.3f ms" ms ])
-    [ ("I1", Fpc_core.Engine.i1); ("I2", Fpc_core.Engine.i2);
-      ("I3", Fpc_core.Engine.i3 ()); ("I4", Fpc_core.Engine.i4 ()) ];
-  add_note tb "translate once per cached image; every clone shares the result";
-  print tb;
-  print_newline ()
+   linked image costs, on the call-heavy fib image.  One-time per cached
+   image, but it sits on the first-request path. *)
+let run_translate () =
+  let images = List.map (fun (_, engine) -> image_of ~engine "fib") engines in
+  List.iter2
+    (fun (ename, _) xs ->
+      record
+        ("compile/fib/" ^ String.uppercase_ascii ename)
+        "translate_ms" (List.map (fun s -> s *. 1e3) xs))
+    engines
+    (sample
+       (List.map
+          (fun image ->
+            per_call ~runs:20 (fun () -> ignore (Fpc_tier.Tier.translate image)))
+          images))
 
-(* Cross-call fusion on the call-dense kernels: the interpreter versus
-   the compiled tier, per engine, on loops that are almost entirely leaf
-   procedure calls.  The tier side uses the lazy of_image path, so the
-   observation run also yields the fusion/laziness counters recorded to
-   BENCH_results.json: fused-call coverage (fused calls / all calls),
-   lazy translation misses (procedures translated on first entry, cold)
-   and hits (warm-run procedure entries served by already-filled slots —
-   spliced leaves never even need their own translation). *)
-let run_tier_calls ?(smoke = false) () =
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create
-      ~title:"cross-call fusion on call-dense kernels (host wall-clock)"
-      ~columns:
-        [ ("prog", Left); ("engine", Left); ("interp", Right); ("tier", Right);
-          ("speedup", Right); ("fused cov", Right); ("lazy m/h", Right) ]
-  in
+(* Cross-call fusion on the call-dense kernels: interpreter versus the
+   lazily attached compiled tier, per engine (E18 counts what fuses). *)
+let run_tier_calls () =
   List.iter
     (fun prog ->
       List.iter
         (fun (ename, engine) ->
-          let convention = Fpc_compiler.Convention.for_engine engine in
-          let image =
-            match
-              Fpc_compiler.Compile.image ~convention
-                (Fpc_workload.Programs.find prog)
-            with
-            | Ok i -> i
-            | Error m -> failwith ("tier calls bench compile: " ^ m)
-          in
+          let image = image_of ~engine prog in
           let tier, _ = Fpc_tier.Tier.of_image image in
-          let boot () =
-            Fpc_interp.Interp.boot ~image ~engine ~instance:"Main" ~proc:"main"
-              ~args:[] ()
+          let interp, tier =
+            sample2
+              (per_call ~runs:5 (run_interp ~engine image))
+              (per_call ~runs:5 (run_tier ~engine image tier))
           in
-          let run_tier () =
-            let st = boot () in
-            Fpc_tier.Tier.run tier st;
-            assert (st.Fpc_core.State.status = Fpc_core.State.Halted);
-            st
-          in
-          (* cold observation run: lazy translation happens here *)
-          let cold = run_tier () in
-          let lazy_miss =
-            cold.Fpc_core.State.metrics.Fpc_core.State.tier_lazy_translations
-          in
-          (* warm observation run: every entered procedure finds its slots *)
-          let warm = run_tier () in
-          assert (
-            warm.Fpc_core.State.metrics.Fpc_core.State.tier_lazy_translations
-            = 0);
-          let wm = warm.Fpc_core.State.metrics in
-          let coverage =
-            if wm.Fpc_core.State.calls = 0 then 0.0
-            else
-              float_of_int wm.Fpc_core.State.tier_fused_calls
-              /. float_of_int wm.Fpc_core.State.calls
-          in
-          let lazy_hit = Fpc_tier.Tier.procs_translated tier in
-          let samples = if smoke then 3 else 7 in
-          let interp_s =
-            median_run_s ~samples ~runs:1 (fun () ->
-                let st = boot () in
-                Fpc_interp.Interp.run st;
-                assert (st.Fpc_core.State.status = Fpc_core.State.Halted))
-          in
-          let tier_s =
-            median_run_s ~samples ~runs:1 (fun () -> ignore (run_tier ()))
-          in
-          let speedup = interp_s /. tier_s in
-          let name =
-            Printf.sprintf "micro/fpc/tier/calls/%s/%s" prog ename
-          in
-          record name "interp_ns_per_run" (interp_s *. 1e9);
-          record name "tier_ns_per_run" (tier_s *. 1e9);
-          record name "speedup" speedup;
-          record name "fused_call_coverage" coverage;
-          record name "lazy_miss" (float_of_int lazy_miss);
-          record name "lazy_hit" (float_of_int lazy_hit);
-          record name "procs" (float_of_int (Fpc_tier.Tier.procs tier));
-          record name "procs_translated"
-            (float_of_int (Fpc_tier.Tier.procs_translated tier));
-          add_row tb
-            [ prog; ename;
-              Printf.sprintf "%.2f ms" (interp_s *. 1e3);
-              Printf.sprintf "%.2f ms" (tier_s *. 1e3);
-              Printf.sprintf "%.2fx" speedup;
-              Printf.sprintf "%.0f%%" (coverage *. 100.0);
-              Printf.sprintf "%d/%d" lazy_miss lazy_hit ])
-        [ ("i1", Fpc_core.Engine.i1); ("i2", Fpc_core.Engine.i2);
-          ("i3", Fpc_core.Engine.i3 ()); ("i4", Fpc_core.Engine.i4 ()) ])
-    Fpc_workload.Programs.call_dense;
-  add_note tb
-    "fused cov = fused calls / all calls (simulated, exact); lazy m/h = \
-     procedures translated on first entry / warm-run entries served from \
-     filled slots";
-  print tb;
-  print_newline ()
+          let name = Printf.sprintf "micro/fpc/tier/calls/%s/%s" prog ename in
+          record name "interp_ns_per_run" (ns interp);
+          record name "tier_ns_per_run" (ns tier))
+        engines)
+    Fpc_workload.Programs.call_dense
 
 (* Link-time devirtualization on the cross-module kernels: the
-   late-bound image versus the devirtualized image, interpreter under
-   I1/I2 (the externally-linked pairings — I3/I4 bind early and have no
-   sites).  The simulated cycle and storage-reference meters are exact;
-   wall clock rides along so the host-side effect of fewer link-vector
-   loads is also on the trajectory. *)
-let run_devirt ?(smoke = false) () =
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create
-      ~title:"link-time devirtualization on cross-module kernels (interp)"
-      ~columns:
-        [ ("prog", Left); ("engine", Left); ("sites", Right); ("refs", Right);
-          ("cycles", Right); ("refs saved", Right); ("host", Right) ]
-  in
+   late-bound image versus the devirtualized one, interpreted under
+   I1/I2 (the externally linked pairings; E19 counts the references and
+   cycles it saves). *)
+let run_devirt () =
   List.iter
     (fun prog ->
       List.iter
         (fun (ename, engine) ->
-          let convention = Fpc_compiler.Convention.for_engine engine in
-          let source = Fpc_workload.Programs.find prog in
-          let build devirt =
-            match Fpc_compiler.Compile.image ~convention ~devirt source with
-            | Ok i -> i
-            | Error m -> failwith ("devirt bench compile: " ^ m)
+          let base = image_of ~devirt:false ~engine prog in
+          let dv = image_of ~devirt:true ~engine prog in
+          let b, d =
+            sample2
+              (per_call ~runs:5 (run_interp ~engine base))
+              (per_call ~runs:5 (run_interp ~engine dv))
           in
-          let base = build false and dv = build true in
-          let measure image =
-            let st =
-              Fpc_interp.Interp.run_program
-                ~image:(Fpc_mesa.Image.clone image) ~engine ~instance:"Main"
-                ~proc:"main" ~args:[] ()
-            in
-            assert (st.Fpc_core.State.status = Fpc_core.State.Halted);
-            ( Fpc_machine.Cost.cycles st.Fpc_core.State.cost,
-              Fpc_machine.Cost.mem_refs st.Fpc_core.State.cost )
-          in
-          let cycles_b, refs_b = measure base in
-          let cycles_d, refs_d = measure dv in
-          let samples = if smoke then 3 else 7 in
-          let host image =
-            median_run_s ~samples ~runs:1 (fun () ->
-                let st =
-                  Fpc_interp.Interp.run_program
-                    ~image:(Fpc_mesa.Image.clone image) ~engine
-                    ~instance:"Main" ~proc:"main" ~args:[] ()
-                in
-                assert (st.Fpc_core.State.status = Fpc_core.State.Halted))
-          in
-          let host_b = host base and host_d = host dv in
-          let rewritten =
-            match dv.Fpc_mesa.Image.dir.Fpc_mesa.Image.devirt with
-            | Some d -> d.Fpc_mesa.Image.dv_rewritten
-            | None -> 0
-          in
-          let saved = float_of_int (refs_b - refs_d) /. float_of_int refs_b in
           let name = Printf.sprintf "micro/fpc/devirt/%s/%s" prog ename in
-          record name "sites_rewritten" (float_of_int rewritten);
-          record name "mem_refs_base" (float_of_int refs_b);
-          record name "mem_refs_devirt" (float_of_int refs_d);
-          record name "cycles_base" (float_of_int cycles_b);
-          record name "cycles_devirt" (float_of_int cycles_d);
-          record name "refs_saved_pct" (100.0 *. saved);
-          record name "interp_ns_per_run_base" (host_b *. 1e9);
-          record name "interp_ns_per_run_devirt" (host_d *. 1e9);
-          add_row tb
-            [ prog; ename; cell_int rewritten;
-              Printf.sprintf "%d -> %d" refs_b refs_d;
-              Printf.sprintf "%d -> %d" cycles_b cycles_d;
-              Printf.sprintf "%.1f%%" (100.0 *. saved);
-              Printf.sprintf "%.2f -> %.2f ms" (host_b *. 1e3) (host_d *. 1e3) ])
+          record name "interp_ns_per_run_base" (ns b);
+          record name "interp_ns_per_run_devirt" (ns d))
         [ ("i1", Fpc_core.Engine.i1); ("i2", Fpc_core.Engine.i2) ])
-    [ "callchain"; "leafcalls"; "xleaf" ];
-  add_note tb
-    "refs and cycles are simulated meters (exact); host is wall-clock \
-     median; sites = EXTERNALCALL sites rewritten to DIRECTCALL";
-  print tb;
-  print_newline ()
+    [ "callchain"; "leafcalls"; "xleaf" ]
 
-let bench_allocator =
-  Bechamel.Test.make ~name:"allocator/alloc+free"
-    (Bechamel.Staged.stage (fun () ->
-         let open Fpc_machine in
-         let cost = Cost.create () in
-         let mem = Memory.create ~cost ~size_words:65536 () in
-         let av =
-           Fpc_frames.Alloc_vector.create ~mem ~ladder:Fpc_frames.Size_class.default
-             ~av_base:16 ~heap_base:1024 ~heap_limit:65536 ()
-         in
-         for _ = 1 to 1000 do
-           let lf = Fpc_frames.Alloc_vector.alloc_words av ~cost ~body_words:8 in
-           Fpc_frames.Alloc_vector.free av ~cost ~lf
-         done))
-
-let bench_return_stack =
-  Bechamel.Test.make ~name:"return_stack/push+pop"
-    (Bechamel.Staged.stage (fun () ->
-         let rs = Fpc_ifu.Return_stack.create ~depth:16 in
-         for _ = 1 to 1000 do
-           Fpc_ifu.Return_stack.push rs ~lf:8192 ~gf:4096 ~cb:32768 ~pc_abs:65536
-             ~bank:Fpc_ifu.Return_stack.no_bank;
-           ignore (Fpc_ifu.Return_stack.try_pop rs)
-         done))
-
-let bench_banks =
-  Bechamel.Test.make ~name:"bank_file/call+return"
-    (Bechamel.Staged.stage (fun () ->
-         let open Fpc_machine in
-         let cost = Cost.create () in
-         let mem = Memory.create ~cost ~size_words:65536 () in
-         let bf =
-           Fpc_regbank.Bank_file.create ~mem ~cost
-             ~ladder:Fpc_frames.Size_class.default ()
-         in
-         Memory.poke mem 8192 0;
-         let lf = 8196 in
-         for _ = 1 to 1000 do
-           Fpc_regbank.Bank_file.on_call bf ~callee_lf:lf ~payload_words:8
-             ~args:[| 1; 2 |];
-           Fpc_regbank.Bank_file.release_frame bf ~lf
-         done))
+let run_micro () =
+  run_suite ();
+  run_structures ();
+  run_translate ();
+  run_tier_calls ();
+  run_devirt ()
 
 (* ------------------------------------------------------------------ *)
 
-(* Pool scaling: the full suite x all four engines, twice over, at
-   increasing domain counts.  Methodology (the fairness fix): one image
-   cache, warmed before any clock starts, is shared by every width, the
-   pool is created (domains spawned) off the clock, and the measured
-   window is exactly submit -> await — so the numbers isolate the pool's
-   execution path instead of charging it for Domain.spawn and cold
-   compiles.  Simulated results are deterministic, so the run also
-   double-checks that every job succeeds at every width.
-
-   Recorded as the `svc/scaling` section.  Both execution tiers run the same sweep.  The historical
-   `svc/scaling/*` keys pin tier=interp explicitly (Auto now resolves to
-   the compiled tier, and silently rebasing those keys would corrupt the
-   cross-PR trajectory); the compiled tier records alongside as
-   `svc/scaling/tier/*`. *)
-let run_svc ?(smoke = false) () =
-  let programs =
-    if smoke then [ "fib"; "hanoi" ] else Fpc_workload.Programs.names
-  in
-  let specs_for tier =
-    let specs =
-      List.concat_map
-        (fun name ->
-          List.map
-            (fun engine ->
-              Fpc_svc.Job.spec ~engine ~tier (Fpc_svc.Job.Suite name))
-            [ "i1"; "i2"; "i3"; "i4" ])
-        programs
-    in
-    if smoke then specs else specs @ specs
-  in
-  let widths = if smoke then [ 1; 2 ] else [ 1; 2; 4; 8 ] in
+(* Pool scaling: the suite x all four engines (twice over on a full
+   run), at 1 and 2 domains, no wider than the host recommends: a width
+   beyond the core count measures oversubscription.  One image cache,
+   warmed before any clock starts, serves every width; the pools are
+   created (domains spawned) off the clock, and a sample is exactly
+   submit -> await of the whole job set.  Every job must succeed.
+   `svc/scaling/*` is the interpreter, `svc/scaling/tier/*` the compiled
+   tier. *)
+let run_svc ~smoke () =
+  let programs = if smoke then [ "fib"; "hanoi" ] else Fpc_workload.Programs.names in
   let check_all_ok results =
     List.iter
       (fun (r : Fpc_svc.Job.result) ->
@@ -394,212 +353,44 @@ let run_svc ?(smoke = false) () =
           failwith (Printf.sprintf "svc bench job %d failed: %s" r.Fpc_svc.Job.id m))
       results
   in
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create
-      ~title:
-        (Printf.sprintf
-           "svc pool scaling (suite x 4 engines%s, warmed cache, both tiers)"
-           (if smoke then "" else ", x2"))
-      ~columns:
-        [ ("tier", Left); ("domains", Right); ("jobs", Right);
-          ("submit->await", Right); ("jobs/sec", Right); ("speedup", Right);
-          ("cache hit", Right) ]
+  let widths =
+    List.filter (fun w -> w <= Fpc_svc.Pool.recommended_domains ()) [ 1; 2 ]
   in
   List.iter
-    (fun (tier_label, tier, key_prefix) ->
-      let specs = specs_for tier in
-      let njobs = List.length specs in
-      (* Warm the shared cache: every distinct image compiled (predecode
-         built, and on the compiled tier the translation attached) before
-         any measurement.  The cache is per tier — pristine entries are
-         tier-keyed. *)
-      let cache = Fpc_svc.Image_cache.create () in
-      let warm_results, _ = Fpc_svc.Pool.run_jobs ~domains:1 ~cache specs in
-      check_all_ok warm_results;
-      let base = ref 0.0 in
-      List.iter
-        (fun domains ->
-          let pool = Fpc_svc.Pool.create ~domains ~cache () in
-          let t0 = Fpc_util.Clock.now () in
-          List.iter (fun spec -> ignore (Fpc_svc.Pool.submit pool spec)) specs;
-          let results = Fpc_svc.Pool.await pool in
-          let wall = Fpc_util.Clock.now () -. t0 in
-          let metrics = Fpc_svc.Pool.metrics pool in
-          Fpc_svc.Pool.shutdown pool;
-          check_all_ok results;
-          if List.length results <> njobs then
-            failwith "svc bench: not every job came back";
-          let jps = float_of_int njobs /. wall in
-          if !base = 0.0 then base := jps;
-          record (Printf.sprintf "%s/%dd" key_prefix domains) "jobs_per_sec" jps;
-          record (Printf.sprintf "%s/%dd" key_prefix domains) "speedup"
-            (jps /. !base);
-          add_row tb
-            [ tier_label; cell_int domains; cell_int njobs;
-              Printf.sprintf "%.3fs" wall; cell_float ~decimals:1 jps;
-              cell_ratio ~decimals:2 (jps /. !base);
-              cell_pct
-                (Fpc_svc.Image_cache.hit_rate metrics.Fpc_svc.Metrics.cache) ])
-        widths)
-    [ ("interp", Fpc_svc.Job.Interp, "svc/scaling");
-      ("compiled", Fpc_svc.Job.Compiled, "svc/scaling/tier") ];
-  record "svc/scaling" "host_recommended_domains"
-    (float_of_int (Fpc_svc.Pool.recommended_domains ()));
-  add_note tb
-    (Printf.sprintf
-       "measured window is submit->await only; host reports %d recommended domain(s)"
-       (Fpc_svc.Pool.recommended_domains ()));
-  print tb;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-
-(* Per-job allocation: the arena win (reset-per-job vs clone-per-job),
-   from each job's own Gc.minor_words delta.  Steady state is the
-   per-job minimum over the batch: the first job against each arena slot
-   pays the one-time clone, every repeat is the reset path.  The budget
-   assertion makes an allocation regression fail the bench (CI runs
-   `bench svc --smoke`) instead of silently eroding the win. *)
-let alloc_budget_words = 256.0
-let session_alloc_budget_words = 4096.0
-
-(* Session jobs take the scheduler and every process operation — FORK,
-   YIELD, coroutine XFER, process end — which the suite programs barely
-   touch.  A small session shape per engine, on one domain's arena after
-   a warm-up job, under its own budget: the worst job must stay within
-   it. *)
-let run_svc_session_alloc ~check_all_ok ~cache =
-  let reps = 4 and total = 100 in
-  let session engine =
-    Fpc_svc.Job.spec ~engine
-      (Fpc_svc.Job.Sessions
-         { (Fpc_workload.Sessions.default ~total) with Fpc_workload.Sessions.window = 8 })
-  in
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create
-      ~title:(Printf.sprintf "svc per-job minor allocation, sessions=%d window=8" total)
-      ~columns:[ ("engine", Left); ("steady-state (max)", Right) ]
-  in
-  List.iter
-    (fun engine ->
-      let results, _ =
-        Fpc_svc.Pool.run_jobs ~domains:1 ~cache ~arena_reuse:true
-          (List.init (reps + 1) (fun _ -> session engine))
-      in
-      check_all_ok results;
-      let steady =
-        List.fold_left
-          (fun acc (r : Fpc_svc.Job.result) ->
-            max acc r.Fpc_svc.Job.stats.Fpc_svc.Job.minor_words)
-          0 (List.tl results)
-      in
-      record "svc/alloc/sessions" ("steady_minor_words_per_job_" ^ engine)
-        (float_of_int steady);
-      add_row tb [ engine; cell_int steady ];
-      if float_of_int steady > session_alloc_budget_words then
-        failwith
-          (Printf.sprintf
-             "svc session alloc budget exceeded on %s: %d minor words/job > \
-              budget %.0f"
-             engine steady session_alloc_budget_words))
-    [ "i1"; "i2"; "i3"; "i4" ];
-  record "svc/alloc/sessions" "budget_minor_words_per_job" session_alloc_budget_words;
-  add_note tb
-    (Printf.sprintf
-       "worst of %d arena-hit jobs after one warm-up job; budget = %.0f \
-        words/job"
-       reps session_alloc_budget_words);
-  print tb;
-  print_newline ()
-
-let run_svc_alloc ?(smoke = false) () =
-  let programs =
-    if smoke then [ "fib"; "hanoi" ] else Fpc_workload.Programs.names
-  in
-  let reps = 4 in
-  let specs =
-    List.concat_map
-      (fun name ->
+    (fun (tier, key_prefix) ->
+      let specs =
         List.concat_map
-          (fun engine ->
-            List.init reps (fun _ ->
-                Fpc_svc.Job.spec ~engine (Fpc_svc.Job.Suite name)))
-          [ "i1"; "i2"; "i3"; "i4" ])
-      programs
-  in
-  let check_all_ok results =
-    List.iter
-      (fun (r : Fpc_svc.Job.result) ->
-        match r.Fpc_svc.Job.outcome with
-        | Fpc_svc.Job.Output _ -> ()
-        | Fpc_svc.Job.Failed (_, m) ->
-          failwith (Printf.sprintf "svc alloc bench job %d failed: %s" r.Fpc_svc.Job.id m))
-      results
-  in
-  (* Compile every image off the books so no job's delta includes the
-     compiler. *)
-  let cache = Fpc_svc.Image_cache.create () in
-  let warm, _ =
-    Fpc_svc.Pool.run_jobs ~domains:1 ~cache
-      (List.filteri (fun i _ -> i mod reps = 0) specs)
-  in
-  check_all_ok warm;
-  let measure ~domains ~arena_reuse =
-    let results, snap = Fpc_svc.Pool.run_jobs ~domains ~cache ~arena_reuse specs in
-    check_all_ok results;
-    let steady =
-      List.fold_left
-        (fun acc (r : Fpc_svc.Job.result) ->
-          min acc r.Fpc_svc.Job.stats.Fpc_svc.Job.minor_words)
-        max_int results
-    in
-    (snap.Fpc_svc.Metrics.minor_words_per_job, float_of_int steady)
-  in
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create ~title:"svc per-job minor allocation (arena vs clone)"
-      ~columns:
-        [ ("domains", Right); ("mode", Left); ("minor w/job (avg)", Right);
-          ("steady-state (min)", Right); ("reduction", Right) ]
-  in
-  List.iter
-    (fun domains ->
-      let clone_avg, clone_steady = measure ~domains ~arena_reuse:false in
-      let arena_avg, arena_steady = measure ~domains ~arena_reuse:true in
-      let reduction =
-        if arena_steady > 0.0 then clone_steady /. arena_steady else 0.0
+          (fun name ->
+            List.map
+              (fun (engine, _) -> Fpc_svc.Job.spec ~engine ~tier (Fpc_svc.Job.Suite name))
+              engines)
+          programs
       in
-      let sec = Printf.sprintf "svc/alloc/%dd" domains in
-      record sec "minor_words_per_job_clone" clone_avg;
-      record sec "minor_words_per_job_arena" arena_avg;
-      record sec "steady_minor_words_per_job_clone" clone_steady;
-      record sec "steady_minor_words_per_job_arena" arena_steady;
-      record sec "steady_reduction_x" reduction;
-      add_row tb
-        [ cell_int domains; "clone"; cell_float ~decimals:1 clone_avg;
-          cell_float ~decimals:0 clone_steady; "" ];
-      add_row tb
-        [ cell_int domains; "arena"; cell_float ~decimals:1 arena_avg;
-          cell_float ~decimals:0 arena_steady;
-          cell_ratio ~decimals:1 reduction ];
-      if arena_steady > alloc_budget_words then
-        failwith
-          (Printf.sprintf
-             "svc alloc budget exceeded at %d domain(s): steady-state %.0f \
-              minor words/job > budget %.0f"
-             domains arena_steady alloc_budget_words))
-    [ 1; 2 ];
-  record "svc/alloc" "budget_minor_words_per_job" alloc_budget_words;
-  add_note tb
-    (Printf.sprintf
-       "per-job Gc.minor_words deltas, warmed cache; budget (steady-state \
-        arena) = %.0f words/job"
-       alloc_budget_words);
-  print tb;
-  print_newline ();
-  run_svc_session_alloc ~check_all_ok ~cache
+      let specs = if smoke then specs else specs @ specs in
+      let njobs = List.length specs in
+      let cache = Fpc_svc.Image_cache.create () in
+      check_all_ok (fst (Fpc_svc.Pool.run_jobs ~domains:1 ~cache specs));
+      let pools = List.map (fun domains -> Fpc_svc.Pool.create ~domains ~cache ()) widths in
+      let measure pool () =
+        let results = ref [] in
+        let s =
+          time (fun () ->
+              List.iter (fun spec -> ignore (Fpc_svc.Pool.submit pool spec)) specs;
+              results := Fpc_svc.Pool.await pool)
+        in
+        check_all_ok !results;
+        if List.length !results <> njobs then
+          failwith "svc bench: not every job came back";
+        s
+      in
+      let xs = sample (List.map measure pools) in
+      List.iter Fpc_svc.Pool.shutdown pools;
+      List.iter2
+        (fun domains xs ->
+          record (Printf.sprintf "%s/%dd" key_prefix domains) "jobs_per_sec"
+            (per_sec njobs xs))
+        widths xs)
+    [ (Fpc_svc.Job.Interp, "svc/scaling"); (Fpc_svc.Job.Compiled, "svc/scaling/tier") ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -607,94 +398,60 @@ let run_svc_alloc ?(smoke = false) () =
    untraced run takes — instrumentation reduces to one match on
    [State.tracer] per transfer.  The on side attaches a full streaming
    profile, the worst case [trace=1] pays. *)
-let run_trace ?(smoke = false) () =
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create ~title:"tracing overhead (fib, host wall-clock)"
-      ~columns:[ ("engine", Left); ("off", Right); ("on", Right); ("on overhead", Right) ]
-  in
+let run_trace ~smoke () =
   List.iter
-    (fun (name, engine) ->
-      let image = fib_image engine in
-      let off () =
-        let st =
-          Fpc_interp.Interp.run_program ~image ~engine ~instance:"Main"
-            ~proc:"main" ~args:[] ()
-        in
-        assert (st.Fpc_core.State.status = Fpc_core.State.Halted)
-      in
+    (fun (ename, engine) ->
+      let image = image_of ~engine "fib" in
+      (* both sides run on a fresh clone *)
       let on () =
+        let image = Fpc_mesa.Image.clone image in
         let p = Fpc_interp.Profiler.create ~capacity:1024 ~image ~engine () in
         let st, _ =
-          Fpc_interp.Profiler.run p ~image ~engine ~instance:"Main"
-            ~proc:"main" ~args:[]
+          Fpc_interp.Profiler.run p ~image ~engine ~instance:"Main" ~proc:"main"
+            ~args:[]
         in
-        assert (st.Fpc_core.State.status = Fpc_core.State.Halted)
+        must_halt st
       in
-      let bench = "trace/fib/" ^ name in
-      let off_s =
-        if smoke then median_run_s ~samples:3 ~runs:1 off else median_run_s off
+      let off, on =
+        sample2 (per_call ~runs:5 (run_interp ~engine image)) (per_call ~runs:5 on)
       in
-      let on_s =
-        if smoke then median_run_s ~samples:3 ~runs:1 on else median_run_s on
-      in
-      let on_pct = (on_s -. off_s) /. off_s *. 100.0 in
-      record bench "off_ns_per_run" (off_s *. 1e9);
-      record bench "on_ns_per_run" (on_s *. 1e9);
-      record bench "on_overhead_pct" on_pct;
-      add_row tb
-        [ name;
-          Printf.sprintf "%.2f ms" (off_s *. 1e3);
-          Printf.sprintf "%.2f ms" (on_s *. 1e3);
-          Printf.sprintf "%+.1f%%" on_pct ])
-    (if smoke then [ ("I1", Fpc_core.Engine.i1) ]
-     else
-       [ ("I1", Fpc_core.Engine.i1); ("I2", Fpc_core.Engine.i2);
-         ("I3", Fpc_core.Engine.i3 ()); ("I4", Fpc_core.Engine.i4 ()) ]);
-  add_note tb
-    "off = run with no tracer installed (the default); on = sink + \
-     streaming per-procedure profile";
-  print tb;
-  print_newline ()
+      let name = "trace/fib/" ^ String.uppercase_ascii ename in
+      record name "off_ns_per_run" (ns off);
+      record name "on_ns_per_run" (ns on))
+    (if smoke then [ List.hd engines ] else engines)
 
-let run_micro () =
-  let open Bechamel in
-  let tests =
-    Test.make_grouped ~name:"fpc"
-      [
-        bench_engine "I1" Fpc_core.Engine.i1;
-        bench_engine "I2" Fpc_core.Engine.i2;
-        bench_engine "I3" (Fpc_core.Engine.i3 ());
-        bench_engine "I4" (Fpc_core.Engine.i4 ());
-        bench_tier "I1" Fpc_core.Engine.i1;
-        bench_tier "I2" Fpc_core.Engine.i2;
-        bench_tier "I3" (Fpc_core.Engine.i3 ());
-        bench_tier "I4" (Fpc_core.Engine.i4 ());
-        bench_allocator;
-        bench_return_stack;
-        bench_banks;
-      ]
+(* ------------------------------------------------------------------ *)
+
+(* Session-scheduler throughput: the generated session workload
+   (Fpc_workload.Sessions) streamed through the green-thread scheduler
+   on I2, run-to-yield, under both execution tiers, the image compiled
+   once per scale (E17 reports its footprint, exactly). *)
+let run_sched ~smoke () =
+  let engine = Fpc_core.Engine.i2 in
+  let scales =
+    if smoke then [ ("64", 64) ] else [ ("100", 100); ("1k", 1_000); ("10k", 10_000) ]
   in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:(Some 500) () in
-  let raw = Benchmark.all cfg instances tests in
-  let per_instance = List.map (fun instance -> Analyze.all ols instance raw) instances in
-  let results = Analyze.merge ols instances per_instance in
-  Printf.printf "== micro-benchmarks (host ns/run, monotonic clock) ==\n";
-  Hashtbl.iter
-    (fun _instance table ->
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            record ("micro/" ^ name) "ns_per_run" est;
-            Printf.printf "  %-28s %12.1f ns\n" name est
-          | Some _ | None -> Printf.printf "  %-28s (no estimate)\n" name)
-        table)
-    results
+  List.iter
+    (fun (label, total) ->
+      let image =
+        compile ~engine (Fpc_workload.Sessions.program (Fpc_workload.Sessions.default ~total))
+      in
+      let translation = Fpc_tier.Tier.translate image in
+      let drive step () =
+        let st = boot ~engine image in
+        let s = time (fun () -> ignore (Fpc_sched.Sched.run ~step ~fuel:50_000_000 st)) in
+        must_halt st;
+        s
+      in
+      let interp, tier =
+        sample2
+          (drive (fun n st -> Fpc_interp.Interp.run ~max_steps:n st))
+          (drive (fun n st -> Fpc_tier.Tier.run ~max_steps:n translation st))
+      in
+      let name = "sched/sessions/" ^ label in
+      record name "sessions_per_sec_interp" (per_sec total interp);
+      record name "sessions_per_sec_tier" (per_sec total tier))
+    scales
 
 (* ------------------------------------------------------------------ *)
 
@@ -799,8 +556,8 @@ let proc_poller pid stop peak_threads peak_fds =
    [pipeline] request lines on every connection (one write per
    connection) and then reading [pipeline] replies from each.  The
    server answers a connection's jobs in request order, and a reply is
-   ok iff it carries "status":"ok".  Returns (ok, failed, shed, wall);
-   the wall clock covers the rounds, not the connects. *)
+   ok iff it carries "status":"ok".  Returns (ok, failed, shed, walls):
+   each round's wall clock, the connects not included. *)
 let drive_rung ~host ~port ~connections ~rounds ~pipeline ~request_line =
   let clients =
     Array.init connections (fun _ -> Fpc_net.Client.connect ~host ~port ())
@@ -812,8 +569,7 @@ let drive_rung ~host ~port ~connections ~rounds ~pipeline ~request_line =
     let rec go i = i + m <= n && (String.sub line i m = sub || go (i + 1)) in
     go 0
   in
-  let t0 = Fpc_util.Clock.now () in
-  for _ = 1 to rounds do
+  let round () =
     Array.iter (fun c -> Fpc_net.Client.send_line c batch) clients;
     Array.iter
       (fun c ->
@@ -825,10 +581,10 @@ let drive_rung ~host ~port ~connections ~rounds ~pipeline ~request_line =
           | None -> failwith "net bench: the server closed a connection"
         done)
       clients
-  done;
-  let wall = Fpc_util.Clock.now () -. t0 in
+  in
+  let walls = List.init rounds (fun _ -> time round) in
   Array.iter Fpc_net.Client.close clients;
-  (!ok, !failed, !shed, wall)
+  (!ok, !failed, !shed, walls)
 
 let run_net_conns ?(pipeline = 4) ~conns () =
   if conns < 1 || pipeline < 1 then
@@ -880,19 +636,6 @@ let run_net_conns ?(pipeline = 4) ~conns () =
    with
   | 3, _, _, _ -> ()
   | _ -> failwith "net bench: warmup round trips did not all come back ok");
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create
-      ~title:
-        (Printf.sprintf
-           "net high-concurrency ladder (fib/i2, pipeline %d, %d-domain \
-            spawned server)"
-           pipeline domains)
-      ~columns:
-        [ ("conns", Right); ("rounds", Right); ("ok", Right);
-          ("jobs/sec", Right); ("srv thr", Right); ("srv fds", Right);
-          ("bench thr", Right) ]
-  in
   (* The reactor's whole point: OS threads stay constant while
      connections scale.  The OCaml-level count is domains + 3 (main,
      signal waiter, loop); the runtime adds a tick thread and at most one
@@ -903,11 +646,10 @@ let run_net_conns ?(pipeline = 4) ~conns () =
       await_idle ();
       peak_threads := 0;
       peak_fds := 0;
-      let rounds = max 5 (5_000 / connections) in
-      let ok, failed, shed, wall =
+      let rounds = max !samples (5_000 / connections) in
+      let ok, failed, shed, walls =
         drive_rung ~host ~port ~connections ~rounds ~pipeline ~request_line
       in
-      let bench_threads = proc_threads "/proc/self/status" in
       let expected = connections * rounds * pipeline in
       if ok <> expected then
         failwith
@@ -921,104 +663,15 @@ let run_net_conns ?(pipeline = 4) ~conns () =
              "net bench: server used %d OS threads at %d connections \
               (bound %d): the reactor is leaking threads"
              !peak_threads connections thread_bound);
-      let jps = float_of_int ok /. wall in
-      let name = Printf.sprintf "net/conns/%dc" connections in
-      record name "jobs_per_sec" jps;
-      record name "server_threads" (float_of_int !peak_threads);
-      record name "server_fds" (float_of_int !peak_fds);
-      add_row tb
-        [ cell_int connections; cell_int rounds; cell_int ok;
-          cell_float ~decimals:1 jps; cell_int !peak_threads;
-          cell_int !peak_fds; cell_int bench_threads ])
-    ladder;
-  add_note tb
-    (Printf.sprintf
-       "one driving thread; srv thr/fds are /proc peaks of the spawned \
-        server (thread bound %d enforced); bench thr is this process's"
-       thread_bound);
-  print tb;
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-
-(* Session-scheduler throughput and footprint (the `sched` argument):
-   the generated session workload (Fpc_workload.Sessions) streamed
-   through the green-thread scheduler at 100 / 1k / 10k sessions on I2,
-   run-to-yield, under both execution tiers.  Throughput is host
-   wall-clock (compile excluded — the image is built once per scale);
-   the footprint keys are simulated meters and therefore exact.  The
-   smoke variant runs one tiny scale. *)
-let run_sched ?(smoke = false) () =
-  let engine = Fpc_core.Engine.i2 in
-  let scales = if smoke then [ ("64", 64) ] else [ ("100", 100); ("1k", 1_000); ("10k", 10_000) ] in
-  let open Fpc_util.Tablefmt in
-  let tb =
-    create ~title:"sched session throughput (i2, run-to-yield, both tiers)"
-      ~columns:
-        [ ("sessions", Right); ("interp sess/s", Right); ("tier sess/s", Right);
-          ("frame peak", Right); ("LIFO reserve", Right); ("ratio", Right) ]
-  in
-  List.iter
-    (fun (label, total) ->
-      let config = Fpc_workload.Sessions.default ~total in
-      let convention = Fpc_compiler.Convention.for_engine engine in
-      let image =
-        match
-          Fpc_compiler.Compile.image ~convention
-            (Fpc_workload.Sessions.program config)
-        with
-        | Ok i -> i
-        | Error m -> failwith ("sched bench compile: " ^ m)
-      in
-      let translation = Fpc_tier.Tier.translate image in
-      let drive step =
-        let im = Fpc_mesa.Image.clone image in
-        let st =
-          Fpc_interp.Interp.boot ~image:im ~engine ~instance:"Main"
-            ~proc:"main" ~args:[] ()
-        in
-        let stats = Fpc_sched.Sched.run ~step ~fuel:50_000_000 st in
-        if st.Fpc_core.State.status <> Fpc_core.State.Halted then
-          failwith "sched bench: workload did not halt";
-        (st, stats)
-      in
-      let interp_step n st = Fpc_interp.Interp.run ~max_steps:n st in
-      let tier_step n st = Fpc_tier.Tier.run ~max_steps:n translation st in
-      let throughput step =
-        let s =
-          median_run_s ~samples:(if smoke then 3 else 5) ~runs:1 (fun () ->
-              ignore (drive step))
-        in
-        float_of_int total /. s
-      in
-      let interp_sps = throughput interp_step in
-      let tier_sps = throughput tier_step in
-      let st, stats = drive interp_step in
-      let lifo_reserved =
-        st.Fpc_core.State.metrics.Fpc_core.State.peak_live_procs
-        * Fpc_workload.Sessions.worst_extent_words config ~image
-      in
-      let r = Fpc_sched.Sched.report ~lifo_reserved ~stats st in
-      let sec = "sched/sessions/" ^ label in
-      record sec "sessions_per_sec_interp" interp_sps;
-      record sec "sessions_per_sec_tier" tier_sps;
-      record sec "frame_peak_words"
-        (float_of_int r.Fpc_sched.Sched.frame_peak_words);
-      record sec "lifo_reserved_words"
-        (float_of_int r.Fpc_sched.Sched.lifo_reserved_words);
-      record sec "footprint_ratio" r.Fpc_sched.Sched.footprint_ratio;
-      add_row tb
-        [ label; cell_float ~decimals:0 interp_sps;
-          cell_float ~decimals:0 tier_sps;
-          Printf.sprintf "%dw" r.Fpc_sched.Sched.frame_peak_words;
-          Printf.sprintf "%dw" r.Fpc_sched.Sched.lifo_reserved_words;
-          Printf.sprintf "%.4f" r.Fpc_sched.Sched.footprint_ratio ])
-    scales;
-  add_note tb
-    "host wall-clock, image compiled once per scale; footprint columns are \
-     simulated meters (exact and engine-deterministic)";
-  print tb;
-  print_newline ()
+      record
+        (Printf.sprintf "net/conns/%dc" connections)
+        "jobs_per_sec"
+        (per_sec (connections * pipeline) walls);
+      Printf.printf
+        "net %d conns (fib/i2, pipeline %d, %d-domain spawned server): %d \
+         round trips ok; server peaks %d OS threads (bound %d), %d fds\n"
+        connections pipeline domains ok !peak_threads thread_bound !peak_fds)
+    ladder
 
 let usage =
   "usage: main.exe [micro] [svc] [trace] [sched] [net] [--smoke] [--conns N] \
@@ -1064,21 +717,18 @@ let () =
     fail
       "--json replaces BENCH_results.json whole, so it takes a full run: no \
        layer argument, --smoke, --conns or --pipeline";
+  if smoke then samples := 3;
+  let t0 = Fpc_util.Clock.now () in
   let wants l = full || List.mem l !layers in
-  if wants "micro" then begin
-    run_micro ();
-    run_tier_compile ();
-    run_tier_calls ~smoke ();
-    run_devirt ~smoke ()
-  end;
-  if wants "svc" then begin
-    run_svc ~smoke ();
-    run_svc_alloc ~smoke ()
-  end;
-  if wants "trace" then run_trace ~smoke ();
-  if wants "sched" then run_sched ~smoke ();
+  if wants "micro" then layer "micro (host ns)" run_micro;
+  if wants "svc" then layer "svc pool scaling (warmed cache, submit->await)" (run_svc ~smoke);
+  if wants "trace" then layer "tracing overhead (fib)" (run_trace ~smoke);
+  if wants "sched" then layer "sched session throughput (i2, run-to-yield)" (run_sched ~smoke);
   if wants "net" then
-    run_net_conns ?pipeline:!pipeline
-      ~conns:(Option.value !conns ~default:(if smoke then 100 else 1000))
-      ();
+    layer "net high-concurrency ladder (per round)"
+      (run_net_conns ?pipeline:!pipeline
+         ~conns:(Option.value !conns ~default:(if smoke then 100 else 1000)));
+  Printf.printf "bench: %.1f s wall on %d recommended domain(s)\n"
+    (Fpc_util.Clock.now () -. t0)
+    (Fpc_svc.Pool.recommended_domains ());
   if !json then write_json "BENCH_results.json"

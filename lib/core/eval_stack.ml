@@ -36,8 +36,6 @@ let unsafe_pop t =
   t.depth <- t.depth - 1;
   Array.unsafe_get t.data t.depth
 
-let unsafe_peek t = Array.unsafe_get t.data (t.depth - 1)
-
 let clear t = t.depth <- 0
 let contents t = Array.sub t.data 0 t.depth
 

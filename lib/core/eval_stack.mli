@@ -33,7 +33,6 @@ val clear : t -> unit
 
 val unsafe_push : t -> int -> unit
 val unsafe_pop : t -> int
-val unsafe_peek : t -> int
 
 val contents : t -> int array
 (** Bottom first; a fresh copy. *)

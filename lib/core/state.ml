@@ -174,6 +174,7 @@ type t = {
   mutable ring_len : int;
   mutable next_pid : int;
   mutable current_pid : int;
+  mutable resumed_at : int;
   data_trace : (int * bool) Queue.t option;
   mutable tracer : Fpc_trace.Sink.t option;
 }
@@ -268,6 +269,7 @@ let create ?tracer ~image ~engine () =
     ring_len = 0;
     next_pid = 1;
     current_pid = 0;
+    resumed_at = 0;
     data_trace = (if engine.Engine.collect_data_trace then Some (Queue.create ()) else None);
     tracer;
   }
@@ -309,6 +311,7 @@ let reset ?tracer t =
   Option.iter Queue.clear t.data_trace;
   t.next_pid <- 1;
   t.current_pid <- 0;
+  t.resumed_at <- 0;
   t.tracer <- tracer;
   wire_hooks t
 

@@ -135,6 +135,9 @@ type t = {
   mutable ring_len : int;  (** ready processes, the running one excluded *)
   mutable next_pid : int;
   mutable current_pid : int;
+  mutable resumed_at : int;
+      (** [metrics.instructions] when the running process last got the
+          CPU from a process switch *)
   data_trace : (int * bool) Queue.t option;
   mutable tracer : Fpc_trace.Sink.t option;
       (** event sink; [None] (the default) keeps every instrumentation

@@ -398,6 +398,7 @@ let call_direct (st : State.t) ~target_abs =
 (* Everything here reads the slot before anything can reserve it again. *)
 let resume_process (st : State.t) (p : State.process) =
   st.current_pid <- p.p_id;
+  st.resumed_at <- st.metrics.instructions;
   (* State-vector restore: the saved evaluation stack returns from
      storage. *)
   for _ = 1 to p.p_depth do

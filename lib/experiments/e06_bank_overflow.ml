@@ -102,8 +102,8 @@ let programs_table () =
   (t, mean)
 
 (* Same-direction runs over a stream of calls (+1) and returns (-1).  A
-   run is counted when the direction turns, so the run still open when the
-   stream ends is not. *)
+   run is counted when the direction turns; [finish] counts the run still
+   open when the stream ends and returns the histogram. *)
 let run_fold () =
   let runs = Histogram.create () and dir = ref 0 and len = ref 0 in
   let step d =
@@ -114,7 +114,11 @@ let run_fold () =
       len := 1
     end
   in
-  (runs, step)
+  let finish () =
+    if !len > 0 then Histogram.add runs !len;
+    runs
+  in
+  (step, finish)
 
 (* A suite program's statistics, from its XFER event stream: every call
    and return event carries the call depth after it.  Unlike
@@ -123,7 +127,7 @@ let run_fold () =
 let machine_locality program =
   let engine = Fpc_core.Engine.i2 in
   let depth = Histogram.create () in
-  let runs, step = run_fold () in
+  let step, finish = run_fold () in
   let sink = Fpc_trace.Sink.create ~capacity:1 ~engine:(Fpc_core.Engine.name engine) () in
   Fpc_trace.Sink.set_listener sink
     (Some
@@ -137,11 +141,11 @@ let machine_locality program =
            step (-1)
          | _ -> ()));
   ignore (Harness.run_one ~engine ~tracer:sink ~program ());
-  (depth, runs)
+  (depth, finish ())
 
 let synthetic_locality () =
   let trace = Fpc_workload.Synthetic.generate ~seed:7 ~length:120_000 () in
-  let runs, step = run_fold () in
+  let step, finish = run_fold () in
   List.iter
     (function
       | Fpc_workload.Synthetic.Call _ -> step 1
@@ -149,7 +153,7 @@ let synthetic_locality () =
       | Fpc_workload.Synthetic.Coroutine_switch | Fpc_workload.Synthetic.Process_switch
         -> ())
     trace;
-  (Fpc_workload.Synthetic.depth_profile trace, runs)
+  (Fpc_workload.Synthetic.depth_profile trace, finish ())
 
 (* The table's rows as printed: workload, depth p50 / p95 / max, run p95 /
    max and the share of runs of at most 4. *)

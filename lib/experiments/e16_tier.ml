@@ -7,14 +7,12 @@
     threaded-code tier ({!Fpc_tier.Tier}) to that contract over the whole
     suite × all four engines — outputs, instruction counts, cycles,
     storage references and transfer counts must be bit-identical to the
-    dispatch-loop interpreter — and reports what the tier buys at host
-    speed: fusion coverage (the fraction of retired instructions executed
-    inside multi-op superinstructions) and per-engine wall-clock speedup.
-
-    Speedups here are single-threaded translate-excluded medians on small
-    suite programs; they are bounded by the simulated metering (every
-    cycle and storage reference is still accounted), so loop-dominated
-    kernels gain the most and transfer-dense ones the least. *)
+    dispatch-loop interpreter — and reports how much of the run the tier
+    covers: fusion coverage (the fraction of retired instructions executed
+    inside multi-op superinstructions) and the fast-path share.  What that
+    buys in host time is bench/main's [micro/fpc/suite/*] keys, recorded
+    with their spread: a wall clock has no place in a deterministic
+    table. *)
 
 open Fpc_util
 
@@ -24,8 +22,6 @@ type tally = {
   mutable fast : int;
   mutable deopts : int;
   mutable mismatches : int;
-  mutable interp_s : float;
-  mutable tier_s : float;
 }
 
 let run_engine (tally : tally) engine =
@@ -45,11 +41,7 @@ let run_engine (tally : tally) engine =
       tally.instrs <- tally.instrs + stc.metrics.instructions;
       tally.super <- tally.super + stc.metrics.tier_super_instrs;
       tally.fast <- tally.fast + stc.metrics.tier_fast_instrs;
-      tally.deopts <- tally.deopts + stc.metrics.tier_deopts;
-      tally.interp_s <-
-        tally.interp_s +. Harness.time_runs ~image ~engine Fpc_interp.Interp.run;
-      tally.tier_s <-
-        tally.tier_s +. Harness.time_runs ~image ~engine (Fpc_tier.Tier.run tr))
+      tally.deopts <- tally.deopts + stc.metrics.tier_deopts)
     Fpc_workload.Programs.names
 
 let run () =
@@ -63,46 +55,30 @@ let run () =
           ("fused instrs", Tablefmt.Right);
           ("fast instrs", Tablefmt.Right);
           ("deopts", Tablefmt.Right);
-          ("speedup", Tablefmt.Right);
         ]
   in
   let pct a b = 100.0 *. Harness.ratio a b in
   let total = ref 0 and total_super = ref 0 and total_fast = ref 0 in
   let mismatches = ref 0 in
-  let speedups =
-    List.map
-      (fun (name, engine) ->
-        let tally =
-          {
-            instrs = 0;
-            super = 0;
-            fast = 0;
-            deopts = 0;
-            mismatches = 0;
-            interp_s = 0.0;
-            tier_s = 0.0;
-          }
-        in
-        run_engine tally engine;
-        total := !total + tally.instrs;
-        total_super := !total_super + tally.super;
-        total_fast := !total_fast + tally.fast;
-        mismatches := !mismatches + tally.mismatches;
-        let speedup =
-          if tally.tier_s > 0.0 then tally.interp_s /. tally.tier_s else 0.0
-        in
-        Tablefmt.add_row t
-          [
-            name;
-            Tablefmt.cell_int tally.mismatches;
-            Printf.sprintf "%.1f%%" (pct tally.super tally.instrs);
-            Printf.sprintf "%.1f%%" (pct tally.fast tally.instrs);
-            Tablefmt.cell_int tally.deopts;
-            Printf.sprintf "%.2fx" speedup;
-          ];
-        (name, speedup))
-      Harness.engines
-  in
+  List.iter
+    (fun (name, engine) ->
+      let tally =
+        { instrs = 0; super = 0; fast = 0; deopts = 0; mismatches = 0 }
+      in
+      run_engine tally engine;
+      total := !total + tally.instrs;
+      total_super := !total_super + tally.super;
+      total_fast := !total_fast + tally.fast;
+      mismatches := !mismatches + tally.mismatches;
+      Tablefmt.add_row t
+        [
+          name;
+          Tablefmt.cell_int tally.mismatches;
+          Printf.sprintf "%.1f%%" (pct tally.super tally.instrs);
+          Printf.sprintf "%.1f%%" (pct tally.fast tally.instrs);
+          Tablefmt.cell_int tally.deopts;
+        ])
+    Harness.engines;
   let fusion = pct !total_super !total in
   let fast = pct !total_fast !total in
   Tablefmt.add_note t
@@ -110,9 +86,6 @@ let run () =
        "suite aggregate: %.1f%% of instructions fused, %.1f%% on the fast \
         path; every output and every simulated meter identical across tiers"
        fusion fast);
-  Tablefmt.add_note t
-    "speedups are host wall clock (translate excluded, median of runs); the \
-     simulated meters are engine-defined and tier-invariant by construction";
   {
     Exp.id = "E16";
     key = "tier";
@@ -123,11 +96,9 @@ let run () =
        speed) (\xC2\xA76, \xC2\xA78)";
     tables = [ Tablefmt.render t ];
     headlines =
-      ([
-         ("mismatches", float_of_int !mismatches);
-         ("fusion_coverage_pct", fusion);
-         ("fastpath_coverage_pct", fast);
-       ]
-      @ List.map (fun (n, s) -> ("speedup_" ^ String.lowercase_ascii n, s))
-          speedups);
+      [
+        ("mismatches", float_of_int !mismatches);
+        ("fusion_coverage_pct", fusion);
+        ("fastpath_coverage_pct", fast);
+      ];
   }

@@ -121,7 +121,9 @@ let dynamic_calls ~image ~engine =
   in
   Fpc_interp.Interp.run st;
   Harness.must_halt st;
-  (counts, Fpc_machine.Cost.mem_refs st.Fpc_core.State.cost)
+  ( counts,
+    Fpc_machine.Cost.mem_refs st.Fpc_core.State.cost,
+    Fpc_machine.Cost.cycles st.Fpc_core.State.cost )
 
 (* ---- the run ---- *)
 
@@ -205,7 +207,8 @@ let run () =
   let dyn =
     Tablefmt.create
       ~title:
-        "Dynamic late-bound calls and storage references, before \xe2\x86\x92 after"
+        "Dynamic late-bound calls, storage references and cycles, before \
+         \xe2\x86\x92 after"
       ~columns:
         [
           ("kernel", Tablefmt.Left);
@@ -215,6 +218,7 @@ let run () =
           ("devirtualized", Tablefmt.Right);
           ("refs", Tablefmt.Right);
           ("refs saved", Tablefmt.Right);
+          ("cycles", Tablefmt.Right);
         ]
   in
   let rate_sum = ref 0.0 and rate_n = ref 0 in
@@ -227,8 +231,8 @@ let run () =
           let convention = Fpc_compiler.Convention.for_engine engine in
           let base = compile ~convention ~devirt:false source in
           let dv = compile ~convention ~devirt:true source in
-          let cb, refs_b = dynamic_calls ~image:base ~engine in
-          let cd, refs_d = dynamic_calls ~image:dv ~engine in
+          let cb, refs_b, cycles_b = dynamic_calls ~image:base ~engine in
+          let cd, refs_d, cycles_d = dynamic_calls ~image:dv ~engine in
           let rate =
             if cb.late = 0 then 0.0
             else 1.0 -. (float_of_int cd.late /. float_of_int cb.late)
@@ -246,14 +250,15 @@ let run () =
               Printf.sprintf "%.0f%%" (100.0 *. rate);
               Printf.sprintf "%d \xe2\x86\x92 %d" refs_b refs_d;
               Printf.sprintf "%.1f%%" (100.0 *. saved);
+              Printf.sprintf "%d \xe2\x86\x92 %d" cycles_b cycles_d;
             ])
         external_engines)
     cross_module_kernels;
   Tablefmt.add_note dyn
     "each retired Call event is mapped back to the call opcode that \
-     produced it by a linear decode of every procedure body; refs are the \
-     paper's simulated storage references (exact) \xe2\x80\x94 I3/I4 bind \
-     early by construction and have no late-bound sites to count";
+     produced it by a linear decode of every procedure body; refs and \
+     cycles are the paper's simulated meters (exact) \xe2\x80\x94 I3/I4 \
+     bind early by construction and have no late-bound sites to count";
   let devirt_pct = 100.0 *. !rate_sum /. float_of_int (max 1 !rate_n) in
   let saved_pct = 100.0 *. !saved_sum /. float_of_int (max 1 !rate_n) in
   {

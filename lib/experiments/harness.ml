@@ -44,18 +44,4 @@ let boot ~image ~engine =
 
 let fingerprint = Fpc_interp.Interp.outcome
 
-let timing_reps = 5
-
-(* Boot cost is paid identically on both sides of a comparison, and the
-   median is robust to a noisy host. *)
-let time_runs ~image ~engine f =
-  let samples =
-    List.init timing_reps (fun _ ->
-        let st = boot ~image ~engine in
-        let t0 = Fpc_util.Clock.now () in
-        f st;
-        Fpc_util.Clock.now () -. t0)
-  in
-  List.nth (List.sort Float.compare samples) (timing_reps / 2)
-
 let ratio a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b

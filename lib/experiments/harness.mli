@@ -36,13 +36,5 @@ val fingerprint : Fpc_core.State.t -> Fpc_interp.Interp.outcome
 (** Everything a differential compares after a run: status, output,
     final stack, meters, transfer counts and the fast-path record. *)
 
-val time_runs :
-  image:Fpc_mesa.Image.t ->
-  engine:Fpc_core.Engine.t ->
-  (Fpc_core.State.t -> unit) ->
-  float
-(** Median host wall time, in seconds, of 5 runs of the runner on a
-    freshly {!boot}ed machine each. *)
-
 val ratio : int -> int -> float
 (** [ratio a b] = a/b as float; 0 when [b] = 0. *)

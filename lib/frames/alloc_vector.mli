@@ -71,8 +71,6 @@ val fsi_for_locals : Size_class.t -> int -> int
     arguments + locals under [ladder].  Raises [Invalid_argument] if too
     large. *)
 
-val is_live : t -> lf:int -> bool
-
 val reset : t -> unit
 (** Return the allocator to its just-created state over the same memory:
     AV heads zeroed, no live blocks, wilderness back at [heap_base], all

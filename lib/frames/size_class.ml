@@ -31,8 +31,3 @@ let index_for_block t words =
 
 let sizes t = Array.copy t.sizes
 let max_block_words t = t.sizes.(Array.length t.sizes - 1)
-
-let internal_waste t ~block_request =
-  match index_for_block t block_request with
-  | None -> invalid_arg "Size_class.internal_waste: request exceeds ladder"
-  | Some fsi -> t.sizes.(fsi) - block_request

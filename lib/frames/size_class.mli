@@ -36,7 +36,3 @@ val sizes : t -> int array
 (** All block sizes, ascending. *)
 
 val max_block_words : t -> int
-
-val internal_waste : t -> block_request:int -> int
-(** Words wasted when a [block_request]-word block is served by its class.
-    Raises [Invalid_argument] if the request exceeds the ladder. *)

@@ -2,6 +2,4 @@
     yields [ast] again (the round-trip property tested by the suite). *)
 
 val expr_to_string : Ast.expr -> string
-val stmt_to_string : ?indent:int -> Ast.stmt -> string
-val module_to_string : Ast.module_decl -> string
 val program_to_string : Ast.program -> string

@@ -41,6 +41,3 @@ val validate : t -> (unit, string) result
 (** Structural checks: distinct procedure names, at most 128 entry points
     (four biased GFT entries, §5.1), at most 256 imports, fixups inside
     bodies and naming real LV indices. *)
-
-val max_entry_points : int
-(** 128 = 4 bias values x 32 entry indices. *)

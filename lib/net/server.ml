@@ -90,6 +90,11 @@ let snapshot_now t =
     ~wall_s:(Fpc_util.Clock.now () -. Pool.started_at t.pool)
     ~cache:(Image_cache.stats (Pool.cache t.pool))
 
+(* The [/stats] payload: a ["server"] object (port, reactor backend,
+   draining flag, limiter counters), a ["pool"] object (the live tally's
+   Metrics.to_json, shed / pending-watermark / timer-deadline counters
+   folded in), and a ["gc"] object: the server process's major heap and
+   collection counts from [Gc.quick_stat]. *)
 let stats_json t =
   let open Fpc_util.Jsonout in
   let ls = Limiter.stats t.limiter in

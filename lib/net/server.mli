@@ -79,15 +79,6 @@ val request_drain : t -> unit
 
 val draining : t -> bool
 
-val stats_json : t -> Fpc_util.Jsonout.t
-(** The [/stats] payload: a ["server"] object (port, reactor backend,
-    draining flag, limiter counters) and a ["pool"] object
-    ({!Fpc_svc.Metrics.to_json} of the live tally, shed /
-    pending-watermark / timer-deadline counters folded in), and a ["gc"]
-    object: the server process's major heap ([heap_words],
-    [top_heap_words]) and collection counts ([minor_collections],
-    [major_collections]) from [Gc.quick_stat]. *)
-
 val wait : t -> Fpc_svc.Metrics.snapshot
 (** Block until a drain is requested and completes: every accepted
     request answered, the reactor stopped, the pool shut down.  Returns

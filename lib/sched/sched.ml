@@ -68,11 +68,18 @@ let drift_to_boundary ~step ~budget (st : Fpc_core.State.t) =
 
 (* The injected round-robin itself: meters the switch, flushes the return
    stack and banks — or no-ops when no other session is ready, in which
-   case it is not counted as a preemption. *)
+   case it is not counted as a preemption.  It also declines while the
+   running process has retired nothing since a switch gave it the CPU:
+   when a program's own YIELD is the last step of a slice, taking the CPU
+   straight back would starve the process it handed over to, and a wait
+   loop whose length lines its YIELD up with every slice would livelock. *)
 let inject_yield (st : Fpc_core.State.t) =
-  let switched = Fpc_core.State.ready_count st > 0 in
-  ignore (Fpc_core.Transfer.catch_traps st Fpc_core.Transfer.yield : bool);
-  switched
+  if st.metrics.instructions = st.resumed_at then false
+  else begin
+    let switched = Fpc_core.State.ready_count st > 0 in
+    ignore (Fpc_core.Transfer.catch_traps st Fpc_core.Transfer.yield : bool);
+    switched
+  end
 
 let run ?(policy = Run_to_yield) ?deadline_at ~step ~fuel st =
   let slice =

@@ -76,8 +76,6 @@ val effective_sched : spec -> Fpc_sched.Sched.policy option
 val tier_of_name : string -> (tier, string) Stdlib.result
 (** ["interp"], ["compiled"] or ["auto"] (case-insensitive). *)
 
-val tier_to_string : tier -> string
-
 type error_kind =
   | Bad_request  (** unparseable request, unknown engine or suite program *)
   | Compile_error  (** lexer / parser / typechecker / linker rejection *)
@@ -85,8 +83,6 @@ type error_kind =
   | Fuel_exhausted  (** the step budget ran out (runaway loop) *)
   | Deadline_exceeded  (** the wall-clock deadline fired mid-run *)
   | Internal  (** unexpected exception; a bug, but isolated to the job *)
-
-val error_kind_to_string : error_kind -> string
 
 type outcome =
   | Output of int list  (** halted normally; the OUTPUT words in order *)
@@ -162,10 +158,6 @@ val source_text : source -> (string, string) Stdlib.result
 (** The mini-Mesa text to compile; [Error] for an unknown suite name or
     an invalid session config.  A session config's text is built once and
     then shared (across domains too): asking again allocates nothing. *)
-
-val source_label : source -> string
-(** ["fib"] for a suite program, ["inline:<digest-prefix>"] for source
-    text — a stable, short display name. *)
 
 val outcome_equal : outcome -> outcome -> bool
 

@@ -55,13 +55,6 @@ val copy : t -> t
 (** A fresh record with the same fields — detach an event from a reused
     ring slot before retaining it. *)
 
-val is_transfer : kind -> bool
-(** Begin, Call, Return, Coroutine or Switch — the events that move
-    control between contexts. *)
-
-val kind_name : kind -> string
-(** Short stable name, e.g. ["call"], ["rs-flush"]. *)
-
 val to_string : t -> string
 (** One-line rendering for debug listings. *)
 

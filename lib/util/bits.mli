@@ -28,9 +28,6 @@ val unsigned_of_signed : width:int -> int -> int
 (** Encode a signed value into [width]-bit two's complement.  Raises
     [Invalid_argument] when out of range. *)
 
-val word_mask : int
-(** The 16-bit mask 0xFFFF, the machine word width used throughout. *)
-
 val to_word : int -> int
 (** Truncate to 16 bits. *)
 

@@ -22,8 +22,6 @@ val to_string : t -> string
     shortest decimal form that round-trips; non-finite floats render as
     [null] (JSON has no representation for them). *)
 
-val to_buffer : Buffer.t -> t -> unit
-
 val pretty : t -> string
 (** Two-space-indented rendering, trailing newline included — for files
     meant to be read by humans (e.g. [BENCH_results.json]). *)

@@ -77,25 +77,28 @@ let test_e6 () =
 
 (* E6's locality table, pinned row for row: depth p50 / p95 / max, run p95
    / max and runs <= 4 for every sequential suite program (engine I2) and
-   the calibrated synthetic trace. *)
+   the calibrated synthetic trace.  The run still open when a stream ends
+   counts: deep's 202-return ascent, and isort's and bsearch's only run. *)
 let test_e6_locality () =
   Alcotest.(check (list (list string)))
     "locality rows"
     [
       [ "fib"; "9"; "12"; "14"; "5"; "14"; "93.8%" ];
       [ "ackermann"; "27"; "52"; "63"; "2"; "61"; "97.6%" ];
-      [ "sieve"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "sieve"; "0"; "1"; "1"; "2"; "2"; "100.0%" ];
+      [ "isort"; "0"; "0"; "0"; "1"; "1"; "100.0%" ];
       [ "callchain"; "2"; "3"; "3"; "3"; "3"; "100.0%" ];
-      [ "leafcalls"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "leafcalls"; "0"; "1"; "1"; "1"; "2"; "100.0%" ];
       [ "mixed"; "1"; "2"; "2"; "1"; "2"; "100.0%" ];
-      [ "deep"; "100"; "191"; "201"; "201"; "201"; "0.0%" ];
-      [ "hanoi"; "7"; "8"; "8"; "5"; "8"; "94.1%" ];
-      [ "matmul"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
-      [ "knapsack"; "7"; "9"; "9"; "7"; "9"; "80.0%" ];
-      [ "fibleaf"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
-      [ "ackerlite"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
-      [ "xleaf"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
-      [ "polyleaf"; "0"; "1"; "1"; "1"; "1"; "100.0%" ];
+      [ "deep"; "100"; "191"; "201"; "202"; "202"; "0.0%" ];
+      [ "hanoi"; "7"; "8"; "8"; "5"; "9"; "93.8%" ];
+      [ "bsearch"; "0"; "0"; "0"; "1"; "1"; "100.0%" ];
+      [ "matmul"; "0"; "1"; "1"; "1"; "2"; "100.0%" ];
+      [ "knapsack"; "7"; "9"; "9"; "7"; "10"; "79.4%" ];
+      [ "fibleaf"; "0"; "1"; "1"; "1"; "2"; "100.0%" ];
+      [ "ackerlite"; "0"; "1"; "1"; "1"; "2"; "100.0%" ];
+      [ "xleaf"; "0"; "1"; "1"; "1"; "2"; "100.0%" ];
+      [ "polyleaf"; "0"; "1"; "1"; "1"; "2"; "100.0%" ];
       [ "synthetic (calibrated)"; "8"; "10"; "14"; "2"; "6"; "100.0%" ];
     ]
     (Fpc_experiments.E06_bank_overflow.locality_rows ())
@@ -155,15 +158,11 @@ let test_e14 () =
     (headline "equivalence" "relocation_failures");
   check_band ~what:"instances ok" ~lo:1.0 ~hi:1.0 (headline "equivalence" "instances_ok")
 
-(* E16: the compiled tier is bit-identical and most instructions fuse.
-   Speedup is host wall clock — asserted positive, not banded, so a noisy
-   CI machine cannot fail the gate. *)
+(* E16: the compiled tier is bit-identical and most instructions fuse. *)
 let test_e16 () =
   check_band ~what:"tier mismatches" ~lo:0.0 ~hi:0.0 (headline "tier" "mismatches");
   check_band ~what:"fusion coverage %" ~lo:50.0 ~hi:100.0
-    (headline "tier" "fusion_coverage_pct");
-  check_band ~what:"I2 speedup > 0" ~lo:0.000001 ~hi:1000.0
-    (headline "tier" "speedup_i2")
+    (headline "tier" "fusion_coverage_pct")
 
 (* E17: byte-identical outputs and meters across engines, tiers and
    policies; the frame heap needs a fraction of the LIFO per-session
@@ -184,17 +183,14 @@ let test_e17 () =
 (* E18: fusing through leaf calls changes nothing observable — on the
    suite, on call-dense synthetic programs, and across forced mid-run
    relinks — while the fused sites cover essentially every call on the
-   call-dense kernels.  Speedup is host wall clock, asserted positive
-   like E16's. *)
+   call-dense kernels. *)
 let test_e18 () =
   check_band ~what:"fused-call mismatches" ~lo:0.0 ~hi:0.0
     (headline "calls" "mismatches");
   check_band ~what:"fused-call coverage %" ~lo:80.0 ~hi:100.0
     (headline "calls" "fused_call_coverage_pct");
   check_band ~what:"warm lazy translations" ~lo:0.0 ~hi:0.0
-    (headline "calls" "lazy_warm_translations");
-  check_band ~what:"I2 speedup > 0" ~lo:0.000001 ~hi:1000.0
-    (headline "calls" "speedup_i2")
+    (headline "calls" "lazy_warm_translations")
 
 (* E19: devirtualization changes no output and keeps both tiers
    bit-identical, while the cross-module kernels retire essentially no

@@ -249,12 +249,9 @@ let ring_capacity0 ~engine source =
 
 (* [n] workers of three arguments each, every argument word of which
    must arrive.  On I4 FORK stores the arguments into the new frame;
-   elsewhere they ride the process's saved evaluation stack.  The wait
-   loop does more than YIELD: with the bare [WHILE .. DO YIELD END] the
-   loop's length lines its YIELD up with the end of every 2-step slice
-   under preempt:2, so the injected yield takes the CPU back from each
-   worker before it runs a step, and the run never ends. *)
-let forking_workers n =
+   elsewhere they ride the process's saved evaluation stack.  Unless
+   [bare], the wait loop does more than YIELD. *)
+let forking_workers ?(bare = false) n =
   Printf.sprintf
     {|
 MODULE Main;
@@ -275,14 +272,14 @@ PROC main() =
     k := k + 1;
   END;
   WHILE finished < %d DO
-    YIELD;
-    k := k + 1;
+    YIELD;%s
   END;
   OUTPUT finished;
 END;
 END;
 |}
     n n
+    (if bare then "" else "\n    k := k + 1;")
 
 let check_forking ~name ~n (st : Fpc_core.State.t) =
   (match st.status with
@@ -385,6 +382,32 @@ let test_ring_reset_rerun () =
         ])
     engines
 
+(* Under preempt:2 a bare [WHILE .. DO YIELD END] lines its YIELD up with
+   the last step of every slice, and the generated workload's seed 11
+   does the same.  The injected yield must not take the
+   CPU back from the process that YIELD handed it to before that process
+   has retired an instruction, or neither run ever ends. *)
+let test_bare_wait_loop () =
+  let policy = Fpc_sched.Sched.Preempt { quantum = 2 } in
+  List.iter
+    (fun (en, engine) ->
+      let name = en ^ " preempt:2 bare wait" in
+      check_forking ~name ~n:1
+        (ring_run ~policy ~name ~engine (forking_workers ~bare:true 1)))
+    engines
+
+let test_preempt2_seed11_halts () =
+  let policy = Fpc_sched.Sched.Preempt { quantum = 2 } in
+  let engine = Fpc_core.Engine.i2 in
+  let source = source_of ~seed:11 ~total:10 ~window:4 in
+  let fp_i, _, _ = sched_run ~policy ~engine ~compiled:false source in
+  let fp_c, _, _ = sched_run ~policy ~engine ~compiled:true source in
+  let fp_y, _, _ = sched_run ~engine ~compiled:false source in
+  if fp_i <> fp_c then Alcotest.fail "preempt:2 tiers diverged";
+  let output (o, _, _, _, _, _) = o in
+  Alcotest.(check (list int)) "preempt:2 output equals run-to-yield's"
+    (output fp_y) (output fp_i)
+
 let () =
   Alcotest.run "sched"
     [
@@ -399,6 +422,10 @@ let () =
           Alcotest.test_case "fuel exhaustion resumes" `Quick
             test_fuel_exhaustion_resumes;
           Alcotest.test_case "report shape" `Quick test_report_shape;
+          Alcotest.test_case "preempt:2 bare wait loop halts" `Quick
+            test_bare_wait_loop;
+          Alcotest.test_case "preempt:2 sessions seed 11 halts" `Quick
+            test_preempt2_seed11_halts;
         ] );
       ( "ring",
         [

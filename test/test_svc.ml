@@ -861,6 +861,62 @@ let test_session_job_no_direct_major () =
         0.0 (d1 -. d0))
     [ "i1"; "i2"; "i3"; "i4" ]
 
+(* The per-job allocation budgets.  A job that hits the cache and its
+   worker's arena resets a slot instead of cloning, so what it allocates
+   is bounded.  A job's words are the minor words its worker counts for
+   it plus what went straight into the major heap (an array past the
+   minor heap's size limit goes there; a minor collection before each
+   reading brings the counters up to date).  A suite job (every program
+   on I1-I4) stays within 256 words.  A session job, which takes the
+   scheduler and every process operation (FORK, YIELD, coroutine XFER,
+   process end), stays within 4,096. *)
+let job_words ~arena cache spec =
+  let direct_major () =
+    Gc.minor ();
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let d0 = direct_major () in
+  let r = Pool.execute ~arena cache 0 spec in
+  (match r.Job.outcome with
+  | Job.Output _ -> ()
+  | Job.Failed (_, m) -> Alcotest.failf "job failed: %s" m);
+  r.Job.stats.Job.minor_words + int_of_float (direct_major () -. d0)
+
+(* The worst of four arena-hit runs of [spec], after a warm-up run. *)
+let steady_worst ~arena cache spec =
+  ignore (job_words ~arena cache spec);
+  List.fold_left
+    (fun acc _ -> max acc (job_words ~arena cache spec))
+    0 [ 1; 2; 3; 4 ]
+
+let test_suite_job_alloc_budget () =
+  let cache = Image_cache.create () in
+  let arena = Pool.worker_arena cache in
+  List.iter
+    (fun spec ->
+      let worst = steady_worst ~arena cache spec in
+      if worst > 256 then
+        Alcotest.failf "%s: a steady-state job allocates %d words > budget 256"
+          (Job.request_of_spec spec) worst)
+    (suite_specs ())
+
+let test_session_job_alloc_budget () =
+  let cache = Image_cache.create () in
+  let arena = Pool.worker_arena cache in
+  List.iter
+    (fun engine ->
+      let spec =
+        Job.spec ~engine
+          (Job.Sessions
+             { (Fpc_workload.Sessions.default ~total:100) with window = 8 })
+      in
+      let worst = steady_worst ~arena cache spec in
+      if worst > 4096 then
+        Alcotest.failf "%s: an arena-hit session job allocates %d words > \
+                        budget 4096" engine worst)
+    [ "i1"; "i2"; "i3"; "i4" ]
+
 (* serve-hot's working set fits the worker's arena: its 44 request
    shapes (the call-intensive programs x I1-I4) compile to 33 pristines,
    because I1 and I2 share one, and an arena made the way a worker makes
@@ -1049,6 +1105,10 @@ let () =
             test_pool_metrics_count_arena;
           Alcotest.test_case "cache-hit session job: no direct major words"
             `Quick test_session_job_no_direct_major;
+          Alcotest.test_case "suite job allocation budget" `Quick
+            test_suite_job_alloc_budget;
+          Alcotest.test_case "session job allocation budget" `Quick
+            test_session_job_alloc_budget;
           Alcotest.test_case "pool results identical with arena off" `Slow
             test_pool_arena_matches_clone_path;
         ] );

@@ -1,5 +1,5 @@
 (* Tests for the workload machinery: distributions, synthetic traces,
-   replayers, the baseline stack machine. *)
+   replayers. *)
 
 let qtest = QCheck_alcotest.to_alcotest
 
@@ -79,35 +79,6 @@ let test_replay_allocator_refs () =
   Alcotest.(check (float 0.001)) "free exactly 4" 4.0 r.al_mem_refs_per_free;
   Alcotest.(check bool) "fragmentation near 10%" true
     (r.al_fragmentation > 0.02 && r.al_fragmentation < 0.2)
-
-let test_baseline_costs () =
-  let open Fpc_baseline in
-  let cost = Fpc_machine.Cost.create () in
-  let mem = Fpc_machine.Memory.create ~cost ~size_words:4096 () in
-  let sm = Stack_machine.create ~mem ~stack_base:0 ~stack_limit:4096 () in
-  Stack_machine.call sm ~nargs:2 ~locals_words:5;
-  let cfg = Stack_machine.default_config in
-  Alcotest.(check int) "writes = args + linkage + saved"
-    (2 + cfg.linkage_words + cfg.saved_registers)
-    (Fpc_machine.Cost.mem_writes cost);
-  Alcotest.(check int) "depth" 1 (Stack_machine.depth sm);
-  Stack_machine.return_ sm;
-  Alcotest.(check int) "restores read back"
-    (cfg.linkage_words + cfg.saved_registers)
-    (Fpc_machine.Cost.mem_reads cost);
-  Alcotest.(check int) "sp restored" 0 (Stack_machine.sp sm)
-
-let test_baseline_exhaustion () =
-  let mem = Fpc_machine.Memory.create ~size_words:256 () in
-  let sm = Fpc_baseline.Stack_machine.create ~mem ~stack_base:0 ~stack_limit:100 () in
-  Alcotest.(check bool) "raises" true
-    (match
-       for _ = 1 to 50 do
-         Fpc_baseline.Stack_machine.call sm ~nargs:1 ~locals_words:4
-       done
-     with
-    | exception Fpc_baseline.Stack_machine.Stack_exhausted -> true
-    | () -> false)
 
 let test_suite_programs_compile_everywhere () =
   List.iter
@@ -290,11 +261,6 @@ let () =
           Alcotest.test_case "coroutines flush" `Quick
             test_replay_return_stack_coroutines_flush;
           Alcotest.test_case "allocator refs" `Quick test_replay_allocator_refs;
-        ] );
-      ( "baseline",
-        [
-          Alcotest.test_case "call/return costs" `Quick test_baseline_costs;
-          Alcotest.test_case "exhaustion" `Quick test_baseline_exhaustion;
         ] );
       ( "programs",
         [
