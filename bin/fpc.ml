@@ -566,11 +566,12 @@ let serve_tcp ~domains ~times ~tier ~devirt ~host ~port ~max_connections
     host
     (Fpc_net.Server.port server)
     (resolve_domains domains);
-  let snap = Fpc_net.Server.wait server in
-  (* the drain protocol's final stats line, then the human table *)
+  let stats = Fpc_net.Server.wait server in
+  (* the drain protocol's final stats line (the /stats object), then the
+     pool's human table *)
   Printf.eprintf "%s\n"
-    (Fpc_util.Jsonout.to_string (Fpc_svc.Metrics.to_json snap));
-  prerr_string (Fpc_svc.Metrics.render snap)
+    (Fpc_util.Jsonout.to_string (Fpc_net.Server.stats_to_json stats));
+  prerr_string (Fpc_svc.Metrics.render stats.Fpc_net.Server.pool)
 
 let serve_cmd =
   let action domains no_times tier_name devirt tcp host max_connections

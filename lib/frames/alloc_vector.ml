@@ -16,7 +16,6 @@ type t = {
   av_base : int;
   heap_base : int;
   heap_limit : int;
-  replenish_count : int;
   live : int array; (* quad-indexed by lf; -1 free, else (requested lsl 8) lor fsi *)
   mutable live_blocks : int;
   mutable wilderness : int;
@@ -32,8 +31,7 @@ type t = {
 
 exception Out_of_frame_heap
 
-let create ?(mode = Fast) ?(replenish_count = 8) ~mem ~ladder ~av_base ~heap_base
-    ~heap_limit () =
+let create ?(mode = Fast) ~mem ~ladder ~av_base ~heap_base ~heap_limit () =
   if heap_base land 3 <> 0 then invalid_arg "Alloc_vector.create: heap_base not quad-aligned";
   if heap_limit > Memory.size mem then invalid_arg "Alloc_vector.create: heap beyond memory";
   if av_base + Size_class.class_count ladder > heap_base then
@@ -48,7 +46,6 @@ let create ?(mode = Fast) ?(replenish_count = 8) ~mem ~ladder ~av_base ~heap_bas
     av_base;
     heap_base;
     heap_limit;
-    replenish_count;
     live = Array.make (((heap_limit - heap_base) lsr 2) + 1) (-1);
     live_blocks = 0;
     wilderness = heap_base;
@@ -99,13 +96,16 @@ let carve t ~fsi =
   Memory.poke t.mem block fsi;
   block
 
+(* Blocks the software allocator carves per trap, at most. *)
+let replenish_count = 8
+
 let replenish t ~cost ~fsi =
   Cost.software_alloc cost;
   t.software_traps <- t.software_traps + 1;
   let words = Size_class.block_words t.ladder fsi in
   (* Batch small classes generously, rare big ones sparingly: the software
      allocator balances pool space against trap frequency. *)
-  let batch = Int.max 1 (Int.min t.replenish_count (2048 / words)) in
+  let batch = Int.max 1 (Int.min replenish_count (2048 / words)) in
   for _ = 1 to batch do
     let block = carve t ~fsi in
     let head = Memory.peek t.mem (t.av_base + fsi) in

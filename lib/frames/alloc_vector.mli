@@ -31,7 +31,6 @@ exception Out_of_frame_heap
 
 val create :
   ?mode:mode ->
-  ?replenish_count:int ->
   mem:Fpc_machine.Memory.t ->
   ladder:Size_class.t ->
   av_base:int ->
@@ -40,8 +39,8 @@ val create :
   unit ->
   t
 (** [av_base] must leave [Size_class.class_count ladder] words free;
-    [heap_base] must be quad-aligned.  [replenish_count] (default 8) is how
-    many blocks the software allocator carves per trap. *)
+    [heap_base] must be quad-aligned.  The software allocator carves up
+    to 8 blocks of a class per trap (fewer for big classes). *)
 
 val ladder : t -> Size_class.t
 

@@ -2,16 +2,19 @@ type t = { sizes : int array }
 
 let round_up_quad n = (n + 3) land lnot 3
 
-let make ?(min_words = 8) ?(growth = 1.2) ?(max_words = 2048) () =
-  if min_words <= 0 || max_words < min_words then invalid_arg "Size_class.make: bad sizes";
+(* 16 bytes up to 4 KB, both already quad multiples *)
+let min_words = 8
+let max_words = 2048
+
+let make ?(growth = 1.2) () =
   if growth <= 1.0 then invalid_arg "Size_class.make: growth must exceed 1";
   let rec build acc exact =
     let size = round_up_quad (int_of_float (ceil exact)) in
     let size = Int.max size (match acc with [] -> 0 | s :: _ -> s + 4) in
-    if size >= max_words then List.rev (round_up_quad max_words :: acc)
+    if size >= max_words then List.rev (max_words :: acc)
     else build (size :: acc) (exact *. growth)
   in
-  { sizes = Array.of_list (build [] (float_of_int (round_up_quad min_words))) }
+  { sizes = Array.of_list (build [] (float_of_int min_words)) }
 
 let default = make ()
 let class_count t = Array.length t.sizes

@@ -15,9 +15,9 @@
 
 type t
 
-val make : ?min_words:int -> ?growth:float -> ?max_words:int -> unit -> t
-(** Defaults: [min_words = 8] (16 bytes), [growth = 1.2], [max_words = 2048]
-    (4 KB).  Raises [Invalid_argument] on non-positive sizes or
+val make : ?growth:float -> unit -> t
+(** The ladder from 8 words (16 bytes) to 2,048 (4 KB), each step
+    [growth] (default 1.2) times the last.  Raises [Invalid_argument] for
     [growth <= 1]. *)
 
 val default : t

@@ -93,13 +93,10 @@ let reset_from t ~pristine =
 let[@inline] charge_read t = match t.cost with Some c -> Cost.mem_read c | None -> ()
 let[@inline] charge_write t = match t.cost with Some c -> Cost.mem_write c | None -> ()
 
-let charge t ~reads ~writes =
-  match t.cost with Some c -> Cost.refs_n c ~reads ~writes | None -> ()
-
-(* Prepaid access: the caller has already charged the reference (via
-   [charge]) and proven the address in range, so both the meter and the
-   bounds check are skipped.  Writes still mark the page dirty — the
-   reset invariant does not bend for speed. *)
+(* Prepaid access: the caller has already charged the reference (the
+   tier's [Cost.block_bill]) and proven the address in range, so both
+   the meter and the bounds check are skipped.  Writes still mark the
+   page dirty — the reset invariant does not bend for speed. *)
 let prepaid_read t addr = get16u t.store (addr lsl 1)
 
 let prepaid_write t addr v =

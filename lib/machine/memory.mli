@@ -76,17 +76,14 @@ val read_code_byte : t -> code_base:address -> pc:int -> int
 
 (** {1 Prepaid access}
 
-    The compiled tier batches a block's storage bill into one {!charge}
+    The compiled tier bills a block's static storage references together
+    with its dispatches in one {!Cost.block_bill} on the machine's meter,
     and then touches the store with [prepaid_read]/[prepaid_write], whose
     addresses its guard has already proven in range.  Prepaid writes still
     truncate to a word and mark the page dirty, so {!reset_from} remains
     sound; the only things skipped are the per-access meter and bounds
     check.  Totals equal the same accesses made through {!read}/{!write}
     exactly. *)
-
-val charge : t -> reads:int -> writes:int -> unit
-(** Charge [reads] + [writes] storage references against the attached
-    meter (no-op when unmetered), without touching the store. *)
 
 val prepaid_read : t -> address -> int
 (** Unmetered, unchecked word fetch; the caller guarantees the address is

@@ -45,9 +45,9 @@ let try_admit_connection t =
 let release_connection t =
   with_lock t (fun () -> t.connections <- max 0 (t.connections - 1))
 
-let try_admit_job t =
+let try_admit_job t ~draining =
   with_lock t (fun () ->
-      if t.pending >= t.max_pending then begin
+      if draining || t.pending >= t.max_pending then begin
         t.shed_jobs <- t.shed_jobs + 1;
         None
       end

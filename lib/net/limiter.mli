@@ -6,7 +6,9 @@
     only stays fast under overload if the overload is {e refused} at the
     door rather than queued without bound.  Over either limit the caller
     sends a structured shed response and moves on; nothing blocks, and
-    the pool's queue depth stays bounded by [max_pending].
+    the pool's queue depth stays bounded by [max_pending].  {!stats} are
+    the server's admission counts: [/stats] reports them in its
+    ["server"] object.
 
     Thread-safe; one internal mutex, held for a few loads and stores. *)
 
@@ -21,10 +23,11 @@ val try_admit_connection : t -> bool
 
 val release_connection : t -> unit
 
-val try_admit_job : t -> int option
+val try_admit_job : t -> draining:bool -> int option
 (** Claim a pending-job slot.  [Some pending] — the depth {e after}
-    admission, feeding the high-water mark — on success; [None] (and a
-    shed counted) when the bound is hit. *)
+    admission, which raises the high-water mark — on success; [None] (and
+    a shed counted) when the bound is hit or the server is [draining].
+    This is the one count of refused jobs, whatever the reason. *)
 
 val release_job : t -> unit
 (** A previously admitted job was answered (result delivered or the
@@ -36,7 +39,7 @@ type stats = {
   pending : int;  (** jobs admitted, not yet answered *)
   max_pending : int;
   max_pending_observed : int;  (** high-water mark of [pending] *)
-  shed_jobs : int;  (** job admissions refused *)
+  shed_jobs : int;  (** job admissions refused: over the bound or draining *)
   shed_connections : int;  (** connection admissions refused *)
 }
 

@@ -52,11 +52,9 @@ type t = {
   conns : (int, conn) Hashtbl.t;
   mutable listen_w : Loop.watcher option;
   mutable conn_ids : int;
-  (* server-side counters (sheds, pending watermark, timer deadlines)
-     folded into the pool tally at snapshot time.  The mutex covers the
-     one cross-thread reader: a snapshot taken from [wait]. *)
-  server_metrics : Metrics.t;
-  sm_m : Mutex.t;
+  mutable timer_deadlines : int;
+      (** replies the timer wheel synthesized; written and read on the
+          loop thread, and by [wait] only after joining it *)
   mutable loop_thread : Thread.t option;
 }
 
@@ -77,42 +75,45 @@ let shutdown_receive fd =
 let port t = t.port
 let draining t = Atomic.get t.stopping
 
-let merged_tally t =
-  let tally = Pool.metrics_tally t.pool in
-  Mutex.lock t.sm_m;
-  Metrics.merge_into ~src:t.server_metrics ~into:tally;
-  Mutex.unlock t.sm_m;
-  tally
+type stats = {
+  port : int;
+  draining : bool;
+  admission : Limiter.stats;
+  timer_deadlines : int;
+  pool : Metrics.snapshot;
+}
 
-let snapshot_now t =
-  let tally = merged_tally t in
-  Metrics.snapshot tally
-    ~wall_s:(Fpc_util.Clock.now () -. Pool.started_at t.pool)
-    ~cache:(Image_cache.stats (Pool.cache t.pool))
+(* Loop thread only, or after the loop thread has been joined. *)
+let stats (t : t) =
+  {
+    port = t.port;
+    draining = Atomic.get t.stopping;
+    admission = Limiter.stats t.limiter;
+    timer_deadlines = t.timer_deadlines;
+    pool = Pool.metrics t.pool;
+  }
 
-(* The [/stats] payload: a ["server"] object (port, reactor backend,
-   draining flag, limiter counters), a ["pool"] object (the live tally's
-   Metrics.to_json, shed / pending-watermark / timer-deadline counters
-   folded in), and a ["gc"] object: the server process's major heap and
-   collection counts from [Gc.quick_stat]. *)
-let stats_json t =
+let stats_to_json s =
   let open Fpc_util.Jsonout in
-  let ls = Limiter.stats t.limiter in
+  let a = s.admission in
   Obj
     [
       ( "server",
         Obj
           [
-            ("port", Int t.port);
+            ("port", Int s.port);
             ("backend", String Backend.name);
-            ("draining", Bool (Atomic.get t.stopping));
-            ("connections", Int ls.connections);
-            ("max_connections", Int ls.max_connections);
-            ("pending", Int ls.pending);
-            ("max_pending", Int ls.max_pending);
-            ("shed_connections", Int ls.shed_connections);
+            ("draining", Bool s.draining);
+            ("connections", Int a.connections);
+            ("max_connections", Int a.max_connections);
+            ("pending", Int a.pending);
+            ("max_pending", Int a.max_pending);
+            ("shed_connections", Int a.shed_connections);
+            ("shed_jobs", Int a.shed_jobs);
+            ("max_pending_observed", Int a.max_pending_observed);
+            ("timer_deadlines", Int s.timer_deadlines);
           ] );
-      ("pool", Metrics.to_json (snapshot_now t));
+      ("pool", Metrics.to_json s.pool);
       ( "gc",
         let g = Gc.quick_stat () in
         Obj
@@ -123,11 +124,6 @@ let stats_json t =
             ("major_collections", Int g.Gc.major_collections);
           ] );
     ]
-
-let note_shed t =
-  Mutex.lock t.sm_m;
-  Metrics.note_shed t.server_metrics;
-  Mutex.unlock t.sm_m
 
 (* ---- the connection state machine (loop thread only) ---- *)
 
@@ -253,9 +249,7 @@ and on_deadline t id =
   | Some rt ->
     rt.r_timer <- None;
     Hashtbl.remove t.routes id;
-    Mutex.lock t.sm_m;
-    Metrics.note_timer_deadline t.server_metrics;
-    Mutex.unlock t.sm_m;
+    t.timer_deadlines <- t.timer_deadlines + 1;
     if not rt.r_conn.closed then begin
       let ms = Option.value rt.r_spec.Job.deadline_ms ~default:0 in
       let reply =
@@ -293,34 +287,28 @@ and handle_job t conn line =
       | None -> { spec with Job.devirt = Some t.devirt }
       | Some _ -> spec
     in
-    if Atomic.get t.stopping then begin
-      note_shed t;
-      conn_send t conn (Protocol.shed_line ~message:"server is draining")
-    end
-    else begin
-      match Limiter.try_admit_job t.limiter with
-      | None ->
-        note_shed t;
-        conn_send t conn
-          (Protocol.shed_line ~message:"pending-jobs limit reached")
-      | Some depth ->
-        Mutex.lock t.sm_m;
-        Metrics.observe_pending t.server_metrics depth;
-        Mutex.unlock t.sm_m;
-        (* No registration race: delivery reaches this state only via a
-           post, which cannot run before this callback returns. *)
-        let id = Pool.submit t.pool spec in
-        let rt = { r_conn = conn; r_spec = spec; r_timer = None } in
-        Hashtbl.replace t.routes id rt;
-        Queue.push id conn.expected;
-        (* The timer is armed at admission, so the deadline covers queue
-           wait as well as execution — a job stuck behind a full pool is
-           answered on time, which threads could never do. *)
-        match spec.Job.deadline_ms with
-        | Some ms ->
-          rt.r_timer <- Some (Loop.after t.loop ~ms (fun () -> on_deadline t id))
-        | None -> ()
-    end
+    let draining = Atomic.get t.stopping in
+    match Limiter.try_admit_job t.limiter ~draining with
+    | None ->
+      conn_send t conn
+        (Protocol.shed_line
+           ~message:
+             (if draining then "server is draining"
+              else "pending-jobs limit reached"))
+    | Some _ -> (
+      (* No registration race: delivery reaches this state only via a
+         post, which cannot run before this callback returns. *)
+      let id = Pool.submit t.pool spec in
+      let rt = { r_conn = conn; r_spec = spec; r_timer = None } in
+      Hashtbl.replace t.routes id rt;
+      Queue.push id conn.expected;
+      (* The timer is armed at admission, so the deadline covers queue
+         wait as well as execution — a job stuck behind a full pool is
+         answered on time, which threads could never do. *)
+      match spec.Job.deadline_ms with
+      | Some ms ->
+        rt.r_timer <- Some (Loop.after t.loop ~ms (fun () -> on_deadline t id))
+      | None -> ())
 
 and process_items t conn =
   if not conn.closed then
@@ -342,7 +330,8 @@ and process_items t conn =
       else begin
         (match Protocol.admin_of_line s with
         | Some Protocol.Stats ->
-          conn_send t conn (Fpc_util.Jsonout.to_string (stats_json t))
+          conn_send t conn
+            (Fpc_util.Jsonout.to_string (stats_to_json (stats t)))
         | Some Protocol.Shutdown ->
           conn_send t conn Protocol.draining_line;
           request_drain t
@@ -524,8 +513,7 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?domains ?max_connections
       conns = Hashtbl.create 64;
       listen_w = None;
       conn_ids = 0;
-      server_metrics = Metrics.create ~domains:1;
-      sm_m = Mutex.create ();
+      timer_deadlines = 0;
       loop_thread = None;
     }
   in
@@ -539,6 +527,6 @@ let create ?(host = "127.0.0.1") ?(port = 0) ?domains ?max_connections
 let wait t =
   (match t.loop_thread with Some th -> Thread.join th | None -> ());
   Pool.drain t.pool;
-  let snap = snapshot_now t in
+  let s = stats t in
   Pool.shutdown t.pool;
-  snap
+  s

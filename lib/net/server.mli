@@ -24,9 +24,11 @@
     Admission control ({!Limiter}): over the connection cap, the
     connection is answered with one shed line and closed; over the
     pending-jobs bound, the request is answered with a shed line and not
-    executed.  Nothing queues without bound: a connection whose client
-    stops reading accumulates at most ~1MB of responses before the
-    reactor stops reading its requests.
+    executed.  The {!Limiter} counts every shed, those made while
+    draining included, and {!stats} reports its counts.  Nothing queues
+    without bound: a connection whose client stops reading accumulates
+    at most ~1MB of responses before the reactor stops reading its
+    requests.
 
     Deadlines ([deadline_ms=] on a request) are armed on the loop's
     timer wheel {e at admission}, so they cover queue wait as well as
@@ -38,8 +40,9 @@
 
     Graceful drain ({!request_drain}, a [shutdown] admin line, or — wired
     in [bin/fpc] — SIGTERM): stop accepting, mark every live
-    connection's input as over, flush every in-flight job's result in
-    order, then {!wait} returns the final metrics. *)
+    connection's input as over (requests read after the drain began are
+    shed), flush every in-flight job's result in order, then {!wait}
+    returns the final {!stats}. *)
 
 type t
 
@@ -79,8 +82,31 @@ val request_drain : t -> unit
 
 val draining : t -> bool
 
-val wait : t -> Fpc_svc.Metrics.snapshot
+type stats = {
+  port : int;
+  draining : bool;
+  admission : Limiter.stats;
+      (** the server's admission counts: [shed_jobs] counts every job
+          refused, over [max_pending] or while draining, once *)
+  timer_deadlines : int;
+      (** replies the timer wheel synthesized because a job's
+          [deadline_ms] elapsed before the pool answered (queue wait
+          included).  The job itself still runs and is counted in
+          [pool], so this counts replies, not jobs. *)
+  pool : Fpc_svc.Metrics.snapshot;  (** every job the pool has run *)
+}
+(** What [/stats] reports. *)
+
+val stats_to_json : stats -> Fpc_util.Jsonout.t
+(** The [/stats] object: a ["server"] object (port, reactor backend,
+    draining flag, then {!Limiter.stats} and [timer_deadlines]), a
+    ["pool"] object ({!Fpc_svc.Metrics.to_json}), and a ["gc"] object
+    with this process's heap words and collection counts, read from
+    [Gc.quick_stat] when this is called. *)
+
+val wait : t -> stats
 (** Block until a drain is requested and completes: every accepted
     request answered, the reactor stopped, the pool shut down.  Returns
-    the final metrics (the "stats line" of the drain protocol).  Call
-    once. *)
+    the final stats, read after the reactor thread has been joined;
+    [fpc serve --tcp] prints their {!stats_to_json} as the drain
+    protocol's final stats line.  Call once. *)

@@ -77,36 +77,12 @@ let execute ?arena cache id (spec : Job.spec) =
       let deadline_at =
         Option.map (fun ms -> t0 +. (float_of_int ms /. 1000.0)) spec.deadline_ms
       in
-      let translation = ref Job.No_translation in
-      let tier_used = ref None in
       (* Every job is driven by the scheduler's slicer: with no policy
          and no deadline that is one [step] over the whole fuel; a
          deadline or preemption slices the run, and the clock is checked
          between slices.  Scheduled jobs (an explicit policy, or any Sessions
          workload) also get a scheduler report. *)
       let sched_policy = Job.effective_sched spec in
-      (* The compiled tier's run function for [image]: reuses the
-         translation attached to the image's shared directory or builds
-         and attaches it (a translation-cache miss, once per pristine). *)
-      let tier_step image =
-        let tt0 = now () in
-        let tr, hit = Fpc_tier.Tier.of_image image in
-        tier_used := Some tr;
-        (* Counts that accrue during the run (lazy translations, fused
-           calls) are filled in after it completes. *)
-        translation :=
-          Job.Translated
-            {
-              hit;
-              translate_s = now () -. tt0;
-              lazy_translated = 0;
-              fused_calls = 0;
-              procs = Fpc_tier.Tier.procs tr;
-              procs_translated = Fpc_tier.Tier.procs_translated tr;
-              invalidations = 0;
-            };
-        fun fuel st -> Fpc_tier.Tier.run ~max_steps:fuel tr st
-      in
       (* One boot path.  With an arena (the worker's private one), reuse
          its image for this pristine and its state for this engine:
          dirty-page image reset + in-place state reset.  Without one,
@@ -146,7 +122,23 @@ let execute ?arena cache id (spec : Job.spec) =
             Fpc_interp.Interp.boot ?tracer ~image ~engine ~instance:"Main"
               ~proc:"main" ~args:[] ()
         in
-        let step = if compiled_tier then tier_step image else interp_step in
+        (* The compiled tier reuses the translation attached to the
+           image's shared directory or builds and attaches it (a
+           translation-cache miss, once per pristine); the lookup is
+           timed. *)
+        let tier =
+          if compiled_tier then begin
+            let tt0 = now () in
+            let tr, hit = Fpc_tier.Tier.of_image image in
+            Some (tr, hit, now () -. tt0)
+          end
+          else None
+        in
+        let step =
+          match tier with
+          | Some (tr, _, _) -> fun fuel st -> Fpc_tier.Tier.run ~max_steps:fuel tr st
+          | None -> interp_step
+        in
         let sstats =
           Fpc_sched.Sched.run ?policy:sched_policy ?deadline_at ~step
             ~fuel:spec.fuel st
@@ -162,33 +154,39 @@ let execute ?arena cache id (spec : Job.spec) =
                  ~mem_refs:o.Fpc_interp.Interp.o_mem_refs);
             Some (Fpc_trace.Profile.summary p.Fpc_interp.Profiler.profile)
         in
-        (st, profile, sstats)
+        (st, profile, sstats, tier)
       with
       | exception Not_found ->
         failed id spec Job.Compile_error "program has no Main.main()"
       | exception e -> failed id spec Job.Internal (Printexc.to_string e)
-      | st, profile, sstats ->
+      | st, profile, sstats, tier ->
         let o = Fpc_interp.Interp.outcome st in
         let minor_words = int_of_float (Gc.minor_words () -. mw0) in
-        (match (!translation, !tier_used) with
-        | Job.Translated rec_, Some tr ->
-          let m = st.Fpc_core.State.metrics in
-          translation :=
+        (* Counts that accrue during the run (lazy translations, fused
+           calls) are read off the state now that it is over. *)
+        let translation =
+          match tier with
+          | None -> Job.No_translation
+          | Some (tr, hit, translate_s) ->
+            let m = st.Fpc_core.State.metrics in
             Job.Translated
               {
-                rec_ with
+                hit;
+                translate_s;
                 lazy_translated = m.Fpc_core.State.tier_lazy_translations;
                 fused_calls = m.Fpc_core.State.tier_fused_calls;
+                procs = Fpc_tier.Tier.procs tr;
                 procs_translated = Fpc_tier.Tier.procs_translated tr;
+                invalidations = 0;
               }
-        | _ -> ());
+        in
         let stats =
           {
             Job.cache_hit;
             compile_s;
             run_s = now () -. t0;
             minor_words;
-            translation = !translation;
+            translation;
             instructions = o.o_instructions;
             cycles = o.o_cycles;
             mem_refs = o.o_mem_refs;
@@ -316,9 +314,6 @@ let create ?domains ?cache ?deliver ?(arena_reuse = true) () =
          t.shards);
   t
 
-let domains t = t.n_domains
-let cache t = t.cache
-
 let submit t spec =
   Mutex.lock t.mutex;
   if t.stopping then (
@@ -365,7 +360,7 @@ let await t =
   drain t;
   take_completed t
 
-let metrics_tally t =
+let metrics t =
   let merged = Metrics.create ~domains:t.n_domains in
   Array.iter
     (fun shard ->
@@ -373,14 +368,8 @@ let metrics_tally t =
       Metrics.merge_into ~src:shard.s_metrics ~into:merged;
       Mutex.unlock shard.s_mutex)
     t.shards;
-  merged
-
-let metrics t =
-  let merged = metrics_tally t in
   let wall_s = now () -. t.started_at in
   Metrics.snapshot merged ~wall_s ~cache:(Image_cache.stats t.cache)
-
-let started_at t = t.started_at
 
 let shutdown t =
   Mutex.lock t.mutex;

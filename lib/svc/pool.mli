@@ -62,12 +62,6 @@ val worker_arena : Image_cache.t -> Arena.t
     a working set the cache holds without evicting runs without cloning.
     Use it to run {!execute} the way a worker does. *)
 
-val domains : t -> int
-val cache : t -> Image_cache.t
-
-val started_at : t -> float
-(** {!Fpc_util.Clock.now} at pool creation (for wall-time reporting). *)
-
 val execute : ?arena:Arena.t -> Image_cache.t -> int -> Job.spec -> Job.result
 (** [execute ?arena cache id spec] runs one job on the calling thread and
     returns its result with id [id]: exactly what a worker does with each
@@ -103,11 +97,6 @@ val drain : t -> unit
 val metrics : t -> Metrics.snapshot
 (** Aggregate over every job completed so far (the per-worker shards
     merged on demand); wall time is measured since [create]. *)
-
-val metrics_tally : t -> Metrics.t
-(** The merged per-worker accumulators as a fresh mutable {!Metrics.t} —
-    for callers (the TCP server) that fold in their own counters (sheds,
-    pending watermarks) before taking the snapshot. *)
 
 val shutdown : t -> unit
 (** Drain the queue, then stop and join all workers.  Idempotent.

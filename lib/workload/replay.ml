@@ -1,13 +1,14 @@
 open Fpc_machine
 open Fpc_frames
 
-(* A round-robin set of activities, each owning a stack of frames.  Root
-   frames are never popped, so every activity always has a current
-   context. *)
+(* A round-robin set of [coroutines] activities, each owning a stack of
+   frames.  Root frames are never popped, so every activity always has a
+   current context. *)
 type 'f activities = {
   mutable ring : 'f list list; (* head = current activity's stack, top first *)
-  limit : int;
 }
+
+let coroutines = 4
 
 let current acts =
   match acts.ring with
@@ -27,10 +28,10 @@ let pop_frame acts =
   | _ -> None (* keep the root frame *)
 
 (* Rotate to the next activity, creating a fresh one (via [spawn]) until
-   [limit] activities exist. *)
+   [coroutines] activities exist. *)
 let rotate acts ~spawn =
   let n = List.length acts.ring in
-  if n < acts.limit then acts.ring <- [ spawn () ] :: acts.ring
+  if n < coroutines then acts.ring <- [ spawn () ] :: acts.ring
   else
     match acts.ring with
     | first :: rest -> acts.ring <- rest @ [ first ]
@@ -75,24 +76,18 @@ let arena_free a ~lf =
 
 type bank_result = { bk_stats : Fpc_regbank.Bank_file.stats; bk_rate : float }
 
-let replay_banks ?(bank_words = 16) ?(coroutines = 4) ~banks events =
+let replay_banks ~banks events =
   let cost = Cost.create () in
   let mem = Memory.create ~cost ~size_words:(1 lsl 16) () in
   let ladder = Size_class.default in
   let arena = make_arena ~mem ~ladder ~base:1024 in
-  let config =
-    {
-      Fpc_regbank.Bank_file.default_config with
-      bank_count = banks;
-      bank_words;
-    }
-  in
+  let config = { Fpc_regbank.Bank_file.default_config with bank_count = banks } in
   let bf = Fpc_regbank.Bank_file.create ~config ~mem ~cost ~ladder () in
   let spawn () =
     let lf = arena_alloc arena ~payload:8 in
     (lf, 8)
   in
-  let acts = { ring = [ [ spawn () ] ]; limit = max 1 coroutines } in
+  let acts = { ring = [ [ spawn () ] ] } in
   Fpc_regbank.Bank_file.ensure_bank bf ~lf:(fst (current acts));
   List.iter
     (fun (e : Synthetic.event) ->
@@ -136,7 +131,7 @@ type return_stack_result = {
   rs_fast_fraction : float;
 }
 
-let replay_return_stack ~depth ?(coroutines = 4) events =
+let replay_return_stack ~depth events =
   let open Fpc_ifu in
   let rs = Return_stack.create ~depth in
   let dummy =
@@ -152,7 +147,7 @@ let replay_return_stack ~depth ?(coroutines = 4) events =
   let make_room () = ignore (Return_stack.drop_oldest rs) in
   (* Depth bookkeeping per activity so a Return beyond an activity's root
      is ignored, mirroring the other replayers. *)
-  let acts = { ring = [ [ 0 ] ]; limit = max 1 coroutines } in
+  let acts = { ring = [ [ 0 ] ] } in
   List.iter
     (fun (e : Synthetic.event) ->
       match e with
@@ -188,7 +183,7 @@ type alloc_result = {
   al_mem_refs_per_free : float;
 }
 
-let replay_allocator ?(ladder = Size_class.default) ?(coroutines = 4) events =
+let replay_allocator ?(ladder = Size_class.default) events =
   let cost = Cost.create () in
   let mem = Memory.create ~cost ~size_words:(1 lsl 18) () in
   let av_base = 16 in
@@ -198,7 +193,7 @@ let replay_allocator ?(ladder = Size_class.default) ?(coroutines = 4) events =
   in
   let alloc payload = Alloc_vector.alloc_words allocator ~cost ~body_words:payload in
   let spawn () = alloc 8 in
-  let acts = { ring = [ [ spawn () ] ]; limit = max 1 coroutines } in
+  let acts = { ring = [ [ spawn () ] ] } in
   let allocs = ref 1 and frees = ref 0 in
   let alloc_reads = ref 0 and free_reads = ref 0 in
   List.iter

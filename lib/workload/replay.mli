@@ -3,7 +3,7 @@
     parameter (bank count, return-stack depth, allocator ladder) over many
     trace shapes cheaply.
 
-    Traces with [Coroutine_switch] events are replayed over [coroutines]
+    Traces with [Coroutine_switch] events are replayed over four
     round-robin activities, each with its own frame stack — the non-LIFO
     pattern §1 says conventional architectures cannot support. *)
 
@@ -12,12 +12,9 @@ type bank_result = {
   bk_rate : float;  (** (overflows + underflows) / transfers *)
 }
 
-val replay_banks :
-  ?bank_words:int ->
-  ?coroutines:int ->
-  banks:int ->
-  Synthetic.event list ->
-  bank_result
+val replay_banks : banks:int -> Synthetic.event list -> bank_result
+(** Over [banks] banks of {!Fpc_regbank.Bank_file.default_config}'s
+    size. *)
 
 type return_stack_result = {
   rs_fast_returns : int;
@@ -27,8 +24,7 @@ type return_stack_result = {
   rs_fast_fraction : float;  (** fast returns / all returns *)
 }
 
-val replay_return_stack :
-  depth:int -> ?coroutines:int -> Synthetic.event list -> return_stack_result
+val replay_return_stack : depth:int -> Synthetic.event list -> return_stack_result
 
 type alloc_result = {
   al_stats : Fpc_frames.Alloc_vector.stats;
@@ -38,7 +34,4 @@ type alloc_result = {
 }
 
 val replay_allocator :
-  ?ladder:Fpc_frames.Size_class.t ->
-  ?coroutines:int ->
-  Synthetic.event list ->
-  alloc_result
+  ?ladder:Fpc_frames.Size_class.t -> Synthetic.event list -> alloc_result

@@ -102,17 +102,30 @@ let test_limiter () =
   Alcotest.(check bool) "conn 3 shed" false (Limiter.try_admit_connection l);
   Limiter.release_connection l;
   Alcotest.(check bool) "slot freed" true (Limiter.try_admit_connection l);
-  Alcotest.(check (option int)) "job 1" (Some 1) (Limiter.try_admit_job l);
-  Alcotest.(check (option int)) "job 2" (Some 2) (Limiter.try_admit_job l);
-  Alcotest.(check (option int)) "job 3 shed" None (Limiter.try_admit_job l);
+  let admit () = Limiter.try_admit_job l ~draining:false in
+  Alcotest.(check (option int)) "job 1" (Some 1) (admit ());
+  Alcotest.(check (option int)) "job 2" (Some 2) (admit ());
+  Alcotest.(check (option int)) "job 3 shed" None (admit ());
   Limiter.release_job l;
-  Alcotest.(check (option int)) "pending freed" (Some 2) (Limiter.try_admit_job l);
+  Alcotest.(check (option int)) "pending freed" (Some 2) (admit ());
   let s = Limiter.stats l in
   Alcotest.(check int) "watermark" 2 s.Limiter.max_pending_observed;
   Alcotest.(check int) "shed jobs" 1 s.Limiter.shed_jobs;
-  Alcotest.(check int) "shed connections" 1 s.Limiter.shed_connections
+  Alcotest.(check int) "shed connections" 1 s.Limiter.shed_connections;
+  (* a drain refuses even with a slot free, and counts the refusal *)
+  Limiter.release_job l;
+  Alcotest.(check (option int)) "shed while draining" None
+    (Limiter.try_admit_job l ~draining:true);
+  let s = Limiter.stats l in
+  Alcotest.(check int) "both sheds counted" 2 s.Limiter.shed_jobs;
+  Alcotest.(check int) "the refused job holds no slot" 1 s.Limiter.pending
 
 (* ---- end-to-end over loopback ---- *)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec at k = k + n <= h && (String.sub hay k n = needle || at (k + 1)) in
+  at 0
 
 let with_server ?domains ?max_connections ?max_pending ?max_line f =
   let server =
@@ -280,7 +293,55 @@ let test_shed_under_tiny_limiter () =
   Server.request_drain server;
   let snap = Server.wait server in
   Alcotest.(check int) "final metrics count the sheds" shed
-    snap.Fpc_svc.Metrics.shed
+    snap.Server.admission.Limiter.shed_jobs
+
+(* Admission has one count of refused jobs.  A burst at [max_pending] 1
+   is shed for the limit; a drain then arrives mid-burst (the [shutdown]
+   line, with more requests behind it in the same write), and those are
+   shed because the server is draining.  Every shed line the client
+   receives, for either reason, is counted exactly once in the
+   ["server"] object's [shed_jobs]. *)
+let test_sheds_counted_once_across_drain () =
+  let server = Server.create ~domains:1 ~max_pending:1 ~times:false () in
+  let client = Client.connect ~host:"127.0.0.1" ~port:(Server.port server) () in
+  let burst = List.init 3 (fun _ -> "prog=fib") in
+  Client.send_line client
+    (String.concat "\n" ((slow_line :: burst) @ ("shutdown" :: burst)));
+  let rec read acc =
+    match Client.recv_line client with
+    | Some l -> read (l :: acc)
+    | None -> List.rev acc
+  in
+  let got = read [] in
+  Client.close client;
+  let shed_for reason =
+    List.length
+      (List.filter
+         (fun r -> contains r "\"status\":\"shed\"" && contains r reason)
+         got)
+  in
+  let over_limit = shed_for "pending-jobs limit reached"
+  and draining = shed_for "server is draining" in
+  Alcotest.(check bool) "shed over the limit" true (over_limit >= 1);
+  Alcotest.(check bool) "shed while draining" true (draining >= 1);
+  Alcotest.(check int) "every shed line carries a reason"
+    (shed_for "") (over_limit + draining);
+  let stats = Server.wait server in
+  Alcotest.(check int) "server.shed_jobs counts each shed line once"
+    (over_limit + draining) stats.Server.admission.Limiter.shed_jobs;
+  match Fpc_util.Jsonin.parse
+          (Fpc_util.Jsonout.to_string (Server.stats_to_json stats))
+  with
+  | Ok (Fpc_util.Jsonout.Obj fields) -> (
+    match List.assoc_opt "server" fields with
+    | Some (Fpc_util.Jsonout.Obj server) ->
+      Alcotest.(check (option int)) "reported in /stats' server object"
+        (Some (over_limit + draining))
+        (match List.assoc_opt "shed_jobs" server with
+        | Some (Fpc_util.Jsonout.Int n) -> Some n
+        | _ -> None)
+    | _ -> Alcotest.fail "/stats has no server object")
+  | _ -> Alcotest.fail "stats object does not parse"
 
 let test_deadline_over_tcp () =
   let hung_line =
@@ -338,8 +399,10 @@ let test_graceful_drain () =
   | Some l -> Alcotest.failf "expected EOF after drain, got %s" l);
   Client.close client;
   let snap = Server.wait server in
-  Alcotest.(check int) "no job lost in the drain" 2 snap.Fpc_svc.Metrics.jobs;
-  Alcotest.(check int) "all answered ok" 2 snap.Fpc_svc.Metrics.succeeded;
+  Alcotest.(check int) "no job lost in the drain" 2
+    snap.Server.pool.Fpc_svc.Metrics.counts.jobs;
+  Alcotest.(check int) "all answered ok" 2
+    snap.Server.pool.Fpc_svc.Metrics.counts.succeeded;
   (* the port is really closed: a fresh connection must fail *)
   match Client.connect ~host:"127.0.0.1" ~port () with
   | exception Unix.Unix_error ((Unix.ECONNREFUSED | Unix.ECONNRESET), _, _) -> ()
@@ -382,11 +445,6 @@ let test_stats_gc_fields () =
         [ "heap_words"; "top_heap_words"; "minor_collections"; "major_collections" ]
     | _ -> Alcotest.fail "/stats has no gc object")
   | _ -> Alcotest.fail "no /stats reply"
-
-let contains hay needle =
-  let n = String.length needle and h = String.length hay in
-  let rec at k = k + n <= h && (String.sub hay k n = needle || at (k + 1)) in
-  at 0
 
 let test_partial_writes_over_tcp () =
   (* tiny socket buffers on both sides, and a client that sends its
@@ -560,7 +618,7 @@ let test_timer_answers_queued_deadline () =
   Server.request_drain server;
   let snap = Server.wait server in
   Alcotest.(check int) "counted as a timer-answered deadline" 1
-    snap.Fpc_svc.Metrics.timer_deadlines
+    snap.Server.timer_deadlines
 
 let () =
   Alcotest.run "net"
@@ -585,6 +643,8 @@ let () =
             test_concurrent_clients;
           Alcotest.test_case "shed under a tiny limiter" `Quick
             test_shed_under_tiny_limiter;
+          Alcotest.test_case "sheds counted once across a drain" `Quick
+            test_sheds_counted_once_across_drain;
           Alcotest.test_case "deadline over TCP" `Quick test_deadline_over_tcp;
           Alcotest.test_case "graceful drain flushes in-flight" `Quick
             test_graceful_drain;

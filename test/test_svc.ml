@@ -30,9 +30,10 @@ let test_determinism_across_domain_counts () =
   let specs = suite_specs () in
   let r1, m1 = Pool.run_jobs ~domains:1 specs in
   let r4, m4 = Pool.run_jobs ~domains:4 specs in
-  Alcotest.(check int) "all jobs ran (1 domain)" (List.length specs) m1.Metrics.jobs;
-  Alcotest.(check int) "all jobs ran (4 domains)" (List.length specs) m4.Metrics.jobs;
-  Alcotest.(check int) "none failed" 0 (m1.Metrics.failed + m4.Metrics.failed);
+  let c1 = m1.Metrics.counts and c4 = m4.Metrics.counts in
+  Alcotest.(check int) "all jobs ran (1 domain)" (List.length specs) c1.jobs;
+  Alcotest.(check int) "all jobs ran (4 domains)" (List.length specs) c4.jobs;
+  Alcotest.(check int) "none failed" 0 (c1.failed + c4.failed);
   List.iter2
     (fun a b ->
       Alcotest.(check bool)
@@ -126,9 +127,9 @@ let test_poisoned_jobs_do_not_kill_the_pool () =
   | _ -> Alcotest.fail "pool must keep serving after poisoned jobs");
   let m = Pool.metrics pool in
   Pool.shutdown pool;
-  Alcotest.(check int) "four jobs total" 4 m.Metrics.jobs;
-  Alcotest.(check int) "two failed" 2 m.Metrics.failed;
-  Alcotest.(check int) "one by fuel" 1 m.Metrics.fuel_exhausted
+  Alcotest.(check int) "four jobs total" 4 m.Metrics.counts.jobs;
+  Alcotest.(check int) "two failed" 2 m.Metrics.counts.failed;
+  Alcotest.(check int) "one by fuel" 1 m.Metrics.counts.fuel_exhausted
 
 (* Soak: several producer domains hammer submit while the main domain
    polls concurrently, at every pool width.  The properties under load:
@@ -209,22 +210,22 @@ let test_soak_concurrent_producers () =
       in
       Alcotest.(check int)
         (Printf.sprintf "%dd: metrics jobs" domains)
-        total m.Metrics.jobs;
+        total m.Metrics.counts.jobs;
       Alcotest.(check int)
         (Printf.sprintf "%dd: metrics failed" domains)
-        failed m.Metrics.failed;
+        failed m.Metrics.counts.failed;
       Alcotest.(check int)
         (Printf.sprintf "%dd: metrics succeeded" domains)
-        (total - failed) m.Metrics.succeeded;
+        (total - failed) m.Metrics.counts.succeeded;
       let sum f = List.fold_left (fun acc r -> acc + f r) 0 results in
       Alcotest.(check int)
         (Printf.sprintf "%dd: metrics instructions" domains)
         (sum (fun (r : Job.result) -> r.Job.stats.Job.instructions))
-        m.Metrics.instructions;
+        m.Metrics.counts.instructions;
       Alcotest.(check int)
         (Printf.sprintf "%dd: metrics cycles" domains)
         (sum (fun (r : Job.result) -> r.Job.stats.Job.cycles))
-        m.Metrics.cycles)
+        m.Metrics.counts.cycles)
     [ 1; 2; 4; 8 ]
 
 let test_unknown_engine_and_program_degrade () =
@@ -241,7 +242,7 @@ let test_unknown_engine_and_program_degrade () =
       | Job.Failed (Job.Bad_request, _) -> ()
       | _ -> Alcotest.fail "expected bad-request failures")
     results;
-  Alcotest.(check int) "both failed" 2 m.Metrics.failed
+  Alcotest.(check int) "both failed" 2 m.Metrics.counts.failed
 
 let test_request_line_roundtrip () =
   let specs =
@@ -353,7 +354,7 @@ let test_deliver_mode () =
   let metrics = Pool.metrics pool in
   Pool.shutdown pool;
   Alcotest.(check int) "metrics still count delivered jobs" n
-    metrics.Metrics.jobs
+    metrics.Metrics.counts.jobs
 
 (* A wall-clock deadline fails the job (not the worker): the runaway
    loop comes back Deadline_exceeded promptly despite a huge fuel
@@ -380,7 +381,7 @@ let test_deadline_exceeded () =
   Alcotest.(check bool) "deadline fired promptly, not at fuel exhaustion" true
     (waited < 30.0);
   Alcotest.(check int) "metrics counted the deadline" 1
-    metrics.Metrics.deadline_exceeded;
+    metrics.Metrics.counts.deadline_exceeded;
   (* a job that finishes in time keeps its deadline without penalty *)
   let ok, _ =
     Pool.run_jobs ~domains:1 [ Job.spec ~deadline_ms:60_000 (Job.Suite "fib") ]
@@ -388,6 +389,72 @@ let test_deadline_exceeded () =
   match (List.hd ok).Job.outcome with
   | Job.Output _ -> ()
   | Job.Failed (_, m) -> Alcotest.failf "deadlined-but-fast job failed: %s" m
+
+(* The pool merges its counts from per-worker shards, and a count that
+   [Metrics.merge_into] leaves out reads 0 however many jobs ran.  So on
+   a mix that moves every count (traced, devirt on and off, compiled,
+   fuel-exhausted, deadline-failed), the pool's snapshot must equal the
+   unmerged fold of its own results, at 1 domain and at 4: every count
+   but the host times (floats) and the arena readings, which no result
+   carries.  The counts that do not depend on scheduling must also agree
+   across the two widths. *)
+let test_merged_counts_match_results () =
+  let specs =
+    [
+      Job.spec ~trace:true (Job.Suite "fib");
+      Job.spec ~devirt:true (Job.Suite "callchain");
+      Job.spec ~devirt:false ~engine:"i4" (Job.Suite "callchain");
+      Job.spec ~tier:Job.Compiled ~engine:"i3" (Job.Suite "hanoi");
+      Job.spec ~tier:Job.Interp (Job.Suite "hanoi");
+      Job.spec ~fuel:10_000 (Job.Inline infinite_loop_src);
+      (* fails at its first slice boundary, a fixed step count *)
+      Job.spec ~deadline_ms:0 ~fuel:2_000_000_000 (Job.Inline infinite_loop_src);
+    ]
+  in
+  let rec strip drop (j : Fpc_util.Jsonout.t) : Fpc_util.Jsonout.t =
+    match j with
+    | Float _ -> Null
+    | Obj fields ->
+      Obj
+        (List.filter_map
+           (fun (k, v) -> if List.mem k drop then None else Some (k, strip drop v))
+           fields)
+    | List l -> List (List.map (strip drop) l)
+    | v -> v
+  in
+  let show drop m = Fpc_util.Jsonout.to_string (strip drop (Metrics.to_json m)) in
+  let run domains =
+    let results, m = Pool.run_jobs ~domains specs in
+    let folded = Metrics.create ~domains in
+    List.iter (Metrics.record folded) results;
+    let reference = Metrics.snapshot folded ~wall_s:0.0 ~cache:m.Metrics.cache in
+    Alcotest.(check string)
+      (Printf.sprintf "%d-domain pool counts = the fold of its results" domains)
+      (show [ "arena" ] reference) (show [ "arena" ] m);
+    let a = m.Metrics.counts.arena in
+    Alcotest.(check int)
+      (Printf.sprintf "%d-domain arena: one checkout per job" domains)
+      (List.length specs) (a.Arena.hits + a.Arena.misses);
+    m
+  in
+  let m1 = run 1 and m4 = run 4 in
+  let c = m1.Metrics.counts in
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) (what ^ " moved") true (n > 0))
+    [
+      ("traced jobs", c.traced_jobs);
+      ("fuel-exhausted", c.fuel_exhausted);
+      ("deadline-exceeded", c.deadline_exceeded);
+      ("devirt sites", c.devirt_sites);
+      ("translations", c.translation_hits + c.translation_misses);
+      ("fused calls", c.fused_calls);
+      ("minor words", c.minor_words);
+    ];
+  (* per-worker arenas, which worker compiled or translated first and
+     GC traffic vary with the width; nothing else may *)
+  let scheduling = [ "domains"; "arena"; "cache"; "translation"; "minor_words" ] in
+  Alcotest.(check string) "deterministic counts equal at 1 and 4 domains"
+    (show scheduling m1) (show scheduling m4)
 
 let test_lru_eviction () =
   let cache = Image_cache.create ~capacity:2 () in
@@ -459,9 +526,9 @@ let test_traced_job () =
     Alcotest.(check (list int)) "same output traced or not" b a
   | _ -> Alcotest.fail "both jobs should succeed");
   Alcotest.(check int) "metrics counted the traced job" 1
-    m.Metrics.traced_jobs;
+    m.Metrics.counts.traced_jobs;
   Alcotest.(check bool) "metrics aggregated events" true
-    (m.Metrics.trace_events > 0);
+    (m.Metrics.counts.trace_events > 0);
   Alcotest.(check bool) "metrics aggregated procedures" true
     (List.exists
        (fun (p : Metrics.proc_cost) -> p.pc_name = "Main.fib")
@@ -977,7 +1044,7 @@ let test_pool_metrics_count_arena () =
     ]
   in
   let _, m = Pool.run_jobs ~domains:1 specs in
-  let a = m.Metrics.arena in
+  let a = m.Metrics.counts.arena in
   Alcotest.(check (list int)) "hits, misses, evictions, images, states"
     [ 2; 2; 0; 2; 2 ]
     [ a.Arena.hits; a.Arena.misses; a.Arena.evictions; a.Arena.images;
@@ -994,7 +1061,7 @@ let test_pool_metrics_count_arena () =
   | _ -> Alcotest.fail "metrics JSON is not an object");
   let _, off = Pool.run_jobs ~domains:1 ~arena_reuse:false specs in
   Alcotest.(check int) "reuse off: no arena acquisitions" 0
-    (off.Metrics.arena.Arena.hits + off.Metrics.arena.Arena.misses)
+    (off.Metrics.counts.arena.Arena.hits + off.Metrics.counts.arena.Arena.misses)
 
 (* End-to-end through the pool: arena reuse on (the default) and off must
    produce identical results, job for job. *)
@@ -1003,8 +1070,10 @@ let test_pool_arena_matches_clone_path () =
   let specs = specs @ specs in
   let ra, ma = Pool.run_jobs ~domains:2 ~arena_reuse:true specs in
   let rc, mc = Pool.run_jobs ~domains:2 ~arena_reuse:false specs in
-  Alcotest.(check int) "all jobs ran (arena)" (List.length specs) ma.Metrics.jobs;
-  Alcotest.(check int) "all jobs ran (clone)" (List.length specs) mc.Metrics.jobs;
+  Alcotest.(check int) "all jobs ran (arena)" (List.length specs)
+    ma.Metrics.counts.jobs;
+  Alcotest.(check int) "all jobs ran (clone)" (List.length specs)
+    mc.Metrics.counts.jobs;
   List.iter2
     (fun a b ->
       Alcotest.(check bool)
@@ -1032,12 +1101,12 @@ let test_pool_tiers_agree () =
         (fingerprint a = fingerprint b))
     ri rc;
   Alcotest.(check int) "interp tier never translates" 0
-    (mi.Metrics.translation_hits + mi.Metrics.translation_misses);
+    (mi.Metrics.counts.translation_hits + mi.Metrics.counts.translation_misses);
   Alcotest.(check int) "compiled tier translates once per job"
-    mc.Metrics.jobs
-    (mc.Metrics.translation_hits + mc.Metrics.translation_misses);
+    mc.Metrics.counts.jobs
+    (mc.Metrics.counts.translation_hits + mc.Metrics.counts.translation_misses);
   Alcotest.(check bool) "some translations were shared" true
-    (mc.Metrics.translation_hits > 0)
+    (mc.Metrics.counts.translation_hits > 0)
 
 (* The deadline slicer drives the compiled tier too: a runaway loop on
    tier=compiled comes back Deadline_exceeded despite a huge fuel
@@ -1054,7 +1123,7 @@ let test_deadline_exceeded_compiled_tier () =
   | Job.Failed (Job.Deadline_exceeded, _) -> ()
   | _ -> Alcotest.fail "compiled runaway should fail with Deadline_exceeded");
   Alcotest.(check int) "metrics counted the deadline" 1
-    m.Metrics.deadline_exceeded
+    m.Metrics.counts.deadline_exceeded
 
 let () =
   Alcotest.run "svc"
@@ -1075,6 +1144,8 @@ let () =
             test_deliver_mode;
           Alcotest.test_case "deadline fails the job, not the worker" `Quick
             test_deadline_exceeded;
+          Alcotest.test_case "merged counts match the results" `Quick
+            test_merged_counts_match_results;
         ] );
       ( "tier",
         [
